@@ -6,6 +6,7 @@ from .matpoly import DiffOp, MatPoly, VecPoly
 from .model import (
     EigenPair,
     Params,
+    WeightSpec,
     companion_blocks,
     companion_eigenvalue,
     companion_operator,
@@ -14,10 +15,13 @@ from .model import (
     eigenvalue_matrix,
     hyper_eigenvalue,
     hyper_operator,
+    inner_product,
     monic_eigenvalue,
     potential_matrix,
     recursion_matrix,
+    vec_inner_product,
     weight_core,
+    weight_spec,
 )
 from .hyper import (
     BracketSeq,
@@ -35,7 +39,6 @@ from .verify import (
     BoundaryReport,
     GramBlock,
     VerificationReport,
-    WeightSpec,
     check_bilinear_symmetry,
     check_boundary,
     check_commute,
@@ -44,10 +47,7 @@ from .verify import (
     check_symmetry_reduced,
     decompose_in_basis,
     gram_block,
-    inner_product,
     run_suite,
-    vec_inner_product,
-    weight_spec,
 )
 
 __version__ = "0.1.0"

@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors
 (including inadmissible parameters).  All rational flags take exact 'p/q'
-values; decimals are rejected.  Output is deterministic and independent of
-the worker count.
+values; decimals are rejected.  Output is deterministic.  Checks run in one
+thread: --jobs must be >= 1 and its value does not change the output.
 """
 
 from __future__ import annotations
@@ -35,7 +35,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--ell", type=int, required=True, help="matrix size minus one, integer >= 1")
     common.add_argument("--max-w", dest="max_w", type=int, default=6, help="largest degree (default 6)")
     common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--jobs", type=int, default=1, help="worker threads for independent checks")
+    common.add_argument(
+        "--jobs", type=int, default=1, help="integer >= 1; checks run in one thread, so it does not change the output"
+    )
     common.add_argument("--out", default=None, help="output path (default stdout)")
 
     parser = argparse.ArgumentParser(
@@ -95,7 +97,7 @@ def cmd_polys(p: Params, args) -> tuple[str, int]:
 
 
 def cmd_verify(p: Params, args) -> tuple[str, int]:
-    report = run_suite(p, max_w=args.max_w, jobs=args.jobs)
+    report = run_suite(p, max_w=args.max_w)
     code = 0 if report.passed else 1
     if args.format == "json":
         return _json_text(report.as_dict()), code

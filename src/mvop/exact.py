@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import re
-import threading
 from fractions import Fraction
 
 __all__ = [
@@ -84,7 +83,7 @@ class MomentFunctional:
     ratio(m) is the m-th weighted moment divided by the zeroth one, which is
     the exact rational poch(beta+1, m) / poch(alpha+beta+2, m).  Working in
     these units keeps every Gram computation inside rational arithmetic.
-    Instances memoize ratios and are safe to share across threads.
+    Instances memoize ratios.
     """
 
     def __init__(self, alpha: RationalLike, beta: RationalLike):
@@ -97,25 +96,13 @@ class MomentFunctional:
         self.alpha = alpha
         self.beta = beta
         self._cache = [Fraction(1)]
-        self._lock = threading.Lock()
 
     def ratio(self, m: int) -> Fraction:
         """Exact m-th moment in units of the zeroth moment."""
         if m < 0:
             raise ValueError("m must be a non-negative integer")
-        with self._lock:
-            while len(self._cache) <= m:
-                n = len(self._cache)
-                # ratio(n) = ratio(n-1) * (beta + n) / (alpha + beta + 1 + n)
-                self._cache.append(
-                    self._cache[-1] * (self.beta + n) / (self.alpha + self.beta + 1 + n)
-                )
-            return self._cache[m]
-
-    def integrate(self, coeffs) -> Fraction:
-        """Apply the functional to a scalar polynomial given by ascending coefficients."""
-        total = Fraction(0)
-        for m, c in enumerate(coeffs):
-            if c:
-                total += Fraction(c) * self.ratio(m)
-        return total
+        while len(self._cache) <= m:
+            n = len(self._cache)
+            # ratio(n) = ratio(n-1) * (beta + n) / (alpha + beta + 1 + n)
+            self._cache.append(self._cache[-1] * (self.beta + n) / (self.alpha + self.beta + 1 + n))
+        return self._cache[m]

@@ -31,6 +31,8 @@ from .model import (
     hyper_eigenvalue,
     potential_matrix,
     recursion_matrix,
+    vec_inner_product,
+    weight_spec,
 )
 
 __all__ = [
@@ -152,7 +154,8 @@ def find_collisions(p: Params, lam, w_bound: int | None = None) -> CollisionClas
                 raise RuntimeError("eigenvalue scan exceeded w_bound before crossing lam")
     members.sort()
     for (w1, j1), (w2, j2) in zip(members, members[1:]):
-        assert w2 > w1 and j1 >= j2 + 2, "repeated-eigenvalue structure violated"
+        if not (w2 > w1 and j1 >= j2 + 2):
+            raise ArithmeticError("repeated-eigenvalue structure violated")
     return CollisionClass(lam, tuple(members))
 
 
@@ -205,9 +208,6 @@ def _principal_column(p: Params, w: int, j: int, lam: Fraction) -> VecPoly:
 
 
 def _orthogonal_complement_column(p: Params, w: int, j: int, lam: Fraction, earlier) -> VecPoly:
-    # Imported here: verify builds on this module for its own checks.
-    from .verify import vec_inner_product, weight_spec
-
     ws = weight_spec(p)
     prev = [build_column(p, wm, jm) for wm, jm in earlier]
     basis = poly_solution_space(p, lam, w)
@@ -236,8 +236,8 @@ def _orthogonal_complement_column(p: Params, w: int, j: int, lam: Fraction, earl
     if lead[j] == 0 or any(lead[i] != lead[j] * kv[i] for i in range(p.size)):
         raise ArithmeticError("leading coefficient is not proportional to the kernel vector")
     column = pick * (1 / lead[j])
-    for qm in prev:
-        assert vec_inner_product(column, qm, ws) == 0
+    if any(vec_inner_product(column, qm, ws) != 0 for qm in prev):
+        raise ArithmeticError("orthogonalized column is not orthogonal to its class")
     return column
 
 

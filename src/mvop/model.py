@@ -1,6 +1,7 @@
 """The three-parameter family: admissible parameters, the polynomial core of
-the matrix weight, the hypergeometric-form second-order operator, a second
-commuting symmetric operator, and all of their eigenvalue data.
+the matrix weight and the pairing it defines, the hypergeometric-form
+second-order operator, a second commuting symmetric operator, and all of
+their eigenvalue data.
 
 Parameters are (alpha, beta, k, ell) with alpha > -1, beta > -1,
 0 < k < beta + 1 and integer ell >= 1; matrices have size ell + 1.  Row and
@@ -14,8 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .exact import falling, format_rational, gen_binom
-from .matpoly import DiffOp, MatPoly
+from .exact import MomentFunctional, falling, format_rational, gen_binom
+from .matpoly import DiffOp, MatPoly, VecPoly
 
 __all__ = [
     "Params",
@@ -24,6 +25,10 @@ __all__ = [
     "drift_matrix",
     "potential_matrix",
     "weight_core",
+    "WeightSpec",
+    "weight_spec",
+    "inner_product",
+    "vec_inner_product",
     "hyper_operator",
     "companion_blocks",
     "companion_operator",
@@ -45,10 +50,12 @@ class Params:
     ell: int
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
-        object.__setattr__(self, "k", Fraction(self.k))
-        if not isinstance(self.ell, int):
+        for name in ("alpha", "beta", "k"):
+            value = getattr(self, name)
+            if isinstance(value, float):
+                raise ValueError(f"{name} must be an exact rational, not a float")
+            object.__setattr__(self, name, Fraction(value))
+        if not isinstance(self.ell, int) or isinstance(self.ell, bool):
             raise ValueError("ell must be an integer >= 1")
         if self.alpha <= -1:
             raise ValueError("alpha must be > -1")
@@ -138,6 +145,68 @@ def weight_core(p: Params) -> MatPoly:
                 for t in range(ell - r + 1):
                     coeffs[i + j + t][i][j] += c * gen_binom(Fraction(ell - r), t) * (-1) ** t
     return MatPoly(p.size, tuple(tuple(tuple(row) for row in mat) for mat in coeffs))
+
+
+class WeightSpec:
+    """The weight W = (1-u)^alpha u^beta Z(u) as its core Z and its moment matrices.
+
+    The moment matrix H_m = sum_c Z_c ratio(m + c) is the integral of u^m W in
+    units of the zeroth moment of the scalar factor.  Every pairing against
+    the weight is a sum of H_{a+b} between polynomial coefficients, so the
+    table, grown on demand, is the only place the weight is integrated.
+    """
+
+    def __init__(self, params: Params):
+        self.params = params
+        self.core = weight_core(params)
+        self.moments = MomentFunctional(params.alpha, params.beta)
+        self._table = []
+
+    def moment(self, m: int):
+        """Moment matrix H_m, for m >= 0."""
+        if m < 0:
+            raise ValueError("m must be a non-negative integer")
+        while len(self._table) <= m:
+            n = len(self._table)
+            total = linalg.zeros(self.core.dim)
+            for c, zc in enumerate(self.core.coeffs):
+                total = linalg.add(total, linalg.scale(zc, self.moments.ratio(n + c)))
+            self._table.append(total)
+        return self._table[m]
+
+
+@lru_cache(maxsize=None)
+def weight_spec(params: Params) -> WeightSpec:
+    return WeightSpec(params)
+
+
+def inner_product(pp: MatPoly, qq: MatPoly, ws: WeightSpec):
+    """Matrix pairing integral of pp W qq^T, in units of the zeroth moment:
+    the sum over a, b of pp_a H_{a+b} qq_b^T."""
+    if pp.dim != ws.core.dim or qq.dim != ws.core.dim:
+        raise ValueError("dimension mismatch")
+    qts = [linalg.transpose(c) for c in qq.coeffs]
+    total = linalg.zeros(pp.dim)
+    for a, pa in enumerate(pp.coeffs):
+        right = linalg.zeros(pp.dim)
+        for b, qt in enumerate(qts):
+            right = linalg.add(right, linalg.matmul(ws.moment(a + b), qt))
+        total = linalg.add(total, linalg.matmul(pa, right))
+    return total
+
+
+def vec_inner_product(pv: VecPoly, qv: VecPoly, ws: WeightSpec) -> Fraction:
+    """Scalar pairing integral of pv^T W qv, in units of the zeroth moment:
+    the sum over a, b of pv_a^T H_{a+b} qv_b."""
+    if pv.dim != ws.core.dim or qv.dim != ws.core.dim:
+        raise ValueError("dimension mismatch")
+    total = Fraction(0)
+    for b, vb in enumerate(qv.coeffs):
+        if linalg.is_zero_vector(vb):
+            continue
+        for a, va in enumerate(pv.coeffs):
+            total += linalg.dot(va, linalg.matvec(ws.moment(a + b), vb))
+    return total
 
 
 @lru_cache(maxsize=None)

@@ -2,32 +2,34 @@
 
 All checks reduce analytic statements about the weight
 W(u) = (1-u)^alpha u^beta Z(u) to polynomial or rational identities:
-integrals go through the moment functional, the symmetry equations are
-cleared of the non-polynomial scalar factor, and boundary limits become
-vanishing-order comparisons.  A check passes only when the corresponding
-exact object is identically zero (or identically positive, for norms).
+integrals go through the moment matrices of the weight, the symmetry
+equations are cleared of the non-polynomial scalar factor, and boundary
+limits become vanishing-order comparisons.  A check passes only when the
+corresponding exact object is identically zero (or identically positive,
+for norms).
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import linalg
-from .exact import MomentFunctional, format_rational
+from .exact import format_rational
 from .matpoly import DiffOp, MatPoly, VecPoly
 from .model import (
     Params,
+    WeightSpec,
     companion_eigenvalue,
     companion_operator,
     eigenvalue_matrix,
     hyper_eigenvalue,
     hyper_operator,
+    inner_product,
     monic_eigenvalue,
-    weight_core,
+    vec_inner_product,
+    weight_spec,
 )
 from .hyper import find_collisions, kernel_vector, leading_coefficient, orthogonal_polynomial
 
@@ -50,50 +52,6 @@ __all__ = [
     "VerificationReport",
     "run_suite",
 ]
-
-
-class WeightSpec:
-    """Weight data: the polynomial core and the moment functional of the scalar factor."""
-
-    def __init__(self, params: Params):
-        self.params = params
-        self.core = weight_core(params)
-        self.moments = MomentFunctional(params.alpha, params.beta)
-
-
-@lru_cache(maxsize=None)
-def weight_spec(params: Params) -> WeightSpec:
-    return WeightSpec(params)
-
-
-def moment_map(g: MatPoly, moments: MomentFunctional):
-    """Integrate a matrix polynomial against the scalar weight factor, in
-    units of the zeroth moment."""
-    total = linalg.zeros(g.dim)
-    for m, c in enumerate(g.coeffs):
-        total = linalg.add(total, linalg.scale(c, moments.ratio(m)))
-    return total
-
-
-def inner_product(pp: MatPoly, qq: MatPoly, ws: WeightSpec):
-    """Matrix pairing integral of pp W qq^T, in units of the zeroth moment."""
-    if pp.dim != ws.core.dim or qq.dim != ws.core.dim:
-        raise ValueError("dimension mismatch")
-    return moment_map(pp * ws.core * qq.transpose(), ws.moments)
-
-
-def vec_inner_product(pv: VecPoly, qv: VecPoly, ws: WeightSpec) -> Fraction:
-    """Scalar pairing integral of pv^T W qv, in units of the zeroth moment."""
-    if pv.dim != ws.core.dim or qv.dim != ws.core.dim:
-        raise ValueError("dimension mismatch")
-    zq = ws.core.matvec(qv)
-    if pv.is_zero() or zq.is_zero():
-        return Fraction(0)
-    out = [Fraction(0)] * (len(pv.coeffs) + len(zq.coeffs) - 1)
-    for a, va in enumerate(pv.coeffs):
-        for b, vb in enumerate(zq.coeffs):
-            out[a + b] += linalg.dot(va, vb)
-    return ws.moments.integrate(out)
 
 
 @dataclass(frozen=True)
@@ -238,64 +196,22 @@ def check_boundary(ws: WeightSpec, op: DiffOp) -> BoundaryReport:
     return BoundaryReport(passed, tuple(entries))
 
 
-def bilinear_form(pp: MatPoly, qq: MatPoly, ws: WeightSpec):
-    """Dual pairing <P, Q> = (P^T, Q^T)^T."""
-    return linalg.transpose(moment_map(pp.transpose() * ws.core * qq, ws.moments))
-
-
 def check_bilinear_symmetry(ws: WeightSpec, op: DiffOp, max_power: int = 4) -> bool:
-    """Test <op P, Q> = <P, op Q> on all matrix monomials of degree <= max_power.
+    """Test <op P, Q> = <P, op Q> on all matrix polynomials of degree <= max_power.
 
-    The defect is bilinear, so vanishing on monomials u^a E_rs settles every
-    polynomial pair of degree up to max_power.  Pairing a matrix polynomial
-    against a unit monomial only selects one row or column, so the quadratic
-    sweep runs on precomputed integral tables instead of repeated products.
+    The operator acts column by column and <P, Q> = integral of P^T W Q pairs
+    columns, so the bilinear defect vanishes exactly when the Gram matrix
+    G[(a, r), (b, t)] = <op(u^a e_r), u^b e_t> of the vector monomials is
+    symmetric.
     """
     dim = ws.core.dim
-    z = ws.core
-
-    def tables(g: MatPoly):
-        # table[b][i][j] = integral of u^b g_ij, for b <= max_power
-        out = []
-        entries = [[g.entry(i, j) for j in range(dim)] for i in range(dim)]
-        for b in range(max_power + 1):
-            out.append(
-                tuple(
-                    tuple(
-                        sum(
-                            (c * ws.moments.ratio(m + b) for m, c in enumerate(entries[i][j])),
-                            Fraction(0),
-                        )
-                        for j in range(dim)
-                    )
-                    for i in range(dim)
-                )
-            )
-        return out
-
-    slots = [(a, r, s) for a in range(max_power + 1) for r in range(dim) for s in range(dim)]
-    left = []
-    right = []
-    for a, r, s in slots:
-        unit = [[Fraction(0)] * dim for _ in range(dim)]
-        unit[r][s] = Fraction(1)
-        g = op.apply(MatPoly.monomial(dim, unit, a))
-        left.append(tables(g.transpose() * z))
-        right.append(tables(z * g))
-    zero = Fraction(0)
-    for ip, (a, r, s) in enumerate(slots):
-        tp = left[ip]
-        for iq, (b, t, v) in enumerate(slots):
-            uq = right[iq]
-            # <op P, Q>[x][y] = [x == v] integral of u^b (op(P)^T Z)[y][t]
-            # <P, op Q>[x][y] = [y == s] integral of u^a (Z op(Q))[r][x]
-            for x in range(dim):
-                for y in range(dim):
-                    lhs = tp[b][y][t] if x == v else zero
-                    rhs = uq[a][r][x] if y == s else zero
-                    if lhs != rhs:
-                        return False
-    return True
+    monomials = [
+        VecPoly(dim, [(0,) * dim] * a + [tuple(int(i == r) for i in range(dim))])
+        for a in range(max_power + 1)
+        for r in range(dim)
+    ]
+    gram = [[vec_inner_product(df, g, ws) for g in monomials] for df in map(op.apply, monomials)]
+    return all(gram[x][y] == gram[y][x] for x in range(len(gram)) for y in range(x))
 
 
 def check_eigen(p: Params, w: int) -> bool:
@@ -338,8 +254,10 @@ def decompose_in_basis(h: MatPoly, p: Params) -> list:
         a_d = linalg.solve_matrix(pt.leading(), coeff)
         out[d] = a_d
         residual = residual - pt * MatPoly.constant(a_d)
-        assert residual.degree < d
-    assert residual.is_zero()
+        if residual.degree >= d:
+            raise ArithmeticError(f"residual keeps degree {d} after peeling")
+    if not residual.is_zero():
+        raise ArithmeticError("nonzero residual after peeling every degree")
     return out
 
 
@@ -427,17 +345,10 @@ def _relation_scalars(p: Params, w: int):
     return shift, offset
 
 
-def run_suite(p: Params, max_w: int = 6, jobs: int = 1) -> VerificationReport:
-    """Run every verification for the given parameters.
-
-    Independent checks fan out over at most jobs worker threads; results are
-    collected in the fixed submission order, so the report does not depend on
-    the worker count.
-    """
+def run_suite(p: Params, max_w: int = 6) -> VerificationReport:
+    """Run every verification for the given parameters, in a fixed order."""
     if max_w < 0:
         raise ValueError("max_w must be >= 0")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
     ws = weight_spec(p)
     d = hyper_operator(p)
     e = companion_operator(p)
@@ -567,10 +478,5 @@ def run_suite(p: Params, max_w: int = 6, jobs: int = 1) -> VerificationReport:
         ("decomposition_random", decomposition),
     ]
 
-    if jobs == 1:
-        results = [_result(name, thunk) for name, thunk in named]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [(name, pool.submit(_result, name, thunk)) for name, thunk in named]
-            results = [fut.result() for _, fut in futures]
+    results = [_result(name, thunk) for name, thunk in named]
     return VerificationReport(p, max_w, tuple(results))

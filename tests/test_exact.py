@@ -113,28 +113,3 @@ def test_moment_functional_rejects_bad_exponents():
     with pytest.raises(ValueError):
         MomentFunctional(0, 0).ratio(-1)
 
-
-def test_moment_integrate():
-    mf = MomentFunctional(0, 1)
-    # 2 - u against u on (0, 1): 2*(1/2) - 1/3, in units of the zeroth moment 1/2
-    assert mf.integrate([2, -1]) == 2 - Fraction(2, 3)
-    assert mf.integrate([]) == 0
-
-
-def test_moment_cache_is_thread_safe():
-    import threading
-
-    mf = MomentFunctional(Fraction(1, 3), Fraction(5, 7))
-    expected = MomentFunctional(Fraction(1, 3), Fraction(5, 7))
-    results = [None] * 8
-
-    def worker(idx):
-        results[idx] = [mf.ratio(m) for m in range(60)]
-
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    serial = [expected.ratio(m) for m in range(60)]
-    assert all(r == serial for r in results)

@@ -235,12 +235,18 @@ class TestBuildColumn:
         assert second.coeff(0) == (Fraction(-12, 35), Fraction(-2, 7), Fraction(0))
 
     def test_collision_columns_orthogonal(self):
-        ws = weight_spec(COLLIDING)
-        first = build_column(COLLIDING, 0, 2)
-        second = build_column(COLLIDING, 1, 0)
-        assert vec_inner_product(first, second, ws) == 0
-        assert vec_inner_product(first, first, ws) > 0
-        assert vec_inner_product(second, second, ws) > 0
+        # a two-member class, and a three-member one (these need ell >= 4)
+        for p, slots in (
+            (COLLIDING, ((0, 2), (1, 0))),
+            (Params(0, 3, 1, 5), ((4, 5), (6, 2), (7, 0))),
+        ):
+            assert find_collisions(p, hyper_eigenvalue(p, *slots[0])).members == slots
+            ws = weight_spec(p)
+            cols = [build_column(p, w, j) for w, j in slots]
+            for x, cx in enumerate(cols):
+                assert vec_inner_product(cx, cx, ws) > 0
+                for cy in cols[:x]:
+                    assert vec_inner_product(cx, cy, ws) == 0
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):

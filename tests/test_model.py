@@ -50,6 +50,10 @@ class TestParams:
             ((0, 1, 5, 2), "k must satisfy 0 < k < beta + 1"),
             ((0, 1, 1, 0), "ell must be an integer >= 1"),
             ((0, 1, 1, Fraction(3, 2)), "ell must be an integer >= 1"),
+            ((0.1, 1, 1, 1), "alpha must be an exact rational, not a float"),
+            ((0, 1.5, 1, 1), "beta must be an exact rational, not a float"),
+            ((0, 1, 0.5, 1), "k must be an exact rational, not a float"),
+            ((0, 1, 1, True), "ell must be an integer >= 1"),
         ],
     )
     def test_rejects_inadmissible(self, args, message):
