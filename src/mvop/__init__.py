@@ -2,7 +2,7 @@
 symmetric differential operators for a three-parameter family."""
 
 from .exact import MomentFunctional, falling, format_rational, gen_binom, parse_rational, poch
-from .matpoly import DiffOp, MatPoly, VecPoly
+from .matpoly import DiffOp, MatPoly
 from .model import (
     EigenPair,
     Params,

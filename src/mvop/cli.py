@@ -83,7 +83,7 @@ def cmd_polys(p: Params, args) -> tuple[str, int]:
                     "j": j,
                     "lambda": format_rational(hyper_eigenvalue(p, w, j)),
                     "mu": format_rational(companion_eigenvalue(p, w, j)),
-                    "coeffs": build_column(p, w, j).to_json_rows(),
+                    "coeffs": build_column(p, w, j).to_json_dict()["coeffs"],
                 }
             )
     if args.format == "json":

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .matpoly import MatPoly, VecPoly
+from .matpoly import MatPoly
 from .exact import poch
 from .model import (
     Params,
@@ -179,35 +179,33 @@ def poly_solution_space(p: Params, lam, n: int) -> list:
     return linalg.nullspace(linalg.matmul(m, b_n))
 
 
-def _series_polynomial(brackets, f0, degree: int, dim: int, scale_factorial: int) -> VecPoly:
-    coeffs = [
-        linalg.vec_scale(
-            linalg.matvec(brackets[i], f0), Fraction(scale_factorial, math.factorial(i))
-        )
-        for i in range(degree + 1)
-    ]
-    return VecPoly(dim, coeffs)
+def _series_polynomial(brackets, f0, degree: int, dim: int, scale_factorial: int) -> MatPoly:
+    coeffs = []
+    for i in range(degree + 1):
+        s = Fraction(scale_factorial, math.factorial(i))
+        coeffs.append(tuple((s * x,) for x in linalg.matvec(brackets[i], f0)))
+    return MatPoly(dim, coeffs, 1)
 
 
-def _proportional(v: VecPoly, base: VecPoly) -> bool:
+def _proportional(v: MatPoly, base: MatPoly) -> bool:
     if v.is_zero():
         return True
     for m, c in enumerate(base.coeffs):
-        for i, x in enumerate(c):
+        for i, (x,) in enumerate(c):
             if x != 0:
-                s = v.coeff(m)[i] / x
-                return v - base * s == VecPoly.zero(v.dim)
+                s = v.coeff(m)[i][0] / x
+                return (v - base * s).is_zero()
     return False
 
 
-def _principal_column(p: Params, w: int, j: int, lam: Fraction) -> VecPoly:
+def _principal_column(p: Params, w: int, j: int, lam: Fraction) -> MatPoly:
     brackets = bracket_seq(p, lam, w).coeffs
     kv = kernel_vector(p, w, j)
     f0 = linalg.solve(brackets[w], kv)
     return _series_polynomial(brackets, f0, w, p.size, math.factorial(w))
 
 
-def _orthogonal_complement_column(p: Params, w: int, j: int, lam: Fraction, earlier) -> VecPoly:
+def _orthogonal_complement_column(p: Params, w: int, j: int, lam: Fraction, earlier) -> MatPoly:
     ws = weight_spec(p)
     prev = [build_column(p, wm, jm) for wm, jm in earlier]
     basis = poly_solution_space(p, lam, w)
@@ -231,7 +229,7 @@ def _orthogonal_complement_column(p: Params, w: int, j: int, lam: Fraction, earl
             raise AssertionError("orthogonal complement in the solution space is not one-dimensional")
     if pick.degree != w:
         raise AssertionError("orthogonalized column has unexpected degree")
-    lead = pick.coeff(w)
+    lead = [x for (x,) in pick.coeff(w)]
     kv = kernel_vector(p, w, j)
     if lead[j] == 0 or any(lead[i] != lead[j] * kv[i] for i in range(p.size)):
         raise ArithmeticError("leading coefficient is not proportional to the kernel vector")
@@ -242,9 +240,9 @@ def _orthogonal_complement_column(p: Params, w: int, j: int, lam: Fraction, earl
 
 
 @lru_cache(maxsize=None)
-def build_column(p: Params, w: int, j: int) -> VecPoly:
-    """Degree-w column eigenfunction for slot (w, j), leading coefficient
-    kernel_vector(p, w, j).
+def build_column(p: Params, w: int, j: int) -> MatPoly:
+    """Degree-w column eigenfunction for slot (w, j), a dim x 1 MatPoly whose
+    leading coefficient is kernel_vector(p, w, j).
 
     The first slot of a collision class comes straight from the series with
     the initial value that produces the kernel vector on top; later slots are
@@ -270,7 +268,7 @@ def orthogonal_polynomial(p: Params, w: int) -> MatPoly:
     triangular, so the family is linearly independent degree by degree.
     """
     cols = [build_column(p, w, j) for j in range(p.size)]
-    coeffs = [tuple(col.coeff(m) for col in cols) for m in range(w + 1)]
+    coeffs = [tuple(tuple(x for (x,) in col.coeff(m)) for col in cols) for m in range(w + 1)]
     return MatPoly(p.size, coeffs)
 
 

@@ -1,7 +1,7 @@
 """Dense exact linear algebra over Fraction entries.
 
 Matrices are tuples of row tuples, vectors are tuples; both are immutable and
-hashable so results can be cached and shared across workers.  Sizes here stay
+hashable, so results can be cached and compared structurally.  Sizes here stay
 small, so the routines favour exactness and determinism over asymptotics.
 Nullspaces use fraction-free elimination on denominator-cleared integer rows,
 which keeps intermediate growth bounded by minors of the input.
@@ -22,10 +22,6 @@ class SingularMatrixError(ArithmeticError):
 
 def freeze_matrix(rows) -> Matrix:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
-def freeze_vector(entries) -> Vector:
-    return tuple(Fraction(x) for x in entries)
 
 
 def zeros(n: int, m: int | None = None) -> Matrix:
@@ -70,33 +66,12 @@ def matvec(a: Matrix, v: Vector) -> Vector:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(u, v))
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(u, v))
-
-
-def vec_scale(v: Vector, q) -> Vector:
-    q = Fraction(q)
-    return tuple(q * x for x in v)
-
-
-def dot(u: Vector, v: Vector) -> Fraction:
-    return sum((x * y for x, y in zip(u, v)), Fraction(0))
-
-
 def transpose(a: Matrix) -> Matrix:
     return tuple(tuple(col) for col in zip(*a))
 
 
 def is_zero_matrix(a: Matrix) -> bool:
     return all(all(x == 0 for x in row) for row in a)
-
-
-def is_zero_vector(v: Vector) -> bool:
-    return all(x == 0 for x in v)
 
 
 def solve(a: Matrix, b: Vector) -> Vector:

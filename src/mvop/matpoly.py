@@ -1,5 +1,6 @@
-"""Matrix and vector polynomials over exact rationals, plus differential
-operators with matrix-polynomial coefficients acting from the left.
+"""Matrix polynomials over exact rationals, square or rectangular, plus
+differential operators with square matrix-polynomial coefficients acting from
+the left.  A vector-valued polynomial is a matrix polynomial with one column.
 
 Coefficients are stored by ascending power with trailing zeros trimmed, so
 structural equality is exact polynomial equality.  The degree of the zero
@@ -16,7 +17,7 @@ from fractions import Fraction
 from . import linalg
 from .exact import format_rational
 
-__all__ = ["MatPoly", "VecPoly", "DiffOp", "NEG_INF"]
+__all__ = ["MatPoly", "DiffOp", "NEG_INF"]
 
 NEG_INF = float("-inf")
 
@@ -30,26 +31,33 @@ def _trimmed(items, is_zero) -> tuple:
 
 @dataclass(frozen=True)
 class MatPoly:
-    """Square-matrix-valued polynomial in one variable u."""
+    """Matrix-valued polynomial in one variable u, dim rows by cols columns.
+
+    cols defaults to dim, so MatPoly(dim, coeffs) is square; a column
+    eigenfunction is a dim x 1 MatPoly.
+    """
 
     dim: int
     coeffs: tuple = ()
+    cols: int | None = None
 
     def __post_init__(self):
+        cols = self.dim if self.cols is None else self.cols
         frozen = [linalg.freeze_matrix(c) for c in self.coeffs]
         for c in frozen:
-            if len(c) != self.dim or any(len(row) != self.dim for row in c):
-                raise ValueError("coefficient matrices must be dim x dim")
+            if len(c) != self.dim or any(len(row) != cols for row in c):
+                raise ValueError("coefficient matrices must be dim x cols")
+        object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "coeffs", _trimmed(frozen, linalg.is_zero_matrix))
 
     @classmethod
-    def zero(cls, dim: int) -> MatPoly:
-        return cls(dim, ())
+    def zero(cls, dim: int, cols: int | None = None) -> MatPoly:
+        return cls(dim, (), cols)
 
     @classmethod
     def constant(cls, mat) -> MatPoly:
         mat = linalg.freeze_matrix(mat)
-        return cls(len(mat), (mat,))
+        return cls(len(mat), (mat,), len(mat[0]))
 
     @classmethod
     def identity(cls, dim: int) -> MatPoly:
@@ -64,8 +72,8 @@ class MatPoly:
     def monomial(cls, dim: int, mat, power: int) -> MatPoly:
         if power < 0:
             raise ValueError("power must be non-negative")
-        pad = (linalg.zeros(dim),) * power
-        return cls(dim, pad + (linalg.freeze_matrix(mat),))
+        mat = linalg.freeze_matrix(mat)
+        return cls(dim, (linalg.zeros(dim, len(mat[0])),) * power + (mat,), len(mat[0]))
 
     @property
     def degree(self):
@@ -77,7 +85,7 @@ class MatPoly:
     def coeff(self, m: int):
         if 0 <= m < len(self.coeffs):
             return self.coeffs[m]
-        return linalg.zeros(self.dim)
+        return linalg.zeros(self.dim, self.cols)
 
     def leading(self):
         if not self.coeffs:
@@ -88,33 +96,34 @@ class MatPoly:
         """Scalar coefficient sequence of one entry, ascending, trimmed."""
         return _trimmed([c[i][j] for c in self.coeffs], lambda x: x == 0)
 
-    def _require_same_dim(self, other):
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
+    def _with(self, coeffs) -> MatPoly:
+        return MatPoly(self.dim, coeffs, self.cols)
 
     def __add__(self, other: MatPoly) -> MatPoly:
-        self._require_same_dim(other)
+        if (self.dim, self.cols) != (other.dim, other.cols):
+            raise ValueError("shape mismatch")
         n = max(len(self.coeffs), len(other.coeffs))
-        return MatPoly(self.dim, tuple(linalg.add(self.coeff(m), other.coeff(m)) for m in range(n)))
+        return self._with(tuple(linalg.add(self.coeff(m), other.coeff(m)) for m in range(n)))
 
     def __sub__(self, other: MatPoly) -> MatPoly:
         return self + (-other)
 
     def __neg__(self) -> MatPoly:
-        return MatPoly(self.dim, tuple(linalg.scale(c, -1) for c in self.coeffs))
+        return self._with(tuple(linalg.scale(c, -1) for c in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, MatPoly):
-            self._require_same_dim(other)
+            if self.cols != other.dim:
+                raise ValueError("inner dimension mismatch")
             if self.is_zero() or other.is_zero():
-                return MatPoly.zero(self.dim)
-            out = [linalg.zeros(self.dim) for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
+                return MatPoly.zero(self.dim, other.cols)
+            out = [linalg.zeros(self.dim, other.cols)] * (len(self.coeffs) + len(other.coeffs) - 1)
             for a, ca in enumerate(self.coeffs):
                 for b, cb in enumerate(other.coeffs):
                     out[a + b] = linalg.add(out[a + b], linalg.matmul(ca, cb))
-            return MatPoly(self.dim, tuple(out))
+            return MatPoly(self.dim, tuple(out), other.cols)
         if isinstance(other, (int, Fraction)):
-            return MatPoly(self.dim, tuple(linalg.scale(c, other) for c in self.coeffs))
+            return self._with(tuple(linalg.scale(c, other) for c in self.coeffs))
         return NotImplemented
 
     def __rmul__(self, other):
@@ -128,38 +137,26 @@ class MatPoly:
         while s and s[-1] == 0:
             s.pop()
         if not s or self.is_zero():
-            return MatPoly.zero(self.dim)
-        out = [linalg.zeros(self.dim) for _ in range(len(self.coeffs) + len(s) - 1)]
+            return self._with(())
+        out = [linalg.zeros(self.dim, self.cols)] * (len(self.coeffs) + len(s) - 1)
         for a, ca in enumerate(self.coeffs):
             for b, cb in enumerate(s):
                 if cb:
                     out[a + b] = linalg.add(out[a + b], linalg.scale(ca, cb))
-        return MatPoly(self.dim, tuple(out))
+        return self._with(tuple(out))
 
     def transpose(self) -> MatPoly:
-        return MatPoly(self.dim, tuple(linalg.transpose(c) for c in self.coeffs))
+        return MatPoly(self.cols, tuple(linalg.transpose(c) for c in self.coeffs), self.dim)
 
     def derivative(self) -> MatPoly:
-        return MatPoly(self.dim, tuple(linalg.scale(c, m) for m, c in enumerate(self.coeffs) if m >= 1))
+        return self._with(tuple(linalg.scale(c, m) for m, c in enumerate(self.coeffs) if m >= 1))
 
     def evaluate(self, u0):
         u0 = Fraction(u0)
-        total = linalg.zeros(self.dim)
+        total = linalg.zeros(self.dim, self.cols)
         for c in reversed(self.coeffs):
             total = linalg.add(linalg.scale(total, u0), c)
         return total
-
-    def matvec(self, v: VecPoly) -> VecPoly:
-        """Product M(u) v(u) with a vector polynomial."""
-        if self.dim != v.dim:
-            raise ValueError("dimension mismatch")
-        if self.is_zero() or v.is_zero():
-            return VecPoly.zero(self.dim)
-        out = [(Fraction(0),) * self.dim for _ in range(len(self.coeffs) + len(v.coeffs) - 1)]
-        for a, ca in enumerate(self.coeffs):
-            for b, cb in enumerate(v.coeffs):
-                out[a + b] = linalg.vec_add(out[a + b], linalg.matvec(ca, cb))
-        return VecPoly(self.dim, tuple(out))
 
     def to_json_dict(self) -> dict:
         return {
@@ -169,85 +166,12 @@ class MatPoly:
 
 
 @dataclass(frozen=True)
-class VecPoly:
-    """Column-vector-valued polynomial in one variable u."""
-
-    dim: int
-    coeffs: tuple = ()
-
-    def __post_init__(self):
-        frozen = [linalg.freeze_vector(c) for c in self.coeffs]
-        for c in frozen:
-            if len(c) != self.dim:
-                raise ValueError("coefficient vectors must have length dim")
-        object.__setattr__(self, "coeffs", _trimmed(frozen, linalg.is_zero_vector))
-
-    @classmethod
-    def zero(cls, dim: int) -> VecPoly:
-        return cls(dim, ())
-
-    @classmethod
-    def constant(cls, vec) -> VecPoly:
-        vec = linalg.freeze_vector(vec)
-        return cls(len(vec), (vec,))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coeff(self, m: int):
-        if 0 <= m < len(self.coeffs):
-            return self.coeffs[m]
-        return (Fraction(0),) * self.dim
-
-    def leading(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __add__(self, other: VecPoly) -> VecPoly:
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        n = max(len(self.coeffs), len(other.coeffs))
-        return VecPoly(self.dim, tuple(linalg.vec_add(self.coeff(m), other.coeff(m)) for m in range(n)))
-
-    def __sub__(self, other: VecPoly) -> VecPoly:
-        return self + (-other)
-
-    def __neg__(self) -> VecPoly:
-        return VecPoly(self.dim, tuple(linalg.vec_scale(c, -1) for c in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return VecPoly(self.dim, tuple(linalg.vec_scale(c, other) for c in self.coeffs))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def derivative(self) -> VecPoly:
-        return VecPoly(self.dim, tuple(linalg.vec_scale(c, m) for m, c in enumerate(self.coeffs) if m >= 1))
-
-    def evaluate(self, u0):
-        u0 = Fraction(u0)
-        total = (Fraction(0),) * self.dim
-        for c in reversed(self.coeffs):
-            total = linalg.vec_add(linalg.vec_scale(total, u0), c)
-        return total
-
-    def to_json_rows(self) -> list:
-        return [[format_rational(x) for x in c] for c in self.coeffs]
-
-
-@dataclass(frozen=True)
 class DiffOp:
     """Differential operator sum_j A_j(u) d^j/du^j with MatPoly coefficients.
 
-    Coefficients are stored leading order first, order zero last.  The
-    operator acts on matrix or vector polynomials by left multiplication of
-    the coefficients.  Order is structural: it is preserved by arithmetic
+    Coefficients are square, stored leading order first, order zero last.
+    The operator acts on a dim x n matrix polynomial by left multiplication
+    of the coefficients, so it acts column by column.  Order is structural: it is preserved by arithmetic
     even when leading coefficients vanish, so a commutator keeps its shape.
     """
 
@@ -259,8 +183,8 @@ class DiffOp:
         if not cs:
             raise ValueError("an operator needs at least its order-zero coefficient")
         for c in cs:
-            if not isinstance(c, MatPoly) or c.dim != self.dim:
-                raise ValueError("coefficients must be MatPoly of matching dimension")
+            if not isinstance(c, MatPoly) or c.dim != self.dim or c.cols != self.dim:
+                raise ValueError("coefficients must be dim x dim MatPoly")
         object.__setattr__(self, "coeffs", cs)
 
     @classmethod
@@ -287,23 +211,18 @@ class DiffOp:
         """True when deg A_j <= j for every order j, the class closed under composition."""
         return all(self.coeff_of_order(j).degree <= j for j in range(self.order + 1))
 
-    def apply(self, f):
-        """Apply to a MatPoly or VecPoly: sum_j A_j(u) f^(j)(u)."""
-        if isinstance(f, MatPoly):
-            out = MatPoly.zero(self.dim)
-            combine = lambda a, g: a * g
-        elif isinstance(f, VecPoly):
-            out = VecPoly.zero(self.dim)
-            combine = lambda a, g: a.matvec(g)
-        else:
-            raise TypeError("apply expects a MatPoly or VecPoly")
+    def apply(self, f: MatPoly) -> MatPoly:
+        """Apply to a dim x n MatPoly: sum_j A_j(u) f^(j)(u)."""
+        if not isinstance(f, MatPoly):
+            raise TypeError("apply expects a MatPoly")
         if f.dim != self.dim:
             raise ValueError("dimension mismatch")
+        out = MatPoly.zero(self.dim, f.cols)
         g = f
         for j in range(self.order + 1):
             a = self.coeff_of_order(j)
             if not a.is_zero() and not g.is_zero():
-                out = out + combine(a, g)
+                out = out + a * g
             g = g.derivative()
         return out
 

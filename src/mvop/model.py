@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from . import linalg
 from .exact import MomentFunctional, falling, format_rational, gen_binom
-from .matpoly import DiffOp, MatPoly, VecPoly
+from .matpoly import DiffOp, MatPoly
 
 __all__ = [
     "Params",
@@ -182,31 +182,24 @@ def weight_spec(params: Params) -> WeightSpec:
 
 def inner_product(pp: MatPoly, qq: MatPoly, ws: WeightSpec):
     """Matrix pairing integral of pp W qq^T, in units of the zeroth moment:
-    the sum over a, b of pp_a H_{a+b} qq_b^T."""
-    if pp.dim != ws.core.dim or qq.dim != ws.core.dim:
+    the sum over a, b of pp_a H_{a+b} qq_b^T.  Both arguments need as many
+    columns as the weight has rows; the result is pp.dim x qq.dim."""
+    dim = ws.core.dim
+    if pp.cols != dim or qq.cols != dim:
         raise ValueError("dimension mismatch")
     qts = [linalg.transpose(c) for c in qq.coeffs]
-    total = linalg.zeros(pp.dim)
+    total = linalg.zeros(pp.dim, qq.dim)
     for a, pa in enumerate(pp.coeffs):
-        right = linalg.zeros(pp.dim)
+        right = linalg.zeros(dim, qq.dim)
         for b, qt in enumerate(qts):
             right = linalg.add(right, linalg.matmul(ws.moment(a + b), qt))
         total = linalg.add(total, linalg.matmul(pa, right))
     return total
 
 
-def vec_inner_product(pv: VecPoly, qv: VecPoly, ws: WeightSpec) -> Fraction:
-    """Scalar pairing integral of pv^T W qv, in units of the zeroth moment:
-    the sum over a, b of pv_a^T H_{a+b} qv_b."""
-    if pv.dim != ws.core.dim or qv.dim != ws.core.dim:
-        raise ValueError("dimension mismatch")
-    total = Fraction(0)
-    for b, vb in enumerate(qv.coeffs):
-        if linalg.is_zero_vector(vb):
-            continue
-        for a, va in enumerate(pv.coeffs):
-            total += linalg.dot(va, linalg.matvec(ws.moment(a + b), vb))
-    return total
+def vec_inner_product(pv: MatPoly, qv: MatPoly, ws: WeightSpec) -> Fraction:
+    """Scalar pairing integral of pv^T W qv of two dim x 1 columns."""
+    return inner_product(pv.transpose(), qv.transpose(), ws)[0][0]
 
 
 @lru_cache(maxsize=None)

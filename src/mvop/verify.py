@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import linalg
 from .exact import format_rational
-from .matpoly import DiffOp, MatPoly, VecPoly
+from .matpoly import DiffOp, MatPoly
 from .model import (
     Params,
     WeightSpec,
@@ -202,16 +202,23 @@ def check_bilinear_symmetry(ws: WeightSpec, op: DiffOp, max_power: int = 4) -> b
     The operator acts column by column and <P, Q> = integral of P^T W Q pairs
     columns, so the bilinear defect vanishes exactly when the Gram matrix
     G[(a, r), (b, t)] = <op(u^a e_r), u^b e_t> of the vector monomials is
-    symmetric.
+    symmetric.  With X_a = op(u^a I), G[(a, r), (b, t)] is entry (r, t) of the
+    block S[a][b] = sum_c (X_a)_c^T H_{c+b}, so the test is
+    S[a][b] == S[b][a]^T.
     """
     dim = ws.core.dim
-    monomials = [
-        VecPoly(dim, [(0,) * dim] * a + [tuple(int(i == r) for i in range(dim))])
-        for a in range(max_power + 1)
-        for r in range(dim)
-    ]
-    gram = [[vec_inner_product(df, g, ws) for g in monomials] for df in map(op.apply, monomials)]
-    return all(gram[x][y] == gram[y][x] for x in range(len(gram)) for y in range(x))
+    eye = linalg.identity(dim)
+    powers = range(max_power + 1)
+    images = [[linalg.transpose(c) for c in op.apply(MatPoly.monomial(dim, eye, a)).coeffs] for a in powers]
+
+    def block(xts, b: int):
+        total = linalg.zeros(dim)
+        for c, xt in enumerate(xts):
+            total = linalg.add(total, linalg.matmul(xt, ws.moment(c + b)))
+        return total
+
+    s = [[block(xts, b) for b in powers] for xts in images]
+    return all(s[a][b] == linalg.transpose(s[b][a]) for a in powers for b in range(a + 1))
 
 
 def check_eigen(p: Params, w: int) -> bool:
@@ -239,8 +246,8 @@ def decompose_in_basis(h: MatPoly, p: Params) -> list:
     family member is unit upper triangular, hence invertible.  The final
     residual must vanish exactly.
     """
-    if h.dim != p.size:
-        raise ValueError("dimension mismatch")
+    if h.dim != p.size or h.cols != p.size:
+        raise ValueError("h must be a square MatPoly of the family's size")
     if h.is_zero():
         return []
     n = h.degree
@@ -327,7 +334,7 @@ def _result(name: str, thunk) -> CheckResult:
     try:
         ok, witness = thunk()
     except Exception as exc:  # a crashed check is a failed check
-        return CheckResult(name, "fail", f"error: {exc}")
+        return CheckResult(name, "fail", f"error: {type(exc).__name__}: {exc}")
     if ok:
         return CheckResult(name, "pass")
     return CheckResult(name, "fail", witness)
@@ -370,13 +377,13 @@ def run_suite(p: Params, max_w: int = 6) -> VerificationReport:
         return thunk
 
     def norms():
-        bad = []
+        # each block <P_w, P_w> must be diagonal with positive diagonal
         for w in range(max_w + 1):
-            block = gram_block(p, w, w).entries
-            for j in range(p.size):
-                if block[j][j] <= 0:
-                    bad.append((w, j))
-        return not bad, f"non-positive norms at {bad}" if bad else None
+            for i, row in enumerate(gram_block(p, w, w).entries):
+                for j, x in enumerate(row):
+                    if (x <= 0 if i == j else x != 0):
+                        return False, f"norm block entry (w, i, j) = ({w}, {i}, {j}) is {format_rational(x)}"
+        return True, None
 
     def eigen(w):
         return lambda: (check_eigen(p, w), f"eigenfunction identity fails at w = {w}")

@@ -14,7 +14,6 @@ from mvop.hyper import (
     poly_solution_space,
     termination_matrix,
 )
-from mvop.matpoly import VecPoly
 from mvop.model import (
     Params,
     drift_matrix,
@@ -34,6 +33,11 @@ GRID = [
 
 BASE = Params(0, 1, 1, 1)
 COLLIDING = Params(0, 1, Fraction(3, 2), 2)
+
+
+def column(vec):
+    """A vector as the dim x 1 coefficient matrix of a column eigenfunction."""
+    return tuple((x,) for x in vec)
 
 
 def shifted_termination(p, w, j):
@@ -133,7 +137,7 @@ class TestKernelVector:
     def test_lies_in_kernel(self, p, w, data):
         j = data.draw(st.integers(min_value=0, max_value=p.ell))
         m = termination_matrix(p, w, j)
-        assert linalg.is_zero_vector(linalg.matvec(m, kernel_vector(p, w, j)))
+        assert not any(linalg.matvec(m, kernel_vector(p, w, j)))
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
@@ -207,7 +211,7 @@ class TestBuildColumn:
             for j in range(p.size):
                 col = build_column(p, 0, j)
                 assert col.degree == 0
-                assert col.coeff(0) == kernel_vector(p, 0, j)
+                assert col.coeff(0) == column(kernel_vector(p, 0, j))
 
     def test_eigenfunction_property(self):
         for p in GRID:
@@ -223,16 +227,16 @@ class TestBuildColumn:
                 for j in range(p.size):
                     col = build_column(p, w, j)
                     assert col.degree == w
-                    assert col.coeff(w) == kernel_vector(p, w, j)
+                    assert col.coeff(w) == column(kernel_vector(p, w, j))
 
     def test_collision_columns_frozen(self):
         first = build_column(COLLIDING, 0, 2)
         assert first.degree == 0
-        assert first.coeff(0) == (Fraction(3, 35), Fraction(-3, 7), Fraction(1))
+        assert first.coeff(0) == ((Fraction(3, 35),), (Fraction(-3, 7),), (Fraction(1),))
         second = build_column(COLLIDING, 1, 0)
         assert second.degree == 1
-        assert second.coeff(1) == (Fraction(1), Fraction(0), Fraction(0))
-        assert second.coeff(0) == (Fraction(-12, 35), Fraction(-2, 7), Fraction(0))
+        assert second.coeff(1) == ((Fraction(1),), (Fraction(0),), (Fraction(0),))
+        assert second.coeff(0) == ((Fraction(-12, 35),), (Fraction(-2, 7),), (Fraction(0),))
 
     def test_collision_columns_orthogonal(self):
         # a two-member class, and a three-member one (these need ell >= 4)
@@ -263,7 +267,7 @@ class TestMatrixFamily:
                 for j in range(p.size):
                     col = build_column(p, w, j)
                     for m in range(w + 1):
-                        assert poly.coeff(m)[j] == col.coeff(m)
+                        assert column(poly.coeff(m)[j]) == col.coeff(m)
 
     def test_leading_coefficient_closed_form(self):
         for p in GRID:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvop import linalg
-from mvop.matpoly import NEG_INF, DiffOp, MatPoly, VecPoly
+from mvop.matpoly import NEG_INF, DiffOp, MatPoly
 
 entry = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -33,6 +33,11 @@ def bounded_op(dim, max_order=2):
     return st.integers(0, max_order).flatmap(build)
 
 
+def column(f, r):
+    """Column r of f as a dim x 1 MatPoly."""
+    return MatPoly(f.dim, [[[row[r]] for row in c] for c in f.coeffs], 1)
+
+
 def test_trims_trailing_zero_coefficients():
     z = [[0, 0], [0, 0]]
     one = [[1, 0], [0, 1]]
@@ -41,9 +46,16 @@ def test_trims_trailing_zero_coefficients():
     assert f == MatPoly.identity(2)
 
 
+def test_column_count_defaults_to_square():
+    c = [[[1, 2], [3, 4]], [[0, 1], [1, 0]]]
+    assert MatPoly(2, c) == MatPoly(2, c, 2)
+    assert hash(MatPoly(2, c)) == hash(MatPoly(2, c, 2))
+    assert MatPoly.zero(2) == MatPoly.zero(2, 2) != MatPoly.zero(2, 1)
+
+
 def test_zero_polynomial_degree_sentinel():
     assert MatPoly.zero(3).degree == NEG_INF
-    assert VecPoly.zero(3).degree == NEG_INF
+    assert MatPoly.zero(3, 1).degree == NEG_INF
     assert NEG_INF < 0
 
 
@@ -53,7 +65,28 @@ def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         MatPoly.identity(2) + MatPoly.identity(3)
     with pytest.raises(ValueError):
-        VecPoly(2, [[1, 2, 3]])
+        MatPoly(2, [[[1], [2], [3]]], 1)
+
+
+def test_coefficient_must_have_dim_rows_and_cols_columns():
+    with pytest.raises(ValueError):
+        MatPoly(2, [[[1], [2]]])
+    with pytest.raises(ValueError):
+        MatPoly(2, [[[1, 2], [3, 4]]], 1)
+    with pytest.raises(ValueError):
+        MatPoly(2, [[[1], [2]]], 1) + MatPoly.zero(2)
+    assert MatPoly(2, [[[1], [2]]], 1).cols == 1
+
+
+def test_product_checks_inner_dimensions():
+    col = MatPoly(2, [[[1], [2]]], 1)
+    with pytest.raises(ValueError):
+        col * MatPoly.identity(2)
+    with pytest.raises(ValueError):
+        col * col
+    assert MatPoly.zero(2, 1) * MatPoly.identity(1) == MatPoly.zero(2, 1)
+    assert col.transpose() * col == MatPoly(1, [[[5]]])
+    assert col * col.transpose() == MatPoly(2, [[[1, 2], [2, 4]]])
 
 
 def test_product_of_monomials():
@@ -93,15 +126,14 @@ def test_mul_distributes(f, g, h):
     assert f * (g + h) == f * g + f * h
 
 
-@settings(max_examples=40)
-@given(matpoly(2))
-def test_matvec_matches_columnwise_product(f):
-    v = VecPoly(2, [[1, 2], [0, 1]])
-    as_mat = MatPoly(2, [[[c[0], 0], [c[1], 0]] for c in v.coeffs])
-    prod = f * as_mat
-    got = f.matvec(v)
-    expect = VecPoly(2, [(prod.coeff(m)[0][0], prod.coeff(m)[1][0]) for m in range(len(prod.coeffs))])
-    assert got == expect
+@settings(max_examples=40, deadline=None)
+@given(bounded_op(2), matpoly(2), matpoly(2))
+def test_apply_and_product_act_column_by_column(op, f, g):
+    image = op.apply(f)
+    product = f * g
+    for r in range(2):
+        assert column(image, r) == op.apply(column(f, r))
+        assert column(product, r) == f * column(g, r)
 
 
 def test_monomial_factory():
@@ -119,13 +151,15 @@ def test_json_dict_schema():
     assert MatPoly.zero(2).to_json_dict() == {"dim": 2, "coeffs": []}
 
 
-def test_vecpoly_roundtrip_and_arith():
-    v = VecPoly(2, [[1, 0], [Fraction(1, 2), -1]])
-    assert v.to_json_rows() == [["1", "0"], ["1/2", "-1"]]
+def test_column_roundtrip_and_arith():
+    v = MatPoly(2, [[[1], [0]], [[Fraction(1, 2)], [-1]]], 1)
+    assert v.to_json_dict()["coeffs"] == [["1", "0"], ["1/2", "-1"]]
     assert (v - v).is_zero()
-    assert (v * Fraction(2)).coeff(1) == (Fraction(1), Fraction(-2))
-    assert v.evaluate(1) == (Fraction(3, 2), Fraction(-1))
-    assert v.derivative() == VecPoly(2, [[Fraction(1, 2), -1]])
+    assert (v * Fraction(2)).coeff(1) == ((Fraction(1),), (Fraction(-2),))
+    assert v.evaluate(1) == ((Fraction(3, 2),), (Fraction(-1),))
+    assert v.derivative() == MatPoly(2, [[[Fraction(1, 2)], [-1]]], 1)
+    assert v.transpose() == MatPoly(1, [[[1, 0]], [[Fraction(1, 2), -1]]], 2)
+    assert v.mul_scalar_poly((0, 1)) == MatPoly(2, [[[0], [0]], [[1], [0]], [[Fraction(1, 2)], [-1]]], 1)
 
 
 def test_operator_identity_and_coeff_access():
@@ -143,12 +177,22 @@ def test_operator_requires_coefficients():
         DiffOp(2, (MatPoly.identity(3),))
 
 
+def test_operator_requires_square_coefficients():
+    with pytest.raises(ValueError):
+        DiffOp(2, (MatPoly.zero(2, 1),))
+    with pytest.raises(ValueError):
+        DiffOp(2, (MatPoly.identity(2), MatPoly.zero(2, 3)))
+    with pytest.raises(ValueError):
+        DiffOp.identity(2).apply(MatPoly.zero(3, 1))
+
+
 def test_apply_derivative_operator():
     ddu = DiffOp(2, (MatPoly.identity(2), MatPoly.zero(2)))
     f = MatPoly.from_scalar(2, (0, 0, 0, 1))
     assert ddu.apply(f) == MatPoly.from_scalar(2, (0, 0, 3))
-    v = VecPoly(2, [[0, 0], [1, 2]])
-    assert ddu.apply(v) == VecPoly.constant([1, 2])
+    v = MatPoly(2, [[[0], [0]], [[1], [2]]], 1)
+    assert ddu.apply(v) == MatPoly.constant([[1], [2]])
+    assert ddu.apply(MatPoly.constant([[1], [2]])) == MatPoly.zero(2, 1)
 
 
 def test_apply_rejects_other_types():

@@ -5,7 +5,8 @@ import pytest
 
 from mvop import linalg
 from mvop.hyper import build_column, orthogonal_polynomial
-from mvop.matpoly import DiffOp, MatPoly, VecPoly
+from mvop import verify
+from mvop.matpoly import DiffOp, MatPoly
 from mvop.model import (
     Params,
     companion_operator,
@@ -79,8 +80,8 @@ class TestInnerProduct:
 
     def test_vector_route_agrees_with_matrix_route(self):
         ws = weight_spec(BASE)
-        pv = VecPoly(2, [[1, 0], [0, 2]])
-        qv = VecPoly(2, [[Fraction(1, 2), -1]])
+        pv = MatPoly(2, [[[1], [0]], [[0], [2]]], 1)
+        qv = MatPoly(2, [[[Fraction(1, 2)], [-1]]], 1)
         as_rows_p = MatPoly(2, [[[1, 0], [0, 0]], [[0, 2], [0, 0]]])
         as_rows_q = MatPoly(2, [[[Fraction(1, 2), -1], [0, 0]]])
         block = inner_product(as_rows_p, as_rows_q, ws)
@@ -88,19 +89,28 @@ class TestInnerProduct:
 
     def test_vec_inner_product_symmetric(self):
         ws = weight_spec(BASE)
-        pv = VecPoly(2, [[1, 2], [3, 0]])
-        qv = VecPoly(2, [[0, 1], [1, 1], [2, 0]])
+        pv = MatPoly(2, [[[1], [2]], [[3], [0]]], 1)
+        qv = MatPoly(2, [[[0], [1]], [[1], [1]], [[2], [0]]], 1)
         assert vec_inner_product(pv, qv, ws) == vec_inner_product(qv, pv, ws)
-        assert vec_inner_product(pv, VecPoly.zero(2), ws) == 0
+        assert vec_inner_product(pv, MatPoly.zero(2, 1), ws) == 0
 
     def test_dimension_guards(self):
         ws = weight_spec(BASE)
         with pytest.raises(ValueError):
             inner_product(MatPoly.identity(3), MatPoly.identity(3), ws)
         with pytest.raises(ValueError):
-            vec_inner_product(VecPoly.zero(3), VecPoly.zero(3), ws)
+            vec_inner_product(MatPoly.zero(3, 1), MatPoly.zero(3, 1), ws)
         with pytest.raises(ValueError):
             ws.moment(-1)
+
+    def test_arguments_need_the_weight_dim_as_column_count(self):
+        ws = weight_spec(BASE)
+        with pytest.raises(ValueError):
+            inner_product(MatPoly.zero(2, 3), MatPoly.identity(2), ws)
+        with pytest.raises(ValueError):
+            inner_product(MatPoly.identity(2), MatPoly.zero(2, 1), ws)
+        row = MatPoly(1, [[[1, 0]]], 2)
+        assert inner_product(row, MatPoly.identity(2), ws) == ((Fraction(4, 3), Fraction(2, 3)),)
 
 
 class TestGram:
@@ -220,6 +230,33 @@ class TestBilinearSymmetry:
         ddu = DiffOp(2, (MatPoly.identity(2), MatPoly.zero(2)))
         assert not check_bilinear_symmetry(ws, ddu, max_power=2)
 
+    def test_agrees_with_column_gram_matrix(self):
+        # reference: G[(a, r), (b, t)] = <op(u^a e_r), u^b e_t>, one column pair at a time
+        ws = weight_spec(BASE)
+        op = hyper_operator(BASE)
+        rng = random.Random(11)
+        verdicts = set()
+        for trial in range(6):
+            # a multiple of the identity keeps the operator symmetric; a generic bump breaks it
+            bump = [[Fraction(rng.randint(-2, 2)) for _ in range(2)] for _ in range(2)]
+            if trial % 2 == 0:
+                bump = linalg.scale(linalg.identity(2), bump[0][0])
+            perturbed = DiffOp(
+                2, (op.coeff_of_order(2), op.coeff_of_order(1), op.coeff_of_order(0) + MatPoly.constant(bump))
+            )
+            # max_power 0 leaves only the diagonal block S[0][0]
+            for max_power in (0, 2):
+                units = [
+                    MatPoly.monomial(2, [[int(i == r)] for i in range(2)], a)
+                    for a in range(max_power + 1)
+                    for r in range(2)
+                ]
+                gram = [[vec_inner_product(perturbed.apply(f), g, ws) for g in units] for f in units]
+                expected = all(gram[x][y] == gram[y][x] for x in range(len(units)) for y in range(x))
+                assert check_bilinear_symmetry(ws, perturbed, max_power=max_power) == expected
+                verdicts.add((max_power, expected))
+        assert verdicts == {(0, True), (0, False), (2, True), (2, False)}
+
 
 class TestEigenAndCommutation:
     def test_eigen_small_degrees(self):
@@ -284,6 +321,10 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             decompose_in_basis(MatPoly.identity(3), BASE)
 
+    def test_requires_square_input(self):
+        with pytest.raises(ValueError):
+            decompose_in_basis(MatPoly(2, [[[1], [0]]], 1), BASE)
+
 
 class TestIdeal:
     def test_pairs_on_their_lines(self):
@@ -329,3 +370,27 @@ class TestSuite:
         assert VerificationReport(BASE, 0, (good,)).passed
         assert not VerificationReport(BASE, 0, (good, bad)).passed
         assert bad.as_dict() == {"name": "b", "status": "fail", "witness": "witness text"}
+
+    def test_crashed_check_names_the_exception_type(self):
+        def thunk():
+            raise ZeroDivisionError("division by zero")
+
+        assert verify._result("c", thunk) == CheckResult("c", "fail", "error: ZeroDivisionError: division by zero")
+        assert verify._result("d", lambda: (True, "unused")) == CheckResult("d", "pass")
+
+    def test_norm_block_with_off_diagonal_entry_fails(self, monkeypatch):
+        real = verify.gram_block
+
+        def skewed(p, w, wp):
+            block = real(p, w, wp)
+            if (w, wp) != (1, 1):
+                return block
+            entries = [list(row) for row in block.entries]
+            entries[0][1] = Fraction(1, 7)
+            return verify.GramBlock(w, wp, tuple(map(tuple, entries)))
+
+        monkeypatch.setattr(verify, "gram_block", skewed)
+        report = run_suite(BASE, max_w=2)
+        norms = next(c for c in report.checks if c.name == "gram_norms_positive")
+        assert norms.status == "fail"
+        assert norms.witness == "norm block entry (w, i, j) = (1, 0, 1) is 1/7"
