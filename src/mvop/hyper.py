@@ -9,10 +9,12 @@ degree w exactly when the termination matrix at (w, j) is singular; its
 kernel is spanned by the explicit kernel_vector.
 
 Distinct slots (w, j) and (w', j') can share an eigenvalue.  find_collisions
-recovers the full class of slots sharing a value; the first slot of a class
-is built directly from the bracket recursion, and every later slot is built
-inside the finite-dimensional space of polynomial solutions by exact
-orthogonalization against the earlier columns of its class.
+recovers the full class of slots sharing a value as exact roots of a
+quadratic in w'.  The lowest slot of a class is built downward from its
+closed-form leading coefficient kernel_vector, one bidiagonal
+back-substitution per degree; every later slot is built inside the
+finite-dimensional space of polynomial solutions by exact orthogonalization
+against the earlier columns of its class.
 """
 
 from __future__ import annotations
@@ -131,27 +133,33 @@ class CollisionClass:
     members: tuple
 
 
-def find_collisions(p: Params, lam, w_bound: int | None = None) -> CollisionClass:
+def find_collisions(p: Params, lam) -> CollisionClass:
     """Complete list of slots (w', j') with hyper_eigenvalue equal to lam.
 
-    For fixed j' the eigenvalue is strictly decreasing in w', so scanning
-    w' = 0, 1, ... until the value drops below lam finds the at most one root
-    per j' and always terminates; w_bound only guards that scan.
+    For fixed j', hyper_eigenvalue(p, w', j') = lam is the quadratic
+    w'^2 + b w' + c = 0 with b = alpha + beta + ell + j' + 1 > 0 and
+    c = lam + j'(alpha + beta - k + 1 + j').  Its roots sum to -b < 0, so only
+    (sqrt(b^2 - 4c) - b)/2 can be a non-negative integer, and only when the
+    discriminant is the square of a rational.
     """
     lam = Fraction(lam)
+    a, b, k = p.alpha, p.beta, p.k
     members = []
     for jp in range(p.size):
-        w = 0
-        while True:
-            val = hyper_eigenvalue(p, w, jp)
-            if val == lam:
-                members.append((w, jp))
-                break
-            if val < lam:
-                break
-            w += 1
-            if w_bound is not None and w > w_bound:
-                raise RuntimeError("eigenvalue scan exceeded w_bound before crossing lam")
+        lin = a + b + p.ell + jp + 1
+        disc = lin * lin - 4 * (lam + jp * (a + b - k + 1 + jp))
+        if disc < 0:
+            continue
+        num, den = math.isqrt(disc.numerator), math.isqrt(disc.denominator)
+        if num * num != disc.numerator or den * den != disc.denominator:
+            continue
+        root = (Fraction(num, den) - lin) / 2
+        if root < 0 or root.denominator != 1:
+            continue
+        w = int(root)
+        if hyper_eigenvalue(p, w, jp) != lam:
+            raise ArithmeticError(f"quadratic root w = {w} at j = {jp} does not reproduce lam")
+        members.append((w, jp))
     members.sort()
     for (w1, j1), (w2, j2) in zip(members, members[1:]):
         if not (w2 > w1 and j1 >= j2 + 2):
@@ -179,10 +187,10 @@ def poly_solution_space(p: Params, lam, n: int) -> list:
     return linalg.nullspace(linalg.matmul(m, b_n))
 
 
-def _series_polynomial(brackets, f0, degree: int, dim: int, scale_factorial: int) -> MatPoly:
+def _series_polynomial(brackets, f0, degree: int, dim: int) -> MatPoly:
     coeffs = []
     for i in range(degree + 1):
-        s = Fraction(scale_factorial, math.factorial(i))
+        s = Fraction(1, math.factorial(i))
         coeffs.append(tuple((s * x,) for x in linalg.matvec(brackets[i], f0)))
     return MatPoly(dim, coeffs, 1)
 
@@ -199,10 +207,40 @@ def _proportional(v: MatPoly, base: MatPoly) -> bool:
 
 
 def _principal_column(p: Params, w: int, j: int, lam: Fraction) -> MatPoly:
-    brackets = bracket_seq(p, lam, w).coeffs
-    kv = kernel_vector(p, w, j)
-    f0 = linalg.solve(brackets[w], kv)
-    return _series_polynomial(brackets, f0, w, p.size, math.factorial(w))
+    """The column of the lowest slot (w, j) of its eigenvalue class, built
+    downward from f_w = kernel_vector(p, w, j) through
+    (i+1)(recursion_matrix + i) f_{i+1} = (i (drift_matrix + i - 1) + potential_matrix + lam) f_i.
+
+    The left side is a lower-bidiagonal product; the right matrix is upper
+    bidiagonal with diagonal entry r equal to lam - hyper_eigenvalue(p, i, r),
+    nonzero for i < w because no slot of degree below w shares lam, so f_i
+    follows by back-substitution.
+    """
+    c = recursion_matrix(p)
+    u = drift_matrix(p)
+    v = potential_matrix(p)
+    n = p.size
+    f = kernel_vector(p, w, j)
+    coeffs = [tuple((x,) for x in f)]
+    for i in range(w - 1, -1, -1):
+        g = [0] * n
+        for r in range(n - 1, -1, -1):
+            rhs = (c[r][r] + i) * f[r]
+            if r > 0:
+                rhs += c[r][r - 1] * f[r - 1]
+            rhs *= i + 1
+            if r < n - 1:
+                rhs -= v[r][r + 1] * g[r + 1]
+            pivot = i * (u[r][r] + i - 1) + v[r][r] + lam
+            if pivot == 0:
+                raise ArithmeticError(
+                    f"pivot vanishes at degree {i}, row {r}: ({w}, {j}) is not the lowest slot of its class"
+                )
+            g[r] = rhs / pivot
+        f = g
+        coeffs.append(tuple((x,) for x in f))
+    coeffs.reverse()
+    return MatPoly(n, coeffs, 1)
 
 
 def _orthogonal_complement_column(p: Params, w: int, j: int, lam: Fraction, earlier) -> MatPoly:
@@ -215,7 +253,7 @@ def _orthogonal_complement_column(p: Params, w: int, j: int, lam: Fraction, earl
     norms = [vec_inner_product(q, q, ws) for q in prev]
     reduced = []
     for f0 in basis:
-        cand = _series_polynomial(brackets, f0, w, p.size, 1)
+        cand = _series_polynomial(brackets, f0, w, p.size)
         for qm, nm in zip(prev, norms):
             c = vec_inner_product(cand, qm, ws)
             if c:
@@ -244,10 +282,10 @@ def build_column(p: Params, w: int, j: int) -> MatPoly:
     """Degree-w column eigenfunction for slot (w, j), a dim x 1 MatPoly whose
     leading coefficient is kernel_vector(p, w, j).
 
-    The first slot of a collision class comes straight from the series with
-    the initial value that produces the kernel vector on top; later slots are
-    cut out of the polynomial solution space by exact orthogonalization
-    against the earlier columns of the class.
+    The lowest slot of a collision class is solved downward from the kernel
+    vector on top through the coefficient recursion; later slots are cut out
+    of the polynomial solution space by exact orthogonalization against the
+    earlier columns of the class.
     """
     if w < 0:
         raise ValueError("w must be a non-negative integer")

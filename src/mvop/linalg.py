@@ -74,14 +74,9 @@ def is_zero_matrix(a: Matrix) -> bool:
     return all(all(x == 0 for x in row) for row in a)
 
 
-def solve(a: Matrix, b: Vector) -> Vector:
-    """Solve a x = b for square a; raises SingularMatrixError when singular."""
-    cols = solve_matrix(a, tuple((x,) for x in b))
-    return tuple(row[0] for row in cols)
-
-
 def solve_matrix(a: Matrix, b: Matrix) -> Matrix:
-    """Solve a X = b columnwise for square a, exactly."""
+    """Solve a X = b columnwise for square a, exactly; raises
+    SingularMatrixError when a is singular."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix must be square")

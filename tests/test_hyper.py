@@ -1,10 +1,13 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mvop.hyper
 from mvop import linalg
 from mvop.hyper import (
+    _principal_column,
     bracket_seq,
     build_column,
     find_collisions,
@@ -14,6 +17,7 @@ from mvop.hyper import (
     poly_solution_space,
     termination_matrix,
 )
+from mvop.matpoly import MatPoly
 from mvop.model import (
     Params,
     drift_matrix,
@@ -38,6 +42,43 @@ COLLIDING = Params(0, 1, Fraction(3, 2), 2)
 def column(vec):
     """A vector as the dim x 1 coefficient matrix of a column eigenfunction."""
     return tuple((x,) for x in vec)
+
+
+def scan_collisions(p, lam):
+    """Reference class of lam: for each j, scan w = 0, 1, ... while the
+    strictly decreasing eigenvalue has not dropped below lam."""
+    members = []
+    for j in range(p.size):
+        w = 0
+        while hyper_eigenvalue(p, w, j) > lam:
+            w += 1
+        if hyper_eigenvalue(p, w, j) == lam:
+            members.append((w, j))
+    return tuple(sorted(members))
+
+
+def bracket_column(p, w, j):
+    """Reference principal column built from the bracket matrices: the value
+    f0 at u = 0 solves B_w f0 = kernel_vector, and coefficient i is
+    w!/i! B_i f0."""
+    brackets = bracket_seq(p, hyper_eigenvalue(p, w, j), w).coeffs
+    f0 = linalg.solve_matrix(brackets[w], column(kernel_vector(p, w, j)))
+    coeffs = [
+        linalg.scale(linalg.matmul(brackets[i], f0), Fraction(math.factorial(w), math.factorial(i)))
+        for i in range(w + 1)
+    ]
+    return MatPoly(p.size, coeffs, 1)
+
+
+def class_leaders(p, max_w):
+    """Lowest slot of every class with more than one member, for w <= max_w."""
+    leaders = set()
+    for w in range(max_w + 1):
+        for j in range(p.size):
+            members = find_collisions(p, hyper_eigenvalue(p, w, j)).members
+            if len(members) > 1:
+                leaders.add(members[0])
+    return sorted(leaders)
 
 
 def shifted_termination(p, w, j):
@@ -175,9 +216,34 @@ class TestFindCollisions:
                         assert w2 > w1
                         assert j1 >= j2 + 2
 
-    def test_w_bound_guard(self):
-        with pytest.raises(RuntimeError):
-            find_collisions(BASE, -10**6, w_bound=5)
+    def test_agrees_with_scan(self):
+        for p in GRID:
+            for w in range(9):
+                for j in range(p.size):
+                    lam = hyper_eigenvalue(p, w, j)
+                    for query in (lam, lam + Fraction(1, 3)):
+                        assert find_collisions(p, query).members == scan_collisions(p, query)
+            for lam in (Fraction(1), Fraction(7, 2)):
+                assert find_collisions(p, lam).members == ()
+
+    def test_rational_non_integer_roots_are_not_slots(self):
+        # lam at a half-integer degree: the discriminant is a rational square
+        for p in GRID:
+            for w in range(5):
+                for j in range(p.size):
+                    half = Fraction(2 * w + 1, 2)
+                    lam = -half * (half + p.alpha + p.beta + p.ell + j + 1) - j * (
+                        p.alpha + p.beta - p.k + 1 + j
+                    )
+                    assert find_collisions(p, lam).members == scan_collisions(p, lam)
+        # at j = 0 the discriminant is 25/2: a square numerator over a non-square denominator
+        assert find_collisions(BASE, Fraction(-7, 8)).members == ()
+
+    def test_root_that_misses_lam_raises(self, monkeypatch):
+        real = mvop.hyper.hyper_eigenvalue
+        monkeypatch.setattr(mvop.hyper, "hyper_eigenvalue", lambda p, w, j: real(p, w, j) + 1)
+        with pytest.raises(ArithmeticError, match="does not reproduce lam"):
+            find_collisions(BASE, -4)
 
 
 class TestSolutionSpace:
@@ -251,6 +317,36 @@ class TestBuildColumn:
                 assert vec_inner_product(cx, cx, ws) > 0
                 for cy in cols[:x]:
                     assert vec_inner_product(cx, cy, ws) == 0
+
+    def test_principal_columns_match_bracket_oracle(self):
+        for p in GRID:
+            for w in range(9):
+                for j in range(p.size):
+                    if find_collisions(p, hyper_eigenvalue(p, w, j)).members[0] == (w, j):
+                        assert build_column(p, w, j) == bracket_column(p, w, j)
+        for p, max_w in ((COLLIDING, 8), (Params(0, 3, 1, 5), 8)):
+            leaders = class_leaders(p, max_w)
+            assert leaders
+            for w, j in leaders:
+                assert build_column(p, w, j) == bracket_column(p, w, j)
+
+    def test_principal_column_rejects_a_later_slot(self):
+        # (1, 0) shares lam = -5 with the lower slot (0, 2)
+        with pytest.raises(ArithmeticError, match="degree 0, row 2"):
+            _principal_column(COLLIDING, 1, 0, Fraction(-5))
+
+    def test_principal_columns_skip_the_bracket_matrices(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense bracket path used for a principal column")
+
+        monkeypatch.setattr(mvop.hyper, "bracket_seq", refuse)
+        monkeypatch.setattr(linalg, "solve_matrix", refuse)
+        p = GRID[1]
+        assert find_collisions(p, hyper_eigenvalue(p, 6, 1)).members == ((6, 1),)
+        build_column.cache_clear()
+        col = build_column(p, 6, 1)
+        assert col.degree == 6
+        assert col.coeff(6) == column(kernel_vector(p, 6, 1))
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
