@@ -10,11 +10,11 @@ kernel is spanned by the explicit kernel_vector.
 
 Distinct slots (w, j) and (w', j') can share an eigenvalue.  find_collisions
 recovers the full class of slots sharing a value as exact roots of a
-quadratic in w'.  The lowest slot of a class is built downward from its
-closed-form leading coefficient kernel_vector, one bidiagonal
-back-substitution per degree; every later slot is built inside the
-finite-dimensional space of polynomial solutions by exact orthogonalization
-against the earlier columns of its class.
+quadratic in w'.  Every column is built downward from its closed-form
+leading coefficient kernel_vector, one bidiagonal back-substitution per
+degree; a later slot of a class then has its projection onto each earlier
+column of the class subtracted.  bracket_seq and poly_solution_space compute
+the same objects densely and serve as the reference for that construction.
 """
 
 from __future__ import annotations
@@ -187,34 +187,17 @@ def poly_solution_space(p: Params, lam, n: int) -> list:
     return linalg.nullspace(linalg.matmul(m, b_n))
 
 
-def _series_polynomial(brackets, f0, degree: int, dim: int) -> MatPoly:
-    coeffs = []
-    for i in range(degree + 1):
-        s = Fraction(1, math.factorial(i))
-        coeffs.append(tuple((s * x,) for x in linalg.matvec(brackets[i], f0)))
-    return MatPoly(dim, coeffs, 1)
-
-
-def _proportional(v: MatPoly, base: MatPoly) -> bool:
-    if v.is_zero():
-        return True
-    for m, c in enumerate(base.coeffs):
-        for i, (x,) in enumerate(c):
-            if x != 0:
-                s = v.coeff(m)[i][0] / x
-                return (v - base * s).is_zero()
-    return False
-
-
-def _principal_column(p: Params, w: int, j: int, lam: Fraction) -> MatPoly:
-    """The column of the lowest slot (w, j) of its eigenvalue class, built
-    downward from f_w = kernel_vector(p, w, j) through
+def _descend(p: Params, w: int, j: int, lam: Fraction) -> MatPoly:
+    """A degree-w polynomial solution for slot (w, j), built downward from
+    f_w = kernel_vector(p, w, j) through
     (i+1)(recursion_matrix + i) f_{i+1} = (i (drift_matrix + i - 1) + potential_matrix + lam) f_i.
 
     The left side is a lower-bidiagonal product; the right matrix is upper
     bidiagonal with diagonal entry r equal to lam - hyper_eigenvalue(p, i, r),
-    nonzero for i < w because no slot of degree below w shares lam, so f_i
-    follows by back-substitution.
+    so f_i follows by back-substitution.  That pivot vanishes exactly at a
+    lower slot (i, r) of the class of lam.  There the right side must vanish
+    too, and the free entry is set to 0; another choice would add a multiple
+    of a lower column of the class.
     """
     c = recursion_matrix(p)
     u = drift_matrix(p)
@@ -232,49 +215,14 @@ def _principal_column(p: Params, w: int, j: int, lam: Fraction) -> MatPoly:
             if r < n - 1:
                 rhs -= v[r][r + 1] * g[r + 1]
             pivot = i * (u[r][r] + i - 1) + v[r][r] + lam
-            if pivot == 0:
-                raise ArithmeticError(
-                    f"pivot vanishes at degree {i}, row {r}: ({w}, {j}) is not the lowest slot of its class"
-                )
-            g[r] = rhs / pivot
+            if pivot:
+                g[r] = rhs / pivot
+            elif rhs:
+                raise ArithmeticError(f"inconsistent recursion at degree {i}, row {r} for slot ({w}, {j})")
         f = g
         coeffs.append(tuple((x,) for x in f))
     coeffs.reverse()
     return MatPoly(n, coeffs, 1)
-
-
-def _orthogonal_complement_column(p: Params, w: int, j: int, lam: Fraction, earlier) -> MatPoly:
-    ws = weight_spec(p)
-    prev = [build_column(p, wm, jm) for wm, jm in earlier]
-    basis = poly_solution_space(p, lam, w)
-    if len(basis) != len(earlier) + 1:
-        raise AssertionError("solution-space dimension does not match the collision count")
-    brackets = bracket_seq(p, lam, w).coeffs
-    norms = [vec_inner_product(q, q, ws) for q in prev]
-    reduced = []
-    for f0 in basis:
-        cand = _series_polynomial(brackets, f0, w, p.size)
-        for qm, nm in zip(prev, norms):
-            c = vec_inner_product(cand, qm, ws)
-            if c:
-                cand = cand - qm * (c / nm)
-        reduced.append(cand)
-    pick = next((v for v in reduced if not v.is_zero()), None)
-    if pick is None:
-        raise AssertionError("orthogonal complement in the solution space is zero")
-    for other in reduced:
-        if not _proportional(other, pick):
-            raise AssertionError("orthogonal complement in the solution space is not one-dimensional")
-    if pick.degree != w:
-        raise AssertionError("orthogonalized column has unexpected degree")
-    lead = [x for (x,) in pick.coeff(w)]
-    kv = kernel_vector(p, w, j)
-    if lead[j] == 0 or any(lead[i] != lead[j] * kv[i] for i in range(p.size)):
-        raise ArithmeticError("leading coefficient is not proportional to the kernel vector")
-    column = pick * (1 / lead[j])
-    if any(vec_inner_product(column, qm, ws) != 0 for qm in prev):
-        raise ArithmeticError("orthogonalized column is not orthogonal to its class")
-    return column
 
 
 @lru_cache(maxsize=None)
@@ -282,10 +230,11 @@ def build_column(p: Params, w: int, j: int) -> MatPoly:
     """Degree-w column eigenfunction for slot (w, j), a dim x 1 MatPoly whose
     leading coefficient is kernel_vector(p, w, j).
 
-    The lowest slot of a collision class is solved downward from the kernel
-    vector on top through the coefficient recursion; later slots are cut out
-    of the polynomial solution space by exact orthogonalization against the
-    earlier columns of the class.
+    Every slot is solved downward from the kernel vector on top through the
+    coefficient recursion.  A slot that is not the lowest of its eigenvalue
+    class then loses its projection onto each earlier column of the class;
+    those columns are mutually orthogonal and of lower degree, so the result
+    is orthogonal to them and keeps its leading coefficient.
     """
     if w < 0:
         raise ValueError("w must be a non-negative integer")
@@ -293,10 +242,17 @@ def build_column(p: Params, w: int, j: int) -> MatPoly:
         raise ValueError(f"j must lie in [0, {p.ell}]")
     lam = hyper_eigenvalue(p, w, j)
     members = find_collisions(p, lam).members
-    pos = members.index((w, j))
-    if pos == 0:
-        return _principal_column(p, w, j, lam)
-    return _orthogonal_complement_column(p, w, j, lam, members[:pos])
+    column = _descend(p, w, j, lam)
+    earlier = [build_column(p, wm, jm) for wm, jm in members[: members.index((w, j))]]
+    if earlier:
+        ws = weight_spec(p)
+        for q in earlier:
+            c = vec_inner_product(column, q, ws)
+            if c:
+                column = column - q * (c / vec_inner_product(q, q, ws))
+        if any(vec_inner_product(column, q, ws) != 0 for q in earlier):
+            raise ArithmeticError(f"column ({w}, {j}) is not orthogonal to its class")
+    return column
 
 
 def orthogonal_polynomial(p: Params, w: int) -> MatPoly:

@@ -424,15 +424,13 @@ def run_suite(p: Params, max_w: int = 6) -> VerificationReport:
         return report.passed, "eigenvalue pair off its line"
 
     def collisions():
-        seen = set()
+        classes = {}
         for w in range(max_w + 1):
             for j in range(p.size):
                 lam = hyper_eigenvalue(p, w, j)
-                if lam in seen:
-                    continue
-                seen.add(lam)
-                members = find_collisions(p, lam).members
-                if (w, j) not in members:
+                if lam not in classes:
+                    classes[lam] = find_collisions(p, lam).members
+                if (w, j) not in classes[lam]:
                     return False, f"slot ({w}, {j}) missing from its class"
         return True, None
 

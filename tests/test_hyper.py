@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 import mvop.hyper
 from mvop import linalg
 from mvop.hyper import (
-    _principal_column,
     bracket_seq,
     build_column,
     find_collisions,
@@ -58,7 +57,7 @@ def scan_collisions(p, lam):
 
 
 def bracket_column(p, w, j):
-    """Reference principal column built from the bracket matrices: the value
+    """Reference column of the lowest slot of a class, from the bracket matrices: the value
     f0 at u = 0 solves B_w f0 = kernel_vector, and coefficient i is
     w!/i! B_i f0."""
     brackets = bracket_seq(p, hyper_eigenvalue(p, w, j), w).coeffs
@@ -79,6 +78,49 @@ def class_leaders(p, max_w):
             if len(members) > 1:
                 leaders.add(members[0])
     return sorted(leaders)
+
+
+def later_slots(p, max_w):
+    """Every slot with w <= max_w that is not the lowest of its class."""
+    return [
+        (w, j)
+        for w in range(max_w + 1)
+        for j in range(p.size)
+        if find_collisions(p, hyper_eigenvalue(p, w, j)).members[0] != (w, j)
+    ]
+
+
+def orthogonalized_column(p, w, j):
+    """Reference column cut out of the polynomial solution space: each basis
+    value f0 of poly_solution_space gives the series with coefficients
+    B_i f0 / i!, Gram-Schmidt removes the earlier columns of the class (built
+    by these references too), and the leading coefficient is scaled to
+    kernel_vector."""
+    lam = hyper_eigenvalue(p, w, j)
+    members = find_collisions(p, lam).members
+    pos = members.index((w, j))
+    if pos == 0:
+        return bracket_column(p, w, j)
+    earlier = [orthogonalized_column(p, *slot) for slot in members[:pos]]
+    ws = weight_spec(p)
+    brackets = bracket_seq(p, lam, w).coeffs
+    basis = poly_solution_space(p, lam, w)
+    assert len(basis) == pos + 1
+    reduced = []
+    for f0 in basis:
+        series = [
+            linalg.scale(column(linalg.matvec(brackets[i], f0)), Fraction(1, math.factorial(i)))
+            for i in range(w + 1)
+        ]
+        cand = MatPoly(p.size, series, 1)
+        for q in earlier:
+            cand = cand - q * (vec_inner_product(cand, q, ws) / vec_inner_product(q, q, ws))
+        reduced.append(cand)
+    pick = next(v for v in reduced if not v.is_zero())
+    assert pick.degree == w
+    lead = pick.coeff(w)[j][0]
+    assert pick.coeff(w) == linalg.scale(column(kernel_vector(p, w, j)), lead)
+    return pick * (1 / lead)
 
 
 def shifted_termination(p, w, j):
@@ -330,23 +372,75 @@ class TestBuildColumn:
             for w, j in leaders:
                 assert build_column(p, w, j) == bracket_column(p, w, j)
 
-    def test_principal_column_rejects_a_later_slot(self):
-        # (1, 0) shares lam = -5 with the lower slot (0, 2)
+    def test_later_columns_match_orthogonalization_oracle(self):
+        family = Params(Fraction(-1, 2), Fraction(8, 3), Fraction(13, 12), 4)
+        for p, max_w in ((COLLIDING, 8), (family, 12)):
+            later = later_slots(p, max_w)
+            assert later
+            for w, j in later:
+                assert build_column(p, w, j) == orthogonalized_column(p, w, j)
+        # the later members of the three-member class (4, 5), (6, 2), (7, 0)
+        p = Params(0, 3, 1, 5)
+        for w, j in ((6, 2), (7, 0)):
+            assert build_column(p, w, j) == orthogonalized_column(p, w, j)
+
+    def test_later_slot_projects_out_its_class(self, monkeypatch):
+        # the descent already returned the orthogonal column on every point
+        # tried, so shift it by lower columns of the class to make the
+        # projection do work
+        big = Params(0, 3, 1, 5)
+        lower = {
+            (COLLIDING, 1, 0): [(0, 2)],
+            (big, 7, 0): [(4, 5), (6, 2)],
+        }
+        expected = {key: build_column(*key) for key in lower}
+        shifts = {(p, w, j): [build_column(p, *slot) for slot in slots] for (p, w, j), slots in lower.items()}
+        real = mvop.hyper._descend
+
+        def shifted(p, w, j, lam):
+            col = real(p, w, j, lam)
+            for m, low in enumerate(shifts.get((p, w, j), ())):
+                col = col + low * Fraction(3, m + 2)
+            return col
+
+        monkeypatch.setattr(mvop.hyper, "_descend", shifted)
+        build_column.cache_clear()
+        for key, col in expected.items():
+            assert build_column(*key) == col
+        build_column.cache_clear()
+
+    def test_descent_rejects_an_inconsistent_pivot(self, monkeypatch):
+        # (1, 0) shares lam = -5 with the lower slot (0, 2), so the pivot of
+        # row 2 vanishes at degree 0; a top value off the kernel vector leaves
+        # a nonzero right side there
+        real = mvop.hyper.kernel_vector
+
+        def skewed(p, w, j):
+            if (p, w, j) == (COLLIDING, 1, 0):
+                return (Fraction(1), Fraction(1, 7), Fraction(0))
+            return real(p, w, j)
+
+        monkeypatch.setattr(mvop.hyper, "kernel_vector", skewed)
+        build_column.cache_clear()
         with pytest.raises(ArithmeticError, match="degree 0, row 2"):
-            _principal_column(COLLIDING, 1, 0, Fraction(-5))
+            build_column(COLLIDING, 1, 0)
 
     def test_principal_columns_skip_the_bracket_matrices(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("dense bracket path used for a principal column")
+            raise AssertionError("dense bracket path used to build a column")
 
         monkeypatch.setattr(mvop.hyper, "bracket_seq", refuse)
+        monkeypatch.setattr(mvop.hyper, "poly_solution_space", refuse)
         monkeypatch.setattr(linalg, "solve_matrix", refuse)
-        p = GRID[1]
-        assert find_collisions(p, hyper_eigenvalue(p, 6, 1)).members == ((6, 1),)
+        monkeypatch.setattr(linalg, "nullspace", refuse)
         build_column.cache_clear()
-        col = build_column(p, 6, 1)
-        assert col.degree == 6
-        assert col.coeff(6) == column(kernel_vector(p, 6, 1))
+        big = Params(0, 3, 1, 5)
+        slots = [(COLLIDING, w, j) for w in range(4) for j in range(COLLIDING.size)]
+        slots += [(big, w, j) for w, j in ((4, 5), (6, 2), (7, 0))]
+        for p, w, j in slots:
+            col = build_column(p, w, j)
+            assert col.degree == w
+            assert col.coeff(w) == column(kernel_vector(p, w, j))
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from mvop import linalg
-from mvop.hyper import build_column, orthogonal_polynomial
+from mvop.hyper import CollisionClass, build_column, orthogonal_polynomial
 from mvop import verify
 from mvop.matpoly import DiffOp, MatPoly
 from mvop.model import (
@@ -394,3 +394,18 @@ class TestSuite:
         norms = next(c for c in report.checks if c.name == "gram_norms_positive")
         assert norms.status == "fail"
         assert norms.witness == "norm block entry (w, i, j) = (1, 0, 1) is 1/7"
+
+    def test_class_missing_a_later_member_fails(self, monkeypatch):
+        # lam = -5 is shared by (0, 2) and (1, 0) at GRID[3]; dropping the
+        # later member must be caught at (1, 0)
+        real = verify.find_collisions
+
+        def shrunk(p, lam):
+            found = real(p, lam)
+            return CollisionClass(found.lam, tuple(m for m in found.members if m != (1, 0)))
+
+        monkeypatch.setattr(verify, "find_collisions", shrunk)
+        report = run_suite(GRID[3], max_w=3)
+        check = next(c for c in report.checks if c.name == "collision_classes")
+        assert check.status == "fail"
+        assert check.witness == "slot (1, 0) missing from its class"
