@@ -12,9 +12,10 @@ Distinct slots (w, j) and (w', j') can share an eigenvalue.  find_collisions
 recovers the full class of slots sharing a value as exact roots of a
 quadratic in w'.  Every column is built downward from its closed-form
 leading coefficient kernel_vector, one bidiagonal back-substitution per
-degree; a later slot of a class then has its projection onto each earlier
-column of the class subtracted.  bracket_seq and poly_solution_space compute
-the same objects densely and serve as the reference for that construction.
+degree; a later slot of a class is certified as an eigenfunction of the
+commuting companion operator, which makes it orthogonal to the earlier ones
+without a pairing.  bracket_seq and poly_solution_space are the dense
+reference for that construction.
 """
 
 from __future__ import annotations
@@ -29,12 +30,14 @@ from .matpoly import MatPoly
 from .exact import poch
 from .model import (
     Params,
+    _check_j,
+    _check_w,
+    companion_eigenvalue,
+    companion_operator,
     drift_matrix,
     hyper_eigenvalue,
     potential_matrix,
     recursion_matrix,
-    vec_inner_product,
-    weight_spec,
 )
 
 __all__ = [
@@ -91,10 +94,8 @@ def termination_matrix(p: Params, w: int, j: int):
     entry i is -(ell - i)(beta - k + 1 + i).  Equals
     w (drift_matrix + w - 1) + potential_matrix + hyper_eigenvalue(p, w, j).
     """
-    if w < 0:
-        raise ValueError("w must be a non-negative integer")
-    if not 0 <= j <= p.ell:
-        raise ValueError(f"j must lie in [0, {p.ell}]")
+    _check_w(w)
+    _check_j(p, j)
     a, b, k, ell = p.alpha, p.beta, p.k, p.ell
     m = [[Fraction(0)] * p.size for _ in range(p.size)]
     for i in range(p.size):
@@ -112,10 +113,8 @@ def kernel_vector(p: Params, w: int, j: int):
     vanish.  The denominator products are strictly positive for admissible
     parameters, so the vector is always defined.
     """
-    if w < 0:
-        raise ValueError("w must be a non-negative integer")
-    if not 0 <= j <= p.ell:
-        raise ValueError(f"j must lie in [0, {p.ell}]")
+    _check_w(w)
+    _check_j(p, j)
     x = [Fraction(0)] * p.size
     x[j] = Fraction(1)
     for i in range(j):
@@ -187,17 +186,17 @@ def poly_solution_space(p: Params, lam, n: int) -> list:
     return linalg.nullspace(linalg.matmul(m, b_n))
 
 
-def _descend(p: Params, w: int, j: int, lam: Fraction) -> MatPoly:
+def _descend(p: Params, w: int, j: int, lam: Fraction) -> tuple[MatPoly, list]:
     """A degree-w polynomial solution for slot (w, j), built downward from
     f_w = kernel_vector(p, w, j) through
-    (i+1)(recursion_matrix + i) f_{i+1} = (i (drift_matrix + i - 1) + potential_matrix + lam) f_i.
+    (i+1)(recursion_matrix + i) f_{i+1} = (i (drift_matrix + i - 1) + potential_matrix + lam) f_i,
+    and the slots (i, r) where a pivot vanished.
 
     The left side is a lower-bidiagonal product; the right matrix is upper
     bidiagonal with diagonal entry r equal to lam - hyper_eigenvalue(p, i, r),
-    so f_i follows by back-substitution.  That pivot vanishes exactly at a
-    lower slot (i, r) of the class of lam.  There the right side must vanish
-    too, and the free entry is set to 0; another choice would add a multiple
-    of a lower column of the class.
+    so f_i follows by back-substitution.  That pivot vanishes exactly at the
+    earlier members (i, r) of the class of lam.  There the right side must
+    vanish too, and the free entry is set to 0.
     """
     c = recursion_matrix(p)
     u = drift_matrix(p)
@@ -205,6 +204,7 @@ def _descend(p: Params, w: int, j: int, lam: Fraction) -> MatPoly:
     n = p.size
     f = kernel_vector(p, w, j)
     coeffs = [tuple((x,) for x in f)]
+    zero_pivots = []
     for i in range(w - 1, -1, -1):
         g = [0] * n
         for r in range(n - 1, -1, -1):
@@ -219,39 +219,43 @@ def _descend(p: Params, w: int, j: int, lam: Fraction) -> MatPoly:
                 g[r] = rhs / pivot
             elif rhs:
                 raise ArithmeticError(f"inconsistent recursion at degree {i}, row {r} for slot ({w}, {j})")
+            else:
+                zero_pivots.append((i, r))
         f = g
         coeffs.append(tuple((x,) for x in f))
     coeffs.reverse()
-    return MatPoly(n, coeffs, 1)
+    return MatPoly(n, coeffs, 1), zero_pivots
 
 
 @lru_cache(maxsize=None)
 def build_column(p: Params, w: int, j: int) -> MatPoly:
     """Degree-w column eigenfunction for slot (w, j), a dim x 1 MatPoly whose
-    leading coefficient is kernel_vector(p, w, j).
+    leading coefficient is kernel_vector(p, w, j), solved downward from it.
 
-    Every slot is solved downward from the kernel vector on top through the
-    coefficient recursion.  A slot that is not the lowest of its eigenvalue
-    class then loses its projection onto each earlier column of the class;
-    those columns are mutually orthogonal and of lower degree, so the result
-    is orthogonal to them and keeps its leading coefficient.
+    Where the descent met earlier members of the class of lam, the column is
+    checked exactly to be the eigenfunction of the companion operator E for
+    mu(w, j), with mu apart from theirs (else ArithmeticError).  E commutes
+    with D, keeps degree and is symmetric for the weight, so among the
+    degree-<= w solutions of D F = lam F, whose E-eigenvalues are the mu of
+    the class, one eigenvector for mu(w, j) has top coefficient kernel_vector
+    and it is orthogonal to the earlier columns: the Gram-Schmidt column.
+    That the descent's free entries 0 land on it is checked, not proved.
+
+    The mu differ: lam strictly decreases in w and in j, so an earlier member
+    (w, j) of (w', j') has d = w' - w >= 1 and g = j - j' >= 1.  With
+    A = alpha + beta + j' + d + ell + 2w + 1 > 1, mu(w', j') - mu(w, j) is
+    3 d (g - d) A (A + g) / g, and lam(w, j) = lam(w', j') gives
+    k g = g (A + j' + g - ell - d - w) - d A < 0 if d >= g (as j' + g <= ell),
+    against k > 0.  So d < g, and mu strictly increases along a class.
     """
-    if w < 0:
-        raise ValueError("w must be a non-negative integer")
-    if not 0 <= j <= p.ell:
-        raise ValueError(f"j must lie in [0, {p.ell}]")
-    lam = hyper_eigenvalue(p, w, j)
-    members = find_collisions(p, lam).members
-    column = _descend(p, w, j, lam)
-    earlier = [build_column(p, wm, jm) for wm, jm in members[: members.index((w, j))]]
+    column, earlier = _descend(p, w, j, hyper_eigenvalue(p, w, j))  # validates w and j
     if earlier:
-        ws = weight_spec(p)
-        for q in earlier:
-            c = vec_inner_product(column, q, ws)
-            if c:
-                column = column - q * (c / vec_inner_product(q, q, ws))
-        if any(vec_inner_product(column, q, ws) != 0 for q in earlier):
-            raise ArithmeticError(f"column ({w}, {j}) is not orthogonal to its class")
+        mu = companion_eigenvalue(p, w, j)
+        for slot in earlier:
+            if companion_eigenvalue(p, *slot) == mu:
+                raise ArithmeticError(f"slots {slot} and ({w}, {j}) share both eigenvalues")
+        if companion_operator(p).apply(column) != column * mu:
+            raise ArithmeticError(f"column ({w}, {j}) is not an eigenfunction of the companion operator")
     return column
 
 

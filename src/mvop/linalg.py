@@ -62,10 +62,6 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
-def matvec(a: Matrix, v: Vector) -> Vector:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
 def transpose(a: Matrix) -> Matrix:
     return tuple(tuple(col) for col in zip(*a))
 
@@ -162,11 +158,6 @@ def nullspace(a: Matrix) -> list[Vector]:
             x[c] = -s / m[r][c]
         basis.append(tuple(x))
     return basis
-
-
-def rank(a: Matrix) -> int:
-    n_cols = len(a[0]) if a else 0
-    return n_cols - len(nullspace(a))
 
 
 def leading_principal_minors(a: Matrix) -> list[Fraction]:

@@ -206,6 +206,8 @@ def check_bilinear_symmetry(ws: WeightSpec, op: DiffOp, max_power: int = 4) -> b
     block S[a][b] = sum_c (X_a)_c^T H_{c+b}, so the test is
     S[a][b] == S[b][a]^T.
     """
+    if max_power < 0:
+        raise ValueError("max_power must be >= 0")
     dim = ws.core.dim
     eye = linalg.identity(dim)
     powers = range(max_power + 1)
@@ -281,6 +283,8 @@ def check_ideal(p: Params, w_max: int) -> IdealReport:
     Cross lines are also sampled: slots landing on a line of a different
     index are reported as coincidences, not failures.
     """
+    if w_max < 0:
+        raise ValueError("w_max must be >= 0")
     a, b, k, ell = p.alpha, p.beta, p.k, p.ell
     slopes = [a - ell + 3 * j for j in range(p.size)]
     offsets = [3 * j * (ell - j + k) * (j + a + b - k + 1) for j in range(p.size)]

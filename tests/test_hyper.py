@@ -1,10 +1,12 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import mvop.hyper
+import mvop.model
 from mvop import linalg
 from mvop.hyper import (
     bracket_seq,
@@ -19,6 +21,7 @@ from mvop.hyper import (
 from mvop.matpoly import MatPoly
 from mvop.model import (
     Params,
+    companion_eigenvalue,
     drift_matrix,
     hyper_eigenvalue,
     hyper_operator,
@@ -109,7 +112,7 @@ def orthogonalized_column(p, w, j):
     reduced = []
     for f0 in basis:
         series = [
-            linalg.scale(column(linalg.matvec(brackets[i], f0)), Fraction(1, math.factorial(i)))
+            linalg.scale(linalg.matmul(brackets[i], column(f0)), Fraction(1, math.factorial(i)))
             for i in range(w + 1)
         ]
         cand = MatPoly(p.size, series, 1)
@@ -220,7 +223,7 @@ class TestKernelVector:
     def test_lies_in_kernel(self, p, w, data):
         j = data.draw(st.integers(min_value=0, max_value=p.ell))
         m = termination_matrix(p, w, j)
-        assert not any(linalg.matvec(m, kernel_vector(p, w, j)))
+        assert linalg.is_zero_matrix(linalg.matmul(m, column(kernel_vector(p, w, j))))
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
@@ -280,6 +283,24 @@ class TestFindCollisions:
                     assert find_collisions(p, lam).members == scan_collisions(p, lam)
         # at j = 0 the discriminant is 25/2: a square numerator over a non-square denominator
         assert find_collisions(BASE, Fraction(-7, 8)).members == ()
+
+    def test_companion_eigenvalue_gap_along_a_class(self):
+        # consecutive members (w, j), (w + d, j - g) of a class:
+        # mu gap = 3 d (g - d) A (A + g) / g with A = alpha + beta + j - g + d + ell + 2w + 1
+        family = Params(Fraction(-1, 2), Fraction(8, 3), Fraction(13, 12), 4)
+        pairs = set()
+        for p in (COLLIDING, family, Params(0, 3, 1, 5)):
+            for w in range(13):
+                for j in range(p.size):
+                    members = find_collisions(p, hyper_eigenvalue(p, w, j)).members
+                    pairs.update((p, m1, m2) for m1, m2 in zip(members, members[1:]))
+        assert len({p for p, _, _ in pairs}) == 3
+        for p, (w, j), (w2, j2) in pairs:
+            d, g = w2 - w, j - j2
+            a = p.alpha + p.beta + j2 + d + p.ell + 2 * w + 1
+            gap = companion_eigenvalue(p, w2, j2) - companion_eigenvalue(p, w, j)
+            assert gap == 3 * d * (g - d) * a * (a + g) / g
+            assert gap > 0
 
     def test_root_that_misses_lam_raises(self, monkeypatch):
         real = mvop.hyper.hyper_eigenvalue
@@ -384,30 +405,39 @@ class TestBuildColumn:
         for w, j in ((6, 2), (7, 0)):
             assert build_column(p, w, j) == orthogonalized_column(p, w, j)
 
-    def test_later_slot_projects_out_its_class(self, monkeypatch):
-        # the descent already returned the orthogonal column on every point
-        # tried, so shift it by lower columns of the class to make the
-        # projection do work
+    def test_later_slot_off_its_companion_eigenvalue_raises(self, monkeypatch):
+        # lower columns of the class added to the descent keep the D-eigenvalue
+        # and the leading coefficient but mix in other companion eigenvalues
         big = Params(0, 3, 1, 5)
         lower = {
             (COLLIDING, 1, 0): [(0, 2)],
             (big, 7, 0): [(4, 5), (6, 2)],
         }
-        expected = {key: build_column(*key) for key in lower}
         shifts = {(p, w, j): [build_column(p, *slot) for slot in slots] for (p, w, j), slots in lower.items()}
         real = mvop.hyper._descend
 
         def shifted(p, w, j, lam):
-            col = real(p, w, j, lam)
+            col, earlier = real(p, w, j, lam)
             for m, low in enumerate(shifts.get((p, w, j), ())):
                 col = col + low * Fraction(3, m + 2)
-            return col
+            return col, earlier
 
         monkeypatch.setattr(mvop.hyper, "_descend", shifted)
         build_column.cache_clear()
-        for key, col in expected.items():
-            assert build_column(*key) == col
+        for p, w, j in lower:
+            with pytest.raises(ArithmeticError, match=re.escape(f"column ({w}, {j}) is not an eigenfunction")):
+                build_column(p, w, j)
+
+    def test_class_sharing_a_companion_eigenvalue_raises(self, monkeypatch):
+        real = mvop.hyper.companion_eigenvalue
+
+        def merged(p, w, j):
+            return real(p, 1, 0) if (p, w, j) == (COLLIDING, 0, 2) else real(p, w, j)
+
+        monkeypatch.setattr(mvop.hyper, "companion_eigenvalue", merged)
         build_column.cache_clear()
+        with pytest.raises(ArithmeticError, match=re.escape("slots (0, 2) and (1, 0) share both eigenvalues")):
+            build_column(COLLIDING, 1, 0)
 
     def test_descent_rejects_an_inconsistent_pivot(self, monkeypatch):
         # (1, 0) shares lam = -5 with the lower slot (0, 2), so the pivot of
@@ -426,13 +456,17 @@ class TestBuildColumn:
             build_column(COLLIDING, 1, 0)
 
     def test_principal_columns_skip_the_bracket_matrices(self, monkeypatch):
+        # later slots included: the construction needs neither the dense
+        # bracket path nor any pairing against the weight
         def refuse(*args, **kwargs):
-            raise AssertionError("dense bracket path used to build a column")
+            raise AssertionError("dense bracket path or pairing used to build a column")
 
         monkeypatch.setattr(mvop.hyper, "bracket_seq", refuse)
         monkeypatch.setattr(mvop.hyper, "poly_solution_space", refuse)
         monkeypatch.setattr(linalg, "solve_matrix", refuse)
         monkeypatch.setattr(linalg, "nullspace", refuse)
+        monkeypatch.setattr(mvop.model, "inner_product", refuse)
+        monkeypatch.setattr(mvop.model.WeightSpec, "moment", refuse)
         build_column.cache_clear()
         big = Params(0, 3, 1, 5)
         slots = [(COLLIDING, w, j) for w in range(4) for j in range(COLLIDING.size)]

@@ -19,6 +19,11 @@ def any_square():
     return st.integers(1, 4).flatmap(square)
 
 
+def column(v):
+    """A vector as a one-column matrix."""
+    return tuple((x,) for x in v)
+
+
 def reference_rank(a):
     # plain Fraction row reduction, independent of the fraction-free path
     m = [list(row) for row in a]
@@ -72,7 +77,7 @@ def test_nullspace_rectangular():
     basis = linalg.nullspace(a)
     assert len(basis) == 2
     for v in basis:
-        assert linalg.matvec(a, v) == (Fraction(0),)
+        assert linalg.matmul(a, column(v)) == linalg.zeros(1, 1)
 
 
 @settings(max_examples=150)
@@ -81,9 +86,8 @@ def test_nullspace_vectors_lie_in_kernel(a):
     basis = linalg.nullspace(a)
     n = len(a)
     assert len(basis) == n - reference_rank(a)
-    zero = (Fraction(0),) * n
     for v in basis:
-        assert linalg.matvec(a, v) == zero
+        assert linalg.matmul(a, column(v)) == linalg.zeros(n, 1)
     # each basis vector owns a unit slot that the others vanish on
     units = []
     for v in basis:
@@ -118,12 +122,6 @@ def permanent_det(a):
 @given(square(3))
 def test_det_matches_permutation_expansion(a):
     assert linalg.det(a) == permanent_det(a)
-
-
-@settings(max_examples=100)
-@given(any_square())
-def test_rank_matches_reference(a):
-    assert linalg.rank(a) == reference_rank(a)
 
 
 def test_leading_principal_minors():

@@ -77,8 +77,8 @@ class TestStructureMatrices:
 
     def test_potential_kills_first_unit_vector(self):
         for p in GRID:
-            e0 = tuple(Fraction(i == 0) for i in range(p.size))
-            assert not any(linalg.matvec(potential_matrix(p), e0))
+            e0 = tuple((Fraction(i == 0),) for i in range(p.size))
+            assert linalg.is_zero_matrix(linalg.matmul(potential_matrix(p), e0))
 
     def test_recursion_shifts_invertible(self):
         # the series recursion divides by recursion_matrix + i for every i >= 0

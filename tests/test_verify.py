@@ -363,6 +363,11 @@ class TestSuite:
     def test_argument_guards(self):
         with pytest.raises(ValueError):
             run_suite(BASE, max_w=-1)
+        # an empty range must not pass vacuously
+        with pytest.raises(ValueError):
+            check_bilinear_symmetry(weight_spec(BASE), hyper_operator(BASE), max_power=-1)
+        with pytest.raises(ValueError):
+            check_ideal(BASE, -3)
 
     def test_report_passed_property(self):
         good = CheckResult("a", "pass")
