@@ -27,6 +27,8 @@ __all__ = [
     "weight_core",
     "WeightSpec",
     "weight_spec",
+    "moment_rows",
+    "pair_rows",
     "inner_product",
     "vec_inner_product",
     "hyper_operator",
@@ -153,7 +155,8 @@ class WeightSpec:
     The moment matrix H_m = sum_c Z_c ratio(m + c) is the integral of u^m W in
     units of the zeroth moment of the scalar factor.  Every pairing against
     the weight is a sum of H_{a+b} between polynomial coefficients, so the
-    table, grown on demand, is the only place the weight is integrated.
+    table, grown on demand, is the only place the weight is integrated.  A
+    moment row of qq, sum_b H_{a+b} qq_b^T, is the pairing of u^a I against qq.
     """
 
     def __init__(self, params: Params):
@@ -180,21 +183,40 @@ def weight_spec(params: Params) -> WeightSpec:
     return WeightSpec(params)
 
 
-def inner_product(pp: MatPoly, qq: MatPoly, ws: WeightSpec):
-    """Matrix pairing integral of pp W qq^T, in units of the zeroth moment:
-    the sum over a, b of pp_a H_{a+b} qq_b^T.  Both arguments need as many
-    columns as the weight has rows; the result is pp.dim x qq.dim."""
+def moment_rows(qq: MatPoly, ws: WeightSpec, n: int):
+    """The moment rows N[a] = sum_b H_{a+b} qq_b^T for a < n; N[a], a
+    dim x qq.dim matrix, is the pairing of u^a I against qq."""
     dim = ws.core.dim
-    if pp.cols != dim or qq.cols != dim:
+    if qq.cols != dim:
         raise ValueError("dimension mismatch")
     qts = [linalg.transpose(c) for c in qq.coeffs]
-    total = linalg.zeros(pp.dim, qq.dim)
-    for a, pa in enumerate(pp.coeffs):
-        right = linalg.zeros(dim, qq.dim)
+    rows = []
+    for a in range(n):
+        row = linalg.zeros(dim, qq.dim)
         for b, qt in enumerate(qts):
-            right = linalg.add(right, linalg.matmul(ws.moment(a + b), qt))
-        total = linalg.add(total, linalg.matmul(pa, right))
+            row = linalg.add(row, linalg.matmul(ws.moment(a + b), qt))
+        rows.append(row)
+    return rows
+
+
+def pair_rows(pp: MatPoly, rows, cols: int):
+    """sum_a pp_a rows[a]: pp paired against the moment rows of a qq with cols rows."""
+    if len(rows) < len(pp.coeffs):
+        raise ValueError("need one moment row per coefficient of pp")
+    total = linalg.zeros(pp.dim, cols)
+    for pa, row in zip(pp.coeffs, rows):
+        total = linalg.add(total, linalg.matmul(pa, row))
     return total
+
+
+def inner_product(pp: MatPoly, qq: MatPoly, ws: WeightSpec):
+    """Matrix pairing integral of pp W qq^T, in units of the zeroth moment:
+    the sum over a, b of pp_a H_{a+b} qq_b^T, which is pp paired against the
+    moment rows of qq.  Both arguments need as many columns as the weight has
+    rows; the result is pp.dim x qq.dim."""
+    if pp.cols != ws.core.dim:
+        raise ValueError("dimension mismatch")
+    return pair_rows(pp, moment_rows(qq, ws, len(pp.coeffs)), qq.dim)
 
 
 def vec_inner_product(pv: MatPoly, qv: MatPoly, ws: WeightSpec) -> Fraction:

@@ -27,7 +27,9 @@ from .model import (
     hyper_eigenvalue,
     hyper_operator,
     inner_product,
+    moment_rows,
     monic_eigenvalue,
+    pair_rows,
     vec_inner_product,
     weight_spec,
 )
@@ -37,6 +39,7 @@ __all__ = [
     "WeightSpec",
     "weight_spec",
     "GramBlock",
+    "gram_table",
     "inner_product",
     "vec_inner_product",
     "gram_block",
@@ -70,10 +73,23 @@ class GramBlock:
         }
 
 
+def gram_table(p: Params):
+    """A function (w, w') -> GramBlock that pairs P_w against the moment rows
+    of P_w'.  The rows a <= max(w, w') of each P_w' are computed on first use
+    and again only when a wider P_w needs more; they live as long as the
+    function, and every block is still its own exact sum."""
+    ws, rows = weight_spec(p), {}
+
+    def block(w: int, w_prime: int) -> GramBlock:
+        if len(rows.get(w_prime, ())) <= w:
+            rows[w_prime] = moment_rows(orthogonal_polynomial(p, w_prime), ws, max(w, w_prime) + 1)
+        return GramBlock(w, w_prime, pair_rows(orthogonal_polynomial(p, w), rows[w_prime], p.size))
+
+    return block
+
+
 def gram_block(p: Params, w: int, w_prime: int) -> GramBlock:
-    ws = weight_spec(p)
-    block = inner_product(orthogonal_polynomial(p, w), orthogonal_polynomial(p, w_prime), ws)
-    return GramBlock(w, w_prime, block)
+    return gram_table(p)(w, w_prime)
 
 
 def _conv(s, t):
@@ -203,23 +219,16 @@ def check_bilinear_symmetry(ws: WeightSpec, op: DiffOp, max_power: int = 4) -> b
     columns, so the bilinear defect vanishes exactly when the Gram matrix
     G[(a, r), (b, t)] = <op(u^a e_r), u^b e_t> of the vector monomials is
     symmetric.  With X_a = op(u^a I), G[(a, r), (b, t)] is entry (r, t) of the
-    block S[a][b] = sum_c (X_a)_c^T H_{c+b}, so the test is
-    S[a][b] == S[b][a]^T.
+    block S[a][b] = sum_c (X_a)_c^T H_{c+b}: X_a^T paired against the moment
+    rows H_{b+c} of u^b I.  So the test is S[a][b] == S[b][a]^T.
     """
     if max_power < 0:
         raise ValueError("max_power must be >= 0")
     dim = ws.core.dim
     eye = linalg.identity(dim)
     powers = range(max_power + 1)
-    images = [[linalg.transpose(c) for c in op.apply(MatPoly.monomial(dim, eye, a)).coeffs] for a in powers]
-
-    def block(xts, b: int):
-        total = linalg.zeros(dim)
-        for c, xt in enumerate(xts):
-            total = linalg.add(total, linalg.matmul(xt, ws.moment(c + b)))
-        return total
-
-    s = [[block(xts, b) for b in powers] for xts in images]
+    images = [op.apply(MatPoly.monomial(dim, eye, a)).transpose() for a in powers]
+    s = [[pair_rows(x, [ws.moment(b + c) for c in range(len(x.coeffs))], dim) for b in powers] for x in images]
     return all(s[a][b] == linalg.transpose(s[b][a]) for a in powers for b in range(a + 1))
 
 
@@ -364,6 +373,7 @@ def run_suite(p: Params, max_w: int = 6) -> VerificationReport:
     d = hyper_operator(p)
     e = companion_operator(p)
     eig_span = max(max_w, 20)
+    gram = gram_table(p)
 
     def boundary(op):
         def thunk():
@@ -375,15 +385,19 @@ def run_suite(p: Params, max_w: int = 6) -> VerificationReport:
 
     def gram_pair(w, wp):
         def thunk():
-            block = gram_block(p, w, wp).entries
-            return linalg.is_zero_matrix(block), f"nonzero block at ({w}, {wp})"
+            block = gram(w, wp).entries
+            for i, row in enumerate(block):
+                for j, x in enumerate(row):
+                    if x != 0:
+                        return False, f"nonzero block at ({w}, {wp}): entry ({i}, {j}) is {format_rational(x)}"
+            return True, None
 
         return thunk
 
     def norms():
         # each block <P_w, P_w> must be diagonal with positive diagonal
         for w in range(max_w + 1):
-            for i, row in enumerate(gram_block(p, w, w).entries):
+            for i, row in enumerate(gram(w, w).entries):
                 for j, x in enumerate(row):
                     if (x <= 0 if i == j else x != 0):
                         return False, f"norm block entry (w, i, j) = ({w}, {i}, {j}) is {format_rational(x)}"

@@ -142,6 +142,54 @@ class TestGram:
         d = gram_block(BASE, 0, 0).as_dict()
         assert d == {"w": 0, "w_prime": 0, "entries": [["4/3", "0"], ["0", "1/6"]]}
 
+    def test_blocks_match_literal_double_sum(self):
+        # reference: sum over a, b of P_a H_{a+b} Q_b^T, one coefficient pair at a time
+        def double_sum(pp, qq, ws):
+            total = linalg.zeros(pp.dim, qq.dim)
+            for a, pa in enumerate(pp.coeffs):
+                for b, qb in enumerate(qq.coeffs):
+                    term = linalg.matmul(linalg.matmul(pa, ws.moment(a + b)), linalg.transpose(qb))
+                    total = linalg.add(total, term)
+            return total
+
+        def rows_of(poly, lo, hi):
+            return MatPoly(hi - lo, [c[lo:hi] for c in poly.coeffs], poly.cols)
+
+        for p in GRID:
+            ws = weight_spec(p)
+            for w in range(7):
+                for wp in range(7):
+                    pw, pwp = orthogonal_polynomial(p, w), orthogonal_polynomial(p, wp)
+                    assert gram_block(p, w, wp).entries == double_sum(pw, pwp, ws)
+                    # rectangular: the first rows of P_w against the last rows of P_wp
+                    pp, qq = rows_of(pw, 0, 1 + w % p.size), rows_of(pwp, wp % p.size, p.size)
+                    assert inner_product(pp, qq, ws) == double_sum(pp, qq, ws)
+
+    @staticmethod
+    def _count_rows(monkeypatch):
+        real = verify.moment_rows
+        calls = []
+
+        def counting(qq, ws, n):
+            calls.append((qq.degree, n))
+            return real(qq, ws, n)
+
+        monkeypatch.setattr(verify, "moment_rows", counting)
+        return calls
+
+    def test_suite_computes_rows_once_per_degree(self, monkeypatch):
+        # each P_w' is paired against u^a I once per run, not once per block
+        calls = self._count_rows(monkeypatch)
+        assert run_suite(BASE, max_w=4).passed
+        assert sorted(calls) == [(w, w + 1) for w in range(5)]
+
+    def test_table_grows_rows_for_a_wider_left_factor(self, monkeypatch):
+        expected = [gram_block(BASE, w, 3) for w in (1, 0, 5, 4)]
+        calls = self._count_rows(monkeypatch)
+        gram = verify.gram_table(BASE)
+        assert [gram(w, 3) for w in (1, 0, 5, 4)] == expected
+        assert calls == [(3, 4), (3, 6)]
+
 
 class TestSymmetryReduced:
     def test_residuals_vanish_for_both_operators(self):
@@ -383,22 +431,39 @@ class TestSuite:
         assert verify._result("c", thunk) == CheckResult("c", "fail", "error: ZeroDivisionError: division by zero")
         assert verify._result("d", lambda: (True, "unused")) == CheckResult("d", "pass")
 
+    @staticmethod
+    def _patch_block(monkeypatch, at, entry, value):
+        # the suite reads every Gram block through the one table it builds
+        real = verify.gram_table
+
+        def skewed_table(p):
+            gram = real(p)
+
+            def skewed(w, wp):
+                block = gram(w, wp)
+                if (w, wp) != at:
+                    return block
+                entries = [list(row) for row in block.entries]
+                entries[entry[0]][entry[1]] = value
+                return verify.GramBlock(w, wp, tuple(map(tuple, entries)))
+
+            return skewed
+
+        monkeypatch.setattr(verify, "gram_table", skewed_table)
+
     def test_norm_block_with_off_diagonal_entry_fails(self, monkeypatch):
-        real = verify.gram_block
-
-        def skewed(p, w, wp):
-            block = real(p, w, wp)
-            if (w, wp) != (1, 1):
-                return block
-            entries = [list(row) for row in block.entries]
-            entries[0][1] = Fraction(1, 7)
-            return verify.GramBlock(w, wp, tuple(map(tuple, entries)))
-
-        monkeypatch.setattr(verify, "gram_block", skewed)
+        self._patch_block(monkeypatch, (1, 1), (0, 1), Fraction(1, 7))
         report = run_suite(BASE, max_w=2)
         norms = next(c for c in report.checks if c.name == "gram_norms_positive")
         assert norms.status == "fail"
         assert norms.witness == "norm block entry (w, i, j) = (1, 0, 1) is 1/7"
+
+    def test_nonzero_off_diagonal_block_names_its_entry(self, monkeypatch):
+        self._patch_block(monkeypatch, (0, 2), (1, 0), Fraction(-2, 5))
+        report = run_suite(BASE, max_w=2)
+        failed = [c for c in report.checks if c.status == "fail"]
+        assert [c.name for c in failed] == ["gram_zero_w0_w2"]
+        assert failed[0].witness == "nonzero block at (0, 2): entry (1, 0) is -2/5"
 
     def test_class_missing_a_later_member_fails(self, monkeypatch):
         # lam = -5 is shared by (0, 2) and (1, 0) at GRID[3]; dropping the
