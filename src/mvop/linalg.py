@@ -1,15 +1,16 @@
 """Dense exact linear algebra over Fraction entries.
 
 Matrices are tuples of row tuples, vectors are tuples; both are immutable and
-hashable, so results can be cached and compared structurally.  Sizes here stay
-small, so the routines favour exactness and determinism over asymptotics.
-Nullspaces use fraction-free elimination on denominator-cleared integer rows,
-which keeps intermediate growth bounded by minors of the input.
+hashable, so results can be cached and compared structurally.  Entries are int
+or Fraction only.  Every matrix product is one kernel, matmul_sum, that clears
+each side to integers over one common denominator and divides once per entry;
+nullspaces run Bareiss (fraction-free) elimination on the same integer form.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 Matrix = tuple
@@ -20,8 +21,16 @@ class SingularMatrixError(ArithmeticError):
     pass
 
 
+def _exact(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    raise TypeError(f"matrix entry {x!r} is not an int or Fraction")
+
+
 def freeze_matrix(rows) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    return tuple(tuple(map(_exact, row)) for row in rows)
 
 
 def zeros(n: int, m: int | None = None) -> Matrix:
@@ -39,7 +48,7 @@ def diagonal(entries) -> Matrix:
     entries = list(entries)
     n = len(entries)
     return tuple(
-        tuple(Fraction(entries[i]) if i == j else Fraction(0) for j in range(n))
+        tuple(_exact(entries[i]) if i == j else Fraction(0) for j in range(n))
         for i in range(n)
     )
 
@@ -53,13 +62,36 @@ def sub(a: Matrix, b: Matrix) -> Matrix:
 
 
 def scale(a: Matrix, q) -> Matrix:
-    q = Fraction(q)
+    q = _exact(q)
     return tuple(tuple(q * x for x in row) for row in a)
 
 
+def _integer_form(rows) -> tuple[list[list[int]], int]:
+    """(m, d) with rows == m / d entrywise, d the lcm of the entry denominators."""
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+
+
+def matmul_sum(lefts, rights) -> Matrix:
+    """Exact sum over k of lefts[k] @ rights[k], for one or more pairs: the lefts
+    side by side times the rights stacked, as one integer product over the lcm
+    of each side's denominators.  Raises ValueError on a shape mismatch or on
+    unequal or zero term counts."""
+    stacked = [row for b in rights for row in b]
+    if not lefts or len(lefts) != len(rights):
+        raise ValueError("need equally many left and right factors, at least one")
+    if any(len(a) != len(lefts[0]) or any(len(r) != len(b) for r in a) for a, b in zip(lefts, rights)):
+        raise ValueError("inner dimension mismatch")
+    if any(len(r) != len(stacked[0]) for r in stacked):
+        raise ValueError("right factors differ in width")
+    left, dl = _integer_form([[x for a in lefts for x in a[i]] for i in range(len(lefts[0]))])
+    right, dr = _integer_form(stacked)
+    cols, den = list(zip(*right)), dl * dr
+    return tuple(tuple(Fraction(sum(map(operator.mul, r, c)), den) for c in cols) for r in left)
+
+
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return matmul_sum((a,), (b,))
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -112,23 +144,15 @@ def det(a: Matrix) -> Fraction:
     return out
 
 
-def _cleared_int_rows(a: Matrix) -> list[list[int]]:
-    rows = []
-    for row in a:
-        den = math.lcm(*(Fraction(x).denominator for x in row)) if row else 1
-        rows.append([int(Fraction(x) * den) for x in row])
-    return rows
-
-
 def nullspace(a: Matrix) -> list[Vector]:
     """Deterministic basis of the right kernel via fraction-free elimination.
 
-    Rows are cleared to integers, then reduced by Bareiss one-step elimination
+    The matrix is cleared to integers, then reduced by Bareiss one-step elimination
     with exact nonzero pivot tests; free variables are set to 1 in column order.
     """
     n_rows = len(a)
     n_cols = len(a[0]) if n_rows else 0
-    m = _cleared_int_rows(a)
+    m = _integer_form(a)[0]
     pivots: list[tuple[int, int]] = []
     prev = 1
     row = 0

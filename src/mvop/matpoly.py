@@ -117,10 +117,11 @@ class MatPoly:
                 raise ValueError("inner dimension mismatch")
             if self.is_zero() or other.is_zero():
                 return MatPoly.zero(self.dim, other.cols)
-            out = [linalg.zeros(self.dim, other.cols)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for a, ca in enumerate(self.coeffs):
-                for b, cb in enumerate(other.coeffs):
-                    out[a + b] = linalg.add(out[a + b], linalg.matmul(ca, cb))
+            ps, qs = self.coeffs, other.coeffs
+            out = []
+            for m in range(len(ps) + len(qs) - 1):
+                pairs = range(max(0, m - len(qs) + 1), min(m, len(ps) - 1) + 1)
+                out.append(linalg.matmul_sum([ps[a] for a in pairs], [qs[m - a] for a in pairs]))
             return MatPoly(self.dim, tuple(out), other.cols)
         if isinstance(other, (int, Fraction)):
             return self._with(tuple(linalg.scale(c, other) for c in self.coeffs))
@@ -133,17 +134,7 @@ class MatPoly:
 
     def mul_scalar_poly(self, scalar_coeffs) -> MatPoly:
         """Multiply by a scalar polynomial given by ascending coefficients."""
-        s = [Fraction(c) for c in scalar_coeffs]
-        while s and s[-1] == 0:
-            s.pop()
-        if not s or self.is_zero():
-            return self._with(())
-        out = [linalg.zeros(self.dim, self.cols)] * (len(self.coeffs) + len(s) - 1)
-        for a, ca in enumerate(self.coeffs):
-            for b, cb in enumerate(s):
-                if cb:
-                    out[a + b] = linalg.add(out[a + b], linalg.scale(ca, cb))
-        return self._with(tuple(out))
+        return self * MatPoly.from_scalar(self.cols, scalar_coeffs)
 
     def transpose(self) -> MatPoly:
         return MatPoly(self.cols, tuple(linalg.transpose(c) for c in self.coeffs), self.dim)

@@ -189,24 +189,19 @@ def moment_rows(qq: MatPoly, ws: WeightSpec, n: int):
     dim = ws.core.dim
     if qq.cols != dim:
         raise ValueError("dimension mismatch")
+    if qq.is_zero():
+        return [linalg.zeros(dim, qq.dim)] * n
     qts = [linalg.transpose(c) for c in qq.coeffs]
-    rows = []
-    for a in range(n):
-        row = linalg.zeros(dim, qq.dim)
-        for b, qt in enumerate(qts):
-            row = linalg.add(row, linalg.matmul(ws.moment(a + b), qt))
-        rows.append(row)
-    return rows
+    return [linalg.matmul_sum([ws.moment(a + b) for b in range(len(qts))], qts) for a in range(n)]
 
 
 def pair_rows(pp: MatPoly, rows, cols: int):
     """sum_a pp_a rows[a]: pp paired against the moment rows of a qq with cols rows."""
     if len(rows) < len(pp.coeffs):
         raise ValueError("need one moment row per coefficient of pp")
-    total = linalg.zeros(pp.dim, cols)
-    for pa, row in zip(pp.coeffs, rows):
-        total = linalg.add(total, linalg.matmul(pa, row))
-    return total
+    if pp.is_zero():
+        return linalg.zeros(pp.dim, cols)
+    return linalg.matmul_sum(pp.coeffs, rows[: len(pp.coeffs)])
 
 
 def inner_product(pp: MatPoly, qq: MatPoly, ws: WeightSpec):

@@ -1,10 +1,14 @@
 import itertools
+import math
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvop import linalg
+from mvop.matpoly import MatPoly
 
 entry = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -146,3 +150,144 @@ def test_solve_reproduces_product(a):
     x = tuple((Fraction(i + 1, 2),) for i in range(n))
     b = linalg.matmul(a, x)
     assert linalg.solve_matrix(a, b) == x
+
+
+# --- the integer product kernel against literal Fraction loops ---
+
+# primes far above any denominator the other entries produce, so their lcms grow
+LARGE_PRIMES = (2**31 - 1, 2**61 - 1, 2**89 - 1, 10**9 + 7)
+scalar = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-6, max_value=6, max_denominator=12),
+    st.builds(Fraction, st.integers(-5, 5), st.sampled_from(LARGE_PRIMES)),
+)
+
+
+def matrix(n, m):
+    """n x m tuples mixing int and Fraction entries, with some all-zero rows
+    and some all-int rows."""
+    row = st.one_of(
+        st.just([0] * m),
+        st.lists(st.integers(-9, 9), min_size=m, max_size=m),
+        st.lists(scalar, min_size=m, max_size=m),
+    )
+    return st.lists(row, min_size=n, max_size=n).map(lambda rows: tuple(map(tuple, rows)))
+
+
+@st.composite
+def product_terms(draw):
+    """Pairs (L_k, R_k) of shapes n x m_k and m_k x p, with m_k varying by term."""
+    n, p = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(st.integers(1, 3))
+        terms.append((draw(matrix(n, m)), draw(matrix(m, p))))
+    return [a for a, _ in terms], [b for _, b in terms]
+
+
+def literal_product_sum(lefts, rights):
+    n, p = len(lefts[0]), len(rights[0][0])
+    out = [[Fraction(0)] * p for _ in range(n)]
+    for a, b in zip(lefts, rights):
+        for i in range(n):
+            for j in range(p):
+                for t in range(len(b)):
+                    out[i][j] += Fraction(a[i][t]) * Fraction(b[t][j])
+    return tuple(map(tuple, out))
+
+
+def assert_lowest_terms(mat):
+    for row in mat:
+        for x in row:
+            assert type(x) is Fraction
+            assert x.denominator > 0
+            assert math.gcd(x.numerator, x.denominator) == 1
+
+
+@settings(max_examples=200)
+@given(product_terms())
+def test_matmul_sum_matches_literal_loops(terms):
+    lefts, rights = terms
+    out = linalg.matmul_sum(lefts, rights)
+    assert out == literal_product_sum(lefts, rights)
+    assert_lowest_terms(out)
+    for a, b in zip(lefts, rights):
+        one = linalg.matmul(a, b)
+        assert one == literal_product_sum([a], [b])
+        assert_lowest_terms(one)
+
+
+@st.composite
+def matpoly_pair(draw):
+    dim, inner, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    ps = draw(st.lists(matrix(dim, inner), max_size=4))
+    qs = draw(st.lists(matrix(inner, cols), max_size=4))
+    return MatPoly(dim, ps, inner), MatPoly(inner, qs, cols)
+
+
+@settings(max_examples=150)
+@given(matpoly_pair())
+def test_matpoly_product_matches_literal_loops(pair):
+    f, g = pair
+    n = max(len(f.coeffs) + len(g.coeffs) - 1, 0)
+    out = [[[Fraction(0)] * g.cols for _ in range(f.dim)] for _ in range(n)]
+    for a, fa in enumerate(f.coeffs):
+        for b, gb in enumerate(g.coeffs):
+            for i in range(f.dim):
+                for j in range(g.cols):
+                    for t in range(f.cols):
+                        out[a + b][i][j] += fa[i][t] * gb[t][j]
+    product = f * g
+    assert product == MatPoly(f.dim, out, g.cols)
+    for c in product.coeffs:
+        assert_lowest_terms(c)
+
+
+def test_matmul_sum_clears_each_term_over_a_common_denominator():
+    # the second term alone carries the large denominators on both sides
+    big = 2**61 - 1
+    lefts = [((Fraction(1, 2),),), ((Fraction(1, big),),)]
+    rights = [((3,),), ((Fraction(big, 3),),)]
+    assert linalg.matmul_sum(lefts, rights) == ((Fraction(3, 2) + Fraction(1, 3),),)
+
+
+@pytest.mark.parametrize(
+    "lefts, rights",
+    [
+        ([((1, 2),)], [((3,),)]),
+        ([((1,),), ((1, 2),)], [((3,),), ((3,),)]),
+        ([((1,),), ((1,), (2,))], [((3,),), ((3,),)]),
+        ([((1,),), ((1,),)], [((3, 4),), ((3,),)]),
+    ],
+)
+def test_matmul_sum_rejects_mismatched_shapes(lefts, rights):
+    with pytest.raises(ValueError):
+        linalg.matmul_sum(lefts, rights)
+
+
+def test_matmul_rejects_inner_dimension_mismatch():
+    with pytest.raises(ValueError):
+        linalg.matmul(((1, 2),), ((3,),))
+
+
+def test_matmul_sum_rejects_unequal_term_counts():
+    with pytest.raises(ValueError):
+        linalg.matmul_sum([((1,),), ((2,),)], [((3,),)])
+
+
+def test_matmul_sum_rejects_empty_term_list():
+    with pytest.raises(ValueError):
+        linalg.matmul_sum([], [])
+
+
+def test_freeze_keeps_fraction_entries_and_converts_ints():
+    x = Fraction(2, 3)
+    frozen = linalg.freeze_matrix([[x, 4]])
+    assert frozen[0][0] is x
+    assert type(frozen[0][1]) is Fraction and frozen[0][1] == 4
+
+
+@pytest.mark.parametrize("bad", [0.5, True, "1/2", Decimal("0.5")])
+def test_freeze_rejects_inexact_entries(bad):
+    with pytest.raises(TypeError, match=re.escape(repr(bad))):
+        linalg.freeze_matrix([[1, bad]])

@@ -1,3 +1,5 @@
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -51,6 +53,19 @@ def test_column_count_defaults_to_square():
     assert MatPoly(2, c) == MatPoly(2, c, 2)
     assert hash(MatPoly(2, c)) == hash(MatPoly(2, c, 2))
     assert MatPoly.zero(2) == MatPoly.zero(2, 2) != MatPoly.zero(2, 1)
+
+
+@pytest.mark.parametrize("bad", [0.1, False, "1", Decimal("0.1")])
+def test_rejects_inexact_coefficients(bad):
+    # 0.1 would otherwise be stored as 3602879701896397/36028797018963968
+    with pytest.raises(TypeError, match=re.escape(repr(bad))):
+        MatPoly(1, [[[bad]]])
+    with pytest.raises(TypeError, match=re.escape(repr(bad))):
+        MatPoly.constant([[1, bad]])
+    with pytest.raises(TypeError, match=re.escape(repr(bad))):
+        MatPoly.from_scalar(2, [1, bad])
+    with pytest.raises(TypeError, match=re.escape(repr(bad))):
+        MatPoly.identity(1).mul_scalar_poly([bad])
 
 
 def test_zero_polynomial_degree_sentinel():

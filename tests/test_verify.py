@@ -5,7 +5,7 @@ import pytest
 
 from mvop import linalg
 from mvop.hyper import CollisionClass, build_column, orthogonal_polynomial
-from mvop import verify
+from mvop import model, verify
 from mvop.matpoly import DiffOp, MatPoly
 from mvop.model import (
     Params,
@@ -93,6 +93,16 @@ class TestInnerProduct:
         qv = MatPoly(2, [[[0], [1]], [[1], [1]], [[2], [0]]], 1)
         assert vec_inner_product(pv, qv, ws) == vec_inner_product(qv, pv, ws)
         assert vec_inner_product(pv, MatPoly.zero(2, 1), ws) == 0
+
+    def test_zero_polynomial_pairs_to_zero_without_a_product(self, monkeypatch):
+        def no_product(lefts, rights):
+            raise AssertionError("a zero polynomial needs no product")
+
+        ws = weight_spec(BASE)
+        monkeypatch.setattr(linalg, "matmul_sum", no_product)
+        assert model.moment_rows(MatPoly.zero(3, 2), ws, 2) == [linalg.zeros(2, 3)] * 2
+        assert model.pair_rows(MatPoly.zero(1, 2), [], 3) == linalg.zeros(1, 3)
+        assert inner_product(MatPoly.zero(2), MatPoly.identity(2), ws) == linalg.zeros(2)
 
     def test_dimension_guards(self):
         ws = weight_spec(BASE)
