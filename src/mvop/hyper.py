@@ -12,10 +12,11 @@ Distinct slots (w, j) and (w', j') can share an eigenvalue.  find_collisions
 recovers the full class of slots sharing a value as exact roots of a
 quadratic in w'.  Every column is built downward from its closed-form
 leading coefficient kernel_vector, one bidiagonal back-substitution per
-degree; a later slot of a class is certified as an eigenfunction of the
-commuting companion operator, which makes it orthogonal to the earlier ones
-without a pairing.  bracket_seq and poly_solution_space are the dense
-reference for that construction.
+degree on integers: one scale L, one common denominator per degree and one
+gcd per degree.  A later slot of a class is certified as an eigenfunction
+of the commuting companion operator, which makes it orthogonal to the
+earlier ones without a pairing.  bracket_seq and poly_solution_space are the
+dense reference for that construction.
 """
 
 from __future__ import annotations
@@ -169,21 +170,15 @@ def find_collisions(p: Params, lam) -> CollisionClass:
 def poly_solution_space(p: Params, lam, n: int) -> list:
     """Basis of initial values f0 whose solution is polynomial of degree <= n.
 
-    These are the f0 with (n (drift_matrix + n - 1) + potential_matrix + lam) B_n f0 = 0:
-    once that product vanishes the recursion sends every later coefficient to
-    zero.  The dimension equals the number of slots of the collision class of
-    lam with w' <= n.
+    These are the f0 with B_{n+1} f0 = 0, which holds exactly when
+    (n (drift_matrix + n - 1) + potential_matrix + lam) B_n f0 = 0, as
+    recursion_matrix + n is invertible; the recursion then sends every later
+    coefficient to zero.  The dimension equals the number of slots of the
+    collision class of lam with w' <= n.
     """
     if n < 0:
         raise ValueError("n must be a non-negative integer")
-    lam = Fraction(lam)
-    b_n = bracket_seq(p, lam, n).coeffs[n]
-    eye = linalg.identity(p.size)
-    m = linalg.add(
-        linalg.scale(linalg.add(drift_matrix(p), linalg.scale(eye, n - 1)), n),
-        linalg.add(potential_matrix(p), linalg.scale(eye, lam)),
-    )
-    return linalg.nullspace(linalg.matmul(m, b_n))
+    return linalg.nullspace(bracket_seq(p, lam, n + 1).coeffs[n + 1])
 
 
 def _descend(p: Params, w: int, j: int, lam: Fraction) -> tuple[MatPoly, list]:
@@ -197,37 +192,42 @@ def _descend(p: Params, w: int, j: int, lam: Fraction) -> tuple[MatPoly, list]:
     so f_i follows by back-substitution.  That pivot vanishes exactly at the
     earlier members (i, r) of the class of lam.  There the right side must
     vanish too, and the free entry is set to 0.
+
+    It runs on integers: the matrices and lam over one scale L, f_i as
+    numerators over one common denominator that each nonzero pivot multiplies
+    (rescaling the rows already solved), reduced by one gcd per degree.
     """
-    c = recursion_matrix(p)
-    u = drift_matrix(p)
-    v = potential_matrix(p)
     n = p.size
-    f = kernel_vector(p, w, j)
-    coeffs = [tuple((x,) for x in f)]
-    zero_pivots = []
+    rows, scale = linalg._integer_form(recursion_matrix(p) + drift_matrix(p) + potential_matrix(p) + ((lam,),))
+    c, u, v, lam = rows[:n], rows[n : 2 * n], rows[2 * n : 3 * n], rows[3 * n][0]
+    top = kernel_vector(p, w, j)
+    (f,), den = linalg._integer_form((top,))
+    coeffs, zero_pivots = [tuple((x,) for x in top)], []
     for i in range(w - 1, -1, -1):
-        g = [0] * n
+        g, grow = [0] * n, 1
         for r in range(n - 1, -1, -1):
-            rhs = (c[r][r] + i) * f[r]
+            rhs = (c[r][r] + i * scale) * f[r]
             if r > 0:
                 rhs += c[r][r - 1] * f[r - 1]
-            rhs *= i + 1
+            rhs *= (i + 1) * grow
             if r < n - 1:
                 rhs -= v[r][r + 1] * g[r + 1]
-            pivot = i * (u[r][r] + i - 1) + v[r][r] + lam
+            pivot = i * (u[r][r] + (i - 1) * scale) + v[r][r] + lam
             if pivot:
-                g[r] = rhs / pivot
+                g = [x * pivot for x in g]
+                g[r], grow = rhs, grow * pivot
             elif rhs:
                 raise ArithmeticError(f"inconsistent recursion at degree {i}, row {r} for slot ({w}, {j})")
             else:
                 zero_pivots.append((i, r))
-        f = g
-        coeffs.append(tuple((x,) for x in f))
+        common = math.gcd(den * grow, *g)
+        f, den = [x // common for x in g], den * grow // common
+        coeffs.append(tuple((Fraction(x, den),) for x in f))
     coeffs.reverse()
     return MatPoly(n, coeffs, 1), zero_pivots
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # so True and 2.0 miss the cache and fail the w, j checks
 def build_column(p: Params, w: int, j: int) -> MatPoly:
     """Degree-w column eigenfunction for slot (w, j), a dim x 1 MatPoly whose
     leading coefficient is kernel_vector(p, w, j), solved downward from it.

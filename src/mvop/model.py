@@ -82,12 +82,12 @@ class Params:
 
 
 def _check_j(p: Params, j: int) -> None:
-    if not 0 <= j <= p.ell:
-        raise ValueError(f"j must lie in [0, {p.ell}]")
+    if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j <= p.ell:
+        raise ValueError(f"j must be an integer in [0, {p.ell}]")
 
 
 def _check_w(w: int) -> None:
-    if w < 0:
+    if not isinstance(w, int) or isinstance(w, bool) or w < 0:
         raise ValueError("w must be a non-negative integer")
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -51,6 +52,21 @@ def test_polys_deterministic(capsys):
     _, first, _ = run_cli(capsys, "polys", *flags)
     _, second, _ = run_cli(capsys, "polys", *flags)
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("json", "627f0e8cb88a396cd41c165fddf5281f44ef2be4ffa45a7eaf2e3ddb9b8fb2d4"),
+        ("csv", "f246ed04069e39e645da13248e5de3dda1eef0299b4ad867e5ee1bbcf2d187d9"),
+    ],
+)
+def test_polys_deep_output_is_byte_identical(capsys, fmt, digest):
+    # sha256 of the output before the construction moved to integer arithmetic
+    flags = ["--alpha=3/2", "--beta=5/3", "--k=3/2", "--ell=4", "--max-w=30", "--format", fmt]
+    code, out, _ = run_cli(capsys, "polys", *flags)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_collisions_reports_class(capsys):

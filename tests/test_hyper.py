@@ -39,6 +39,8 @@ GRID = [
 
 BASE = Params(0, 1, 1, 1)
 COLLIDING = Params(0, 1, Fraction(3, 2), 2)
+# w or j given as a float, a bool or a Fraction: none is an integer slot index
+INEXACT = [(1.5, 0), (2.0, 0), (True, 0), (1, 1.0), (1, True), (Fraction(1), 0)]
 
 
 def column(vec):
@@ -136,6 +138,38 @@ def shifted_termination(p, w, j):
     )
 
 
+def fraction_descent(p, w, j, lam):
+    """Reference for hyper._descend: the same back-substitution, one Fraction
+    operation at a time."""
+    c = recursion_matrix(p)
+    u = drift_matrix(p)
+    v = potential_matrix(p)
+    n = p.size
+    f = kernel_vector(p, w, j)
+    coeffs = [tuple((x,) for x in f)]
+    zero_pivots = []
+    for i in range(w - 1, -1, -1):
+        g = [0] * n
+        for r in range(n - 1, -1, -1):
+            rhs = (c[r][r] + i) * f[r]
+            if r > 0:
+                rhs += c[r][r - 1] * f[r - 1]
+            rhs *= i + 1
+            if r < n - 1:
+                rhs -= v[r][r + 1] * g[r + 1]
+            pivot = i * (u[r][r] + i - 1) + v[r][r] + lam
+            if pivot:
+                g[r] = rhs / pivot
+            elif rhs:
+                raise ArithmeticError(f"inconsistent recursion at degree {i}, row {r} for slot ({w}, {j})")
+            else:
+                zero_pivots.append((i, r))
+        f = g
+        coeffs.append(tuple((x,) for x in f))
+    coeffs.reverse()
+    return MatPoly(n, coeffs, 1), zero_pivots
+
+
 class TestBracketSeq:
     def test_starts_at_identity(self):
         seq = bracket_seq(BASE, -2, 3)
@@ -230,6 +264,11 @@ class TestKernelVector:
             kernel_vector(BASE, -1, 0)
         with pytest.raises(ValueError):
             kernel_vector(BASE, 0, 3)
+
+    @pytest.mark.parametrize("w, j", INEXACT)
+    def test_rejects_inexact_slots(self, w, j):
+        with pytest.raises(ValueError, match="integer"):
+            kernel_vector(BASE, w, j)
 
 
 class TestFindCollisions:
@@ -482,6 +521,31 @@ class TestBuildColumn:
         with pytest.raises(ValueError):
             build_column(BASE, 0, 9)
 
+    @pytest.mark.parametrize("w, j", INEXACT)
+    def test_rejects_inexact_slots_after_the_integer_slot_is_cached(self, w, j):
+        # True and 2.0 hash like 1 and 2, so an untyped cache would answer them
+        build_column(BASE, int(w), int(j))
+        with pytest.raises(ValueError, match="integer"):
+            build_column(BASE, w, j)
+
+    def test_integer_descent_matches_the_fraction_oracle(self):
+        family = Params(Fraction(-1, 2), Fraction(8, 3), Fraction(13, 12), 4)
+        cases = [(p, 12) for p in GRID] + [(family, 30)]  # GRID holds COLLIDING
+        zero_pivots = 0
+        for p, max_w in cases:
+            for w in range(max_w + 1):
+                for j in range(p.size):
+                    lam = hyper_eigenvalue(p, w, j)
+                    col, earlier = mvop.hyper._descend(p, w, j, lam)
+                    assert (col, earlier) == fraction_descent(p, w, j, lam)
+                    for m in range(w + 1):
+                        for (x,) in col.coeff(m):
+                            assert type(x) is Fraction and x.denominator > 0
+                            assert math.gcd(x.numerator, x.denominator) == 1
+                    zero_pivots += len(earlier)
+        # both branches of the pivot test ran
+        assert zero_pivots > 0
+
 
 class TestMatrixFamily:
     def test_rows_are_columns(self):
@@ -501,6 +565,17 @@ class TestMatrixFamily:
                 assert poly.coeff(w) == lead
                 for r in range(p.size):
                     assert lead[r] == kernel_vector(p, w, r)
+
+    @pytest.mark.parametrize("w", [1.5, 2.0, True, Fraction(1)])
+    def test_leading_coefficient_rejects_inexact_degree(self, w):
+        with pytest.raises(ValueError, match="integer"):
+            leading_coefficient(BASE, w)
+
+    @pytest.mark.parametrize("w", [1.5, 2.0, True, Fraction(1)])
+    def test_orthogonal_polynomial_rejects_inexact_degree(self, w):
+        orthogonal_polynomial(BASE, int(w))
+        with pytest.raises(ValueError, match="integer"):
+            orthogonal_polynomial(BASE, w)
 
     def test_leading_unit_lower_triangular(self):
         for p in GRID:

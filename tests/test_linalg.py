@@ -270,6 +270,21 @@ def test_matmul_rejects_inner_dimension_mismatch():
         linalg.matmul(((1, 2),), ((3,),))
 
 
+def test_add_rejects_mismatched_shapes():
+    # zip would truncate: ((1, 2),) + ((3,),) read as ((4,),)
+    with pytest.raises(ValueError):
+        linalg.add(((1, 2),), ((3,),))
+    with pytest.raises(ValueError):
+        linalg.add(((1,), (2,)), ((3,),))
+
+
+def test_sub_rejects_mismatched_shapes():
+    with pytest.raises(ValueError):
+        linalg.sub(((1,), (2,)), ((3,),))
+    with pytest.raises(ValueError):
+        linalg.sub(((1,),), ((3, 4),))
+
+
 def test_matmul_sum_rejects_unequal_term_counts():
     with pytest.raises(ValueError):
         linalg.matmul_sum([((1,),), ((2,),)], [((3,),)])

@@ -31,6 +31,9 @@ GRID = [
 
 BASE = Params(0, 1, 1, 1)
 
+# w or j given as a float, a bool or a Fraction: none is an integer slot index
+INEXACT = [(1.5, 0), (2.0, 0), (True, 0), (1, 1.0), (1, True), (Fraction(1), 0)]
+
 
 class TestParams:
     def test_coerces_to_fractions(self):
@@ -226,6 +229,16 @@ class TestEigenvalues:
             hyper_eigenvalue(BASE, -1, 0)
         with pytest.raises(ValueError):
             companion_eigenvalue(BASE, 0, 2)
+
+    @pytest.mark.parametrize("w, j", INEXACT)
+    def test_hyper_eigenvalue_rejects_inexact_slots(self, w, j):
+        with pytest.raises(ValueError, match="integer"):
+            hyper_eigenvalue(BASE, w, j)
+
+    @pytest.mark.parametrize("w, j", INEXACT)
+    def test_companion_eigenvalue_rejects_inexact_slots(self, w, j):
+        with pytest.raises(ValueError, match="integer"):
+            companion_eigenvalue(BASE, w, j)
 
     def test_scalar_relation(self):
         # mu = (alpha + 2 ell + 3k + 3w) lambda + 3w (ell + k + w)(w + alpha + beta + ell + 1)
