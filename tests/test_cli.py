@@ -62,7 +62,7 @@ def test_polys_deterministic(capsys):
     ],
 )
 def test_polys_deep_output_is_byte_identical(capsys, fmt, digest):
-    # sha256 of the output before the construction moved to integer arithmetic
+    # digests of the output of the per-entry Fraction construction; a faster one must match byte for byte
     flags = ["--alpha=3/2", "--beta=5/3", "--k=3/2", "--ell=4", "--max-w=30", "--format", fmt]
     code, out, _ = run_cli(capsys, "polys", *flags)
     assert code == 0
