@@ -19,15 +19,15 @@ from .model import (
     monic_eigenvalue,
     potential_matrix,
     recursion_matrix,
-    vec_inner_product,
     weight_core,
-    weight_spec,
 )
 from .hyper import (
     BracketSeq,
     CollisionClass,
+    Family,
     bracket_seq,
     build_column,
+    family,
     find_collisions,
     kernel_vector,
     leading_coefficient,

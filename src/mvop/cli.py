@@ -17,7 +17,7 @@ import sys
 from .exact import format_rational, parse_rational
 from .hyper import build_column, find_collisions
 from .model import Params, companion_eigenvalue, eigen_table, hyper_eigenvalue
-from .verify import gram_table, run_suite
+from .verify import gram_block, run_suite
 
 
 def _rational_flag(text: str):
@@ -131,8 +131,7 @@ def cmd_collisions(p: Params, args) -> tuple[str, int]:
 
 
 def cmd_gram(p: Params, args) -> tuple[str, int]:
-    gram = gram_table(p)
-    blocks = [gram(w, wp) for w in range(args.max_w + 1) for wp in range(w, args.max_w + 1)]
+    blocks = [gram_block(p, w, wp) for w in range(args.max_w + 1) for wp in range(w, args.max_w + 1)]
     if args.format == "json":
         return _json_text([b.as_dict() for b in blocks]), 0
     rows = [

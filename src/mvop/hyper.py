@@ -17,6 +17,8 @@ gcd per degree.  A later slot of a class is certified as an eigenfunction
 of the commuting companion operator, which makes it orthogonal to the
 earlier ones without a pairing.  bracket_seq and poly_solution_space are the
 dense reference for that construction.
+
+One Family holds all that a parameter set fixes; family(p) keeps the latest.
 """
 
 from __future__ import annotations
@@ -24,19 +26,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import linalg
 from .matpoly import MatPoly
 from .exact import poch
 from .model import (
     Params,
+    WeightSpec,
     _check_j,
     _check_w,
     companion_eigenvalue,
     companion_operator,
     drift_matrix,
     hyper_eigenvalue,
+    hyper_operator,
+    moment_rows,
+    pair_rows,
     potential_matrix,
     recursion_matrix,
 )
@@ -49,6 +55,8 @@ __all__ = [
     "kernel_vector",
     "find_collisions",
     "poly_solution_space",
+    "Family",
+    "family",
     "build_column",
     "orthogonal_polynomial",
     "leading_coefficient",
@@ -181,93 +189,146 @@ def poly_solution_space(p: Params, lam, n: int) -> list:
     return linalg.nullspace(bracket_seq(p, lam, n + 1).coeffs[n + 1])
 
 
-def _descend(p: Params, w: int, j: int, lam: Fraction) -> tuple[MatPoly, list]:
-    """A degree-w polynomial solution for slot (w, j), built downward from
-    f_w = kernel_vector(p, w, j) through
-    (i+1)(recursion_matrix + i) f_{i+1} = (i (drift_matrix + i - 1) + potential_matrix + lam) f_i,
-    and the slots (i, r) where a pivot vanished.
+class Family:
+    """Everything one parameter set fixes, kept as long as the instance: the
+    operator matrices of the descent as integer rows over their common scale
+    L, and, each built on first use, the weight (a WeightSpec), the operators
+    D and E, the columns and each P_w, and the moment rows of each P_w' that
+    the Gram blocks pair against."""
 
-    The left side is a lower-bidiagonal product; the right matrix is upper
-    bidiagonal with diagonal entry r equal to lam - hyper_eigenvalue(p, i, r),
-    so f_i follows by back-substitution.  That pivot vanishes exactly at the
-    earlier members (i, r) of the class of lam.  There the right side must
-    vanish too, and the free entry is set to 0.
+    weight = cached_property(lambda self: WeightSpec(self.params))
+    hyper = cached_property(lambda self: hyper_operator(self.params))
+    companion = cached_property(lambda self: companion_operator(self.params))
 
-    It runs on integers: the matrices and lam over one scale L, f_i as
-    numerators over one common denominator that each nonzero pivot multiplies
-    (rescaling the rows already solved), reduced by one gcd per degree.
-    """
-    n = p.size
-    rows, scale = linalg._integer_form(recursion_matrix(p) + drift_matrix(p) + potential_matrix(p) + ((lam,),))
-    c, u, v, lam = rows[:n], rows[n : 2 * n], rows[2 * n : 3 * n], rows[3 * n][0]
-    top = kernel_vector(p, w, j)
-    (f,), den = linalg._integer_form((top,))
-    coeffs, zero_pivots = [tuple((x,) for x in top)], []
-    for i in range(w - 1, -1, -1):
-        g, grow = [0] * n, 1
-        for r in range(n - 1, -1, -1):
-            rhs = (c[r][r] + i * scale) * f[r]
-            if r > 0:
-                rhs += c[r][r - 1] * f[r - 1]
-            rhs *= (i + 1) * grow
-            if r < n - 1:
-                rhs -= v[r][r + 1] * g[r + 1]
-            pivot = i * (u[r][r] + (i - 1) * scale) + v[r][r] + lam
-            if pivot:
-                g = [x * pivot for x in g]
-                g[r], grow = rhs, grow * pivot
-            elif rhs:
-                raise ArithmeticError(f"inconsistent recursion at degree {i}, row {r} for slot ({w}, {j})")
-            else:
-                zero_pivots.append((i, r))
-        common = math.gcd(den * grow, *g)
-        f, den = [x // common for x in g], den * grow // common
-        coeffs.append(tuple((Fraction(x, den),) for x in f))
-    coeffs.reverse()
-    return MatPoly(n, coeffs, 1), zero_pivots
+    def __init__(self, params: Params):
+        p = self.params = params
+        self._rows, self._scale = linalg._integer_form(recursion_matrix(p) + drift_matrix(p) + potential_matrix(p))
+        self._columns, self._polys, self._moment_rows = {}, {}, {}
+
+    def _descend(self, w: int, j: int, lam) -> tuple[MatPoly, list]:
+        """A degree-w polynomial solution for slot (w, j), built downward from
+        f_w = kernel_vector(p, w, j) through
+        (i+1)(recursion_matrix + i) f_{i+1} = (i (drift_matrix + i - 1) + potential_matrix + lam) f_i,
+        and the slots (i, r) where a pivot vanished.
+
+        The left side is a lower-bidiagonal product; the right matrix is upper
+        bidiagonal with diagonal entry r equal to lam - hyper_eigenvalue(p, i, r),
+        so f_i follows by back-substitution.  That pivot vanishes exactly at the
+        earlier members (i, r) of the class of lam.  There the right side must
+        vanish too, and the free entry is set to 0.
+
+        It runs on integers: the matrices over their scale L (so lam L must be
+        an integer, else ArithmeticError), f_i as numerators over one common
+        denominator that each nonzero pivot multiplies (rescaling the rows
+        already solved), reduced by one gcd per degree.
+        """
+        n, rows, scale = self.params.size, self._rows, self._scale
+        c, u, v = rows[:n], rows[n : 2 * n], rows[2 * n :]
+        lam = lam * scale
+        if lam.denominator != 1:
+            raise ArithmeticError(f"lam times the operator scale {scale} is not an integer: {lam}")
+        lam = lam.numerator
+        top = kernel_vector(self.params, w, j)
+        (f,), den = linalg._integer_form((top,))
+        coeffs, zero_pivots = [tuple((x,) for x in top)], []
+        for i in range(w - 1, -1, -1):
+            g, grow = [0] * n, 1
+            for r in range(n - 1, -1, -1):
+                rhs = (c[r][r] + i * scale) * f[r]
+                if r > 0:
+                    rhs += c[r][r - 1] * f[r - 1]
+                rhs *= (i + 1) * grow
+                if r < n - 1:
+                    rhs -= v[r][r + 1] * g[r + 1]
+                pivot = i * (u[r][r] + (i - 1) * scale) + v[r][r] + lam
+                if pivot:
+                    g = [x * pivot for x in g]
+                    g[r], grow = rhs, grow * pivot
+                elif rhs:
+                    raise ArithmeticError(f"inconsistent recursion at degree {i}, row {r} for slot ({w}, {j})")
+                else:
+                    zero_pivots.append((i, r))
+            common = math.gcd(den * grow, *g)
+            f, den = [x // common for x in g], den * grow // common
+            coeffs.append(tuple((Fraction(x, den),) for x in f))
+        coeffs.reverse()
+        return MatPoly(n, coeffs, 1), zero_pivots
+
+    def column(self, w: int, j: int) -> MatPoly:
+        """Degree-w column eigenfunction for slot (w, j), a dim x 1 MatPoly whose
+        leading coefficient is kernel_vector(p, w, j), solved downward from it.
+
+        Where the descent met earlier members of the class of lam, the column is
+        checked exactly to be the eigenfunction of the companion operator E for
+        mu(w, j), with mu apart from theirs (else ArithmeticError).  E commutes
+        with D, keeps degree and is symmetric for the weight, so among the
+        degree-<= w solutions of D F = lam F, whose E-eigenvalues are the mu of
+        the class, one eigenvector for mu(w, j) has top coefficient kernel_vector
+        and it is orthogonal to the earlier columns: the Gram-Schmidt column.
+        That the descent's free entries 0 land on it is checked, not proved.
+
+        The mu differ: lam strictly decreases in w and in j, so an earlier member
+        (w, j) of (w', j') has d = w' - w >= 1 and g = j - j' >= 1.  With
+        A = alpha + beta + j' + d + ell + 2w + 1 > 1, mu(w', j') - mu(w, j) is
+        3 d (g - d) A (A + g) / g, and lam(w, j) = lam(w', j') gives
+        k g = g (A + j' + g - ell - d - w) - d A < 0 if d >= g (as j' + g <= ell),
+        against k > 0.  So d < g, and mu strictly increases along a class.
+        """
+        p = self.params
+        _check_w(w)
+        _check_j(p, j)
+        if (w, j) in self._columns:
+            return self._columns[w, j]
+        column, earlier = self._descend(w, j, hyper_eigenvalue(p, w, j))
+        if earlier:
+            mu = companion_eigenvalue(p, w, j)
+            for slot in earlier:
+                if companion_eigenvalue(p, *slot) == mu:
+                    raise ArithmeticError(f"slots {slot} and ({w}, {j}) share both eigenvalues")
+            if self.companion.apply(column) != column * mu:
+                raise ArithmeticError(f"column ({w}, {j}) is not an eigenfunction of the companion operator")
+        self._columns[w, j] = column
+        return column
+
+    def poly(self, w: int) -> MatPoly:
+        """Degree-w matrix polynomial P_w whose row j is the column (w, j).
+
+        Its leading coefficient is leading_coefficient(p, w), unit lower
+        triangular, so the family is linearly independent degree by degree.
+        """
+        _check_w(w)
+        if w not in self._polys:
+            cols = [self.column(w, j) for j in range(self.params.size)]
+            coeffs = [tuple(tuple(x for (x,) in col.coeff(m)) for col in cols) for m in range(w + 1)]
+            self._polys[w] = MatPoly(self.params.size, coeffs)
+        return self._polys[w]
+
+    def gram(self, w: int, w_prime: int):
+        """The pairing block <P_w, P_w'>, P_w paired against the moment rows of
+        P_w'.  The rows a <= max(w, w') of each P_w' are computed on first use
+        and again only when a wider P_w needs more; every block is still its
+        own exact sum."""
+        left, right = self.poly(w), self.poly(w_prime)
+        rows = self._moment_rows.get(w_prime, ())
+        if len(rows) <= w:
+            rows = self._moment_rows[w_prime] = moment_rows(right, self.weight, max(w, w_prime) + 1)
+        return pair_rows(left, rows, self.params.size)
 
 
-@lru_cache(maxsize=None, typed=True)  # so True and 2.0 miss the cache and fail the w, j checks
+@lru_cache(maxsize=1)
+def family(p: Params) -> Family:
+    """The latest parameter set's Family, which the Params-keyed functions share."""
+    return Family(p)
+
+
 def build_column(p: Params, w: int, j: int) -> MatPoly:
-    """Degree-w column eigenfunction for slot (w, j), a dim x 1 MatPoly whose
-    leading coefficient is kernel_vector(p, w, j), solved downward from it.
-
-    Where the descent met earlier members of the class of lam, the column is
-    checked exactly to be the eigenfunction of the companion operator E for
-    mu(w, j), with mu apart from theirs (else ArithmeticError).  E commutes
-    with D, keeps degree and is symmetric for the weight, so among the
-    degree-<= w solutions of D F = lam F, whose E-eigenvalues are the mu of
-    the class, one eigenvector for mu(w, j) has top coefficient kernel_vector
-    and it is orthogonal to the earlier columns: the Gram-Schmidt column.
-    That the descent's free entries 0 land on it is checked, not proved.
-
-    The mu differ: lam strictly decreases in w and in j, so an earlier member
-    (w, j) of (w', j') has d = w' - w >= 1 and g = j - j' >= 1.  With
-    A = alpha + beta + j' + d + ell + 2w + 1 > 1, mu(w', j') - mu(w, j) is
-    3 d (g - d) A (A + g) / g, and lam(w, j) = lam(w', j') gives
-    k g = g (A + j' + g - ell - d - w) - d A < 0 if d >= g (as j' + g <= ell),
-    against k > 0.  So d < g, and mu strictly increases along a class.
-    """
-    column, earlier = _descend(p, w, j, hyper_eigenvalue(p, w, j))  # validates w and j
-    if earlier:
-        mu = companion_eigenvalue(p, w, j)
-        for slot in earlier:
-            if companion_eigenvalue(p, *slot) == mu:
-                raise ArithmeticError(f"slots {slot} and ({w}, {j}) share both eigenvalues")
-        if companion_operator(p).apply(column) != column * mu:
-            raise ArithmeticError(f"column ({w}, {j}) is not an eigenfunction of the companion operator")
-    return column
+    """Degree-w column eigenfunction for slot (w, j): Family.column."""
+    return family(p).column(w, j)
 
 
 def orthogonal_polynomial(p: Params, w: int) -> MatPoly:
-    """Degree-w matrix polynomial whose row j is the column eigenfunction (w, j).
-
-    Its leading coefficient is leading_coefficient(p, w), unit lower
-    triangular, so the family is linearly independent degree by degree.
-    """
-    cols = [build_column(p, w, j) for j in range(p.size)]
-    coeffs = [tuple(tuple(x for (x,) in col.coeff(m)) for col in cols) for m in range(w + 1)]
-    return MatPoly(p.size, coeffs)
+    """Degree-w matrix polynomial whose row j is column (w, j): Family.poly."""
+    return family(p).poly(w)
 
 
 def leading_coefficient(p: Params, w: int):

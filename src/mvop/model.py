@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import linalg
-from .exact import MomentFunctional, falling, format_rational, gen_binom
+from .exact import MomentFunctional, falling, format_rational, gen_binom, parse_rational
 from .matpoly import DiffOp, MatPoly
 
 __all__ = [
@@ -26,11 +25,9 @@ __all__ = [
     "potential_matrix",
     "weight_core",
     "WeightSpec",
-    "weight_spec",
     "moment_rows",
     "pair_rows",
     "inner_product",
-    "vec_inner_product",
     "hyper_operator",
     "companion_blocks",
     "companion_operator",
@@ -54,9 +51,9 @@ class Params:
     def __post_init__(self):
         for name in ("alpha", "beta", "k"):
             value = getattr(self, name)
-            if isinstance(value, float):
-                raise ValueError(f"{name} must be an exact rational, not a float")
-            object.__setattr__(self, name, Fraction(value))
+            if isinstance(value, (float, bool)):
+                raise ValueError(f"{name} must be an exact rational, not a {type(value).__name__}")
+            object.__setattr__(self, name, parse_rational(value) if isinstance(value, str) else Fraction(value))
         if not isinstance(self.ell, int) or isinstance(self.ell, bool):
             raise ValueError("ell must be an integer >= 1")
         if self.alpha <= -1:
@@ -121,7 +118,6 @@ def potential_matrix(p: Params):
     return linalg.freeze_matrix(m)
 
 
-@lru_cache(maxsize=None)
 def weight_core(p: Params) -> MatPoly:
     """Polynomial part of the weight; the full weight is (1-u)^alpha u^beta times this.
 
@@ -178,11 +174,6 @@ class WeightSpec:
         return self._table[m]
 
 
-@lru_cache(maxsize=None)
-def weight_spec(params: Params) -> WeightSpec:
-    return WeightSpec(params)
-
-
 def moment_rows(qq: MatPoly, ws: WeightSpec, n: int):
     """The moment rows N[a] = sum_b H_{a+b} qq_b^T for a < n; N[a], a
     dim x qq.dim matrix, is the pairing of u^a I against qq."""
@@ -214,12 +205,6 @@ def inner_product(pp: MatPoly, qq: MatPoly, ws: WeightSpec):
     return pair_rows(pp, moment_rows(qq, ws, len(pp.coeffs)), qq.dim)
 
 
-def vec_inner_product(pv: MatPoly, qv: MatPoly, ws: WeightSpec) -> Fraction:
-    """Scalar pairing integral of pv^T W qv of two dim x 1 columns."""
-    return inner_product(pv.transpose(), qv.transpose(), ws)[0][0]
-
-
-@lru_cache(maxsize=None)
 def hyper_operator(p: Params) -> DiffOp:
     """Second-order operator in matrix hypergeometric form.
 
@@ -256,7 +241,6 @@ def companion_blocks(p: Params):
     return tuple(linalg.freeze_matrix(m) for m in (q0, q1, r0, r1))
 
 
-@lru_cache(maxsize=None)
 def companion_operator(p: Params) -> DiffOp:
     """The second symmetric operator; commutes with hyper_operator."""
     q0, q1, r0, r1 = companion_blocks(p)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import linalg
 from .exact import format_rational
@@ -22,26 +23,18 @@ from .model import (
     Params,
     WeightSpec,
     companion_eigenvalue,
-    companion_operator,
     eigenvalue_matrix,
     hyper_eigenvalue,
-    hyper_operator,
     inner_product,
-    moment_rows,
     monic_eigenvalue,
     pair_rows,
-    vec_inner_product,
-    weight_spec,
 )
-from .hyper import find_collisions, kernel_vector, leading_coefficient, orthogonal_polynomial
+from .hyper import family, find_collisions, leading_coefficient
 
 __all__ = [
     "WeightSpec",
-    "weight_spec",
     "GramBlock",
-    "gram_table",
     "inner_product",
-    "vec_inner_product",
     "gram_block",
     "check_symmetry_reduced",
     "BoundaryReport",
@@ -73,23 +66,10 @@ class GramBlock:
         }
 
 
-def gram_table(p: Params):
-    """A function (w, w') -> GramBlock that pairs P_w against the moment rows
-    of P_w'.  The rows a <= max(w, w') of each P_w' are computed on first use
-    and again only when a wider P_w needs more; they live as long as the
-    function, and every block is still its own exact sum."""
-    ws, rows = weight_spec(p), {}
-
-    def block(w: int, w_prime: int) -> GramBlock:
-        if len(rows.get(w_prime, ())) <= w:
-            rows[w_prime] = moment_rows(orthogonal_polynomial(p, w_prime), ws, max(w, w_prime) + 1)
-        return GramBlock(w, w_prime, pair_rows(orthogonal_polynomial(p, w), rows[w_prime], p.size))
-
-    return block
-
-
 def gram_block(p: Params, w: int, w_prime: int) -> GramBlock:
-    return gram_table(p)(w, w_prime)
+    """The pairing block of P_w and P_w', from the moment rows that
+    family(p) shares across blocks."""
+    return GramBlock(w, w_prime, family(p).gram(w, w_prime))
 
 
 def _conv(s, t):
@@ -235,8 +215,9 @@ def check_bilinear_symmetry(ws: WeightSpec, op: DiffOp, max_power: int = 4) -> b
 def check_eigen(p: Params, w: int) -> bool:
     """Both operators act on the transposed degree-w family by right
     multiplication with their diagonal eigenvalue matrices."""
-    pt = orthogonal_polynomial(p, w).transpose()
-    for op, which in ((hyper_operator(p), "hyper"), (companion_operator(p), "companion")):
+    fam = family(p)
+    pt = fam.poly(w).transpose()
+    for op, which in ((fam.hyper, "hyper"), (fam.companion, "companion")):
         expected = pt * MatPoly.constant(eigenvalue_matrix(p, w, which))
         if op.apply(pt) != expected:
             return False
@@ -245,8 +226,8 @@ def check_eigen(p: Params, w: int) -> bool:
 
 def check_commute(p: Params) -> bool:
     """The two operators commute as an exact operator identity."""
-    d = hyper_operator(p)
-    e = companion_operator(p)
+    fam = family(p)
+    d, e = fam.hyper, fam.companion
     return (d.compose(e) - e.compose(d)).is_zero()
 
 
@@ -261,11 +242,12 @@ def decompose_in_basis(h: MatPoly, p: Params) -> list:
         raise ValueError("h must be a square MatPoly of the family's size")
     if h.is_zero():
         return []
+    fam = family(p)
     n = h.degree
     out = [linalg.zeros(p.size)] * (n + 1)
     residual = h
     for d in range(n, -1, -1):
-        pt = orthogonal_polynomial(p, d).transpose()
+        pt = fam.poly(d).transpose()
         coeff = residual.coeff(d)
         if linalg.is_zero_matrix(coeff):
             continue
@@ -359,21 +341,13 @@ def _zero_residuals(ws, op):
     return not bad, f"nonzero residuals: {bad}" if bad else None
 
 
-def _relation_scalars(p: Params, w: int):
-    shift = p.alpha + 2 * p.ell + 3 * p.k + 3 * w
-    offset = 3 * w * (p.ell + p.k + w) * (w + p.alpha + p.beta + p.ell + 1)
-    return shift, offset
-
-
 def run_suite(p: Params, max_w: int = 6) -> VerificationReport:
     """Run every verification for the given parameters, in a fixed order."""
     if max_w < 0:
         raise ValueError("max_w must be >= 0")
-    ws = weight_spec(p)
-    d = hyper_operator(p)
-    e = companion_operator(p)
+    fam = family(p)
+    ws, d, e = fam.weight, fam.hyper, fam.companion
     eig_span = max(max_w, 20)
-    gram = gram_table(p)
 
     def boundary(op):
         def thunk():
@@ -385,7 +359,7 @@ def run_suite(p: Params, max_w: int = 6) -> VerificationReport:
 
     def gram_pair(w, wp):
         def thunk():
-            block = gram(w, wp).entries
+            block = fam.gram(w, wp)
             for i, row in enumerate(block):
                 for j, x in enumerate(row):
                     if x != 0:
@@ -397,7 +371,7 @@ def run_suite(p: Params, max_w: int = 6) -> VerificationReport:
     def norms():
         # each block <P_w, P_w> must be diagonal with positive diagonal
         for w in range(max_w + 1):
-            for i, row in enumerate(gram(w, w).entries):
+            for i, row in enumerate(fam.gram(w, w)):
                 for j, x in enumerate(row):
                     if (x <= 0 if i == j else x != 0):
                         return False, f"norm block entry (w, i, j) = ({w}, {i}, {j}) is {format_rational(x)}"
@@ -407,35 +381,23 @@ def run_suite(p: Params, max_w: int = 6) -> VerificationReport:
         return lambda: (check_eigen(p, w), f"eigenfunction identity fails at w = {w}")
 
     def leading(w):
+        return lambda: (fam.poly(w).leading() == leading_coefficient(p, w), f"leading coefficient differs at w = {w}")
+
+    def relation(witness, matrix):
+        # matrix(n, "companion") = shift * matrix(n, "hyper") + offset * I for every n <= eig_span
         def thunk():
-            built = orthogonal_polynomial(p, w).leading()
-            return built == leading_coefficient(p, w), f"leading coefficient differs at w = {w}"
+            for n in range(eig_span + 1):
+                shift = p.alpha + 2 * p.ell + 3 * p.k + 3 * n
+                offset = 3 * n * (p.ell + p.k + n) * (n + p.alpha + p.beta + p.ell + 1)
+                rhs = linalg.add(linalg.scale(matrix(n, "hyper"), shift), linalg.scale(linalg.identity(p.size), offset))
+                if matrix(n, "companion") != rhs:
+                    return False, f"{witness} = {n}"
+            return True, None
 
         return thunk
 
-    def eigen_relation():
-        for w in range(eig_span + 1):
-            shift, offset = _relation_scalars(p, w)
-            lhs = eigenvalue_matrix(p, w, "companion")
-            rhs = linalg.add(
-                linalg.scale(eigenvalue_matrix(p, w, "hyper"), shift),
-                linalg.scale(linalg.identity(p.size), offset),
-            )
-            if lhs != rhs:
-                return False, f"eigenvalue relation fails at w = {w}"
-        return True, None
-
-    def monic_relation():
-        for n in range(eig_span + 1):
-            shift, offset = _relation_scalars(p, n)
-            lhs = monic_eigenvalue(e, n)
-            rhs = linalg.add(
-                linalg.scale(monic_eigenvalue(d, n), shift),
-                linalg.scale(linalg.identity(p.size), offset),
-            )
-            if lhs != rhs:
-                return False, f"monic eigenvalue relation fails at n = {n}"
-        return True, None
+    def monic(n, which):
+        return monic_eigenvalue(d if which == "hyper" else e, n)
 
     def ideal():
         report = check_ideal(p, eig_span)
@@ -458,17 +420,14 @@ def run_suite(p: Params, max_w: int = 6) -> VerificationReport:
         for _ in range(10):
             degree = rng.randint(0, top)
             coeffs = [
-                [
-                    [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(p.size)]
-                    for _ in range(p.size)
-                ]
+                [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(p.size)] for _ in range(p.size)]
                 for _ in range(degree + 1)
             ]
             h = MatPoly(p.size, coeffs)
             parts = decompose_in_basis(h, p)
             rebuilt = MatPoly.zero(p.size)
             for dd, a_d in enumerate(parts):
-                rebuilt = rebuilt + orthogonal_polynomial(p, dd).transpose() * MatPoly.constant(a_d)
+                rebuilt = rebuilt + fam.poly(dd).transpose() * MatPoly.constant(a_d)
             if rebuilt != h:
                 return False, "reconstruction mismatch"
         return True, None
@@ -479,23 +438,16 @@ def run_suite(p: Params, max_w: int = 6) -> VerificationReport:
         ("boundary_hyper", boundary(d)),
         ("boundary_companion", boundary(e)),
         ("bilinear_symmetry_hyper", lambda: (check_bilinear_symmetry(ws, d), "defect on monomials")),
-        (
-            "bilinear_symmetry_companion",
-            lambda: (check_bilinear_symmetry(ws, e), "defect on monomials"),
-        ),
+        ("bilinear_symmetry_companion", lambda: (check_bilinear_symmetry(ws, e), "defect on monomials")),
         ("commutation", lambda: (check_commute(p), "nonzero commutator")),
     ]
     named += [(f"eigenfunctions_w{w}", eigen(w)) for w in range(max_w + 1)]
     named += [(f"leading_coefficient_w{w}", leading(w)) for w in range(max_w + 1)]
-    named += [
-        (f"gram_zero_w{w}_w{wp}", gram_pair(w, wp))
-        for w in range(max_w + 1)
-        for wp in range(w + 1, max_w + 1)
-    ]
+    named += [(f"gram_zero_w{w}_w{wp}", gram_pair(w, wp)) for w in range(max_w + 1) for wp in range(w + 1, max_w + 1)]
     named += [
         ("gram_norms_positive", norms),
-        ("eigenvalue_relation", eigen_relation),
-        ("monic_eigenvalue_relation", monic_relation),
+        ("eigenvalue_relation", relation("eigenvalue relation fails at w", partial(eigenvalue_matrix, p))),
+        ("monic_eigenvalue_relation", relation("monic eigenvalue relation fails at n", monic)),
         ("ideal_lines", ideal),
         ("collision_classes", collisions),
         ("decomposition_random", decomposition),

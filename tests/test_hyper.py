@@ -1,5 +1,7 @@
+import gc
 import math
 import re
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -9,8 +11,10 @@ import mvop.hyper
 import mvop.model
 from mvop import linalg
 from mvop.hyper import (
+    Family,
     bracket_seq,
     build_column,
+    family,
     find_collisions,
     kernel_vector,
     leading_coefficient,
@@ -19,16 +23,18 @@ from mvop.hyper import (
     termination_matrix,
 )
 from mvop.matpoly import MatPoly
+from mvop.verify import gram_block
 from mvop.model import (
     Params,
+    WeightSpec,
     companion_eigenvalue,
     drift_matrix,
     hyper_eigenvalue,
     hyper_operator,
+    inner_product,
     potential_matrix,
     recursion_matrix,
 )
-from mvop.verify import vec_inner_product, weight_spec
 
 GRID = [
     Params(0, 1, 1, 1),
@@ -41,6 +47,11 @@ BASE = Params(0, 1, 1, 1)
 COLLIDING = Params(0, 1, Fraction(3, 2), 2)
 # w or j given as a float, a bool or a Fraction: none is an integer slot index
 INEXACT = [(1.5, 0), (2.0, 0), (True, 0), (1, 1.0), (1, True), (Fraction(1), 0)]
+
+
+def column_pairing(pv, qv, ws):
+    """Scalar pairing of two dim x 1 columns through the matrix pairing."""
+    return inner_product(pv.transpose(), qv.transpose(), ws)[0][0]
 
 
 def column(vec):
@@ -107,7 +118,7 @@ def orthogonalized_column(p, w, j):
     if pos == 0:
         return bracket_column(p, w, j)
     earlier = [orthogonalized_column(p, *slot) for slot in members[:pos]]
-    ws = weight_spec(p)
+    ws = WeightSpec(p)
     brackets = bracket_seq(p, lam, w).coeffs
     basis = poly_solution_space(p, lam, w)
     assert len(basis) == pos + 1
@@ -119,7 +130,7 @@ def orthogonalized_column(p, w, j):
         ]
         cand = MatPoly(p.size, series, 1)
         for q in earlier:
-            cand = cand - q * (vec_inner_product(cand, q, ws) / vec_inner_product(q, q, ws))
+            cand = cand - q * (column_pairing(cand, q, ws) / column_pairing(q, q, ws))
         reduced.append(cand)
     pick = next(v for v in reduced if not v.is_zero())
     assert pick.degree == w
@@ -139,7 +150,7 @@ def shifted_termination(p, w, j):
 
 
 def fraction_descent(p, w, j, lam):
-    """Reference for hyper._descend: the same back-substitution, one Fraction
+    """Reference for Family._descend: the same back-substitution, one Fraction
     operation at a time."""
     c = recursion_matrix(p)
     u = drift_matrix(p)
@@ -413,12 +424,12 @@ class TestBuildColumn:
             (Params(0, 3, 1, 5), ((4, 5), (6, 2), (7, 0))),
         ):
             assert find_collisions(p, hyper_eigenvalue(p, *slots[0])).members == slots
-            ws = weight_spec(p)
+            ws = WeightSpec(p)
             cols = [build_column(p, w, j) for w, j in slots]
             for x, cx in enumerate(cols):
-                assert vec_inner_product(cx, cx, ws) > 0
+                assert column_pairing(cx, cx, ws) > 0
                 for cy in cols[:x]:
-                    assert vec_inner_product(cx, cy, ws) == 0
+                    assert column_pairing(cx, cy, ws) == 0
 
     def test_principal_columns_match_bracket_oracle(self):
         for p in GRID:
@@ -444,6 +455,7 @@ class TestBuildColumn:
         for w, j in ((6, 2), (7, 0)):
             assert build_column(p, w, j) == orthogonalized_column(p, w, j)
 
+    @pytest.mark.usefixtures("fresh_family")
     def test_later_slot_off_its_companion_eigenvalue_raises(self, monkeypatch):
         # lower columns of the class added to the descent keep the D-eigenvalue
         # and the leading coefficient but mix in other companion eigenvalues
@@ -453,20 +465,21 @@ class TestBuildColumn:
             (big, 7, 0): [(4, 5), (6, 2)],
         }
         shifts = {(p, w, j): [build_column(p, *slot) for slot in slots] for (p, w, j), slots in lower.items()}
-        real = mvop.hyper._descend
+        real = Family._descend
 
-        def shifted(p, w, j, lam):
-            col, earlier = real(p, w, j, lam)
-            for m, low in enumerate(shifts.get((p, w, j), ())):
+        def shifted(fam, w, j, lam):
+            col, earlier = real(fam, w, j, lam)
+            for m, low in enumerate(shifts.get((fam.params, w, j), ())):
                 col = col + low * Fraction(3, m + 2)
             return col, earlier
 
-        monkeypatch.setattr(mvop.hyper, "_descend", shifted)
-        build_column.cache_clear()
+        monkeypatch.setattr(Family, "_descend", shifted)
+        mvop.hyper.family.cache_clear()
         for p, w, j in lower:
             with pytest.raises(ArithmeticError, match=re.escape(f"column ({w}, {j}) is not an eigenfunction")):
                 build_column(p, w, j)
 
+    @pytest.mark.usefixtures("fresh_family")
     def test_class_sharing_a_companion_eigenvalue_raises(self, monkeypatch):
         real = mvop.hyper.companion_eigenvalue
 
@@ -474,10 +487,10 @@ class TestBuildColumn:
             return real(p, 1, 0) if (p, w, j) == (COLLIDING, 0, 2) else real(p, w, j)
 
         monkeypatch.setattr(mvop.hyper, "companion_eigenvalue", merged)
-        build_column.cache_clear()
         with pytest.raises(ArithmeticError, match=re.escape("slots (0, 2) and (1, 0) share both eigenvalues")):
             build_column(COLLIDING, 1, 0)
 
+    @pytest.mark.usefixtures("fresh_family")
     def test_descent_rejects_an_inconsistent_pivot(self, monkeypatch):
         # (1, 0) shares lam = -5 with the lower slot (0, 2), so the pivot of
         # row 2 vanishes at degree 0; a top value off the kernel vector leaves
@@ -490,10 +503,10 @@ class TestBuildColumn:
             return real(p, w, j)
 
         monkeypatch.setattr(mvop.hyper, "kernel_vector", skewed)
-        build_column.cache_clear()
         with pytest.raises(ArithmeticError, match="degree 0, row 2"):
             build_column(COLLIDING, 1, 0)
 
+    @pytest.mark.usefixtures("fresh_family")
     def test_principal_columns_skip_the_bracket_matrices(self, monkeypatch):
         # later slots included: the construction needs neither the dense
         # bracket path nor any pairing against the weight
@@ -506,7 +519,7 @@ class TestBuildColumn:
         monkeypatch.setattr(linalg, "nullspace", refuse)
         monkeypatch.setattr(mvop.model, "inner_product", refuse)
         monkeypatch.setattr(mvop.model.WeightSpec, "moment", refuse)
-        build_column.cache_clear()
+        monkeypatch.setattr(mvop.hyper, "moment_rows", refuse)
         big = Params(0, 3, 1, 5)
         slots = [(COLLIDING, w, j) for w in range(4) for j in range(COLLIDING.size)]
         slots += [(big, w, j) for w, j in ((4, 5), (6, 2), (7, 0))]
@@ -523,7 +536,7 @@ class TestBuildColumn:
 
     @pytest.mark.parametrize("w, j", INEXACT)
     def test_rejects_inexact_slots_after_the_integer_slot_is_cached(self, w, j):
-        # True and 2.0 hash like 1 and 2, so an untyped cache would answer them
+        # True and 2.0 hash like 1 and 2, so a lookup before the check would answer them
         build_column(BASE, int(w), int(j))
         with pytest.raises(ValueError, match="integer"):
             build_column(BASE, w, j)
@@ -533,10 +546,11 @@ class TestBuildColumn:
         cases = [(p, 12) for p in GRID] + [(family, 30)]  # GRID holds COLLIDING
         zero_pivots = 0
         for p, max_w in cases:
+            fam = Family(p)
             for w in range(max_w + 1):
                 for j in range(p.size):
                     lam = hyper_eigenvalue(p, w, j)
-                    col, earlier = mvop.hyper._descend(p, w, j, lam)
+                    col, earlier = fam._descend(w, j, lam)
                     assert (col, earlier) == fraction_descent(p, w, j, lam)
                     for m in range(w + 1):
                         for (x,) in col.coeff(m):
@@ -545,6 +559,43 @@ class TestBuildColumn:
                     zero_pivots += len(earlier)
         # both branches of the pivot test ran
         assert zero_pivots > 0
+
+
+class TestFamily:
+    @pytest.mark.usefixtures("fresh_family")
+    def test_sweep_builds_no_column_twice(self, monkeypatch):
+        # the benchmark sweep's sequence: every P_w, then every norm block
+        real, built = Family._descend, []
+
+        def recording(fam, w, j, lam):
+            built.append((fam.params, w, j))
+            return real(fam, w, j, lam)
+
+        monkeypatch.setattr(Family, "_descend", recording)
+        for p in (COLLIDING, GRID[1]):
+            for w in range(7):
+                orthogonal_polynomial(p, w)
+            for w in range(7):
+                gram_block(p, w, w)
+        assert len(built) == len(set(built)) == 2 * 7 * 3
+
+    @pytest.mark.usefixtures("fresh_family")
+    def test_previous_family_is_released(self):
+        first = family(COLLIDING)
+        build_column(COLLIDING, 1, 0)
+        assert family(COLLIDING) is first and first.column(1, 0) is build_column(COLLIDING, 1, 0)
+        gone = weakref.ref(first)
+        del first
+        second = family(BASE)
+        gc.collect()
+        assert gone() is None
+        assert family(BASE) is second
+
+    def test_lam_off_the_operator_scale_raises(self):
+        # every eigenvalue is an integer over the scale of the operator
+        # matrices; a lam with another denominator is refused
+        with pytest.raises(ArithmeticError, match="not an integer"):
+            Family(BASE)._descend(1, 0, Fraction(1, 7))
 
 
 class TestMatrixFamily:

@@ -57,6 +57,11 @@ class TestParams:
             ((0, 1.5, 1, 1), "beta must be an exact rational, not a float"),
             ((0, 1, 0.5, 1), "k must be an exact rational, not a float"),
             ((0, 1, 1, True), "ell must be an integer >= 1"),
+            # the forms the CLI's p/q flags reject
+            (("0.5", 1, 1, 1), "not an exact rational of the form p/q: '0.5'"),
+            (("1e-1", 1, 1, 1), "not an exact rational of the form p/q: '1e-1'"),
+            ((True, 1, 1, 1), "alpha must be an exact rational, not a bool"),
+            ((0, 1, False, 1), "k must be an exact rational, not a bool"),
         ],
     )
     def test_rejects_inadmissible(self, args, message):

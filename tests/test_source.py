@@ -24,3 +24,22 @@ def test_library_raises_no_assertion_error():
                 if isinstance(exc, ast.Name) and exc.id == "AssertionError":
                     found.append(f"{path.name}:{node.lineno}")
     assert not found, f"raise AssertionError in the library: {found}"
+
+
+def test_only_memo_keeps_the_latest_family():
+    # what one parameter set fixes lives in a Family and dies with it; the one
+    # module-level memo holds only the latest Family
+    uses = []
+    for path in sorted(Path(mvop.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        decorated = {
+            id(d.func if isinstance(d, ast.Call) else d): (node.name, ast.unparse(d))
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            for d in node.decorator_list
+        }
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if name in ("lru_cache", "cache"):
+                uses.append((path.name,) + decorated.get(id(node), (None, ast.unparse(node))))
+    assert uses == [("hyper.py", "family", "lru_cache(maxsize=1)")]

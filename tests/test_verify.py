@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+import mvop.hyper
 from mvop import linalg
-from mvop.hyper import CollisionClass, build_column, orthogonal_polynomial
+from mvop.hyper import CollisionClass, Family, build_column, orthogonal_polynomial
 from mvop import model, verify
 from mvop.matpoly import DiffOp, MatPoly
 from mvop.model import (
     Params,
+    WeightSpec,
     companion_operator,
     eigenvalue_matrix,
     hyper_operator,
@@ -27,8 +29,6 @@ from mvop.verify import (
     gram_block,
     inner_product,
     run_suite,
-    vec_inner_product,
-    weight_spec,
 )
 
 GRID = [
@@ -41,9 +41,14 @@ GRID = [
 BASE = Params(0, 1, 1, 1)
 
 
+def column_pairing(pv, qv, ws):
+    """Scalar pairing of two dim x 1 columns through the matrix pairing."""
+    return inner_product(pv.transpose(), qv.transpose(), ws)[0][0]
+
+
 class TestInnerProduct:
     def test_identity_pairing_frozen(self):
-        ws = weight_spec(BASE)
+        ws = WeightSpec(BASE)
         got = inner_product(MatPoly.identity(2), MatPoly.identity(2), ws)
         assert got == (
             (Fraction(4, 3), Fraction(2, 3)),
@@ -55,7 +60,7 @@ class TestInnerProduct:
         p = Params(Fraction(1, 2), Fraction(3, 2), 1, 2)
         pp = MatPoly(3, [linalg.identity(3), [[1, 2, 0], [0, -1, 3], [Fraction(1, 2), 0, 1]]])
         qq = MatPoly(3, [[[0, 1, 0], [2, 0, 0], [0, 0, 1]], linalg.zeros(3), linalg.identity(3)])
-        exact = inner_product(pp, qq, weight_spec(p))
+        exact = inner_product(pp, qq, WeightSpec(p))
         core = weight_core(p)
 
         def mpq(x):
@@ -79,42 +84,42 @@ class TestInnerProduct:
                 assert abs(got - want) < mpmath.mpf(10) ** -30 * max(1, abs(want))
 
     def test_vector_route_agrees_with_matrix_route(self):
-        ws = weight_spec(BASE)
+        ws = WeightSpec(BASE)
         pv = MatPoly(2, [[[1], [0]], [[0], [2]]], 1)
         qv = MatPoly(2, [[[Fraction(1, 2)], [-1]]], 1)
         as_rows_p = MatPoly(2, [[[1, 0], [0, 0]], [[0, 2], [0, 0]]])
         as_rows_q = MatPoly(2, [[[Fraction(1, 2), -1], [0, 0]]])
         block = inner_product(as_rows_p, as_rows_q, ws)
-        assert vec_inner_product(pv, qv, ws) == block[0][0]
+        assert column_pairing(pv, qv, ws) == block[0][0]
 
     def test_vec_inner_product_symmetric(self):
-        ws = weight_spec(BASE)
+        ws = WeightSpec(BASE)
         pv = MatPoly(2, [[[1], [2]], [[3], [0]]], 1)
         qv = MatPoly(2, [[[0], [1]], [[1], [1]], [[2], [0]]], 1)
-        assert vec_inner_product(pv, qv, ws) == vec_inner_product(qv, pv, ws)
-        assert vec_inner_product(pv, MatPoly.zero(2, 1), ws) == 0
+        assert column_pairing(pv, qv, ws) == column_pairing(qv, pv, ws)
+        assert column_pairing(pv, MatPoly.zero(2, 1), ws) == 0
 
     def test_zero_polynomial_pairs_to_zero_without_a_product(self, monkeypatch):
         def no_product(lefts, rights):
             raise AssertionError("a zero polynomial needs no product")
 
-        ws = weight_spec(BASE)
+        ws = WeightSpec(BASE)
         monkeypatch.setattr(linalg, "matmul_sum", no_product)
         assert model.moment_rows(MatPoly.zero(3, 2), ws, 2) == [linalg.zeros(2, 3)] * 2
         assert model.pair_rows(MatPoly.zero(1, 2), [], 3) == linalg.zeros(1, 3)
         assert inner_product(MatPoly.zero(2), MatPoly.identity(2), ws) == linalg.zeros(2)
 
     def test_dimension_guards(self):
-        ws = weight_spec(BASE)
+        ws = WeightSpec(BASE)
         with pytest.raises(ValueError):
             inner_product(MatPoly.identity(3), MatPoly.identity(3), ws)
         with pytest.raises(ValueError):
-            vec_inner_product(MatPoly.zero(3, 1), MatPoly.zero(3, 1), ws)
+            column_pairing(MatPoly.zero(3, 1), MatPoly.zero(3, 1), ws)
         with pytest.raises(ValueError):
             ws.moment(-1)
 
     def test_arguments_need_the_weight_dim_as_column_count(self):
-        ws = weight_spec(BASE)
+        ws = WeightSpec(BASE)
         with pytest.raises(ValueError):
             inner_product(MatPoly.zero(2, 3), MatPoly.identity(2), ws)
         with pytest.raises(ValueError):
@@ -166,7 +171,7 @@ class TestGram:
             return MatPoly(hi - lo, [c[lo:hi] for c in poly.coeffs], poly.cols)
 
         for p in GRID:
-            ws = weight_spec(p)
+            ws = WeightSpec(p)
             for w in range(7):
                 for wp in range(7):
                     pw, pwp = orthogonal_polynomial(p, w), orthogonal_polynomial(p, wp)
@@ -177,16 +182,17 @@ class TestGram:
 
     @staticmethod
     def _count_rows(monkeypatch):
-        real = verify.moment_rows
+        real = mvop.hyper.moment_rows
         calls = []
 
         def counting(qq, ws, n):
             calls.append((qq.degree, n))
             return real(qq, ws, n)
 
-        monkeypatch.setattr(verify, "moment_rows", counting)
+        monkeypatch.setattr(mvop.hyper, "moment_rows", counting)
         return calls
 
+    @pytest.mark.usefixtures("fresh_family")
     def test_suite_computes_rows_once_per_degree(self, monkeypatch):
         # each P_w' is paired against u^a I once per run, not once per block
         calls = self._count_rows(monkeypatch)
@@ -194,23 +200,23 @@ class TestGram:
         assert sorted(calls) == [(w, w + 1) for w in range(5)]
 
     def test_table_grows_rows_for_a_wider_left_factor(self, monkeypatch):
-        expected = [gram_block(BASE, w, 3) for w in (1, 0, 5, 4)]
+        expected = [gram_block(BASE, w, 3).entries for w in (1, 0, 5, 4)]
         calls = self._count_rows(monkeypatch)
-        gram = verify.gram_table(BASE)
-        assert [gram(w, 3) for w in (1, 0, 5, 4)] == expected
+        fam = Family(BASE)
+        assert [fam.gram(w, 3) for w in (1, 0, 5, 4)] == expected
         assert calls == [(3, 4), (3, 6)]
 
 
 class TestSymmetryReduced:
     def test_residuals_vanish_for_both_operators(self):
         for p in GRID:
-            ws = weight_spec(p)
+            ws = WeightSpec(p)
             for op in (hyper_operator(p), companion_operator(p)):
                 r1, r2, r3 = check_symmetry_reduced(ws, op)
                 assert r1.is_zero() and r2.is_zero() and r3.is_zero()
 
     def test_zero_order_perturbation_hits_only_third_residual(self):
-        ws = weight_spec(BASE)
+        ws = WeightSpec(BASE)
         op = hyper_operator(BASE)
         bump = MatPoly.constant([[0, 1], [0, 0]])
         perturbed = DiffOp(
@@ -221,7 +227,7 @@ class TestSymmetryReduced:
         assert not r3.is_zero()
 
     def test_first_order_perturbation_hits_second_residual(self):
-        ws = weight_spec(BASE)
+        ws = WeightSpec(BASE)
         op = hyper_operator(BASE)
         bump = MatPoly.constant([[0, 1], [0, 0]])
         perturbed = DiffOp(
@@ -233,20 +239,20 @@ class TestSymmetryReduced:
 
     def test_requires_order_two(self):
         with pytest.raises(ValueError):
-            check_symmetry_reduced(weight_spec(BASE), DiffOp.identity(2))
+            check_symmetry_reduced(WeightSpec(BASE), DiffOp.identity(2))
 
 
 class TestBoundary:
     def test_passes_for_both_operators(self):
         for p in GRID:
-            ws = weight_spec(p)
+            ws = WeightSpec(p)
             for op in (hyper_operator(p), companion_operator(p)):
                 report = check_boundary(ws, op)
                 assert report.passed
                 assert all(e.ok for e in report.entries)
 
     def test_entry_bookkeeping(self):
-        ws = weight_spec(BASE)
+        ws = WeightSpec(BASE)
         report = check_boundary(ws, hyper_operator(BASE))
         blocks = {e.block for e in report.entries}
         assert blocks == {"second_order", "first_order_skew"}
@@ -258,7 +264,7 @@ class TestBoundary:
     def test_detects_violations(self):
         # a constant skew first-order term leaves entries of Z alone at u = 1,
         # where alpha = 0 gives no help from the scalar factor
-        ws = weight_spec(BASE)
+        ws = WeightSpec(BASE)
         op = hyper_operator(BASE)
         perturbed = DiffOp(
             2,
@@ -274,23 +280,23 @@ class TestBoundary:
 
     def test_requires_order_two(self):
         with pytest.raises(ValueError):
-            check_boundary(weight_spec(BASE), DiffOp.identity(2))
+            check_boundary(WeightSpec(BASE), DiffOp.identity(2))
 
 
 class TestBilinearSymmetry:
     def test_holds_for_both_operators(self):
-        ws = weight_spec(BASE)
+        ws = WeightSpec(BASE)
         assert check_bilinear_symmetry(ws, hyper_operator(BASE), max_power=3)
         assert check_bilinear_symmetry(ws, companion_operator(BASE), max_power=3)
 
     def test_plain_derivative_fails(self):
-        ws = weight_spec(BASE)
+        ws = WeightSpec(BASE)
         ddu = DiffOp(2, (MatPoly.identity(2), MatPoly.zero(2)))
         assert not check_bilinear_symmetry(ws, ddu, max_power=2)
 
     def test_agrees_with_column_gram_matrix(self):
         # reference: G[(a, r), (b, t)] = <op(u^a e_r), u^b e_t>, one column pair at a time
-        ws = weight_spec(BASE)
+        ws = WeightSpec(BASE)
         op = hyper_operator(BASE)
         rng = random.Random(11)
         verdicts = set()
@@ -309,7 +315,7 @@ class TestBilinearSymmetry:
                     for a in range(max_power + 1)
                     for r in range(2)
                 ]
-                gram = [[vec_inner_product(perturbed.apply(f), g, ws) for g in units] for f in units]
+                gram = [[column_pairing(perturbed.apply(f), g, ws) for g in units] for f in units]
                 expected = all(gram[x][y] == gram[y][x] for x in range(len(units)) for y in range(x))
                 assert check_bilinear_symmetry(ws, perturbed, max_power=max_power) == expected
                 verdicts.add((max_power, expected))
@@ -398,6 +404,45 @@ class TestIdeal:
 
 
 class TestSuite:
+    @pytest.mark.usefixtures("fresh_family")
+    def test_suite_builds_each_part_once(self, monkeypatch):
+        # one Family serves every check: each column descends once, and the
+        # weight core and both operators are built once
+        counts = {}
+
+        def counting(owner, name):
+            real = getattr(owner, name)
+
+            def counted(*args):
+                counts[name] = counts.get(name, 0) + 1
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        counting(Family, "_descend")
+        counting(mvop.hyper, "hyper_operator")
+        counting(mvop.hyper, "companion_operator")
+        counting(model, "weight_core")
+        assert run_suite(Params(Fraction(1, 2), Fraction(3, 2), 1, 3), max_w=8).passed
+        assert counts == {"_descend": 36, "hyper_operator": 1, "companion_operator": 1, "weight_core": 1}
+
+    def test_relation_witnesses_name_the_first_failing_degree(self, monkeypatch):
+        # the identity added to every matrix of one degree breaks the relation there
+        def bump(real, at):
+            def bumped(x, n, *rest):
+                out = real(x, n, *rest)
+                return linalg.add(out, linalg.identity(len(out))) if n == at else out
+
+            return bumped
+
+        monkeypatch.setattr(verify, "eigenvalue_matrix", bump(verify.eigenvalue_matrix, 3))
+        monkeypatch.setattr(verify, "monic_eigenvalue", bump(verify.monic_eigenvalue, 5))
+        report = run_suite(BASE, max_w=1)
+        assert {c.name: c.witness for c in report.checks if c.status == "fail"} == {
+            "eigenvalue_relation": "eigenvalue relation fails at w = 3",
+            "monic_eigenvalue_relation": "monic eigenvalue relation fails at n = 5",
+        }
+
     def test_full_report_passes(self):
         report = run_suite(BASE, max_w=2)
         assert report.passed
@@ -423,7 +468,7 @@ class TestSuite:
             run_suite(BASE, max_w=-1)
         # an empty range must not pass vacuously
         with pytest.raises(ValueError):
-            check_bilinear_symmetry(weight_spec(BASE), hyper_operator(BASE), max_power=-1)
+            check_bilinear_symmetry(WeightSpec(BASE), hyper_operator(BASE), max_power=-1)
         with pytest.raises(ValueError):
             check_ideal(BASE, -3)
 
@@ -443,23 +488,18 @@ class TestSuite:
 
     @staticmethod
     def _patch_block(monkeypatch, at, entry, value):
-        # the suite reads every Gram block through the one table it builds
-        real = verify.gram_table
+        # the suite reads every Gram block through the Family of its parameters
+        real = Family.gram
 
-        def skewed_table(p):
-            gram = real(p)
+        def skewed(fam, w, wp):
+            block = real(fam, w, wp)
+            if (w, wp) != at:
+                return block
+            entries = [list(row) for row in block]
+            entries[entry[0]][entry[1]] = value
+            return tuple(map(tuple, entries))
 
-            def skewed(w, wp):
-                block = gram(w, wp)
-                if (w, wp) != at:
-                    return block
-                entries = [list(row) for row in block.entries]
-                entries[entry[0]][entry[1]] = value
-                return verify.GramBlock(w, wp, tuple(map(tuple, entries)))
-
-            return skewed
-
-        monkeypatch.setattr(verify, "gram_table", skewed_table)
+        monkeypatch.setattr(Family, "gram", skewed)
 
     def test_norm_block_with_off_diagonal_entry_fails(self, monkeypatch):
         self._patch_block(monkeypatch, (1, 1), (0, 1), Fraction(1, 7))
