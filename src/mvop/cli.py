@@ -89,10 +89,7 @@ def cmd_polys(p: Params, args) -> tuple[str, int]:
     if args.format == "json":
         return _json_text(records), 0
     header = ("w", "j", "lambda", "mu", "power") + tuple(f"x{i}" for i in range(p.size))
-    rows = []
-    for rec in records:
-        for power, vec in enumerate(rec["coeffs"]):
-            rows.append((rec["w"], rec["j"], rec["lambda"], rec["mu"], power) + tuple(vec))
+    rows = [(r["w"], r["j"], r["lambda"], r["mu"], m, *vec) for r in records for m, vec in enumerate(r["coeffs"])]
     return _csv_text(header, rows), 0
 
 
@@ -119,14 +116,9 @@ def cmd_collisions(p: Params, args) -> tuple[str, int]:
                 classes.append((members[0], lam, members))
     classes.sort(key=lambda item: item[0])
     if args.format == "json":
-        payload = [
-            {"lambda": format_rational(lam), "members": [[w, j] for w, j in members]}
-            for _, lam, members in classes
-        ]
+        payload = [{"lambda": format_rational(lam), "members": list(map(list, members))} for _, lam, members in classes]
         return _json_text(payload), 0
-    rows = [
-        (format_rational(lam), w, j) for _, lam, members in classes for w, j in members
-    ]
+    rows = [(format_rational(lam), w, j) for _, lam, members in classes for w, j in members]
     return _csv_text(("lambda", "w", "j"), rows), 0
 
 
@@ -157,14 +149,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         p = Params(args.alpha, args.beta, args.k, args.ell)
+        if args.max_w < 0:
+            raise ValueError("max_w must be >= 0")
+        if args.jobs < 1:
+            raise ValueError("jobs must be >= 1")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.max_w < 0:
-        print("error: max_w must be >= 0", file=sys.stderr)
-        return 2
-    if args.jobs < 1:
-        print("error: jobs must be >= 1", file=sys.stderr)
         return 2
     text, code = _COMMANDS[args.command](p, args)
     if args.out is None:

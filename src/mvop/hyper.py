@@ -82,10 +82,8 @@ def bracket_seq(p: Params, lam, m: int) -> BracketSeq:
     """
     if m < 0:
         raise ValueError("m must be a non-negative integer")
-    lam = Fraction(lam)
-    c = recursion_matrix(p)
-    u = drift_matrix(p)
-    v = potential_matrix(p)
+    lam = linalg.exact_scalar(lam)
+    c, u, v = recursion_matrix(p), drift_matrix(p), potential_matrix(p)
     eye = linalg.identity(p.size)
     shift = linalg.add(v, linalg.scale(eye, lam))
     out = [eye]
@@ -150,7 +148,7 @@ def find_collisions(p: Params, lam) -> CollisionClass:
     (sqrt(b^2 - 4c) - b)/2 can be a non-negative integer, and only when the
     discriminant is the square of a rational.
     """
-    lam = Fraction(lam)
+    lam = linalg.exact_scalar(lam)
     a, b, k = p.alpha, p.beta, p.k
     members = []
     for jp in range(p.size):
@@ -220,7 +218,8 @@ class Family:
         It runs on integers: the matrices over their scale L (so lam L must be
         an integer, else ArithmeticError), f_i as numerators over one common
         denominator that each nonzero pivot multiplies (rescaling the rows
-        already solved), reduced by one gcd per degree.
+        already solved), reduced by one gcd per degree.  The column is handed to
+        MatPoly as those numerators over the lcm of the degrees' denominators.
         """
         n, rows, scale = self.params.size, self._rows, self._scale
         c, u, v = rows[:n], rows[n : 2 * n], rows[2 * n :]
@@ -230,7 +229,7 @@ class Family:
         lam = lam.numerator
         top = kernel_vector(self.params, w, j)
         (f,), den = linalg._integer_form((top,))
-        coeffs, zero_pivots = [tuple((x,) for x in top)], []
+        coeffs, zero_pivots = [(f, den)], []
         for i in range(w - 1, -1, -1):
             g, grow = [0] * n, 1
             for r in range(n - 1, -1, -1):
@@ -250,9 +249,10 @@ class Family:
                     zero_pivots.append((i, r))
             common = math.gcd(den * grow, *g)
             f, den = [x // common for x in g], den * grow // common
-            coeffs.append(tuple((Fraction(x, den),) for x in f))
-        coeffs.reverse()
-        return MatPoly(n, coeffs, 1), zero_pivots
+            coeffs.append((f, den))
+        den = math.lcm(*(d for _, d in coeffs))
+        num = [tuple((x * (den // d),) for x in f) for f, d in reversed(coeffs)]
+        return MatPoly._reduced(n, 1, num, den), zero_pivots
 
     def column(self, w: int, j: int) -> MatPoly:
         """Degree-w column eigenfunction for slot (w, j), a dim x 1 MatPoly whose
@@ -298,9 +298,11 @@ class Family:
         """
         _check_w(w)
         if w not in self._polys:
-            cols = [self.column(w, j) for j in range(self.params.size)]
-            coeffs = [tuple(tuple(x for (x,) in col.coeff(m)) for col in cols) for m in range(w + 1)]
-            self._polys[w] = MatPoly(self.params.size, coeffs)
+            n = self.params.size
+            cols = [self.column(w, j) for j in range(n)]
+            den = math.lcm(*(col.den for col in cols))
+            num = [tuple(tuple(x * (den // col.den) for (x,) in col.num[m]) for col in cols) for m in range(w + 1)]
+            self._polys[w] = MatPoly._reduced(n, n, num, den)
         return self._polys[w]
 
     def gram(self, w: int, w_prime: int):

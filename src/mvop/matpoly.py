@@ -2,10 +2,14 @@
 differential operators with square matrix-polynomial coefficients acting from
 the left.  A vector-valued polynomial is a matrix polynomial with one column.
 
-Coefficients are stored by ascending power with trailing zeros trimmed, so
-structural equality is exact polynomial equality.  The degree of the zero
-polynomial is the sentinel float('-inf'), which compares correctly against
-integer degrees.  All values are immutable after construction.
+A MatPoly holds integer coefficient matrices num by ascending power, trailing
+zeros trimmed, over one denominator den > 0 reduced against all of them by
+one gcd (the zero polynomial is num = (), den = 1).  That form is unique, so
+structural equality is exact polynomial equality.  All arithmetic, operator
+application included, runs on the integers; Fractions are built only where a
+caller reads entries (coeffs, coeff, leading, entry, evaluate, to_json_dict).
+The degree of the zero polynomial is the sentinel float('-inf'), which
+compares correctly against integer degrees.  All values are immutable.
 """
 
 from __future__ import annotations
@@ -13,9 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from . import linalg
-from .exact import format_rational
+from .exact import format_ratio
 
 __all__ = ["MatPoly", "DiffOp", "NEG_INF"]
 
@@ -29,30 +34,70 @@ def _trimmed(items, is_zero) -> tuple:
     return tuple(items[:n])
 
 
-@dataclass(frozen=True)
-class MatPoly:
-    """Matrix-valued polynomial in one variable u, dim rows by cols columns.
+def _scaled(mats, s: int, g: int = 1):
+    """Integer matrices times s, divided exactly by g."""
+    if s == 1 == g:
+        return mats
+    return tuple(tuple(tuple(x * s // g for x in row) for row in c) for c in mats)
 
-    cols defaults to dim, so MatPoly(dim, coeffs) is square; a column
-    eigenfunction is a dim x 1 MatPoly.
+
+def _derived(mats):
+    """Integer coefficient matrices of the derivative, over the same denominator."""
+    return tuple(tuple(tuple(x * m for x in row) for row in c) for m, c in enumerate(mats) if m >= 1)
+
+
+def _product_sum(terms, rows: int, cols: int) -> list:
+    """Integer coefficients of the sum over (ls, rs) in terms of the products
+    ls * rs, each one integer product of lefts side by side times rights stacked."""
+    top = max((len(ls) + len(rs) - 1 for ls, rs in terms if ls and rs), default=0)
+    zero = ((0,) * cols,) * rows
+    out = []
+    for n in range(top):
+        left, stacked = [[] for _ in range(rows)], []
+        for ls, rs in terms:
+            for a in range(max(0, n - len(rs) + 1), min(n, len(ls) - 1) + 1):
+                for row, part in zip(left, ls[a]):
+                    row.extend(part)
+                stacked.extend(rs[n - a])
+        out.append(linalg.int_matmul(left, stacked) if stacked else zero)
+    return out
+
+
+@dataclass(frozen=True, init=False)
+class MatPoly:
+    """Matrix-valued polynomial in one variable u, dim rows by cols columns:
+    sum over m of num[m] u^m / den.  MatPoly(dim, coeffs, cols) takes int or
+    Fraction coefficient matrices by ascending power; cols defaults to dim, so
+    MatPoly(dim, coeffs) is square and a column eigenfunction is dim x 1.
     """
 
     dim: int
-    coeffs: tuple = ()
-    cols: int | None = None
+    cols: int
+    num: tuple
+    den: int
 
-    def __post_init__(self):
-        cols = self.dim if self.cols is None else self.cols
-        frozen = [linalg.freeze_matrix(c) for c in self.coeffs]
-        for c in frozen:
-            if len(c) != self.dim or any(len(row) != cols for row in c):
-                raise ValueError("coefficient matrices must be dim x cols")
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "coeffs", _trimmed(frozen, linalg.is_zero_matrix))
+    def __init__(self, dim: int, coeffs=(), cols: int | None = None):
+        cols = dim if cols is None else cols
+        frozen = [linalg.freeze_matrix(c) for c in coeffs]
+        if any(len(c) != dim or any(len(row) != cols for row in c) for c in frozen):
+            raise ValueError("coefficient matrices must be dim x cols")
+        den = math.lcm(*(x.denominator for c in frozen for row in c for x in row))
+        num = [tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in c) for c in frozen]
+        self.__dict__.update(MatPoly._reduced(dim, cols, num, den).__dict__)
+
+    @classmethod
+    def _reduced(cls, dim: int, cols: int, num, den: int) -> MatPoly:
+        """Trusted constructor, with no entry check: integer coefficient
+        matrices over den > 0, trimmed and divided by one gcd."""
+        num = _trimmed(num, lambda c: not any(map(any, c)))
+        g = math.gcd(den, *(x for c in num for row in c for x in row)) if den != 1 else 1
+        out = object.__new__(cls)
+        out.__dict__.update(dim=dim, cols=cols, num=num if g == 1 else _scaled(num, 1, g), den=den // g)
+        return out
 
     @classmethod
     def zero(cls, dim: int, cols: int | None = None) -> MatPoly:
-        return cls(dim, (), cols)
+        return cls._reduced(dim, dim if cols is None else cols, (), 1)
 
     @classmethod
     def constant(cls, mat) -> MatPoly:
@@ -77,82 +122,88 @@ class MatPoly:
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.num) - 1 if self.num else NEG_INF
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
+
+    @property
+    def coeffs(self) -> tuple:
+        """Coefficient matrices of Fractions, by ascending power."""
+        return tuple(map(self.coeff, range(len(self.num))))
 
     def coeff(self, m: int):
-        if 0 <= m < len(self.coeffs):
-            return self.coeffs[m]
+        if 0 <= m < len(self.num):
+            return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.num[m])
         return linalg.zeros(self.dim, self.cols)
 
     def leading(self):
-        if not self.coeffs:
+        if not self.num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.coeff(len(self.num) - 1)
 
     def entry(self, i: int, j: int) -> tuple:
         """Scalar coefficient sequence of one entry, ascending, trimmed."""
-        return _trimmed([c[i][j] for c in self.coeffs], lambda x: x == 0)
+        if not (0 <= i < self.dim and 0 <= j < self.cols):
+            raise ValueError(f"entry ({i}, {j}) is outside a {self.dim} x {self.cols} matrix")
+        return _trimmed([Fraction(c[i][j], self.den) for c in self.num], lambda x: x == 0)
 
-    def _with(self, coeffs) -> MatPoly:
-        return MatPoly(self.dim, coeffs, self.cols)
-
-    def __add__(self, other: MatPoly) -> MatPoly:
+    def _combined(self, other: MatPoly, sign: int) -> MatPoly:
+        """self + sign * other over the lcm of the two denominators."""
         if (self.dim, self.cols) != (other.dim, other.cols):
             raise ValueError("shape mismatch")
-        n = max(len(self.coeffs), len(other.coeffs))
-        return self._with(tuple(linalg.add(self.coeff(m), other.coeff(m)) for m in range(n)))
+        den, zero = math.lcm(self.den, other.den), ((0,) * self.cols,) * self.dim
+        s, t = den // self.den, sign * (den // other.den)
+        out = [
+            tuple(tuple(x * s + y * t for x, y in zip(rp, rq)) for rp, rq in zip(cp, cq))
+            for cp, cq in zip_longest(self.num, other.num, fillvalue=zero)
+        ]
+        return MatPoly._reduced(self.dim, self.cols, out, den)
+
+    def __add__(self, other: MatPoly) -> MatPoly:
+        return self._combined(other, 1)
 
     def __sub__(self, other: MatPoly) -> MatPoly:
-        return self + (-other)
+        return self._combined(other, -1)
 
     def __neg__(self) -> MatPoly:
-        return self._with(tuple(linalg.scale(c, -1) for c in self.coeffs))
+        return MatPoly._reduced(self.dim, self.cols, _scaled(self.num, -1), self.den)
 
     def __mul__(self, other):
         if isinstance(other, MatPoly):
             if self.cols != other.dim:
                 raise ValueError("inner dimension mismatch")
-            if self.is_zero() or other.is_zero():
-                return MatPoly.zero(self.dim, other.cols)
-            ps, qs = self.coeffs, other.coeffs
-            out = []
-            for m in range(len(ps) + len(qs) - 1):
-                pairs = range(max(0, m - len(qs) + 1), min(m, len(ps) - 1) + 1)
-                out.append(linalg.matmul_sum([ps[a] for a in pairs], [qs[m - a] for a in pairs]))
-            return MatPoly(self.dim, tuple(out), other.cols)
+            out = _product_sum([(self.num, other.num)], self.dim, other.cols)
+            return MatPoly._reduced(self.dim, other.cols, out, self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            return self._with(tuple(linalg.scale(c, other) for c in self.coeffs))
+            q = linalg.exact_scalar(other)
+            return MatPoly._reduced(self.dim, self.cols, _scaled(self.num, q.numerator), self.den * q.denominator)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__  # a scalar on the left; a MatPoly there is its own __mul__
 
     def mul_scalar_poly(self, scalar_coeffs) -> MatPoly:
         """Multiply by a scalar polynomial given by ascending coefficients."""
         return self * MatPoly.from_scalar(self.cols, scalar_coeffs)
 
     def transpose(self) -> MatPoly:
-        return MatPoly(self.cols, tuple(linalg.transpose(c) for c in self.coeffs), self.dim)
+        return MatPoly._reduced(self.cols, self.dim, tuple(tuple(zip(*c)) for c in self.num), self.den)
 
     def derivative(self) -> MatPoly:
-        return self._with(tuple(linalg.scale(c, m) for m, c in enumerate(self.coeffs) if m >= 1))
+        return MatPoly._reduced(self.dim, self.cols, _derived(self.num), self.den)
 
     def evaluate(self, u0):
-        u0 = Fraction(u0)
+        u0 = linalg.exact_scalar(u0)
         total = linalg.zeros(self.dim, self.cols)
         for c in reversed(self.coeffs):
             total = linalg.add(linalg.scale(total, u0), c)
         return total
 
     def to_json_dict(self) -> dict:
+        """Entries as lowest-terms 'p' or 'p/q' strings, one gcd each."""
         return {
             "dim": self.dim,
-            "coeffs": [[format_rational(x) for row in c for x in row] for c in self.coeffs],
+            "coeffs": [[format_ratio(x, self.den) for row in c for x in row] for c in self.num],
         }
 
 
@@ -202,43 +253,43 @@ class DiffOp:
         """True when deg A_j <= j for every order j, the class closed under composition."""
         return all(self.coeff_of_order(j).degree <= j for j in range(self.order + 1))
 
+    def _cleared(self):
+        """Coefficient numerators by ascending order over the lcm of their denominators, and that lcm."""
+        den = math.lcm(*(c.den for c in self.coeffs))
+        return [_scaled(c.num, den // c.den) for c in reversed(self.coeffs)], den
+
     def apply(self, f: MatPoly) -> MatPoly:
-        """Apply to a dim x n MatPoly: sum_j A_j(u) f^(j)(u)."""
+        """Apply to a dim x n MatPoly: sum_j A_j(u) f^(j)(u), each output
+        coefficient one integer sum over every (order, power) term."""
         if not isinstance(f, MatPoly):
             raise TypeError("apply expects a MatPoly")
         if f.dim != self.dim:
             raise ValueError("dimension mismatch")
-        out = MatPoly.zero(self.dim, f.cols)
-        g = f
-        for j in range(self.order + 1):
-            a = self.coeff_of_order(j)
-            if not a.is_zero() and not g.is_zero():
-                out = out + a * g
-            g = g.derivative()
-        return out
+        nums, den = self._cleared()
+        terms, g = [], f.num
+        for a in nums:
+            terms.append((a, g))
+            g = _derived(g)
+        return MatPoly._reduced(self.dim, f.cols, _product_sum(terms, self.dim, f.cols), den * f.den)
 
     def compose(self, other: DiffOp) -> DiffOp:
         """Operator product self(other(.)), expanded by the Leibniz rule.
 
         The term A_i d^i applied after B_j d^j contributes
-        C(i, m) A_i B_j^(m) at order i + j - m for 0 <= m <= i.
+        C(i, m) A_i B_j^(m) at order i + j - m for 0 <= m <= i; each order's
+        coefficient is one integer sum over all of its terms.
         """
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        total = self.order + other.order
-        acc = [MatPoly.zero(self.dim) for _ in range(total + 1)]
-        for i in range(self.order + 1):
-            ai = self.coeff_of_order(i)
-            if ai.is_zero():
-                continue
-            for j in range(other.order + 1):
-                bj = other.coeff_of_order(j)
+        (lefts, dl), (rights, dr) = self._cleared(), other._cleared()
+        terms = [[] for _ in range(self.order + other.order + 1)]
+        for i, a in enumerate(lefts):
+            for j, b in enumerate(rights):
                 for m in range(i + 1):
-                    if bj.is_zero():
-                        break
-                    acc[i + j - m] = acc[i + j - m] + (ai * bj) * math.comb(i, m)
-                    bj = bj.derivative()
-        return DiffOp.from_ascending(self.dim, acc)
+                    terms[i + j - m].append((_scaled(a, math.comb(i, m)), b))
+                    b = _derived(b)
+        coeffs = [MatPoly._reduced(self.dim, self.dim, _product_sum(t, self.dim, self.dim), dl * dr) for t in terms]
+        return DiffOp.from_ascending(self.dim, coeffs)
 
     def __add__(self, other: DiffOp) -> DiffOp:
         if self.dim != other.dim:

@@ -165,12 +165,11 @@ class WeightSpec:
         """Moment matrix H_m, for m >= 0."""
         if m < 0:
             raise ValueError("m must be a non-negative integer")
+        core, eye = self.core, linalg.identity(self.core.dim)
         while len(self._table) <= m:
             n = len(self._table)
-            total = linalg.zeros(self.core.dim)
-            for c, zc in enumerate(self.core.coeffs):
-                total = linalg.add(total, linalg.scale(zc, self.moments.ratio(n + c)))
-            self._table.append(total)
+            ratios = [linalg.scale(eye, self.moments.ratio(n + c)) for c in range(len(core.num))]
+            self._table.append(linalg.matmul_sum(ratios, core.num, right_den=core.den))
         return self._table[m]
 
 
@@ -182,17 +181,17 @@ def moment_rows(qq: MatPoly, ws: WeightSpec, n: int):
         raise ValueError("dimension mismatch")
     if qq.is_zero():
         return [linalg.zeros(dim, qq.dim)] * n
-    qts = [linalg.transpose(c) for c in qq.coeffs]
-    return [linalg.matmul_sum([ws.moment(a + b) for b in range(len(qts))], qts) for a in range(n)]
+    qts = [linalg.transpose(c) for c in qq.num]
+    return [linalg.matmul_sum([ws.moment(a + b) for b in range(len(qts))], qts, right_den=qq.den) for a in range(n)]
 
 
 def pair_rows(pp: MatPoly, rows, cols: int):
     """sum_a pp_a rows[a]: pp paired against the moment rows of a qq with cols rows."""
-    if len(rows) < len(pp.coeffs):
+    if len(rows) < len(pp.num):
         raise ValueError("need one moment row per coefficient of pp")
     if pp.is_zero():
         return linalg.zeros(pp.dim, cols)
-    return linalg.matmul_sum(pp.coeffs, rows[: len(pp.coeffs)])
+    return linalg.matmul_sum(pp.num, rows[: len(pp.num)], left_den=pp.den)
 
 
 def inner_product(pp: MatPoly, qq: MatPoly, ws: WeightSpec):
@@ -202,7 +201,7 @@ def inner_product(pp: MatPoly, qq: MatPoly, ws: WeightSpec):
     rows; the result is pp.dim x qq.dim."""
     if pp.cols != ws.core.dim:
         raise ValueError("dimension mismatch")
-    return pair_rows(pp, moment_rows(qq, ws, len(pp.coeffs)), qq.dim)
+    return pair_rows(pp, moment_rows(qq, ws, len(pp.num)), qq.dim)
 
 
 def hyper_operator(p: Params) -> DiffOp:
@@ -225,10 +224,7 @@ def companion_blocks(p: Params):
     -(alpha + 2 ell + 3k) potential_matrix.
     """
     a, b, k, ell = p.alpha, p.beta, p.k, p.ell
-    q0 = [[Fraction(0)] * p.size for _ in range(p.size)]
-    q1 = [[Fraction(0)] * p.size for _ in range(p.size)]
-    r0 = [[Fraction(0)] * p.size for _ in range(p.size)]
-    r1 = [[Fraction(0)] * p.size for _ in range(p.size)]
+    q0, q1, r0, r1 = ([[Fraction(0)] * p.size for _ in range(p.size)] for _ in range(4))
     for i in range(p.size):
         q1[i][i] = a - ell + 3 * i
         r0[i][i] = (a + 2 * ell) * (b + 1 + 2 * i) - 3 * k * (ell - i) - 3 * i * (b - k + i)

@@ -11,6 +11,7 @@ for norms).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,14 +73,6 @@ def gram_block(p: Params, w: int, w_prime: int) -> GramBlock:
     return GramBlock(w, w_prime, family(p).gram(w, w_prime))
 
 
-def _conv(s, t):
-    out = [Fraction(0)] * (len(s) + len(t) - 1)
-    for a, x in enumerate(s):
-        for b, y in enumerate(t):
-            out[a + b] += x * y
-    return out
-
-
 def check_symmetry_reduced(ws: WeightSpec, op: DiffOp):
     """Three polynomial residuals equivalent to the symmetry equations.
 
@@ -95,32 +88,23 @@ def check_symmetry_reduced(ws: WeightSpec, op: DiffOp):
         raise ValueError("operator must have order 2")
     p = ws.params
     z = ws.core
-    a2 = op.coeff_of_order(2)
-    a1 = op.coeff_of_order(1)
-    a0 = op.coeff_of_order(0)
+    a2, a1, a0 = (op.coeff_of_order(j) for j in (2, 1, 0))
     alpha, beta = p.alpha, p.beta
 
-    uu = [Fraction(0), Fraction(1), Fraction(-1)]
-    h = [beta, -alpha - beta]
-    uu2 = _conv(uu, uu)
-    uuh = _conv(uu, h)
+    # scalar polynomials, as multiples of the identity
+    uu = MatPoly.from_scalar(z.dim, (0, 1, -1))
+    h = MatPoly.from_scalar(z.dim, (beta, -alpha - beta))
+    uu2, uuh = uu * uu, uu * h
     # u^2 (1-u)^2 (rho''/rho) = h^2 - beta (1-u)^2 - alpha u^2
-    rho2 = [x + y for x, y in zip(_conv(h, h), [-beta, 2 * beta, -beta - alpha])]
+    rho2 = h * h - MatPoly.from_scalar(z.dim, (beta, -2 * beta, beta + alpha))
 
-    za2 = z * a2
-    za1 = z * a1
+    za2, za1 = z * a2, z * a1
     dza2 = za2.derivative()
 
-    r1 = (a2.transpose() * z - z * a2).mul_scalar_poly(uu2)
-    r2 = (a1.transpose() * z + z * a1 - 2 * dza2).mul_scalar_poly(uu2) - za2.mul_scalar_poly(
-        [2 * x for x in uuh]
-    )
-    r3 = (
-        (a0.transpose() * z - z * a0 + za1.derivative() - dza2.derivative()).mul_scalar_poly(uu2)
-        + za1.mul_scalar_poly(uuh)
-        - za2.mul_scalar_poly(rho2)
-        - dza2.mul_scalar_poly([2 * x for x in uuh])
-    )
+    r1 = (a2.transpose() * z - z * a2) * uu2
+    r2 = (a1.transpose() * z + z * a1 - 2 * dza2) * uu2 - 2 * za2 * uuh
+    r3 = (a0.transpose() * z - z * a0 + za1.derivative() - dza2.derivative()) * uu2
+    r3 = r3 + za1 * uuh - za2 * rho2 - 2 * dza2 * uuh
     return r1, r2, r3
 
 
@@ -140,23 +124,6 @@ class BoundaryReport:
     entries: tuple
 
 
-def _order_at_one(coeffs) -> int:
-    work = list(coeffs)
-    mult = 0
-    while work and sum(work) == 0:
-        # divide by (1 - u): quotient coefficients are prefix sums
-        pref = []
-        run = Fraction(0)
-        for c in work[:-1]:
-            run += c
-            pref.append(run)
-        work = pref
-        while work and work[-1] == 0:
-            work.pop()
-        mult += 1
-    return mult
-
-
 def check_boundary(ws: WeightSpec, op: DiffOp) -> BoundaryReport:
     """Vanishing of W A2 and of W A1 - A1^T W at both endpoints.
 
@@ -167,9 +134,7 @@ def check_boundary(ws: WeightSpec, op: DiffOp) -> BoundaryReport:
     """
     if op.order != 2:
         raise ValueError("operator must have order 2")
-    z = ws.core
-    a2 = op.coeff_of_order(2)
-    a1 = op.coeff_of_order(1)
+    z, a2, a1 = ws.core, op.coeff_of_order(2), op.coeff_of_order(1)
     alpha, beta = ws.params.alpha, ws.params.beta
     blocks = (
         ("second_order", z * a2),
@@ -185,7 +150,8 @@ def check_boundary(ws: WeightSpec, op: DiffOp) -> BoundaryReport:
                     entries.append(BoundaryEntry(name, i, j, None, None, True))
                     continue
                 ord0 = next(m for m, c in enumerate(q) if c != 0)
-                ord1 = _order_at_one(q)
+                # ord_1(q) is the least m with q^(m)(1) = sum_t perm(t, m) q_t nonzero
+                ord1 = next(m for m in range(len(q)) if sum(math.perm(t, m) * c for t, c in enumerate(q)))
                 ok = ord0 + beta > 0 and ord1 + alpha > 0
                 passed = passed and ok
                 entries.append(BoundaryEntry(name, i, j, ord0, ord1, ok))
@@ -208,7 +174,7 @@ def check_bilinear_symmetry(ws: WeightSpec, op: DiffOp, max_power: int = 4) -> b
     eye = linalg.identity(dim)
     powers = range(max_power + 1)
     images = [op.apply(MatPoly.monomial(dim, eye, a)).transpose() for a in powers]
-    s = [[pair_rows(x, [ws.moment(b + c) for c in range(len(x.coeffs))], dim) for b in powers] for x in images]
+    s = [[pair_rows(x, [ws.moment(b + c) for c in range(len(x.num))], dim) for b in powers] for x in images]
     return all(s[a][b] == linalg.transpose(s[b][a]) for a in powers for b in range(a + 1))
 
 
@@ -217,11 +183,8 @@ def check_eigen(p: Params, w: int) -> bool:
     multiplication with their diagonal eigenvalue matrices."""
     fam = family(p)
     pt = fam.poly(w).transpose()
-    for op, which in ((fam.hyper, "hyper"), (fam.companion, "companion")):
-        expected = pt * MatPoly.constant(eigenvalue_matrix(p, w, which))
-        if op.apply(pt) != expected:
-            return False
-    return True
+    ops = ((fam.hyper, "hyper"), (fam.companion, "companion"))
+    return all(op.apply(pt) == pt * MatPoly.constant(eigenvalue_matrix(p, w, which)) for op, which in ops)
 
 
 def check_commute(p: Params) -> bool:
@@ -247,11 +210,10 @@ def decompose_in_basis(h: MatPoly, p: Params) -> list:
     out = [linalg.zeros(p.size)] * (n + 1)
     residual = h
     for d in range(n, -1, -1):
-        pt = fam.poly(d).transpose()
-        coeff = residual.coeff(d)
-        if linalg.is_zero_matrix(coeff):
+        if residual.degree < d:
             continue
-        a_d = linalg.solve_matrix(pt.leading(), coeff)
+        pt = fam.poly(d).transpose()
+        a_d = linalg.solve_matrix(pt.leading(), residual.coeff(d))
         out[d] = a_d
         residual = residual - pt * MatPoly.constant(a_d)
         if residual.degree >= d:
@@ -399,10 +361,6 @@ def run_suite(p: Params, max_w: int = 6) -> VerificationReport:
     def monic(n, which):
         return monic_eigenvalue(d if which == "hyper" else e, n)
 
-    def ideal():
-        report = check_ideal(p, eig_span)
-        return report.passed, "eigenvalue pair off its line"
-
     def collisions():
         classes = {}
         for w in range(max_w + 1):
@@ -423,12 +381,10 @@ def run_suite(p: Params, max_w: int = 6) -> VerificationReport:
                 [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(p.size)] for _ in range(p.size)]
                 for _ in range(degree + 1)
             ]
-            h = MatPoly(p.size, coeffs)
-            parts = decompose_in_basis(h, p)
-            rebuilt = MatPoly.zero(p.size)
-            for dd, a_d in enumerate(parts):
-                rebuilt = rebuilt + fam.poly(dd).transpose() * MatPoly.constant(a_d)
-            if rebuilt != h:
+            try:
+                # raises unless h minus every peeled P_d^T A_d leaves zero
+                decompose_in_basis(MatPoly(p.size, coeffs), p)
+            except ArithmeticError:
                 return False, "reconstruction mismatch"
         return True, None
 
@@ -448,7 +404,7 @@ def run_suite(p: Params, max_w: int = 6) -> VerificationReport:
         ("gram_norms_positive", norms),
         ("eigenvalue_relation", relation("eigenvalue relation fails at w", partial(eigenvalue_matrix, p))),
         ("monic_eigenvalue_relation", relation("monic eigenvalue relation fails at n", monic)),
-        ("ideal_lines", ideal),
+        ("ideal_lines", lambda: (check_ideal(p, eig_span).passed, "eigenvalue pair off its line")),
         ("collision_classes", collisions),
         ("decomposition_random", decomposition),
     ]

@@ -69,6 +69,33 @@ def test_polys_deep_output_is_byte_identical(capsys, fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "command, flags, digest",
+    [
+        (
+            "verify",
+            ["--alpha=5/2", "--beta=2/3", "--k=1/2", "--ell=3", "--max-w=8", "--format", "json"],
+            "cca97cfea0c9bf19dddee4ca9c87ee795f50cf0541e4d5b27d745cd9f93114fb",
+        ),
+        (
+            "verify",
+            ["--alpha=5/2", "--beta=2/3", "--k=1/2", "--ell=3", "--max-w=8", "--format", "csv"],
+            "49e82783162781939f18a60e100292140438d430ac9993d3cd26a90b60406023",
+        ),
+        (
+            "gram",
+            ["--alpha=1/2", "--beta=3/2", "--k=1", "--ell=2", "--max-w=14", "--format", "json"],
+            "4c04d6a8e0dcdc3ff091f859b6b4c11979e9b6935bdafdad5aafc6676c3569ba",
+        ),
+    ],
+)
+def test_verify_and_gram_output_is_byte_identical(capsys, command, flags, digest):
+    # digests of the output of the per-entry Fraction polynomial layer; the integer one must match byte for byte
+    code, out, _ = run_cli(capsys, command, *flags)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_collisions_reports_class(capsys):
     code, out, _ = run_cli(
         capsys, "collisions", "--alpha", "0", "--beta", "1", "--k", "3/2", "--ell", "2"

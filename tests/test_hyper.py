@@ -2,6 +2,7 @@ import gc
 import math
 import re
 import weakref
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -221,6 +222,12 @@ class TestBracketSeq:
         with pytest.raises(ValueError):
             bracket_seq(BASE, 0, -1)
 
+    @pytest.mark.parametrize("bad", [0.5, -2.0, True, "0.5", "-2", Decimal("0.5")])
+    def test_rejects_inexact_eigenvalues(self, bad):
+        # Fraction("0.5") and Fraction(0.5) would otherwise both be read as 1/2
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            bracket_seq(BASE, bad, 1)
+
 
 class TestTerminationMatrix:
     def test_frozen_example(self):
@@ -357,6 +364,11 @@ class TestFindCollisions:
         monkeypatch.setattr(mvop.hyper, "hyper_eigenvalue", lambda p, w, j: real(p, w, j) + 1)
         with pytest.raises(ArithmeticError, match="does not reproduce lam"):
             find_collisions(BASE, -4)
+
+    @pytest.mark.parametrize("bad", [-4.0, False, "-4", "0.5", Decimal("-4")])
+    def test_rejects_inexact_eigenvalues(self, bad):
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            find_collisions(BASE, bad)
 
 
 class TestSolutionSpace:

@@ -1,3 +1,4 @@
+import math
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -7,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from mvop import linalg
 from mvop.matpoly import NEG_INF, DiffOp, MatPoly
+
+import fraction_oracle as oracle
 
 entry = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -261,3 +264,147 @@ def test_operator_subtraction_and_zero():
     padded = ddu - ident
     assert padded.order == 1
     assert padded.coeff_of_order(0) == -MatPoly.identity(2)
+
+
+# Property tests of the integer layer against fraction_oracle, the per-entry
+# Fraction arithmetic it replaced.  Entries mix small and large denominators,
+# so sums and products meet different denominators.
+wide_entry = st.one_of(
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 2**40)),
+)
+
+
+def raw(rows, cols, max_len=4):
+    """Coefficient lists of a rows x cols polynomial, trailing zeros allowed."""
+    mat = st.lists(st.lists(wide_entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+    zero = st.just([[Fraction(0)] * cols for _ in range(rows)])
+    return st.lists(st.one_of(mat, zero), max_size=max_len)
+
+
+def assert_reduced(f):
+    """The one stored form: den > 0, no common factor with every numerator,
+    a nonzero top coefficient, and num = (), den = 1 for zero."""
+    assert f.den > 0
+    if not f.num:
+        assert f.den == 1
+        return
+    assert math.gcd(f.den, *(x for c in f.num for row in c for x in row)) == 1
+    assert any(x for row in f.num[-1] for x in row)
+    assert all(type(x) is int for c in f.num for row in c for x in row)
+
+
+@st.composite
+def same_shape(draw, count):
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return [MatPoly(rows, draw(raw(rows, cols)), cols) for _ in range(count)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_constructor_trims_and_reads_back_the_fractions(rows, cols, data):
+    cs = data.draw(raw(rows, cols))
+    f = MatPoly(rows, cs, cols)
+    assert_reduced(f)
+    assert f.coeffs == oracle.trim(cs)
+    assert f.to_json_dict()["coeffs"] == [[str(x) for row in c for x in row] for c in oracle.trim(cs)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(same_shape(2), wide_entry)
+def test_linear_operations_match_the_oracle(pair, s):
+    f, g = pair
+    for got, want in [
+        (f + g, oracle.add(f.coeffs, g.coeffs)),
+        (f - g, oracle.sub(f.coeffs, g.coeffs)),
+        (-f, oracle.neg(f.coeffs)),
+        (f * s, oracle.scale(f.coeffs, s)),
+        (3 * f, oracle.scale(f.coeffs, 3)),
+        (f.derivative(), oracle.derivative(f.coeffs)),
+        (f.transpose(), oracle.transpose(f.coeffs)),
+    ]:
+        assert_reduced(got)
+        assert got.coeffs == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_product_matches_the_oracle(rows, inner, cols, data):
+    f = MatPoly(rows, data.draw(raw(rows, inner)), inner)
+    g = MatPoly(inner, data.draw(raw(inner, cols)), cols)
+    product = f * g
+    assert_reduced(product)
+    assert product.coeffs == oracle.mul(f.coeffs, g.coeffs)
+    s = data.draw(st.lists(wide_entry, max_size=3))
+    assert f.mul_scalar_poly(s).coeffs == oracle.mul_scalar_poly(f.coeffs, s)
+
+
+def operator(dim, max_order=2):
+    """Operators with coefficients of any degree, the oracle's list alongside."""
+    order = st.integers(0, max_order)
+    return order.flatmap(lambda n: st.lists(raw(dim, dim, 3), min_size=n + 1, max_size=n + 1)).map(
+        lambda cs: (DiffOp.from_ascending(dim, [MatPoly(dim, c) for c in cs]), [oracle.trim(c) for c in cs])
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 2), st.integers(1, 2), st.data())
+def test_apply_matches_the_oracle(dim, cols, data):
+    op, ref = data.draw(operator(dim))
+    f = MatPoly(dim, data.draw(raw(dim, cols)), cols)
+    image = op.apply(f)
+    assert_reduced(image)
+    assert image.coeffs == oracle.apply(ref, f.coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 2), st.data())
+def test_compose_matches_the_oracle(dim, data):
+    (op1, ref1), (op2, ref2) = data.draw(operator(dim)), data.draw(operator(dim))
+    product = op1.compose(op2)
+    assert product.order == op1.order + op2.order
+    for c in product.coeffs:
+        assert_reduced(c)
+    assert [product.coeff_of_order(t).coeffs for t in range(product.order + 1)] == oracle.compose(ref1, ref2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(same_shape(2), st.integers(2, 10**6))
+def test_equal_polynomials_over_different_denominators_are_one_value(pair, k):
+    f, g = pair
+    routes = [f * Fraction(1, k) * k, (f + g) - g, f * k * Fraction(1, k), -(-f)]
+    for other in routes:
+        assert other == f
+        assert hash(other) == hash(f)
+        assert (other.num, other.den) == (f.num, f.den)
+    # dividing by k cancels only what k shares with the numerators
+    assert (f * Fraction(1, k)).den == f.den * k // math.gcd(k, *(x for c in f.num for row in c for x in row))
+
+
+def test_zero_polynomial_and_trailing_zero_trimming():
+    one = [[Fraction(1, 3), 0], [0, Fraction(-5, 6)]]
+    zero = [[0, 0], [0, 0]]
+    f = MatPoly(2, [one, zero, zero])
+    assert f == MatPoly(2, [one]) and f.degree == 0 and len(f.num) == 1
+    assert (f.num, f.den) == ((((2, 0), (0, -5)),), 6)
+    for z in (f - f, f * 0, MatPoly(2, [zero, zero]), MatPoly.constant(zero).derivative(), f.derivative()):
+        assert z == MatPoly.zero(2) and hash(z) == hash(MatPoly.zero(2))
+        assert (z.num, z.den, z.degree) == ((), 1, NEG_INF)
+    # a product of nonzero polynomials whose top coefficient cancels
+    nil = MatPoly(2, [zero, [[0, 1], [0, 0]]])
+    assert (nil * nil).is_zero()
+    assert (MatPoly.identity(2) + nil * nil).degree == 0
+
+
+@pytest.mark.parametrize("bad", [0.5, -4.0, True, "0.5", "1/2", Decimal("0.5")])
+def test_evaluate_rejects_inexact_points(bad):
+    with pytest.raises(TypeError, match=re.escape(repr(bad))):
+        MatPoly.identity(2).evaluate(bad)
+
+
+@pytest.mark.parametrize("i, j", [(-1, -1), (-1, 0), (0, -1), (2, 0), (0, 1), (5, 5)])
+def test_entry_rejects_indices_outside_the_matrix(i, j):
+    f = MatPoly(2, [[[1], [2]], [[3], [4]]], 1)
+    with pytest.raises(ValueError):
+        f.entry(i, j)
+    assert f.entry(1, 0) == (2, 4)

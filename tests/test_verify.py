@@ -8,6 +8,8 @@ from mvop import linalg
 from mvop.hyper import CollisionClass, Family, build_column, orthogonal_polynomial
 from mvop import model, verify
 from mvop.matpoly import DiffOp, MatPoly
+
+import fraction_oracle as oracle
 from mvop.model import (
     Params,
     WeightSpec,
@@ -241,6 +243,53 @@ class TestSymmetryReduced:
         with pytest.raises(ValueError):
             check_symmetry_reduced(WeightSpec(BASE), DiffOp.identity(2))
 
+    @pytest.mark.parametrize(
+        "p",
+        [BASE, Params(Fraction(1, 2), Fraction(3, 2), 1, 2), Params(Fraction(5, 2), Fraction(2, 3), Fraction(1, 2), 3)],
+    )
+    def test_residuals_match_sympy_on_the_true_weight(self, p):
+        # Re-derive the residuals from W = rho Z with rho = (1-u)^alpha u^beta
+        # itself: sympy differentiates rho and clears u^2 (1-u)^2 / rho, which
+        # checks the hand-cleared h, u(1-u) h and rho2 terms; the matrix
+        # polynomial algebra runs in the Fraction oracle, apart from MatPoly.
+        sp = pytest.importorskip("sympy")
+        u = sp.Symbol("u", positive=True)
+        alpha, beta = (sp.Rational(x.numerator, x.denominator) for x in (p.alpha, p.beta))
+        rho = (1 - u) ** alpha * u**beta
+        clear = (1 - u) ** (2 - alpha) * u ** (2 - beta)
+        # c_n = rho^(n) u^2 (1-u)^2 / rho, which must come out a polynomial
+        c0, c1, c2 = (
+            [Fraction(int(x.p), int(x.q)) for x in reversed(sp.Poly(sp.expand(sp.simplify(rho.diff(u, n) * clear)), u).all_coeffs())]
+            for n in range(3)
+        )
+        assert c0 == [0, 0, 1, -2, 1]
+        ws = WeightSpec(p)
+        z = ws.core.coeffs
+
+        def times(m, c):
+            return oracle.mul_scalar_poly(m, c)
+
+        def d1(m):  # (rho m)' u^2 (1-u)^2 / rho
+            return oracle.add(times(m, c1), times(oracle.derivative(m), c0))
+
+        def d2(m):  # (rho m)'' u^2 (1-u)^2 / rho
+            dm = oracle.derivative(m)
+            return oracle.add(oracle.add(times(m, c2), times(dm, [2 * x for x in c1])), times(oracle.derivative(dm), c0))
+
+        op = companion_operator(p)
+        bump = MatPoly.constant([[Fraction(i + 2 * j + 1, 3) for j in range(p.size)] for i in range(p.size)])
+        perturbed = [
+            DiffOp(p.size, tuple(c + bump if j == k else c for j, c in enumerate(op.coeffs))) for k in range(3)
+        ]
+        for op in [hyper_operator(p), op] + perturbed:
+            a2, a1, a0 = (op.coeff_of_order(j).coeffs for j in (2, 1, 0))
+            za2, za1 = oracle.mul(z, a2), oracle.mul(z, a1)
+            aw = [oracle.mul(oracle.transpose(a), z) for a in (a2, a1, a0)]
+            e1 = times(oracle.sub(aw[0], za2), c0)
+            e2 = oracle.sub(times(oracle.add(aw[1], za1), c0), oracle.scale(d1(za2), 2))
+            e3 = oracle.sub(oracle.add(times(oracle.sub(aw[2], oracle.mul(z, a0)), c0), d1(za1)), d2(za2))
+            assert [r.coeffs for r in check_symmetry_reduced(ws, op)] == [e1, e2, e3]
+
 
 class TestBoundary:
     def test_passes_for_both_operators(self):
@@ -442,6 +491,23 @@ class TestSuite:
             "eigenvalue_relation": "eigenvalue relation fails at w = 3",
             "monic_eigenvalue_relation": "monic eigenvalue relation fails at n = 5",
         }
+
+    def test_decomposition_with_a_wrong_part_reports_a_mismatch(self, monkeypatch):
+        # the first A_d off by the identity leaves the top degree of its
+        # residual standing, so the peeling raises
+        real, calls = linalg.solve_matrix, []
+
+        def skewed(a, b):
+            calls.append((a, b))
+            out = real(a, b)
+            return linalg.add(out, linalg.identity(len(out))) if len(calls) == 1 else out
+
+        monkeypatch.setattr(linalg, "solve_matrix", skewed)
+        report = run_suite(BASE, max_w=2)
+        assert calls
+        assert [(c.name, c.witness) for c in report.checks if c.status == "fail"] == [
+            ("decomposition_random", "reconstruction mismatch")
+        ]
 
     def test_full_report_passes(self):
         report = run_suite(BASE, max_w=2)
