@@ -15,25 +15,20 @@ from .model import (
     eigenvalue_matrix,
     hyper_eigenvalue,
     hyper_operator,
-    inner_product,
     monic_eigenvalue,
     potential_matrix,
     recursion_matrix,
     weight_core,
 )
 from .hyper import (
-    BracketSeq,
     CollisionClass,
     Family,
-    bracket_seq,
     build_column,
     family,
     find_collisions,
     kernel_vector,
     leading_coefficient,
     orthogonal_polynomial,
-    poly_solution_space,
-    termination_matrix,
 )
 from .verify import (
     BoundaryReport,

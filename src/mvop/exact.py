@@ -1,7 +1,9 @@
 """Exact rational scalars: factorial-type products, generalized binomials,
 strict p/q parsing, and the moment functional of the scalar weight factor.
 
-Everything here returns Fraction; no floating point enters at any stage.
+Everything here returns Fraction; no floating point enters at any stage:
+every rational argument passes exact_scalar, which takes int and Fraction
+only.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import re
 from fractions import Fraction
 
 __all__ = [
+    "exact_scalar",
     "poch",
     "falling",
     "gen_binom",
@@ -23,10 +26,21 @@ __all__ = [
 RationalLike = Fraction | int
 
 
+def exact_scalar(x) -> Fraction:
+    """x as a Fraction when it is an int or a Fraction; floats, bools and
+    strings (decimal ones included) raise TypeError."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    raise TypeError(f"{x!r} is not an exact int or Fraction")
+
+
 def poch(z: RationalLike, r: int) -> Fraction:
     """Rising factorial z(z+1)...(z+r-1); the empty product is 1."""
     if r < 0:
         raise ValueError("r must be a non-negative integer")
+    z = exact_scalar(z)
     out = Fraction(1)
     for i in range(r):
         out *= z + i
@@ -37,6 +51,7 @@ def falling(n: RationalLike, i: int) -> Fraction:
     """Falling factorial n(n-1)...(n-i+1); the empty product is 1."""
     if i < 0:
         raise ValueError("i must be a non-negative integer")
+    n = exact_scalar(n)
     out = Fraction(1)
     for m in range(i):
         out *= n - m
@@ -51,7 +66,7 @@ def gen_binom(z: RationalLike, r: int) -> Fraction:
     """
     if r < 0:
         raise ValueError("r must be a non-negative integer")
-    return poch(Fraction(z) - r + 1, r) / math.factorial(r)
+    return poch(exact_scalar(z) - r + 1, r) / math.factorial(r)
 
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
@@ -72,7 +87,7 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(q: RationalLike) -> str:
     """Render a rational as 'p' or 'p/q' in lowest terms with positive denominator."""
-    q = Fraction(q)
+    q = exact_scalar(q)
     return format_ratio(q.numerator, q.denominator)
 
 
@@ -92,8 +107,8 @@ class MomentFunctional:
     """
 
     def __init__(self, alpha: RationalLike, beta: RationalLike):
-        alpha = Fraction(alpha)
-        beta = Fraction(beta)
+        alpha = exact_scalar(alpha)
+        beta = exact_scalar(beta)
         if alpha <= -1:
             raise ValueError("alpha must be > -1")
         if beta <= -1:

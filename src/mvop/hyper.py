@@ -1,12 +1,11 @@
-"""Construction of the orthogonal eigenfunctions through the matrix
-hypergeometric series.
+"""Construction of the orthogonal eigenfunctions of the matrix
+hypergeometric operator.
 
 A column eigenfunction with eigenvalue lam solves
-u(1-u) F'' + (recursion_matrix - u drift_matrix) F' - (potential_matrix + lam) F = 0
-and is analytic at u = 0, so it is determined by its value F0 there through
-the bracket recursion computed by bracket_seq.  The series terminates at
-degree w exactly when the termination matrix at (w, j) is singular; its
-kernel is spanned by the explicit kernel_vector.
+u(1-u) F'' + (recursion_matrix - u drift_matrix) F' - (potential_matrix + lam) F = 0.
+It is a polynomial of degree w exactly at the slots (w, j) whose eigenvalue
+hyper_eigenvalue(p, w, j) is lam, and its leading coefficient is then the
+explicit kernel_vector(p, w, j).
 
 Distinct slots (w, j) and (w', j') can share an eigenvalue.  find_collisions
 recovers the full class of slots sharing a value as exact roots of a
@@ -15,8 +14,7 @@ leading coefficient kernel_vector, one bidiagonal back-substitution per
 degree on integers: one scale L, one common denominator per degree and one
 gcd per degree.  A later slot of a class is certified as an eigenfunction
 of the commuting companion operator, which makes it orthogonal to the
-earlier ones without a pairing.  bracket_seq and poly_solution_space are the
-dense reference for that construction.
+earlier ones without a pairing.
 
 One Family holds all that a parameter set fixes; family(p) keeps the latest.
 """
@@ -30,7 +28,7 @@ from functools import cached_property, lru_cache
 
 from . import linalg
 from .matpoly import MatPoly
-from .exact import poch
+from .exact import exact_scalar, poch
 from .model import (
     Params,
     WeightSpec,
@@ -48,13 +46,9 @@ from .model import (
 )
 
 __all__ = [
-    "BracketSeq",
     "CollisionClass",
-    "bracket_seq",
-    "termination_matrix",
     "kernel_vector",
     "find_collisions",
-    "poly_solution_space",
     "Family",
     "family",
     "build_column",
@@ -63,57 +57,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BracketSeq:
-    """Series coefficient matrices B_0 .. B_m of the hypergeometric recursion."""
-
-    params: Params
-    lam: Fraction
-    coeffs: tuple
-
-
-def bracket_seq(p: Params, lam, m: int) -> BracketSeq:
-    """Matrices defined by B_0 = I and
-    (recursion_matrix + i) B_{i+1} = (i (drift_matrix + i - 1) + potential_matrix + lam) B_i.
-
-    The analytic solution with value f0 at u = 0 has Taylor coefficients
-    B_i f0 / i!.  The left side is always invertible, so the sequence exists
-    for every lam.
-    """
-    if m < 0:
-        raise ValueError("m must be a non-negative integer")
-    lam = linalg.exact_scalar(lam)
-    c, u, v = recursion_matrix(p), drift_matrix(p), potential_matrix(p)
-    eye = linalg.identity(p.size)
-    shift = linalg.add(v, linalg.scale(eye, lam))
-    out = [eye]
-    for i in range(m):
-        numerator = linalg.add(linalg.scale(linalg.add(u, linalg.scale(eye, i - 1)), i), shift)
-        denominator = linalg.add(c, linalg.scale(eye, i))
-        out.append(linalg.solve_matrix(denominator, linalg.matmul(numerator, out[-1])))
-    return BracketSeq(p, lam, tuple(out))
-
-
-def termination_matrix(p: Params, w: int, j: int):
-    """Upper-bidiagonal matrix whose singularity terminates the series at degree w.
-
-    Diagonal entry i is (i - j)(alpha + beta - k + 1 + i + j + w); superdiagonal
-    entry i is -(ell - i)(beta - k + 1 + i).  Equals
-    w (drift_matrix + w - 1) + potential_matrix + hyper_eigenvalue(p, w, j).
-    """
-    _check_w(w)
-    _check_j(p, j)
-    a, b, k, ell = p.alpha, p.beta, p.k, p.ell
-    m = [[Fraction(0)] * p.size for _ in range(p.size)]
-    for i in range(p.size):
-        m[i][i] = (i - j) * (a + b - k + 1 + i + j + w)
-        if i < ell:
-            m[i][i + 1] = -(ell - i) * (b - k + 1 + i)
-    return linalg.freeze_matrix(m)
-
-
 def kernel_vector(p: Params, w: int, j: int):
-    """Explicit kernel element of the termination matrix, normalized to 1 in slot j.
+    """Explicit kernel element of the termination matrix
+    w (drift_matrix + w - 1) + potential_matrix + hyper_eigenvalue(p, w, j),
+    normalized to 1 in slot j: the leading coefficient of column (w, j).
 
     Entry i < j is (-1)^(i+j) C(ell-i, ell-j)
     poch(beta-k+1+i, j-i) / poch(alpha+beta+j+i+w-k+1, j-i); entries above j
@@ -148,7 +95,7 @@ def find_collisions(p: Params, lam) -> CollisionClass:
     (sqrt(b^2 - 4c) - b)/2 can be a non-negative integer, and only when the
     discriminant is the square of a rational.
     """
-    lam = linalg.exact_scalar(lam)
+    lam = exact_scalar(lam)
     a, b, k = p.alpha, p.beta, p.k
     members = []
     for jp in range(p.size):
@@ -171,20 +118,6 @@ def find_collisions(p: Params, lam) -> CollisionClass:
         if not (w2 > w1 and j1 >= j2 + 2):
             raise ArithmeticError("repeated-eigenvalue structure violated")
     return CollisionClass(lam, tuple(members))
-
-
-def poly_solution_space(p: Params, lam, n: int) -> list:
-    """Basis of initial values f0 whose solution is polynomial of degree <= n.
-
-    These are the f0 with B_{n+1} f0 = 0, which holds exactly when
-    (n (drift_matrix + n - 1) + potential_matrix + lam) B_n f0 = 0, as
-    recursion_matrix + n is invertible; the recursion then sends every later
-    coefficient to zero.  The dimension equals the number of slots of the
-    collision class of lam with w' <= n.
-    """
-    if n < 0:
-        raise ValueError("n must be a non-negative integer")
-    return linalg.nullspace(bracket_seq(p, lam, n + 1).coeffs[n + 1])
 
 
 class Family:

@@ -1,11 +1,12 @@
-"""Dense exact linear algebra over Fraction entries.
+"""Exact matrices over Fraction entries: constructors and one product kernel.
 
-Matrices are tuples of row tuples, vectors are tuples; both are immutable and
-hashable, so results can be cached and compared structurally.  Entries are int
-or Fraction only.  Every matrix product runs on one integer kernel, int_matmul:
+Matrices are tuples of row tuples, immutable and hashable, so results can be
+cached and compared structurally.  Entries are int or Fraction only
+(exact_scalar).  Every matrix product runs on one integer kernel, int_matmul:
 matmul_sum clears each side to integers over one common denominator (or takes
-a side already cleared) and divides once per entry; nullspaces run Bareiss
-(fraction-free) elimination on the same integer form.
+a side already cleared) and divides once per entry.  Nothing here solves a
+linear system: the library only ever back-substitutes against bidiagonal or
+unit triangular matrices, next to where they arise.
 """
 
 from __future__ import annotations
@@ -14,22 +15,9 @@ import math
 import operator
 from fractions import Fraction
 
+from .exact import exact_scalar
+
 Matrix = tuple
-Vector = tuple
-
-
-class SingularMatrixError(ArithmeticError):
-    pass
-
-
-def exact_scalar(x) -> Fraction:
-    """x as a Fraction when it is an int or a Fraction; floats, bools and
-    strings (decimal ones included) raise TypeError."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    raise TypeError(f"{x!r} is not an exact int or Fraction")
 
 
 def freeze_matrix(rows) -> Matrix:
@@ -58,10 +46,6 @@ def diagonal(entries) -> Matrix:
 
 def add(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x + y for x, y in zip(ra, rb, strict=True)) for ra, rb in zip(a, b, strict=True))
-
-
-def sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb, strict=True)) for ra, rb in zip(a, b, strict=True))
 
 
 def scale(a: Matrix, q) -> Matrix:
@@ -104,85 +88,9 @@ def matmul_sum(lefts, rights, left_den: int | None = None, right_den: int | None
     return tuple(tuple(Fraction(x, den) for x in row) for row in int_matmul(left, stacked))
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    return matmul_sum((a,), (b,))
-
-
 def transpose(a: Matrix) -> Matrix:
     return tuple(tuple(col) for col in zip(*a))
 
 
 def is_zero_matrix(a: Matrix) -> bool:
     return all(all(x == 0 for x in row) for row in a)
-
-
-def solve_matrix(a: Matrix, b: Matrix) -> Matrix:
-    """Solve a X = b columnwise for square a, exactly: _bareiss on [a | b],
-    then back-substitution; raises SingularMatrixError when a is singular."""
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix must be square")
-    m, pivots, _, _ = _bareiss([list(ra) + list(rb) for ra, rb in zip(a, b)])
-    missing = sorted(set(range(n)) - {c for _, c in pivots})
-    if missing:
-        raise SingularMatrixError(f"singular matrix (no pivot in column {missing[0]})")
-    x = [()] * n
-    for r in range(n - 1, -1, -1):
-        tail = [sum(m[r][c] * x[c][k] for c in range(r + 1, n)) for k in range(len(b[0]))]
-        x[r] = tuple((m[r][n + k] - t) / Fraction(m[r][r]) for k, t in enumerate(tail))
-    return tuple(x)
-
-
-def _bareiss(a: Matrix):
-    """Bareiss one-step (fraction-free) elimination of a, cleared to integers
-    over den: returns the reduced rows, the (row, col) pivots, the sign of the
-    row swaps and den.  Every division is exact, and the last pivot of a
-    nonsingular square matrix is its determinant up to that sign."""
-    m, den = _integer_form(a)
-    n_rows, n_cols = len(m), len(m[0]) if m else 0
-    pivots, prev, sign = [], 1, 1
-    for col in range(n_cols):
-        row = len(pivots)
-        pr = next((r for r in range(row, n_rows) if m[r][col] != 0), None)
-        if pr is None:
-            continue
-        if pr != row:
-            m[row], m[pr], sign = m[pr], m[row], -sign
-        for r in range(row + 1, n_rows):
-            for cc in range(col + 1, n_cols):
-                m[r][cc] = (m[row][col] * m[r][cc] - m[r][col] * m[row][cc]) // prev
-            m[r][col] = 0
-        prev = m[row][col]
-        pivots.append((row, col))
-    return m, pivots, sign, den
-
-
-def det(a: Matrix) -> Fraction:
-    m, pivots, sign, den = _bareiss(a)
-    if len(pivots) < len(a):
-        return Fraction(0)
-    return Fraction(sign * m[-1][-1], den ** len(a)) if a else Fraction(1)
-
-
-def nullspace(a: Matrix) -> list[Vector]:
-    """Deterministic basis of the right kernel via fraction-free elimination:
-    _bareiss, with exact nonzero pivot tests; free variables are set to 1 in
-    column order."""
-    m, pivots, _, _ = _bareiss(a)
-    n_cols = len(a[0]) if a else 0
-    pivot_cols = {c for _, c in pivots}
-    basis = []
-    for free in range(n_cols):
-        if free in pivot_cols:
-            continue
-        x = [Fraction(0)] * n_cols
-        x[free] = Fraction(1)
-        for r, c in reversed(pivots):
-            s = sum((Fraction(m[r][cc]) * x[cc] for cc in range(c + 1, n_cols)), Fraction(0))
-            x[c] = -s / m[r][c]
-        basis.append(tuple(x))
-    return basis
-
-
-def leading_principal_minors(a: Matrix) -> list[Fraction]:
-    return [det(tuple(row[: t + 1] for row in a[: t + 1])) for t in range(len(a))]

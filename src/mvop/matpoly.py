@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from . import linalg
-from .exact import format_ratio
+from .exact import exact_scalar, format_ratio
 
 __all__ = ["MatPoly", "DiffOp", "NEG_INF"]
 
@@ -176,7 +176,7 @@ class MatPoly:
             out = _product_sum([(self.num, other.num)], self.dim, other.cols)
             return MatPoly._reduced(self.dim, other.cols, out, self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            q = linalg.exact_scalar(other)
+            q = exact_scalar(other)
             return MatPoly._reduced(self.dim, self.cols, _scaled(self.num, q.numerator), self.den * q.denominator)
         return NotImplemented
 
@@ -193,7 +193,7 @@ class MatPoly:
         return MatPoly._reduced(self.dim, self.cols, _derived(self.num), self.den)
 
     def evaluate(self, u0):
-        u0 = linalg.exact_scalar(u0)
+        u0 = exact_scalar(u0)
         total = linalg.zeros(self.dim, self.cols)
         for c in reversed(self.coeffs):
             total = linalg.add(linalg.scale(total, u0), c)
@@ -228,10 +228,6 @@ class DiffOp:
             if not isinstance(c, MatPoly) or c.dim != self.dim or c.cols != self.dim:
                 raise ValueError("coefficients must be dim x dim MatPoly")
         object.__setattr__(self, "coeffs", cs)
-
-    @classmethod
-    def identity(cls, dim: int) -> DiffOp:
-        return cls(dim, (MatPoly.identity(dim),))
 
     @classmethod
     def from_ascending(cls, dim: int, coeffs_ascending) -> DiffOp:

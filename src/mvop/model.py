@@ -27,7 +27,6 @@ __all__ = [
     "WeightSpec",
     "moment_rows",
     "pair_rows",
-    "inner_product",
     "hyper_operator",
     "companion_blocks",
     "companion_operator",
@@ -86,6 +85,14 @@ def _check_j(p: Params, j: int) -> None:
 def _check_w(w: int) -> None:
     if not isinstance(w, int) or isinstance(w, bool) or w < 0:
         raise ValueError("w must be a non-negative integer")
+
+
+def _check_bound(name: str, value: int) -> None:
+    """A degree bound such as max_w: an int (not a bool) that is >= 0."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, not {type(value).__name__}")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0")
 
 
 def recursion_matrix(p: Params):
@@ -192,16 +199,6 @@ def pair_rows(pp: MatPoly, rows, cols: int):
     if pp.is_zero():
         return linalg.zeros(pp.dim, cols)
     return linalg.matmul_sum(pp.num, rows[: len(pp.num)], left_den=pp.den)
-
-
-def inner_product(pp: MatPoly, qq: MatPoly, ws: WeightSpec):
-    """Matrix pairing integral of pp W qq^T, in units of the zeroth moment:
-    the sum over a, b of pp_a H_{a+b} qq_b^T, which is pp paired against the
-    moment rows of qq.  Both arguments need as many columns as the weight has
-    rows; the result is pp.dim x qq.dim."""
-    if pp.cols != ws.core.dim:
-        raise ValueError("dimension mismatch")
-    return pair_rows(pp, moment_rows(qq, ws, len(pp.num)), qq.dim)
 
 
 def hyper_operator(p: Params) -> DiffOp:
@@ -313,8 +310,7 @@ class EigenPair:
 
 def eigen_table(p: Params, max_w: int) -> list[EigenPair]:
     """All eigenvalue pairs for 0 <= w <= max_w, 0 <= j <= ell, in (w, j) order."""
-    if max_w < 0:
-        raise ValueError("max_w must be >= 0")
+    _check_bound("max_w", max_w)
     return [
         EigenPair(w, j, hyper_eigenvalue(p, w, j), companion_eigenvalue(p, w, j))
         for w in range(max_w + 1)

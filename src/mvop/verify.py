@@ -23,10 +23,10 @@ from .matpoly import DiffOp, MatPoly
 from .model import (
     Params,
     WeightSpec,
+    _check_bound,
     companion_eigenvalue,
     eigenvalue_matrix,
     hyper_eigenvalue,
-    inner_product,
     monic_eigenvalue,
     pair_rows,
 )
@@ -35,7 +35,6 @@ from .hyper import family, find_collisions, leading_coefficient
 __all__ = [
     "WeightSpec",
     "GramBlock",
-    "inner_product",
     "gram_block",
     "check_symmetry_reduced",
     "BoundaryReport",
@@ -194,12 +193,33 @@ def check_commute(p: Params) -> bool:
     return (d.compose(e) - e.compose(d)).is_zero()
 
 
+def _unit_upper_solve(pt: MatPoly, residual: MatPoly, d: int) -> MatPoly:
+    """The constant A with U A = R, U and R the degree-d coefficients of pt and
+    residual, for U unit upper triangular: back-substitution, row r of A being
+    R[r] - sum_{c > r} U[r][c] A[c].  It runs on integers: with U = u / e and
+    R = b / f, row r of A is y[r] / (f e^(n-1-r)) for
+    y[r] = b[r] e^(n-1-r) - sum_{c > r} u[r][c] e^(c-r-1) y[c], so nothing is
+    divided.  The diagonal of U and the entries below it are never read."""
+    (u, e), (b, f) = (pt.num[d], pt.den), (residual.num[d], residual.den)
+    n, powers = len(u), [e**i for i in range(len(u))]
+    y = [()] * n
+    for r in range(n - 1, -1, -1):
+        y[r] = tuple(
+            x * powers[n - 1 - r] - sum(u[r][c] * powers[c - r - 1] * y[c][k] for c in range(r + 1, n))
+            for k, x in enumerate(b[r])
+        )
+    num = tuple(tuple(x * powers[r] for x in row) for r, row in enumerate(y))
+    return MatPoly._reduced(n, residual.cols, (num,), f * powers[n - 1])
+
+
 def decompose_in_basis(h: MatPoly, p: Params) -> list:
     """Unique constant matrices A_j with h = sum_j transpose(family_j) A_j.
 
     Peels degrees from the top: the leading coefficient of each transposed
-    family member is unit upper triangular, hence invertible.  The final
-    residual must vanish exactly.
+    family member is the transpose of the unit lower triangular
+    leading_coefficient(p, d), so A_d follows by back-substitution.  Each
+    peel must lower the residual's degree and the final residual must vanish
+    exactly (else ArithmeticError), which certifies every part.
     """
     if h.dim != p.size or h.cols != p.size:
         raise ValueError("h must be a square MatPoly of the family's size")
@@ -213,9 +233,9 @@ def decompose_in_basis(h: MatPoly, p: Params) -> list:
         if residual.degree < d:
             continue
         pt = fam.poly(d).transpose()
-        a_d = linalg.solve_matrix(pt.leading(), residual.coeff(d))
-        out[d] = a_d
-        residual = residual - pt * MatPoly.constant(a_d)
+        a_d = _unit_upper_solve(pt, residual, d)
+        out[d] = a_d.coeff(0)
+        residual = residual - pt * a_d
         if residual.degree >= d:
             raise ArithmeticError(f"residual keeps degree {d} after peeling")
     if not residual.is_zero():
@@ -236,8 +256,7 @@ def check_ideal(p: Params, w_max: int) -> IdealReport:
     Cross lines are also sampled: slots landing on a line of a different
     index are reported as coincidences, not failures.
     """
-    if w_max < 0:
-        raise ValueError("w_max must be >= 0")
+    _check_bound("w_max", w_max)
     a, b, k, ell = p.alpha, p.beta, p.k, p.ell
     slopes = [a - ell + 3 * j for j in range(p.size)]
     offsets = [3 * j * (ell - j + k) * (j + a + b - k + 1) for j in range(p.size)]
@@ -305,8 +324,7 @@ def _zero_residuals(ws, op):
 
 def run_suite(p: Params, max_w: int = 6) -> VerificationReport:
     """Run every verification for the given parameters, in a fixed order."""
-    if max_w < 0:
-        raise ValueError("max_w must be >= 0")
+    _check_bound("max_w", max_w)
     fam = family(p)
     ws, d, e = fam.weight, fam.hyper, fam.companion
     eig_span = max(max_w, 20)

@@ -17,7 +17,6 @@ from mvop.hyper import (
     kernel_vector,
     leading_coefficient,
     orthogonal_polynomial,
-    poly_solution_space,
 )
 from mvop.matpoly import DiffOp, MatPoly
 from mvop.model import (
@@ -37,8 +36,9 @@ from mvop.verify import (
     check_symmetry_reduced,
     decompose_in_basis,
     gram_block,
-    inner_product,
 )
+
+from dense_reference import inner_product, poly_solution_space
 
 GRID = [
     Params(0, 1, 1, 1),

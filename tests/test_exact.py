@@ -1,4 +1,6 @@
 import math
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -113,3 +115,40 @@ def test_moment_functional_rejects_bad_exponents():
     with pytest.raises(ValueError):
         MomentFunctional(0, 0).ratio(-1)
 
+
+
+# a float, a bool or a string would otherwise be read as a number: 0.5 as a
+# float, 0.1 as its binary expansion, True as 1
+INEXACT = [0.5, 0.1, True, "1/2", Decimal("0.5")]
+
+
+@pytest.mark.parametrize("bad", INEXACT)
+def test_poch_rejects_inexact_arguments(bad):
+    with pytest.raises(TypeError, match=re.escape(repr(bad))):
+        poch(bad, 2)
+
+
+@pytest.mark.parametrize("bad", INEXACT)
+def test_falling_rejects_inexact_arguments(bad):
+    with pytest.raises(TypeError, match=re.escape(repr(bad))):
+        falling(bad, 2)
+
+
+@pytest.mark.parametrize("bad", INEXACT)
+def test_gen_binom_rejects_inexact_arguments(bad):
+    with pytest.raises(TypeError, match=re.escape(repr(bad))):
+        gen_binom(bad, 1)
+
+
+@pytest.mark.parametrize("bad", INEXACT)
+def test_moment_functional_rejects_inexact_exponents(bad):
+    with pytest.raises(TypeError, match=re.escape(repr(bad))):
+        MomentFunctional(bad, Fraction(1, 2))
+    with pytest.raises(TypeError, match=re.escape(repr(bad))):
+        MomentFunctional(0, bad)
+
+
+@pytest.mark.parametrize("bad", INEXACT)
+def test_format_rational_rejects_inexact_values(bad):
+    with pytest.raises(TypeError, match=re.escape(repr(bad))):
+        format_rational(bad)

@@ -13,15 +13,12 @@ import mvop.model
 from mvop import linalg
 from mvop.hyper import (
     Family,
-    bracket_seq,
     build_column,
     family,
     find_collisions,
     kernel_vector,
     leading_coefficient,
     orthogonal_polynomial,
-    poly_solution_space,
-    termination_matrix,
 )
 from mvop.matpoly import MatPoly
 from mvop.verify import gram_block
@@ -32,10 +29,12 @@ from mvop.model import (
     drift_matrix,
     hyper_eigenvalue,
     hyper_operator,
-    inner_product,
     potential_matrix,
     recursion_matrix,
 )
+
+import dense_reference as dense
+from dense_reference import bracket_seq, inner_product, poly_solution_space, termination_matrix
 
 GRID = [
     Params(0, 1, 1, 1),
@@ -78,9 +77,9 @@ def bracket_column(p, w, j):
     f0 at u = 0 solves B_w f0 = kernel_vector, and coefficient i is
     w!/i! B_i f0."""
     brackets = bracket_seq(p, hyper_eigenvalue(p, w, j), w).coeffs
-    f0 = linalg.solve_matrix(brackets[w], column(kernel_vector(p, w, j)))
+    f0 = dense.solve_matrix(brackets[w], column(kernel_vector(p, w, j)))
     coeffs = [
-        linalg.scale(linalg.matmul(brackets[i], f0), Fraction(math.factorial(w), math.factorial(i)))
+        linalg.scale(dense.matmul(brackets[i], f0), Fraction(math.factorial(w), math.factorial(i)))
         for i in range(w + 1)
     ]
     return MatPoly(p.size, coeffs, 1)
@@ -126,7 +125,7 @@ def orthogonalized_column(p, w, j):
     reduced = []
     for f0 in basis:
         series = [
-            linalg.scale(linalg.matmul(brackets[i], column(f0)), Fraction(1, math.factorial(i)))
+            linalg.scale(dense.matmul(brackets[i], column(f0)), Fraction(1, math.factorial(i)))
             for i in range(w + 1)
         ]
         cand = MatPoly(p.size, series, 1)
@@ -201,22 +200,22 @@ class TestBracketSeq:
             seq = bracket_seq(p, lam, 5).coeffs
             eye = linalg.identity(p.size)
             for i in range(5):
-                lhs = linalg.matmul(
+                lhs = dense.matmul(
                     linalg.add(recursion_matrix(p), linalg.scale(eye, i)), seq[i + 1]
                 )
                 numerator = linalg.add(
                     linalg.scale(linalg.add(drift_matrix(p), linalg.scale(eye, i - 1)), i),
                     linalg.add(potential_matrix(p), linalg.scale(eye, lam)),
                 )
-                assert lhs == linalg.matmul(numerator, seq[i])
+                assert lhs == dense.matmul(numerator, seq[i])
 
     def test_termination_shows_up_as_rank_drop(self):
         # at lam = hyper_eigenvalue(1, 0) the next bracket is singular, the current one is not
         lam = hyper_eigenvalue(BASE, 1, 0)
         assert lam == -4
         seq = bracket_seq(BASE, lam, 2).coeffs
-        assert linalg.det(seq[1]) != 0
-        assert linalg.det(seq[2]) == 0
+        assert dense.det(seq[1]) != 0
+        assert dense.det(seq[2]) == 0
 
     def test_rejects_negative_length(self):
         with pytest.raises(ValueError):
@@ -246,7 +245,7 @@ class TestTerminationMatrix:
         for p in GRID:
             for w in range(4):
                 for j in range(p.size):
-                    assert linalg.det(termination_matrix(p, w, j)) == 0
+                    assert dense.det(termination_matrix(p, w, j)) == 0
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
@@ -275,7 +274,7 @@ class TestKernelVector:
     def test_lies_in_kernel(self, p, w, data):
         j = data.draw(st.integers(min_value=0, max_value=p.ell))
         m = termination_matrix(p, w, j)
-        assert linalg.is_zero_matrix(linalg.matmul(m, column(kernel_vector(p, w, j))))
+        assert linalg.is_zero_matrix(dense.matmul(m, column(kernel_vector(p, w, j))))
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
@@ -525,11 +524,13 @@ class TestBuildColumn:
         def refuse(*args, **kwargs):
             raise AssertionError("dense bracket path or pairing used to build a column")
 
-        monkeypatch.setattr(mvop.hyper, "bracket_seq", refuse)
-        monkeypatch.setattr(mvop.hyper, "poly_solution_space", refuse)
-        monkeypatch.setattr(linalg, "solve_matrix", refuse)
-        monkeypatch.setattr(linalg, "nullspace", refuse)
-        monkeypatch.setattr(mvop.model, "inner_product", refuse)
+        # the dense path and the one-call pairing now live only in dense_reference
+        gone = {
+            mvop.hyper: ("BracketSeq", "bracket_seq", "termination_matrix", "poly_solution_space"),
+            linalg: ("SingularMatrixError", "solve_matrix", "nullspace", "det", "leading_principal_minors", "matmul", "sub"),
+            mvop.model: ("inner_product",),
+        }
+        assert [(m.__name__, n) for m, names in gone.items() for n in names if hasattr(m, n)] == []
         monkeypatch.setattr(mvop.model.WeightSpec, "moment", refuse)
         monkeypatch.setattr(mvop.hyper, "moment_rows", refuse)
         big = Params(0, 3, 1, 5)

@@ -181,7 +181,7 @@ def test_column_roundtrip_and_arith():
 
 
 def test_operator_identity_and_coeff_access():
-    ident = DiffOp.identity(2)
+    ident = DiffOp(2, (MatPoly.identity(2),))
     assert ident.order == 0
     f = MatPoly.from_scalar(2, (1, 1))
     assert ident.apply(f) == f
@@ -201,7 +201,7 @@ def test_operator_requires_square_coefficients():
     with pytest.raises(ValueError):
         DiffOp(2, (MatPoly.identity(2), MatPoly.zero(2, 3)))
     with pytest.raises(ValueError):
-        DiffOp.identity(2).apply(MatPoly.zero(3, 1))
+        DiffOp(2, (MatPoly.identity(2),)).apply(MatPoly.zero(3, 1))
 
 
 def test_apply_derivative_operator():
@@ -215,7 +215,7 @@ def test_apply_derivative_operator():
 
 def test_apply_rejects_other_types():
     with pytest.raises(TypeError):
-        DiffOp.identity(2).apply("nope")
+        DiffOp(2, (MatPoly.identity(2),)).apply("nope")
 
 
 def test_compose_first_order_with_multiplication():
@@ -260,7 +260,7 @@ def test_operator_subtraction_and_zero():
     diff = ddu - ddu
     assert diff.order == 1
     assert diff.is_zero()
-    ident = DiffOp.identity(2)
+    ident = DiffOp(2, (MatPoly.identity(2),))
     padded = ddu - ident
     assert padded.order == 1
     assert padded.coeff_of_order(0) == -MatPoly.identity(2)

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
 
 import mvop
@@ -43,3 +45,12 @@ def test_only_memo_keeps_the_latest_family():
             if name in ("lru_cache", "cache"):
                 uses.append((path.name,) + decorated.get(id(node), (None, ast.unparse(node))))
     assert uses == [("hyper.py", "family", "lru_cache(maxsize=1)")]
+
+
+def test_every_exported_name_resolves():
+    # a removal must take its __all__ entries and re-exports with it
+    stale = []
+    for info in pkgutil.iter_modules(mvop.__path__):
+        module = importlib.import_module(f"mvop.{info.name}")
+        stale += [f"{info.name}.{name}" for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert not stale, f"__all__ names that do not resolve: {stale}"

@@ -9,11 +9,14 @@ from mvop.hyper import CollisionClass, Family, build_column, orthogonal_polynomi
 from mvop import model, verify
 from mvop.matpoly import DiffOp, MatPoly
 
+import dense_reference as dense
 import fraction_oracle as oracle
+from dense_reference import inner_product
 from mvop.model import (
     Params,
     WeightSpec,
     companion_operator,
+    eigen_table,
     eigenvalue_matrix,
     hyper_operator,
     weight_core,
@@ -29,7 +32,6 @@ from mvop.verify import (
     check_symmetry_reduced,
     decompose_in_basis,
     gram_block,
-    inner_product,
     run_suite,
 )
 
@@ -165,7 +167,7 @@ class TestGram:
             total = linalg.zeros(pp.dim, qq.dim)
             for a, pa in enumerate(pp.coeffs):
                 for b, qb in enumerate(qq.coeffs):
-                    term = linalg.matmul(linalg.matmul(pa, ws.moment(a + b)), linalg.transpose(qb))
+                    term = dense.matmul(dense.matmul(pa, ws.moment(a + b)), linalg.transpose(qb))
                     total = linalg.add(total, term)
             return total
 
@@ -241,7 +243,7 @@ class TestSymmetryReduced:
 
     def test_requires_order_two(self):
         with pytest.raises(ValueError):
-            check_symmetry_reduced(WeightSpec(BASE), DiffOp.identity(2))
+            check_symmetry_reduced(WeightSpec(BASE), DiffOp(2, (MatPoly.identity(2),)))
 
     @pytest.mark.parametrize(
         "p",
@@ -329,7 +331,7 @@ class TestBoundary:
 
     def test_requires_order_two(self):
         with pytest.raises(ValueError):
-            check_boundary(WeightSpec(BASE), DiffOp.identity(2))
+            check_boundary(WeightSpec(BASE), DiffOp(2, (MatPoly.identity(2),)))
 
 
 class TestBilinearSymmetry:
@@ -395,7 +397,7 @@ class TestEigenAndCommutation:
                 pt = orthogonal_polynomial(p, w).transpose()
                 lam = eigenvalue_matrix(p, w, "hyper")
                 mu = eigenvalue_matrix(p, w, "companion")
-                assert de.apply(pt) == pt * MatPoly.constant(linalg.matmul(mu, lam))
+                assert de.apply(pt) == pt * MatPoly.constant(dense.matmul(mu, lam))
 
 
 class TestDecomposition:
@@ -408,6 +410,23 @@ class TestDecomposition:
 
     def test_zero_polynomial(self):
         assert decompose_in_basis(MatPoly.zero(2), BASE) == []
+
+    @pytest.mark.usefixtures("fresh_family")
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_a_leading_coefficient_off_the_triangle_is_refused(self, d):
+        # the back-substitution reads only the strict upper triangle of
+        # P_d^T's leading coefficient; give it one nonzero entry below the
+        # diagonal (above it in P_d) and the peel must leave degree d standing
+        p = GRID[1]
+        fam = mvop.hyper.family(p)
+        real = fam.poly(d)
+        skew = [[0] * p.size for _ in range(p.size)]
+        skew[0][p.ell] = 1
+        fam._polys[d] = real + MatPoly.monomial(p.size, skew, d)
+        assert fam.poly(d).transpose().leading()[p.ell][0] != 0
+        h = orthogonal_polynomial(p, 2).transpose() + MatPoly.monomial(p.size, linalg.identity(p.size), d)
+        with pytest.raises(ArithmeticError, match=f"residual keeps degree {d} after peeling"):
+            decompose_in_basis(h, p)
 
     def test_random_reconstruction(self):
         rng = random.Random(7)
@@ -495,14 +514,14 @@ class TestSuite:
     def test_decomposition_with_a_wrong_part_reports_a_mismatch(self, monkeypatch):
         # the first A_d off by the identity leaves the top degree of its
         # residual standing, so the peeling raises
-        real, calls = linalg.solve_matrix, []
+        real, calls = verify._unit_upper_solve, []
 
-        def skewed(a, b):
-            calls.append((a, b))
-            out = real(a, b)
-            return linalg.add(out, linalg.identity(len(out))) if len(calls) == 1 else out
+        def skewed(*args):
+            calls.append(args)
+            out = real(*args)
+            return out + MatPoly.identity(out.dim) if len(calls) == 1 else out
 
-        monkeypatch.setattr(linalg, "solve_matrix", skewed)
+        monkeypatch.setattr(verify, "_unit_upper_solve", skewed)
         report = run_suite(BASE, max_w=2)
         assert calls
         assert [(c.name, c.witness) for c in report.checks if c.status == "fail"] == [
@@ -537,6 +556,16 @@ class TestSuite:
             check_bilinear_symmetry(WeightSpec(BASE), hyper_operator(BASE), max_power=-1)
         with pytest.raises(ValueError):
             check_ideal(BASE, -3)
+
+    @pytest.mark.parametrize("bad", [True, False, 2.0, "3", Fraction(2)])
+    @pytest.mark.parametrize("call", [run_suite, check_ideal, eigen_table], ids=lambda f: f.__name__)
+    def test_degree_bounds_must_be_integers(self, call, bad):
+        # the CLI rejects these, so the library does too; a negative bound
+        # keeps its own message
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(BASE, bad)
+        with pytest.raises(ValueError, match="must be >= 0"):
+            call(BASE, -1)
 
     def test_report_passed_property(self):
         good = CheckResult("a", "pass")
