@@ -36,10 +36,17 @@ def exact_scalar(x) -> Fraction:
     raise TypeError(f"{x!r} is not an exact int or Fraction")
 
 
+def _check_bound(name: str, value: int) -> None:
+    """A count or degree bound such as max_w: an int (not a bool) that is >= 0."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, not {type(value).__name__}")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0")
+
+
 def poch(z: RationalLike, r: int) -> Fraction:
     """Rising factorial z(z+1)...(z+r-1); the empty product is 1."""
-    if r < 0:
-        raise ValueError("r must be a non-negative integer")
+    _check_bound("r", r)
     z = exact_scalar(z)
     out = Fraction(1)
     for i in range(r):
@@ -49,8 +56,7 @@ def poch(z: RationalLike, r: int) -> Fraction:
 
 def falling(n: RationalLike, i: int) -> Fraction:
     """Falling factorial n(n-1)...(n-i+1); the empty product is 1."""
-    if i < 0:
-        raise ValueError("i must be a non-negative integer")
+    _check_bound("i", i)
     n = exact_scalar(n)
     out = Fraction(1)
     for m in range(i):
@@ -64,8 +70,7 @@ def gen_binom(z: RationalLike, r: int) -> Fraction:
     Equals poch(z - r + 1, r) / r!, so it vanishes exactly when z is an
     integer with 0 <= z < r.
     """
-    if r < 0:
-        raise ValueError("r must be a non-negative integer")
+    _check_bound("r", r)
     return poch(exact_scalar(z) - r + 1, r) / math.factorial(r)
 
 
@@ -119,8 +124,7 @@ class MomentFunctional:
 
     def ratio(self, m: int) -> Fraction:
         """Exact m-th moment in units of the zeroth moment."""
-        if m < 0:
-            raise ValueError("m must be a non-negative integer")
+        _check_bound("m", m)
         while len(self._cache) <= m:
             n = len(self._cache)
             # ratio(n) = ratio(n-1) * (beta + n) / (alpha + beta + 1 + n)

@@ -28,12 +28,11 @@ from functools import cached_property, lru_cache
 
 from . import linalg
 from .matpoly import MatPoly
-from .exact import exact_scalar, poch
+from .exact import _check_bound, exact_scalar, poch
 from .model import (
     Params,
     WeightSpec,
     _check_j,
-    _check_w,
     companion_eigenvalue,
     companion_operator,
     drift_matrix,
@@ -67,7 +66,7 @@ def kernel_vector(p: Params, w: int, j: int):
     vanish.  The denominator products are strictly positive for admissible
     parameters, so the vector is always defined.
     """
-    _check_w(w)
+    _check_bound("w", w)
     _check_j(p, j)
     x = [Fraction(0)] * p.size
     x[j] = Fraction(1)
@@ -208,7 +207,7 @@ class Family:
         against k > 0.  So d < g, and mu strictly increases along a class.
         """
         p = self.params
-        _check_w(w)
+        _check_bound("w", w)
         _check_j(p, j)
         if (w, j) in self._columns:
             return self._columns[w, j]
@@ -229,7 +228,7 @@ class Family:
         Its leading coefficient is leading_coefficient(p, w), unit lower
         triangular, so the family is linearly independent degree by degree.
         """
-        _check_w(w)
+        _check_bound("w", w)
         if w not in self._polys:
             n = self.params.size
             cols = [self.column(w, j) for j in range(n)]
@@ -240,14 +239,14 @@ class Family:
 
     def gram(self, w: int, w_prime: int):
         """The pairing block <P_w, P_w'>, P_w paired against the moment rows of
-        P_w'.  The rows a <= max(w, w') of each P_w' are computed on first use
-        and again only when a wider P_w needs more; every block is still its
-        own exact sum."""
+        P_w'.  The rows a <= max(w, w') of each P_w', integers over one
+        denominator, are computed on first use and again only when a wider P_w
+        needs more; every block is still its own exact sum."""
         left, right = self.poly(w), self.poly(w_prime)
-        rows = self._moment_rows.get(w_prime, ())
+        rows, den = self._moment_rows.get(w_prime, ((), 1))
         if len(rows) <= w:
-            rows = self._moment_rows[w_prime] = moment_rows(right, self.weight, max(w, w_prime) + 1)
-        return pair_rows(left, rows, self.params.size)
+            rows, den = self._moment_rows[w_prime] = moment_rows(right, self.weight, max(w, w_prime) + 1)
+        return pair_rows(left, rows, den, self.params.size)
 
 
 @lru_cache(maxsize=1)

@@ -2,11 +2,12 @@
 
 Matrices are tuples of row tuples, immutable and hashable, so results can be
 cached and compared structurally.  Entries are int or Fraction only
-(exact_scalar).  Every matrix product runs on one integer kernel, int_matmul:
-matmul_sum clears each side to integers over one common denominator (or takes
-a side already cleared) and divides once per entry.  Nothing here solves a
-linear system: the library only ever back-substitutes against bidiagonal or
-unit triangular matrices, next to where they arise.
+(exact_scalar).  Every matrix product runs on one integer kernel, int_matmul,
+on operands already cleared to integers over a denominator that the caller
+keeps (MatPoly coefficients, the moment table); _integer_form clears a
+Fraction matrix into that form.  Nothing here solves a linear system: the
+library only ever back-substitutes against bidiagonal or unit triangular
+matrices, next to where they arise.
 """
 
 from __future__ import annotations
@@ -63,29 +64,6 @@ def int_matmul(a, b) -> Matrix:
     """Product of two integer matrices, given as sequences of rows."""
     cols = list(zip(*b))
     return tuple(tuple(sum(map(operator.mul, r, c)) for c in cols) for r in a)
-
-
-def matmul_sum(lefts, rights, left_den: int | None = None, right_den: int | None = None) -> Matrix:
-    """Exact sum over k of lefts[k] @ rights[k], for one or more pairs: the lefts
-    side by side times the rights stacked, as one integer product.  A side
-    passed with its den holds integer matrices over that one denominator and
-    is used as it is; a side without is cleared over the lcm of its entry
-    denominators.  Raises ValueError on a shape mismatch or on unequal or
-    zero term counts."""
-    stacked = [row for b in rights for row in b]
-    if not lefts or len(lefts) != len(rights):
-        raise ValueError("need equally many left and right factors, at least one")
-    if any(len(a) != len(lefts[0]) or any(len(r) != len(b) for r in a) for a, b in zip(lefts, rights)):
-        raise ValueError("inner dimension mismatch")
-    if any(len(r) != len(stacked[0]) for r in stacked):
-        raise ValueError("right factors differ in width")
-    left = [[x for a in lefts for x in a[i]] for i in range(len(lefts[0]))]
-    if left_den is None:
-        left, left_den = _integer_form(left)
-    if right_den is None:
-        stacked, right_den = _integer_form(stacked)
-    den = left_den * right_den
-    return tuple(tuple(Fraction(x, den) for x in row) for row in int_matmul(left, stacked))
 
 
 def transpose(a: Matrix) -> Matrix:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import zip_longest
 
 from . import linalg
@@ -248,6 +249,15 @@ class DiffOp:
     def is_degree_bounded(self) -> bool:
         """True when deg A_j <= j for every order j, the class closed under composition."""
         return all(self.coeff_of_order(j).degree <= j for j in range(self.order + 1))
+
+    @cached_property
+    def degree_symbol(self) -> tuple:
+        """For deg A_j <= j (else ValueError), the u^j coefficients of the A_j
+        as (j, integer matrix) pairs over one denominator, and that den."""
+        if not self.is_degree_bounded():
+            raise ValueError("coefficient degrees must not exceed the derivative order")
+        nums, den = self._cleared()
+        return tuple((j, c[j]) for j, c in enumerate(nums) if j < len(c)), den
 
     def _cleared(self):
         """Coefficient numerators by ascending order over the lcm of their denominators, and that lcm."""

@@ -10,11 +10,13 @@ column indices i, j run from 0 to ell throughout.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .exact import MomentFunctional, falling, format_rational, gen_binom, parse_rational
+from .exact import MomentFunctional, _check_bound, format_rational, gen_binom, parse_rational
 from .matpoly import DiffOp, MatPoly
 
 __all__ = [
@@ -82,19 +84,6 @@ def _check_j(p: Params, j: int) -> None:
         raise ValueError(f"j must be an integer in [0, {p.ell}]")
 
 
-def _check_w(w: int) -> None:
-    if not isinstance(w, int) or isinstance(w, bool) or w < 0:
-        raise ValueError("w must be a non-negative integer")
-
-
-def _check_bound(name: str, value: int) -> None:
-    """A degree bound such as max_w: an int (not a bool) that is >= 0."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, not {type(value).__name__}")
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0")
-
-
 def recursion_matrix(p: Params):
     """Lower-bidiagonal matrix with diagonal beta + 1 + 2i and subdiagonal i.
 
@@ -134,32 +123,26 @@ def weight_core(p: Params) -> MatPoly:
     only the (0, 0) entry survives.
     """
     ell = p.ell
-    top = 2 * ell
-    coeffs = [[[Fraction(0)] * p.size for _ in range(p.size)] for _ in range(top + 1)]
-    for i in range(p.size):
-        for j in range(p.size):
-            for r in range(ell + 1):
-                c = (
-                    gen_binom(Fraction(r), i)
-                    * gen_binom(Fraction(r), j)
-                    * gen_binom(p.ell + p.k - 1 - r, ell - r)
-                    * gen_binom(p.beta - p.k + r, r)
-                )
-                if c == 0:
-                    continue
+    coeffs = [[[Fraction(0)] * p.size for _ in range(p.size)] for _ in range(2 * ell + 1)]
+    for r in range(ell + 1):
+        scale = gen_binom(ell + p.k - 1 - r, ell - r) * gen_binom(p.beta - p.k + r, r)
+        for i in range(r + 1):  # C(r, i) vanishes for i > r
+            for j in range(r + 1):
+                c = math.comb(r, i) * math.comb(r, j) * scale
                 for t in range(ell - r + 1):
-                    coeffs[i + j + t][i][j] += c * gen_binom(Fraction(ell - r), t) * (-1) ** t
-    return MatPoly(p.size, tuple(tuple(tuple(row) for row in mat) for mat in coeffs))
+                    coeffs[i + j + t][i][j] += c * math.comb(ell - r, t) * (-1) ** t
+    return MatPoly(p.size, coeffs)
 
 
 class WeightSpec:
     """The weight W = (1-u)^alpha u^beta Z(u) as its core Z and its moment matrices.
 
-    The moment matrix H_m = sum_c Z_c ratio(m + c) is the integral of u^m W in
+    The moment matrix H_m = sum_c ratio(m + c) Z_c is the integral of u^m W in
     units of the zeroth moment of the scalar factor.  Every pairing against
     the weight is a sum of H_{a+b} between polynomial coefficients, so the
-    table, grown on demand, is the only place the weight is integrated.  A
-    moment row of qq, sum_b H_{a+b} qq_b^T, is the pairing of u^a I against qq.
+    table, grown on demand, is the only place the weight is integrated.  It
+    holds H_m as one ratio-weighted sum of the core's integer numerators, over
+    the core's denominator times the lcm of the ratios' denominators.
     """
 
     def __init__(self, params: Params):
@@ -168,37 +151,58 @@ class WeightSpec:
         self.moments = MomentFunctional(params.alpha, params.beta)
         self._table = []
 
-    def moment(self, m: int):
-        """Moment matrix H_m, for m >= 0."""
-        if m < 0:
-            raise ValueError("m must be a non-negative integer")
-        core, eye = self.core, linalg.identity(self.core.dim)
+    def moment_num(self, m: int) -> tuple:
+        """Moment matrix H_m, for m >= 0, as (integer matrix, denominator)."""
+        _check_bound("m", m)
+        core = self.core
         while len(self._table) <= m:
             n = len(self._table)
-            ratios = [linalg.scale(eye, self.moments.ratio(n + c)) for c in range(len(core.num))]
-            self._table.append(linalg.matmul_sum(ratios, core.num, right_den=core.den))
+            ratios = [self.moments.ratio(n + c) for c in range(len(core.num))]
+            den = math.lcm(*(r.denominator for r in ratios))
+            weights = [r.numerator * (den // r.denominator) for r in ratios]
+            num = tuple(
+                tuple(sum(map(operator.mul, weights, entry)) for entry in zip(*rows)) for rows in zip(*core.num)
+            )
+            self._table.append((num, core.den * den))
         return self._table[m]
 
+    def moment(self, m: int):
+        """Moment matrix H_m, for m >= 0, as Fractions."""
+        num, den = self.moment_num(m)
+        return tuple(tuple(Fraction(x, den) for x in row) for row in num)
 
-def moment_rows(qq: MatPoly, ws: WeightSpec, n: int):
-    """The moment rows N[a] = sum_b H_{a+b} qq_b^T for a < n; N[a], a
-    dim x qq.dim matrix, is the pairing of u^a I against qq."""
+
+def moment_rows(qq: MatPoly, ws: WeightSpec, n: int) -> tuple:
+    """The moment rows N[a] = sum_b H_{a+b} qq_b^T for a < n, the pairings of
+    u^a I against qq, as (rows, den): dim x qq.dim integer matrices over one
+    denominator, to which each H_m read is scaled once per call."""
     dim = ws.core.dim
     if qq.cols != dim:
         raise ValueError("dimension mismatch")
     if qq.is_zero():
-        return [linalg.zeros(dim, qq.dim)] * n
-    qts = [linalg.transpose(c) for c in qq.num]
-    return [linalg.matmul_sum([ws.moment(a + b) for b in range(len(qts))], qts, right_den=qq.den) for a in range(n)]
+        return [((0,) * qq.dim,) * dim] * n, 1
+    width = len(qq.num)
+    table = [ws.moment_num(m) for m in range(n + width - 1)]
+    den = math.lcm(*(d for _, d in table))
+    hs = [[[x * (den // d) for x in row] for row in h] for h, d in table]
+    stacked = [col for c in qq.num for col in zip(*c)]
+    rows = [linalg.int_matmul([[x for h in hs[a : a + width] for x in h[i]] for i in range(dim)], stacked) for a in range(n)]
+    return rows, den * qq.den
 
 
-def pair_rows(pp: MatPoly, rows, cols: int):
-    """sum_a pp_a rows[a]: pp paired against the moment rows of a qq with cols rows."""
+def pair_rows(pp: MatPoly, rows, den: int, cols: int):
+    """sum_a pp_a rows[a] / den: pp paired against the moment rows (rows, den)
+    of a qq with cols rows, one integer product and one division per entry."""
     if len(rows) < len(pp.num):
         raise ValueError("need one moment row per coefficient of pp")
     if pp.is_zero():
         return linalg.zeros(pp.dim, cols)
-    return linalg.matmul_sum(pp.num, rows[: len(pp.num)], left_den=pp.den)
+    if any(len(r) != pp.cols for r in rows[: len(pp.num)]):
+        raise ValueError("inner dimension mismatch")
+    left = [[x for c in pp.num for x in c[i]] for i in range(pp.dim)]
+    stacked = [row for r in rows[: len(pp.num)] for row in r]
+    den *= pp.den
+    return tuple(tuple(Fraction(x, den) for x in row) for row in linalg.int_matmul(left, stacked))
 
 
 def hyper_operator(p: Params) -> DiffOp:
@@ -247,7 +251,7 @@ def companion_operator(p: Params) -> DiffOp:
 def hyper_eigenvalue(p: Params, w: int, j: int) -> Fraction:
     """Eigenvalue of the hypergeometric operator on the (w, j) eigenfunction:
     -w(w + alpha + beta + ell + j + 1) - j(alpha + beta - k + 1 + j)."""
-    _check_w(w)
+    _check_bound("w", w)
     _check_j(p, j)
     a, b, k, ell = p.alpha, p.beta, p.k, p.ell
     return -w * (w + a + b + ell + j + 1) - j * (a + b - k + 1 + j)
@@ -257,7 +261,7 @@ def companion_eigenvalue(p: Params, w: int, j: int) -> Fraction:
     """Eigenvalue of the companion operator on the (w, j) eigenfunction:
     -w(w + alpha + beta + ell + j + 1)(alpha - ell + 3j)
     - j(j + alpha + beta - k + 1)(alpha + 2 ell + 3k)."""
-    _check_w(w)
+    _check_bound("w", w)
     _check_j(p, j)
     a, b, k, ell = p.alpha, p.beta, p.k, p.ell
     return -w * (w + a + b + ell + j + 1) * (a - ell + 3 * j) - j * (j + a + b - k + 1) * (
@@ -279,15 +283,12 @@ def eigenvalue_matrix(p: Params, w: int, which: str):
 def monic_eigenvalue(op: DiffOp, n: int):
     """Constant matrix sum_i [n]_i (u^i coefficient of A_i), the eigenvalue
     of op on a monic degree-n polynomial family; requires deg A_i <= i."""
-    if n < 0:
-        raise ValueError("n must be a non-negative integer")
-    if not op.is_degree_bounded():
-        raise ValueError("coefficient degrees must not exceed the derivative order")
-    total = linalg.zeros(op.dim)
-    for i in range(op.order + 1):
-        mat = op.coeff_of_order(i).coeff(i)
-        total = linalg.add(total, linalg.scale(mat, falling(n, i)))
-    return total
+    _check_bound("n", n)
+    parts, den = op.degree_symbol
+    weighted = [(math.perm(n, i), mat) for i, mat in parts]
+    return tuple(
+        tuple(Fraction(sum(s * mat[r][c] for s, mat in weighted), den) for c in range(op.dim)) for r in range(op.dim)
+    )
 
 
 @dataclass(frozen=True)

@@ -18,16 +18,16 @@ from fractions import Fraction
 from functools import partial
 
 from . import linalg
-from .exact import format_rational
+from .exact import _check_bound, format_rational
 from .matpoly import DiffOp, MatPoly
 from .model import (
     Params,
     WeightSpec,
-    _check_bound,
     companion_eigenvalue,
     eigenvalue_matrix,
     hyper_eigenvalue,
     monic_eigenvalue,
+    moment_rows,
     pair_rows,
 )
 from .hyper import family, find_collisions, leading_coefficient
@@ -167,13 +167,14 @@ def check_bilinear_symmetry(ws: WeightSpec, op: DiffOp, max_power: int = 4) -> b
     block S[a][b] = sum_c (X_a)_c^T H_{c+b}: X_a^T paired against the moment
     rows H_{b+c} of u^b I.  So the test is S[a][b] == S[b][a]^T.
     """
-    if max_power < 0:
-        raise ValueError("max_power must be >= 0")
+    _check_bound("max_power", max_power)
     dim = ws.core.dim
     eye = linalg.identity(dim)
     powers = range(max_power + 1)
-    images = [op.apply(MatPoly.monomial(dim, eye, a)).transpose() for a in powers]
-    s = [[pair_rows(x, [ws.moment(b + c) for c in range(len(x.num))], dim) for b in powers] for x in images]
+    monomials = [MatPoly.monomial(dim, eye, a) for a in powers]
+    images = [op.apply(m).transpose() for m in monomials]
+    rows = [moment_rows(m, ws, max(len(x.num) for x in images)) for m in monomials]
+    s = [[pair_rows(x, *rows[b], dim) for b in powers] for x in images]
     return all(s[a][b] == linalg.transpose(s[b][a]) for a in powers for b in range(a + 1))
 
 

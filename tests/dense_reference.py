@@ -1,26 +1,27 @@
 """The dense reference: the bracket series of the hypergeometric recursion,
-general exact elimination and the weight pairing as one call.
+general exact elimination, the Fraction moment matrices and the weight
+pairing as one call.
 
 The library builds every column by a bidiagonal descent from its closed-form
 leading coefficient, decomposes by unit triangular back-substitution and
-pairs through moment_rows and pair_rows, so it needs none of this.  These are
-the second construction and the general solver it used before, kept with
-their code and assertions so the tests can hold the library to them.
-Matrices are the library's tuples of row tuples, vectors are tuples.
+pairs through its integer moment table, moment_rows and pair_rows, so it
+needs none of this.  These are the second construction, the general solver
+and the Fraction moment matrices it used before, kept with their code and
+assertions so the tests can hold the library to them.  Matrices are the
+library's tuples of row tuples, vectors are tuples.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from mvop import linalg
-from mvop.exact import exact_scalar
-from mvop.linalg import Matrix
+from mvop.exact import _check_bound, exact_scalar
+from mvop.linalg import Matrix, _integer_form, int_matmul
 from mvop.matpoly import MatPoly
 from mvop.model import (
     Params,
     WeightSpec,
     _check_j,
-    _check_w,
     drift_matrix,
     moment_rows,
     pair_rows,
@@ -42,8 +43,33 @@ def sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb, strict=True)) for ra, rb in zip(a, b, strict=True))
 
 
+def matmul_sum(lefts, rights, left_den: int | None = None, right_den: int | None = None) -> Matrix:
+    """Exact sum over k of lefts[k] @ rights[k], for one or more pairs: the lefts
+    side by side times the rights stacked, as one integer product.  A side
+    passed with its den holds integer matrices over that one denominator and
+    is used as it is; a side without is cleared over the lcm of its entry
+    denominators.  Raises ValueError on a shape mismatch or on unequal or
+    zero term counts."""
+    stacked = [row for b in rights for row in b]
+    if not lefts or len(lefts) != len(rights):
+        raise ValueError("need equally many left and right factors, at least one")
+    if any(len(a) != len(lefts[0]) or any(len(r) != len(b) for r in a) for a, b in zip(lefts, rights)):
+        raise ValueError("inner dimension mismatch")
+    if any(len(r) != len(stacked[0]) for r in stacked):
+        raise ValueError("right factors differ in width")
+    left = [[x for a in lefts for x in a[i]] for i in range(len(lefts[0]))]
+    if left_den is None:
+        left, left_den = _integer_form(left)
+    if right_den is None:
+        stacked, right_den = _integer_form(stacked)
+    den = left_den * right_den
+    return tuple(tuple(Fraction(x, den) for x in row) for row in int_matmul(left, stacked))
+
+
+
+
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    return linalg.matmul_sum((a,), (b,))
+    return matmul_sum((a,), (b,))
 
 
 def solve_matrix(a: Matrix, b: Matrix) -> Matrix:
@@ -159,7 +185,7 @@ def termination_matrix(p: Params, w: int, j: int):
     entry i is -(ell - i)(beta - k + 1 + i).  Equals
     w (drift_matrix + w - 1) + potential_matrix + hyper_eigenvalue(p, w, j).
     """
-    _check_w(w)
+    _check_bound("w", w)
     _check_j(p, j)
     a, b, k, ell = p.alpha, p.beta, p.k, p.ell
     m = [[Fraction(0)] * p.size for _ in range(p.size)]
@@ -184,7 +210,16 @@ def poly_solution_space(p: Params, lam, n: int) -> list:
     return nullspace(bracket_seq(p, lam, n + 1).coeffs[n + 1])
 
 
-# The weight pairing as one call.
+# The Fraction moment matrices and the weight pairing as one call.
+
+
+def moment_matrix(ws: WeightSpec, m: int) -> Matrix:
+    """H_m = sum_c ratio(m + c) Z_c from the weight's core and moment
+    functional alone, never its table: ratio(m + c) I times Z_c, summed
+    through one dense product of Fraction matrices."""
+    core, eye = ws.core, linalg.identity(ws.core.dim)
+    ratios = [linalg.scale(eye, ws.moments.ratio(m + c)) for c in range(len(core.num))]
+    return matmul_sum(ratios, core.num, right_den=core.den)
 
 
 def inner_product(pp: MatPoly, qq: MatPoly, ws: WeightSpec):
@@ -194,4 +229,4 @@ def inner_product(pp: MatPoly, qq: MatPoly, ws: WeightSpec):
     rows; the result is pp.dim x qq.dim."""
     if pp.cols != ws.core.dim:
         raise ValueError("dimension mismatch")
-    return pair_rows(pp, moment_rows(qq, ws, len(pp.num)), qq.dim)
+    return pair_rows(pp, *moment_rows(qq, ws, len(pp.num)), qq.dim)

@@ -152,3 +152,32 @@ def test_moment_functional_rejects_inexact_exponents(bad):
 def test_format_rational_rejects_inexact_values(bad):
     with pytest.raises(TypeError, match=re.escape(repr(bad))):
         format_rational(bad)
+
+
+# a count given as a bool would otherwise run as 0 or 1, and one given as a
+# float or a Fraction would fail inside range()
+COUNTS = [True, False, 2.0, Fraction(2)]
+
+
+@pytest.mark.parametrize("bad", COUNTS)
+def test_poch_rejects_non_integer_counts(bad):
+    with pytest.raises(ValueError, match="r must be an integer"):
+        poch(2, bad)
+
+
+@pytest.mark.parametrize("bad", COUNTS)
+def test_falling_rejects_non_integer_counts(bad):
+    with pytest.raises(ValueError, match="i must be an integer"):
+        falling(3, bad)
+
+
+@pytest.mark.parametrize("bad", COUNTS)
+def test_gen_binom_rejects_non_integer_counts(bad):
+    with pytest.raises(ValueError, match="r must be an integer"):
+        gen_binom(3, bad)
+
+
+@pytest.mark.parametrize("bad", COUNTS)
+def test_moment_ratio_rejects_non_integer_indices(bad):
+    with pytest.raises(ValueError, match="m must be an integer"):
+        MomentFunctional(0, 1).ratio(bad)

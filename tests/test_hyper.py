@@ -527,11 +527,21 @@ class TestBuildColumn:
         # the dense path and the one-call pairing now live only in dense_reference
         gone = {
             mvop.hyper: ("BracketSeq", "bracket_seq", "termination_matrix", "poly_solution_space"),
-            linalg: ("SingularMatrixError", "solve_matrix", "nullspace", "det", "leading_principal_minors", "matmul", "sub"),
+            linalg: (
+                "SingularMatrixError",
+                "solve_matrix",
+                "nullspace",
+                "det",
+                "leading_principal_minors",
+                "matmul",
+                "matmul_sum",
+                "sub",
+            ),
             mvop.model: ("inner_product",),
         }
         assert [(m.__name__, n) for m, names in gone.items() for n in names if hasattr(m, n)] == []
         monkeypatch.setattr(mvop.model.WeightSpec, "moment", refuse)
+        monkeypatch.setattr(mvop.model.WeightSpec, "moment_num", refuse)
         monkeypatch.setattr(mvop.hyper, "moment_rows", refuse)
         big = Params(0, 3, 1, 5)
         slots = [(COLLIDING, w, j) for w in range(4) for j in range(COLLIDING.size)]

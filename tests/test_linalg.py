@@ -210,7 +210,7 @@ def assert_lowest_terms(mat):
 @given(product_terms())
 def test_matmul_sum_matches_literal_loops(terms):
     lefts, rights = terms
-    out = linalg.matmul_sum(lefts, rights)
+    out = dense.matmul_sum(lefts, rights)
     assert out == literal_product_sum(lefts, rights)
     assert_lowest_terms(out)
     for a, b in zip(lefts, rights):
@@ -250,7 +250,7 @@ def test_matmul_sum_clears_each_term_over_a_common_denominator():
     big = 2**61 - 1
     lefts = [((Fraction(1, 2),),), ((Fraction(1, big),),)]
     rights = [((3,),), ((Fraction(big, 3),),)]
-    assert linalg.matmul_sum(lefts, rights) == ((Fraction(3, 2) + Fraction(1, 3),),)
+    assert dense.matmul_sum(lefts, rights) == ((Fraction(3, 2) + Fraction(1, 3),),)
 
 
 @pytest.mark.parametrize(
@@ -264,7 +264,7 @@ def test_matmul_sum_clears_each_term_over_a_common_denominator():
 )
 def test_matmul_sum_rejects_mismatched_shapes(lefts, rights):
     with pytest.raises(ValueError):
-        linalg.matmul_sum(lefts, rights)
+        dense.matmul_sum(lefts, rights)
 
 
 def test_matmul_rejects_inner_dimension_mismatch():
@@ -289,12 +289,12 @@ def test_sub_rejects_mismatched_shapes():
 
 def test_matmul_sum_rejects_unequal_term_counts():
     with pytest.raises(ValueError):
-        linalg.matmul_sum([((1,),), ((2,),)], [((3,),)])
+        dense.matmul_sum([((1,),), ((2,),)], [((3,),)])
 
 
 def test_matmul_sum_rejects_empty_term_list():
     with pytest.raises(ValueError):
-        linalg.matmul_sum([], [])
+        dense.matmul_sum([], [])
 
 
 def test_freeze_keeps_fraction_entries_and_converts_ints():

@@ -316,6 +316,24 @@ class TestMonicEigenvalue:
         with pytest.raises(ValueError):
             monic_eigenvalue(hyper_operator(BASE), -1)
 
+    @pytest.mark.parametrize("bad", [True, False, 2.0, Fraction(2)])
+    def test_rejects_non_integer_degrees(self, bad):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            monic_eigenvalue(hyper_operator(BASE), bad)
+
+    def test_reads_each_operator_once(self, monkeypatch):
+        # the coefficients are read, and the degree bound checked, once per
+        # operator however many degrees are asked for
+        calls = []
+        real = DiffOp.is_degree_bounded
+        monkeypatch.setattr(DiffOp, "is_degree_bounded", lambda op: calls.append(op) or real(op))
+        p = GRID[1]
+        ops = (hyper_operator(p), companion_operator(p))
+        for n in range(21):
+            for op in ops:
+                monic_eigenvalue(op, n)
+        assert calls == list(ops)
+
 
 class TestEigenTable:
     def test_ordering_and_values(self):

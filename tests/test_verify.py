@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -48,6 +49,76 @@ BASE = Params(0, 1, 1, 1)
 def column_pairing(pv, qv, ws):
     """Scalar pairing of two dim x 1 columns through the matrix pairing."""
     return inner_product(pv.transpose(), qv.transpose(), ws)[0][0]
+
+
+def literal_double_sum(pp, qq, ws):
+    """sum over a, b of P_a H_{a+b} Q_b^T, one coefficient pair at a time, with
+    H_m from the dense Fraction construction rather than the weight's table."""
+    total = linalg.zeros(pp.dim, qq.dim)
+    for a, pa in enumerate(pp.coeffs):
+        for b, qb in enumerate(qq.coeffs):
+            term = dense.matmul(dense.matmul(pa, dense.moment_matrix(ws, a + b)), linalg.transpose(qb))
+            total = linalg.add(total, term)
+    return total
+
+
+class TestMomentTable:
+    # GRID plus one point whose alpha, beta and k have different denominators
+    POINTS = GRID + [Params(Fraction(1, 2), Fraction(2, 3), Fraction(5, 6), 3)]
+
+    def test_integer_table_matches_the_dense_fraction_construction(self):
+        for p in self.POINTS:
+            ws = WeightSpec(p)
+            for m in range(2 * 8 + 2 * p.ell + 1):
+                num, den = ws.moment_num(m)
+                ratios = [ws.moments.ratio(m + c) for c in range(len(ws.core.num))]
+                assert den == ws.core.den * math.lcm(*(r.denominator for r in ratios))
+                assert all(type(x) is int for row in num for x in row)
+                assert ws.moment(m) == dense.moment_matrix(ws, m)
+
+    @pytest.mark.parametrize("bad", [True, False, 2.0, Fraction(2)])
+    def test_index_must_be_an_integer(self, bad):
+        ws = WeightSpec(BASE)
+        with pytest.raises(ValueError, match="m must be an integer"):
+            ws.moment_num(bad)
+        with pytest.raises(ValueError, match="m must be an integer"):
+            ws.moment(bad)
+        with pytest.raises(ValueError, match="m must be >= 0"):
+            ws.moment_num(-1)
+
+    @pytest.mark.usefixtures("fresh_family")
+    def test_corrupt_table_entry_fails_the_pairing_checks(self):
+        # negative control: one numerator of H_2 off by one breaks the Gram
+        # blocks and the bilinear symmetry, and nothing that reads no pairing
+        ws = mvop.hyper.family(BASE).weight
+        num, den = ws.moment_num(2)
+        bad = [list(row) for row in num]
+        bad[0][1] += 1
+        ws._table[2] = (tuple(map(tuple, bad)), den)
+        failed = {c.name: c.witness for c in run_suite(BASE, max_w=3).checks if c.status == "fail"}
+        assert failed["gram_zero_w0_w2"] == "nonzero block at (0, 2): entry (0, 1) is 1/30"
+        assert failed["gram_norms_positive"] == "norm block entry (w, i, j) = (1, 0, 1) is 1/30"
+        assert failed["bilinear_symmetry_hyper"] == failed["bilinear_symmetry_companion"] == "defect on monomials"
+        assert all(name.startswith(("gram_", "bilinear_symmetry_")) for name in failed)
+
+    def test_gram_never_reclears_an_operand(self, monkeypatch):
+        # once the polynomials exist, new blocks, new moment rows and a growing
+        # table run on integers that are already cleared
+        p = GRID[1]
+        fam = Family(p)
+        polys = [fam.poly(w) for w in range(6)]
+        fam.gram(0, 0)
+        expected = {(w, wp): literal_double_sum(polys[w], polys[wp], fam.weight) for w in range(6) for wp in range(6)}
+
+        def refuse(rows):
+            raise AssertionError("an operand was cleared again")
+
+        assert len(fam.weight._table) == 1  # H_0, for the block (0, 0)
+        monkeypatch.setattr(linalg, "_integer_form", refuse)
+        with pytest.raises(AssertionError, match="cleared again"):
+            Family(p)  # the patch is live
+        assert {(w, wp): fam.gram(w, wp) for w in range(6) for wp in range(6)} == expected
+        assert len(fam.weight._table) == 2 * 5 + 1
 
 
 class TestInnerProduct:
@@ -104,13 +175,13 @@ class TestInnerProduct:
         assert column_pairing(pv, MatPoly.zero(2, 1), ws) == 0
 
     def test_zero_polynomial_pairs_to_zero_without_a_product(self, monkeypatch):
-        def no_product(lefts, rights):
+        def no_product(left, right):
             raise AssertionError("a zero polynomial needs no product")
 
         ws = WeightSpec(BASE)
-        monkeypatch.setattr(linalg, "matmul_sum", no_product)
-        assert model.moment_rows(MatPoly.zero(3, 2), ws, 2) == [linalg.zeros(2, 3)] * 2
-        assert model.pair_rows(MatPoly.zero(1, 2), [], 3) == linalg.zeros(1, 3)
+        monkeypatch.setattr(linalg, "int_matmul", no_product)
+        assert model.moment_rows(MatPoly.zero(3, 2), ws, 2) == ([linalg.zeros(2, 3)] * 2, 1)
+        assert model.pair_rows(MatPoly.zero(1, 2), [], 1, 3) == linalg.zeros(1, 3)
         assert inner_product(MatPoly.zero(2), MatPoly.identity(2), ws) == linalg.zeros(2)
 
     def test_dimension_guards(self):
@@ -162,15 +233,7 @@ class TestGram:
         assert d == {"w": 0, "w_prime": 0, "entries": [["4/3", "0"], ["0", "1/6"]]}
 
     def test_blocks_match_literal_double_sum(self):
-        # reference: sum over a, b of P_a H_{a+b} Q_b^T, one coefficient pair at a time
-        def double_sum(pp, qq, ws):
-            total = linalg.zeros(pp.dim, qq.dim)
-            for a, pa in enumerate(pp.coeffs):
-                for b, qb in enumerate(qq.coeffs):
-                    term = dense.matmul(dense.matmul(pa, ws.moment(a + b)), linalg.transpose(qb))
-                    total = linalg.add(total, term)
-            return total
-
+        # reference: literal_double_sum, with H_m from the dense construction
         def rows_of(poly, lo, hi):
             return MatPoly(hi - lo, [c[lo:hi] for c in poly.coeffs], poly.cols)
 
@@ -179,10 +242,10 @@ class TestGram:
             for w in range(7):
                 for wp in range(7):
                     pw, pwp = orthogonal_polynomial(p, w), orthogonal_polynomial(p, wp)
-                    assert gram_block(p, w, wp).entries == double_sum(pw, pwp, ws)
+                    assert gram_block(p, w, wp).entries == literal_double_sum(pw, pwp, ws)
                     # rectangular: the first rows of P_w against the last rows of P_wp
                     pp, qq = rows_of(pw, 0, 1 + w % p.size), rows_of(pwp, wp % p.size, p.size)
-                    assert inner_product(pp, qq, ws) == double_sum(pp, qq, ws)
+                    assert inner_product(pp, qq, ws) == literal_double_sum(pp, qq, ws)
 
     @staticmethod
     def _count_rows(monkeypatch):
@@ -371,6 +434,11 @@ class TestBilinearSymmetry:
                 assert check_bilinear_symmetry(ws, perturbed, max_power=max_power) == expected
                 verdicts.add((max_power, expected))
         assert verdicts == {(0, True), (0, False), (2, True), (2, False)}
+
+    @pytest.mark.parametrize("bad", [True, False, 2.0, Fraction(2)])
+    def test_max_power_must_be_an_integer(self, bad):
+        with pytest.raises(ValueError, match="max_power must be an integer"):
+            check_bilinear_symmetry(WeightSpec(BASE), hyper_operator(BASE), bad)
 
 
 class TestEigenAndCommutation:
