@@ -1,20 +1,19 @@
 """Construction of the orthogonal eigenfunctions of the matrix
 hypergeometric operator.
 
-A column eigenfunction with eigenvalue lam solves
-u(1-u) F'' + (recursion_matrix - u drift_matrix) F' - (potential_matrix + lam) F = 0.
-It is a polynomial of degree w exactly at the slots (w, j) whose eigenvalue
-hyper_eigenvalue(p, w, j) is lam, and its leading coefficient is then the
-explicit kernel_vector(p, w, j).
+A column eigenfunction with eigenvalue lam solves D F = lam F for
+D = hyper_operator(p).  It is a polynomial of degree w exactly at the slots
+(w, j) whose eigenvalue hyper_eigenvalue(p, w, j) is lam, and its leading
+coefficient is then the explicit kernel_vector(p, w, j).
 
 Distinct slots (w, j) and (w', j') can share an eigenvalue.  find_collisions
 recovers the full class of slots sharing a value as exact roots of a
 quadratic in w'.  Every column is built downward from its closed-form
 leading coefficient kernel_vector, one bidiagonal back-substitution per
-degree on integers: one scale L, one common denominator per degree and one
-gcd per degree.  A later slot of a class is certified as an eigenfunction
-of the commuting companion operator, which makes it orthogonal to the
-earlier ones without a pairing.
+degree on integers read from the integer form of the operator D itself, with
+one common denominator and one gcd per degree.  A later slot of a class is
+certified as an eigenfunction of the commuting companion operator, which
+makes it orthogonal to the earlier ones without a pairing.
 
 One Family holds all that a parameter set fixes; family(p) keeps the latest.
 """
@@ -35,13 +34,10 @@ from .model import (
     _check_j,
     companion_eigenvalue,
     companion_operator,
-    drift_matrix,
     hyper_eigenvalue,
     hyper_operator,
     moment_rows,
     pair_rows,
-    potential_matrix,
-    recursion_matrix,
 )
 
 __all__ = [
@@ -120,41 +116,43 @@ def find_collisions(p: Params, lam) -> CollisionClass:
 
 
 class Family:
-    """Everything one parameter set fixes, kept as long as the instance: the
-    operator matrices of the descent as integer rows over their common scale
-    L, and, each built on first use, the weight (a WeightSpec), the operators
-    D and E, the columns and each P_w, and the moment rows of each P_w' that
-    the Gram blocks pair against."""
+    """Everything one parameter set fixes, kept as long as the instance and
+    each part built on first use: the weight (a WeightSpec), the operators D
+    and E, whose integer forms the descent and every check read, the columns
+    and each P_w, and the moment rows of each P_w' that the Gram blocks pair
+    against."""
 
     weight = cached_property(lambda self: WeightSpec(self.params))
     hyper = cached_property(lambda self: hyper_operator(self.params))
     companion = cached_property(lambda self: companion_operator(self.params))
 
     def __init__(self, params: Params):
-        p = self.params = params
-        self._rows, self._scale = linalg._integer_form(recursion_matrix(p) + drift_matrix(p) + potential_matrix(p))
+        self.params = params
         self._columns, self._polys, self._moment_rows = {}, {}, {}
 
     def _descend(self, w: int, j: int, lam) -> tuple[MatPoly, list]:
         """A degree-w polynomial solution for slot (w, j), built downward from
-        f_w = kernel_vector(p, w, j) through
-        (i+1)(recursion_matrix + i) f_{i+1} = (i (drift_matrix + i - 1) + potential_matrix + lam) f_i,
-        and the slots (i, r) where a pivot vanished.
+        f_w = kernel_vector(p, w, j), and the slots (i, r) where a pivot vanished.
 
-        The left side is a lower-bidiagonal product; the right matrix is upper
-        bidiagonal with diagonal entry r equal to lam - hyper_eigenvalue(p, i, r),
-        so f_i follows by back-substitution.  That pivot vanishes exactly at the
-        earlier members (i, r) of the class of lam.  There the right side must
-        vanish too, and the free entry is set to 0.
+        With F = sum_i f_i u^i, the u^i coefficient of (D - lam) F = 0 is
+        M1(i) f_{i+1} = (lam - M0(i)) f_i, read from D's integer_form:
+        M1(i) = (i+1)(A_1[u^0] + i A_2[u^1]) is lower bidiagonal and
+        M0(i) = A_0[u^0] + i A_1[u^1] + i(i-1) A_2[u^2] upper bidiagonal, as
+        A_2 = u(1-u) I, A_1 is linear with a diagonal u^1 coefficient and A_0
+        is constant.  So f_i follows by back-substitution, with pivot r equal
+        to lam - hyper_eigenvalue(p, i, r).  It vanishes exactly at the earlier
+        members (i, r) of the class of lam; there the right side must vanish
+        too, and the free entry is set to 0.
 
-        It runs on integers: the matrices over their scale L (so lam L must be
-        an integer, else ArithmeticError), f_i as numerators over one common
-        denominator that each nonzero pivot multiplies (rescaling the rows
-        already solved), reduced by one gcd per degree.  The column is handed to
-        MatPoly as those numerators over the lcm of the degrees' denominators.
+        It runs on integers: D's numerators over its denominator L (so lam L
+        must be an integer, else ArithmeticError), f_i as numerators over one
+        common denominator that each nonzero pivot multiplies (rescaling the
+        rows already solved), reduced by one gcd per degree.  The column is
+        handed to MatPoly as those numerators over the lcm of the degrees'
+        denominators.
         """
-        n, rows, scale = self.params.size, self._rows, self._scale
-        c, u, v = rows[:n], rows[n : 2 * n], rows[2 * n :]
+        n = self.params.size
+        ((a0,), (b0, b1), (_, c1, c2)), scale = self.hyper.integer_form
         lam = lam * scale
         if lam.denominator != 1:
             raise ArithmeticError(f"lam times the operator scale {scale} is not an integer: {lam}")
@@ -165,13 +163,13 @@ class Family:
         for i in range(w - 1, -1, -1):
             g, grow = [0] * n, 1
             for r in range(n - 1, -1, -1):
-                rhs = (c[r][r] + i * scale) * f[r]
+                rhs = (b0[r][r] + i * c1[r][r]) * f[r]
                 if r > 0:
-                    rhs += c[r][r - 1] * f[r - 1]
+                    rhs += b0[r][r - 1] * f[r - 1]
                 rhs *= (i + 1) * grow
                 if r < n - 1:
-                    rhs -= v[r][r + 1] * g[r + 1]
-                pivot = i * (u[r][r] + (i - 1) * scale) + v[r][r] + lam
+                    rhs += a0[r][r + 1] * g[r + 1]
+                pivot = lam - a0[r][r] - i * (b1[r][r] + (i - 1) * c2[r][r])
                 if pivot:
                     g = [x * pivot for x in g]
                     g[r], grow = rhs, grow * pivot

@@ -5,9 +5,11 @@ the left.  A vector-valued polynomial is a matrix polynomial with one column.
 A MatPoly holds integer coefficient matrices num by ascending power, trailing
 zeros trimmed, over one denominator den > 0 reduced against all of them by
 one gcd (the zero polynomial is num = (), den = 1).  That form is unique, so
-structural equality is exact polynomial equality.  All arithmetic, operator
-application included, runs on the integers; Fractions are built only where a
-caller reads entries (coeffs, coeff, leading, entry, evaluate, to_json_dict).
+structural equality is exact polynomial equality.  All arithmetic runs on
+the integers; Fractions are built only where a caller reads entries (coeffs,
+coeff, leading, entry, evaluate, to_json_dict).  A DiffOp clears its
+coefficients once, on first use, to its integer_form, which apply, compose,
+degree_symbol and the descent of hyper all read.
 The degree of the zero polynomial is the sentinel float('-inf'), which
 compares correctly against integer degrees.  All values are immutable.
 """
@@ -106,10 +108,6 @@ class MatPoly:
         return cls(len(mat), (mat,), len(mat[0]))
 
     @classmethod
-    def identity(cls, dim: int) -> MatPoly:
-        return cls(dim, (linalg.identity(dim),))
-
-    @classmethod
     def from_scalar(cls, dim: int, scalar_coeffs) -> MatPoly:
         """Scalar polynomial times the identity matrix."""
         return cls(dim, tuple(linalg.scale(linalg.identity(dim), c) for c in scalar_coeffs))
@@ -183,10 +181,6 @@ class MatPoly:
 
     __rmul__ = __mul__  # a scalar on the left; a MatPoly there is its own __mul__
 
-    def mul_scalar_poly(self, scalar_coeffs) -> MatPoly:
-        """Multiply by a scalar polynomial given by ascending coefficients."""
-        return self * MatPoly.from_scalar(self.cols, scalar_coeffs)
-
     def transpose(self) -> MatPoly:
         return MatPoly._reduced(self.cols, self.dim, tuple(tuple(zip(*c)) for c in self.num), self.den)
 
@@ -251,18 +245,21 @@ class DiffOp:
         return all(self.coeff_of_order(j).degree <= j for j in range(self.order + 1))
 
     @cached_property
+    def integer_form(self) -> tuple:
+        """The operator's one integer form, cleared on first use: the numerators
+        of A_0, A_1, ... by ascending order, each its integer coefficient
+        matrices by ascending power, over den, the lcm of their denominators."""
+        den = math.lcm(*(c.den for c in self.coeffs))
+        return tuple(_scaled(c.num, den // c.den) for c in reversed(self.coeffs)), den
+
+    @cached_property
     def degree_symbol(self) -> tuple:
         """For deg A_j <= j (else ValueError), the u^j coefficients of the A_j
         as (j, integer matrix) pairs over one denominator, and that den."""
         if not self.is_degree_bounded():
             raise ValueError("coefficient degrees must not exceed the derivative order")
-        nums, den = self._cleared()
+        nums, den = self.integer_form
         return tuple((j, c[j]) for j, c in enumerate(nums) if j < len(c)), den
-
-    def _cleared(self):
-        """Coefficient numerators by ascending order over the lcm of their denominators, and that lcm."""
-        den = math.lcm(*(c.den for c in self.coeffs))
-        return [_scaled(c.num, den // c.den) for c in reversed(self.coeffs)], den
 
     def apply(self, f: MatPoly) -> MatPoly:
         """Apply to a dim x n MatPoly: sum_j A_j(u) f^(j)(u), each output
@@ -271,7 +268,7 @@ class DiffOp:
             raise TypeError("apply expects a MatPoly")
         if f.dim != self.dim:
             raise ValueError("dimension mismatch")
-        nums, den = self._cleared()
+        nums, den = self.integer_form
         terms, g = [], f.num
         for a in nums:
             terms.append((a, g))
@@ -287,7 +284,7 @@ class DiffOp:
         """
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        (lefts, dl), (rights, dr) = self._cleared(), other._cleared()
+        (lefts, dl), (rights, dr) = self.integer_form, other.integer_form
         terms = [[] for _ in range(self.order + other.order + 1)]
         for i, a in enumerate(lefts):
             for j, b in enumerate(rights):

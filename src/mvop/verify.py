@@ -15,7 +15,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from . import linalg
 from .exact import _check_bound, format_rational
@@ -364,21 +363,26 @@ def run_suite(p: Params, max_w: int = 6) -> VerificationReport:
     def leading(w):
         return lambda: (fam.poly(w).leading() == leading_coefficient(p, w), f"leading coefficient differs at w = {w}")
 
-    def relation(witness, matrix):
-        # matrix(n, "companion") = shift * matrix(n, "hyper") + offset * I for every n <= eig_span
+    def relation(witness, pair):
+        # E = shift * D + offset * I entry by entry, (D, E) = pair(n), for every n <= eig_span
         def thunk():
             for n in range(eig_span + 1):
                 shift = p.alpha + 2 * p.ell + 3 * p.k + 3 * n
                 offset = 3 * n * (p.ell + p.k + n) * (n + p.alpha + p.beta + p.ell + 1)
-                rhs = linalg.add(linalg.scale(matrix(n, "hyper"), shift), linalg.scale(linalg.identity(p.size), offset))
-                if matrix(n, "companion") != rhs:
-                    return False, f"{witness} = {n}"
+                for r, (d_row, e_row) in enumerate(zip(*pair(n), strict=True)):
+                    want = [shift * x for x in d_row]
+                    want[r] += offset
+                    if list(e_row) != want:
+                        return False, f"{witness} = {n}"
             return True, None
 
         return thunk
 
-    def monic(n, which):
-        return monic_eigenvalue(d if which == "hyper" else e, n)
+    def eigenvalue_pair(n):
+        return eigenvalue_matrix(p, n, "hyper"), eigenvalue_matrix(p, n, "companion")
+
+    def monic_pair(n):
+        return monic_eigenvalue(d, n), monic_eigenvalue(e, n)
 
     def collisions():
         classes = {}
@@ -421,8 +425,8 @@ def run_suite(p: Params, max_w: int = 6) -> VerificationReport:
     named += [(f"gram_zero_w{w}_w{wp}", gram_pair(w, wp)) for w in range(max_w + 1) for wp in range(w + 1, max_w + 1)]
     named += [
         ("gram_norms_positive", norms),
-        ("eigenvalue_relation", relation("eigenvalue relation fails at w", partial(eigenvalue_matrix, p))),
-        ("monic_eigenvalue_relation", relation("monic eigenvalue relation fails at n", monic)),
+        ("eigenvalue_relation", relation("eigenvalue relation fails at w", eigenvalue_pair)),
+        ("monic_eigenvalue_relation", relation("monic eigenvalue relation fails at n", monic_pair)),
         ("ideal_lines", lambda: (check_ideal(p, eig_span).passed, "eigenvalue pair off its line")),
         ("collision_classes", collisions),
         ("decomposition_random", decomposition),

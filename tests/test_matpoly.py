@@ -48,7 +48,7 @@ def test_trims_trailing_zero_coefficients():
     one = [[1, 0], [0, 1]]
     f = MatPoly(2, [one, z, z])
     assert f.degree == 0
-    assert f == MatPoly.identity(2)
+    assert f == MatPoly.from_scalar(2, (1,))
 
 
 def test_column_count_defaults_to_square():
@@ -67,8 +67,9 @@ def test_rejects_inexact_coefficients(bad):
         MatPoly.constant([[1, bad]])
     with pytest.raises(TypeError, match=re.escape(repr(bad))):
         MatPoly.from_scalar(2, [1, bad])
+    one = MatPoly.from_scalar(1, (1,))
     with pytest.raises(TypeError, match=re.escape(repr(bad))):
-        MatPoly.identity(1).mul_scalar_poly([bad])
+        one * MatPoly.from_scalar(one.cols, [bad])
 
 
 def test_zero_polynomial_degree_sentinel():
@@ -81,7 +82,7 @@ def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         MatPoly(2, [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]])
     with pytest.raises(ValueError):
-        MatPoly.identity(2) + MatPoly.identity(3)
+        MatPoly.from_scalar(2, (1,)) + MatPoly.from_scalar(3, (1,))
     with pytest.raises(ValueError):
         MatPoly(2, [[[1], [2], [3]]], 1)
 
@@ -99,10 +100,10 @@ def test_coefficient_must_have_dim_rows_and_cols_columns():
 def test_product_checks_inner_dimensions():
     col = MatPoly(2, [[[1], [2]]], 1)
     with pytest.raises(ValueError):
-        col * MatPoly.identity(2)
+        col * MatPoly.from_scalar(2, (1,))
     with pytest.raises(ValueError):
         col * col
-    assert MatPoly.zero(2, 1) * MatPoly.identity(1) == MatPoly.zero(2, 1)
+    assert MatPoly.zero(2, 1) * MatPoly.from_scalar(1, (1,)) == MatPoly.zero(2, 1)
     assert col.transpose() * col == MatPoly(1, [[[5]]])
     assert col * col.transpose() == MatPoly(2, [[[1, 2], [2, 4]]])
 
@@ -111,12 +112,6 @@ def test_product_of_monomials():
     u = MatPoly.from_scalar(2, (0, 1))
     assert (u * u).coeffs == MatPoly.from_scalar(2, (0, 0, 1)).coeffs
     assert (u * MatPoly.zero(2)).is_zero()
-
-
-def test_mul_scalar_poly_matches_identity_product():
-    f = MatPoly(2, [[[1, 2], [3, 4]], [[0, 1], [1, 0]]])
-    s = (Fraction(1), Fraction(-2), Fraction(1, 3))
-    assert f.mul_scalar_poly(s) == f * MatPoly.from_scalar(2, s)
 
 
 def test_derivative_and_evaluate():
@@ -177,11 +172,11 @@ def test_column_roundtrip_and_arith():
     assert v.evaluate(1) == ((Fraction(3, 2),), (Fraction(-1),))
     assert v.derivative() == MatPoly(2, [[[Fraction(1, 2)], [-1]]], 1)
     assert v.transpose() == MatPoly(1, [[[1, 0]], [[Fraction(1, 2), -1]]], 2)
-    assert v.mul_scalar_poly((0, 1)) == MatPoly(2, [[[0], [0]], [[1], [0]], [[Fraction(1, 2)], [-1]]], 1)
+    assert v * MatPoly.from_scalar(v.cols, (0, 1)) == MatPoly(2, [[[0], [0]], [[1], [0]], [[Fraction(1, 2)], [-1]]], 1)
 
 
 def test_operator_identity_and_coeff_access():
-    ident = DiffOp(2, (MatPoly.identity(2),))
+    ident = DiffOp(2, (MatPoly.from_scalar(2, (1,)),))
     assert ident.order == 0
     f = MatPoly.from_scalar(2, (1, 1))
     assert ident.apply(f) == f
@@ -192,20 +187,20 @@ def test_operator_requires_coefficients():
     with pytest.raises(ValueError):
         DiffOp(2, ())
     with pytest.raises(ValueError):
-        DiffOp(2, (MatPoly.identity(3),))
+        DiffOp(2, (MatPoly.from_scalar(3, (1,)),))
 
 
 def test_operator_requires_square_coefficients():
     with pytest.raises(ValueError):
         DiffOp(2, (MatPoly.zero(2, 1),))
     with pytest.raises(ValueError):
-        DiffOp(2, (MatPoly.identity(2), MatPoly.zero(2, 3)))
+        DiffOp(2, (MatPoly.from_scalar(2, (1,)), MatPoly.zero(2, 3)))
     with pytest.raises(ValueError):
-        DiffOp(2, (MatPoly.identity(2),)).apply(MatPoly.zero(3, 1))
+        DiffOp(2, (MatPoly.from_scalar(2, (1,)),)).apply(MatPoly.zero(3, 1))
 
 
 def test_apply_derivative_operator():
-    ddu = DiffOp(2, (MatPoly.identity(2), MatPoly.zero(2)))
+    ddu = DiffOp(2, (MatPoly.from_scalar(2, (1,)), MatPoly.zero(2)))
     f = MatPoly.from_scalar(2, (0, 0, 0, 1))
     assert ddu.apply(f) == MatPoly.from_scalar(2, (0, 0, 3))
     v = MatPoly(2, [[[0], [0]], [[1], [2]]], 1)
@@ -215,17 +210,17 @@ def test_apply_derivative_operator():
 
 def test_apply_rejects_other_types():
     with pytest.raises(TypeError):
-        DiffOp(2, (MatPoly.identity(2),)).apply("nope")
+        DiffOp(2, (MatPoly.from_scalar(2, (1,)),)).apply("nope")
 
 
 def test_compose_first_order_with_multiplication():
     # d/du after multiplication by u: u d/du + 1
-    ddu = DiffOp(2, (MatPoly.identity(2), MatPoly.zero(2)))
+    ddu = DiffOp(2, (MatPoly.from_scalar(2, (1,)), MatPoly.zero(2)))
     mul_u = DiffOp(2, (MatPoly.from_scalar(2, (0, 1)),))
     prod = ddu.compose(mul_u)
     assert prod.order == 1
     assert prod.coeff_of_order(1) == MatPoly.from_scalar(2, (0, 1))
-    assert prod.coeff_of_order(0) == MatPoly.identity(2)
+    assert prod.coeff_of_order(0) == MatPoly.from_scalar(2, (1,))
 
 
 @settings(max_examples=40, deadline=None)
@@ -256,14 +251,14 @@ def test_is_degree_bounded_detects_violation():
 
 
 def test_operator_subtraction_and_zero():
-    ddu = DiffOp(2, (MatPoly.identity(2), MatPoly.zero(2)))
+    ddu = DiffOp(2, (MatPoly.from_scalar(2, (1,)), MatPoly.zero(2)))
     diff = ddu - ddu
     assert diff.order == 1
     assert diff.is_zero()
-    ident = DiffOp(2, (MatPoly.identity(2),))
+    ident = DiffOp(2, (MatPoly.from_scalar(2, (1,)),))
     padded = ddu - ident
     assert padded.order == 1
-    assert padded.coeff_of_order(0) == -MatPoly.identity(2)
+    assert padded.coeff_of_order(0) == -MatPoly.from_scalar(2, (1,))
 
 
 # Property tests of the integer layer against fraction_oracle, the per-entry
@@ -336,7 +331,7 @@ def test_product_matches_the_oracle(rows, inner, cols, data):
     assert_reduced(product)
     assert product.coeffs == oracle.mul(f.coeffs, g.coeffs)
     s = data.draw(st.lists(wide_entry, max_size=3))
-    assert f.mul_scalar_poly(s).coeffs == oracle.mul_scalar_poly(f.coeffs, s)
+    assert (f * MatPoly.from_scalar(f.cols, s)).coeffs == oracle.mul_scalar_poly(f.coeffs, s)
 
 
 def operator(dim, max_order=2):
@@ -393,13 +388,13 @@ def test_zero_polynomial_and_trailing_zero_trimming():
     # a product of nonzero polynomials whose top coefficient cancels
     nil = MatPoly(2, [zero, [[0, 1], [0, 0]]])
     assert (nil * nil).is_zero()
-    assert (MatPoly.identity(2) + nil * nil).degree == 0
+    assert (MatPoly.from_scalar(2, (1,)) + nil * nil).degree == 0
 
 
 @pytest.mark.parametrize("bad", [0.5, -4.0, True, "0.5", "1/2", Decimal("0.5")])
 def test_evaluate_rejects_inexact_points(bad):
     with pytest.raises(TypeError, match=re.escape(repr(bad))):
-        MatPoly.identity(2).evaluate(bad)
+        MatPoly.from_scalar(2, (1,)).evaluate(bad)
 
 
 @pytest.mark.parametrize("i, j", [(-1, -1), (-1, 0), (0, -1), (2, 0), (0, 1), (5, 5)])

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
@@ -116,7 +117,7 @@ class TestMomentTable:
         assert len(fam.weight._table) == 1  # H_0, for the block (0, 0)
         monkeypatch.setattr(linalg, "_integer_form", refuse)
         with pytest.raises(AssertionError, match="cleared again"):
-            Family(p)  # the patch is live
+            Family(p).column(0, 0)  # the patch is live: the descent clears its kernel vector
         assert {(w, wp): fam.gram(w, wp) for w in range(6) for wp in range(6)} == expected
         assert len(fam.weight._table) == 2 * 5 + 1
 
@@ -124,7 +125,7 @@ class TestMomentTable:
 class TestInnerProduct:
     def test_identity_pairing_frozen(self):
         ws = WeightSpec(BASE)
-        got = inner_product(MatPoly.identity(2), MatPoly.identity(2), ws)
+        got = inner_product(MatPoly.from_scalar(2, (1,)), MatPoly.from_scalar(2, (1,)), ws)
         assert got == (
             (Fraction(4, 3), Fraction(2, 3)),
             (Fraction(2, 3), Fraction(1, 2)),
@@ -182,12 +183,12 @@ class TestInnerProduct:
         monkeypatch.setattr(linalg, "int_matmul", no_product)
         assert model.moment_rows(MatPoly.zero(3, 2), ws, 2) == ([linalg.zeros(2, 3)] * 2, 1)
         assert model.pair_rows(MatPoly.zero(1, 2), [], 1, 3) == linalg.zeros(1, 3)
-        assert inner_product(MatPoly.zero(2), MatPoly.identity(2), ws) == linalg.zeros(2)
+        assert inner_product(MatPoly.zero(2), MatPoly.from_scalar(2, (1,)), ws) == linalg.zeros(2)
 
     def test_dimension_guards(self):
         ws = WeightSpec(BASE)
         with pytest.raises(ValueError):
-            inner_product(MatPoly.identity(3), MatPoly.identity(3), ws)
+            inner_product(MatPoly.from_scalar(3, (1,)), MatPoly.from_scalar(3, (1,)), ws)
         with pytest.raises(ValueError):
             column_pairing(MatPoly.zero(3, 1), MatPoly.zero(3, 1), ws)
         with pytest.raises(ValueError):
@@ -196,11 +197,11 @@ class TestInnerProduct:
     def test_arguments_need_the_weight_dim_as_column_count(self):
         ws = WeightSpec(BASE)
         with pytest.raises(ValueError):
-            inner_product(MatPoly.zero(2, 3), MatPoly.identity(2), ws)
+            inner_product(MatPoly.zero(2, 3), MatPoly.from_scalar(2, (1,)), ws)
         with pytest.raises(ValueError):
-            inner_product(MatPoly.identity(2), MatPoly.zero(2, 1), ws)
+            inner_product(MatPoly.from_scalar(2, (1,)), MatPoly.zero(2, 1), ws)
         row = MatPoly(1, [[[1, 0]]], 2)
-        assert inner_product(row, MatPoly.identity(2), ws) == ((Fraction(4, 3), Fraction(2, 3)),)
+        assert inner_product(row, MatPoly.from_scalar(2, (1,)), ws) == ((Fraction(4, 3), Fraction(2, 3)),)
 
 
 class TestGram:
@@ -306,7 +307,7 @@ class TestSymmetryReduced:
 
     def test_requires_order_two(self):
         with pytest.raises(ValueError):
-            check_symmetry_reduced(WeightSpec(BASE), DiffOp(2, (MatPoly.identity(2),)))
+            check_symmetry_reduced(WeightSpec(BASE), DiffOp(2, (MatPoly.from_scalar(2, (1,)),)))
 
     @pytest.mark.parametrize(
         "p",
@@ -394,7 +395,7 @@ class TestBoundary:
 
     def test_requires_order_two(self):
         with pytest.raises(ValueError):
-            check_boundary(WeightSpec(BASE), DiffOp(2, (MatPoly.identity(2),)))
+            check_boundary(WeightSpec(BASE), DiffOp(2, (MatPoly.from_scalar(2, (1,)),)))
 
 
 class TestBilinearSymmetry:
@@ -405,7 +406,7 @@ class TestBilinearSymmetry:
 
     def test_plain_derivative_fails(self):
         ws = WeightSpec(BASE)
-        ddu = DiffOp(2, (MatPoly.identity(2), MatPoly.zero(2)))
+        ddu = DiffOp(2, (MatPoly.from_scalar(2, (1,)), MatPoly.zero(2)))
         assert not check_bilinear_symmetry(ws, ddu, max_power=2)
 
     def test_agrees_with_column_gram_matrix(self):
@@ -454,7 +455,7 @@ class TestEigenAndCommutation:
     def test_commutator_detects_perturbation(self):
         d = hyper_operator(BASE)
         e = companion_operator(BASE)
-        ddu = DiffOp(2, (MatPoly.identity(2), MatPoly.zero(2)))
+        ddu = DiffOp(2, (MatPoly.from_scalar(2, (1,)), MatPoly.zero(2)))
         perturbed = DiffOp(2, (e.coeff_of_order(2), e.coeff_of_order(1) + ddu.coeff_of_order(1), e.coeff_of_order(0)))
         assert not (d.compose(perturbed) - perturbed.compose(d)).is_zero()
 
@@ -519,7 +520,7 @@ class TestDecomposition:
 
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
-            decompose_in_basis(MatPoly.identity(3), BASE)
+            decompose_in_basis(MatPoly.from_scalar(3, (1,)), BASE)
 
     def test_requires_square_input(self):
         with pytest.raises(ValueError):
@@ -562,6 +563,33 @@ class TestSuite:
         assert run_suite(Params(Fraction(1, 2), Fraction(3, 2), 1, 3), max_w=8).passed
         assert counts == {"_descend": 36, "hyper_operator": 1, "companion_operator": 1, "weight_core": 1}
 
+    @pytest.mark.usefixtures("fresh_family")
+    def test_each_operator_is_cleared_once(self, monkeypatch):
+        # D and E each clear their coefficients once, to the integer form that
+        # apply, compose, the monic eigenvalues and the descent all read; the
+        # Family clears no copy of D of its own
+        real, cleared = DiffOp.integer_form.func, []
+
+        def counted(op):
+            cleared.append(op)
+            return real(op)
+
+        prop = cached_property(counted)
+        prop.__set_name__(DiffOp, "integer_form")
+        monkeypatch.setattr(DiffOp, "integer_form", prop)
+        p = Params(Fraction(1, 2), Fraction(3, 2), 1, 3)
+        assert run_suite(p, max_w=8).passed
+        fam = mvop.hyper.family(p)
+        assert len(cleared) == 2 and cleared[0] is fam.hyper and cleared[1] is fam.companion
+
+        def refuse(rows):
+            raise AssertionError("a matrix was cleared")
+
+        monkeypatch.setattr(linalg, "_integer_form", refuse)
+        fresh = Family(p)
+        assert fresh.hyper.integer_form == fam.hyper.integer_form
+        assert len(cleared) == 3
+
     def test_relation_witnesses_name_the_first_failing_degree(self, monkeypatch):
         # the identity added to every matrix of one degree breaks the relation there
         def bump(real, at):
@@ -587,7 +615,7 @@ class TestSuite:
         def skewed(*args):
             calls.append(args)
             out = real(*args)
-            return out + MatPoly.identity(out.dim) if len(calls) == 1 else out
+            return out + MatPoly.from_scalar(out.dim, (1,)) if len(calls) == 1 else out
 
         monkeypatch.setattr(verify, "_unit_upper_solve", skewed)
         report = run_suite(BASE, max_w=2)
