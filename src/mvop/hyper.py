@@ -118,9 +118,9 @@ def find_collisions(p: Params, lam) -> CollisionClass:
 class Family:
     """Everything one parameter set fixes, kept as long as the instance and
     each part built on first use: the weight (a WeightSpec), the operators D
-    and E, whose integer forms the descent and every check read, the columns
-    and each P_w, and the moment rows of each P_w' that the Gram blocks pair
-    against."""
+    and E (the descent and every apply read their one integer form), the
+    columns and each P_w, and the moment rows of each P_w' that the Gram
+    blocks pair against."""
 
     weight = cached_property(lambda self: WeightSpec(self.params))
     hyper = cached_property(lambda self: hyper_operator(self.params))

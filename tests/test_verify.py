@@ -582,13 +582,18 @@ class TestSuite:
         fam = mvop.hyper.family(p)
         assert len(cleared) == 2 and cleared[0] is fam.hyper and cleared[1] is fam.companion
 
+        # with their coefficients zeroed, the cleared forms alone still build and certify P_9
+        for op in (fam.hyper, fam.companion):
+            object.__setattr__(op, "coeffs", (MatPoly.zero(op.dim),) * len(op.coeffs))
+        assert check_eigen(p, 9)
+        assert len(cleared) == 2
+
         def refuse(rows):
             raise AssertionError("a matrix was cleared")
 
         monkeypatch.setattr(linalg, "_integer_form", refuse)
         fresh = Family(p)
         assert fresh.hyper.integer_form == fam.hyper.integer_form
-        assert len(cleared) == 3
 
     def test_relation_witnesses_name_the_first_failing_degree(self, monkeypatch):
         # the identity added to every matrix of one degree breaks the relation there
@@ -605,6 +610,21 @@ class TestSuite:
         assert {c.name: c.witness for c in report.checks if c.status == "fail"} == {
             "eigenvalue_relation": "eigenvalue relation fails at w = 3",
             "monic_eigenvalue_relation": "monic eigenvalue relation fails at n = 5",
+        }
+
+    def test_relation_compares_the_entries_off_the_diagonal(self, monkeypatch):
+        # the monic eigenvalue matrices are bidiagonal: one entry above the
+        # diagonal changed at one degree breaks the relation there
+        real = verify.monic_eigenvalue
+
+        def skewed(op, n):
+            out = real(op, n)
+            return ((out[0][0], out[0][1] + 1),) + out[1:] if n == 4 else out
+
+        monkeypatch.setattr(verify, "monic_eigenvalue", skewed)
+        report = run_suite(BASE, max_w=1)
+        assert {c.name: c.witness for c in report.checks if c.status == "fail"} == {
+            "monic_eigenvalue_relation": "monic eigenvalue relation fails at n = 4",
         }
 
     def test_decomposition_with_a_wrong_part_reports_a_mismatch(self, monkeypatch):
