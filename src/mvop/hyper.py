@@ -8,12 +8,14 @@ coefficient is then the explicit kernel_vector(p, w, j).
 
 Distinct slots (w, j) and (w', j') can share an eigenvalue.  find_collisions
 recovers the full class of slots sharing a value as exact roots of a
-quadratic in w'.  Every column is built downward from its closed-form
-leading coefficient kernel_vector, one bidiagonal back-substitution per
-degree on integers read from the integer form of the operator D itself, with
-one common denominator and one gcd per degree.  A later slot of a class is
-certified as an eigenfunction of the commuting companion operator, which
-makes it orthogonal to the earlier ones without a pairing.
+quadratic in w', on integers.  Every column is built downward from zero
+above its top degree, one bidiagonal back-substitution per degree on
+integers read from the integer form of the operator D itself, with one
+common denominator and one gcd per degree.  The descent never reads the
+closed form kernel_vector; run_suite's leading_coefficient_w checks hold
+its top coefficients to it.  A later slot of a class is certified as an
+eigenfunction of the commuting companion operator, which makes it
+orthogonal to the earlier ones without a pairing.
 
 One Family holds all that a parameter set fixes; family(p) keeps the latest.
 """
@@ -25,13 +27,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from . import linalg
 from .matpoly import MatPoly
 from .exact import _check_bound, exact_scalar, poch
 from .model import (
     Params,
     WeightSpec,
     _check_j,
+    _cleared,
     companion_eigenvalue,
     companion_operator,
     hyper_eigenvalue,
@@ -55,7 +57,9 @@ __all__ = [
 def kernel_vector(p: Params, w: int, j: int):
     """Explicit kernel element of the termination matrix
     w (drift_matrix + w - 1) + potential_matrix + hyper_eigenvalue(p, w, j),
-    normalized to 1 in slot j: the leading coefficient of column (w, j).
+    normalized to 1 in slot j: the paper's closed form of the leading
+    coefficient of column (w, j).  The descent does not read it; the
+    leading_coefficient_w checks compare the columns' top coefficients with it.
 
     Entry i < j is (-1)^(i+j) C(ell-i, ell-j)
     poch(beta-k+1+i, j-i) / poch(alpha+beta+j+i+w-k+1, j-i); entries above j
@@ -88,23 +92,24 @@ def find_collisions(p: Params, lam) -> CollisionClass:
     w'^2 + b w' + c = 0 with b = alpha + beta + ell + j' + 1 > 0 and
     c = lam + j'(alpha + beta - k + 1 + j').  Its roots sum to -b < 0, so only
     (sqrt(b^2 - 4c) - b)/2 can be a non-negative integer, and only when the
-    discriminant is the square of a rational.
+    discriminant is the square of a rational.  It runs on integers: with d
+    the lcm of the denominators of alpha, beta and k and q that of lam, the
+    discriminant times (d q)^2 is an integer N, which must be a square s^2,
+    and the root is (s - b d q) / (2 d q).
     """
     lam = exact_scalar(lam)
-    a, b, k = p.alpha, p.beta, p.k
+    d, a, b, k = _cleared(p)
+    q = lam.denominator
     members = []
     for jp in range(p.size):
-        lin = a + b + p.ell + jp + 1
-        disc = lin * lin - 4 * (lam + jp * (a + b - k + 1 + jp))
-        if disc < 0:
+        lin = (a + b + (p.ell + jp + 1) * d) * q
+        square = lin * lin - 4 * q * (lam.numerator * d * d + jp * (a + b - k + (1 + jp) * d) * d * q)
+        if square < 0:
             continue
-        num, den = math.isqrt(disc.numerator), math.isqrt(disc.denominator)
-        if num * num != disc.numerator or den * den != disc.denominator:
+        s = math.isqrt(square)
+        if s * s != square or s < lin or (s - lin) % (2 * d * q):
             continue
-        root = (Fraction(num, den) - lin) / 2
-        if root < 0 or root.denominator != 1:
-            continue
-        w = int(root)
+        w = (s - lin) // (2 * d * q)
         if hyper_eigenvalue(p, w, jp) != lam:
             raise ArithmeticError(f"quadratic root w = {w} at j = {jp} does not reproduce lam")
         members.append((w, jp))
@@ -132,7 +137,7 @@ class Family:
 
     def _descend(self, w: int, j: int, lam) -> tuple[MatPoly, list]:
         """A degree-w polynomial solution for slot (w, j), built downward from
-        f_w = kernel_vector(p, w, j), and the slots (i, r) where a pivot vanished.
+        f_{w+1} = 0, and the slots (i, r) below the top where a pivot vanished.
 
         With F = sum_i f_i u^i, the u^i coefficient of (D - lam) F = 0 is
         M1(i) f_{i+1} = (lam - M0(i)) f_i, read from D's integer_form:
@@ -140,16 +145,19 @@ class Family:
         M0(i) = A_0[u^0] + i A_1[u^1] + i(i-1) A_2[u^2] upper bidiagonal, as
         A_2 = u(1-u) I, A_1 is linear with a diagonal u^1 coefficient and A_0
         is constant.  So f_i follows by back-substitution, with pivot r equal
-        to lam - hyper_eigenvalue(p, i, r).  It vanishes exactly at the earlier
-        members (i, r) of the class of lam; there the right side must vanish
-        too, and the free entry is set to 0.
+        to lam - hyper_eigenvalue(p, i, r).  At degree w it vanishes at row j
+        alone, whose free entry is set to 1 (if the pivot there does not vanish,
+        lam is not the slot's eigenvalue: ArithmeticError); f_w is then the
+        kernel vector, which the descent never reads.  Below, it vanishes
+        exactly at the earlier members (i, r) of the class of lam; there the
+        right side must vanish too, and the free entry is set to 0.
 
         It runs on integers: D's numerators over its denominator L (so lam L
-        must be an integer, else ArithmeticError), f_i as numerators over one
-        common denominator that each nonzero pivot multiplies (rescaling the
-        rows already solved), reduced by one gcd per degree.  The column is
-        handed to MatPoly as those numerators over the lcm of the degrees'
-        denominators.
+        must be an integer, else ArithmeticError), row r of f_i over the
+        previous denominator times the nonzero pivots of rows >= r, lifted
+        once per degree to their full product and reduced by one gcd.  The
+        column is handed to MatPoly as those numerators over the lcm of the
+        degrees' denominators.
         """
         n = self.params.size
         ((a0,), (b0, b1), (_, c1, c2)), scale = self.hyper.integer_form
@@ -157,11 +165,9 @@ class Family:
         if lam.denominator != 1:
             raise ArithmeticError(f"lam times the operator scale {scale} is not an integer: {lam}")
         lam = lam.numerator
-        top = kernel_vector(self.params, w, j)
-        (f,), den = linalg._integer_form((top,))
-        coeffs, zero_pivots = [(f, den)], []
-        for i in range(w - 1, -1, -1):
-            g, grow = [0] * n, 1
+        f, den, coeffs, zero_pivots = [0] * n, 1, [], []
+        for i in range(w, -1, -1):
+            g, grow, pivots = [0] * n, 1, [1] * n
             for r in range(n - 1, -1, -1):
                 rhs = (b0[r][r] + i * c1[r][r]) * f[r]
                 if r > 0:
@@ -171,12 +177,19 @@ class Family:
                     rhs += a0[r][r + 1] * g[r + 1]
                 pivot = lam - a0[r][r] - i * (b1[r][r] + (i - 1) * c2[r][r])
                 if pivot:
-                    g = [x * pivot for x in g]
-                    g[r], grow = rhs, grow * pivot
+                    g[r], grow, pivots[r] = rhs, grow * pivot, pivot
                 elif rhs:
                     raise ArithmeticError(f"inconsistent recursion at degree {i}, row {r} for slot ({w}, {j})")
+                elif i == w and r == j:
+                    g[r] = grow
                 else:
                     zero_pivots.append((i, r))
+            if i == w and not g[j]:
+                raise ArithmeticError(f"lam = {Fraction(lam, scale)} is not the eigenvalue of slot ({w}, {j})")
+            lift = 1
+            for r in range(n):
+                g[r] *= lift
+                lift *= pivots[r]
             common = math.gcd(den * grow, *g)
             f, den = [x // common for x in g], den * grow // common
             coeffs.append((f, den))
@@ -185,15 +198,17 @@ class Family:
         return MatPoly._reduced(n, 1, num, den), zero_pivots
 
     def column(self, w: int, j: int) -> MatPoly:
-        """Degree-w column eigenfunction for slot (w, j), a dim x 1 MatPoly whose
-        leading coefficient is kernel_vector(p, w, j), solved downward from it.
+        """Degree-w column eigenfunction for slot (w, j), a dim x 1 MatPoly
+        solved downward from zero above degree w.  Its leading coefficient,
+        1 in slot j and 0 in every slot after it, is the kernel vector, which
+        run_suite checks against the closed form kernel_vector(p, w, j).
 
         Where the descent met earlier members of the class of lam, the column is
         checked exactly to be the eigenfunction of the companion operator E for
         mu(w, j), with mu apart from theirs (else ArithmeticError).  E commutes
         with D, keeps degree and is symmetric for the weight, so among the
         degree-<= w solutions of D F = lam F, whose E-eigenvalues are the mu of
-        the class, one eigenvector for mu(w, j) has top coefficient kernel_vector
+        the class, one eigenvector for mu(w, j) has that top coefficient
         and it is orthogonal to the earlier columns: the Gram-Schmidt column.
         That the descent's free entries 0 land on it is checked, not proved.
 

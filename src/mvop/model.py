@@ -248,25 +248,34 @@ def companion_operator(p: Params) -> DiffOp:
     return DiffOp(p.size, (a2, a1, a0))
 
 
+def _cleared(p: Params) -> tuple:
+    """(d, alpha d, beta d, k d), d the lcm of the denominators of alpha, beta
+    and k, so the slot eigenvalues are integer polynomials over d or d^2."""
+    a, b, k = p.alpha, p.beta, p.k
+    d = math.lcm(a.denominator, b.denominator, k.denominator)
+    return d, a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), k.numerator * (d // k.denominator)
+
+
 def hyper_eigenvalue(p: Params, w: int, j: int) -> Fraction:
     """Eigenvalue of the hypergeometric operator on the (w, j) eigenfunction:
-    -w(w + alpha + beta + ell + j + 1) - j(alpha + beta - k + 1 + j)."""
+    -w(w + alpha + beta + ell + j + 1) - j(alpha + beta - k + 1 + j),
+    evaluated as one integer numerator over d (see _cleared)."""
     _check_bound("w", w)
     _check_j(p, j)
-    a, b, k, ell = p.alpha, p.beta, p.k, p.ell
-    return -w * (w + a + b + ell + j + 1) - j * (a + b - k + 1 + j)
+    d, a, b, k = _cleared(p)
+    return Fraction(-w * (a + b + (w + p.ell + j + 1) * d) - j * (a + b - k + (1 + j) * d), d)
 
 
 def companion_eigenvalue(p: Params, w: int, j: int) -> Fraction:
     """Eigenvalue of the companion operator on the (w, j) eigenfunction:
     -w(w + alpha + beta + ell + j + 1)(alpha - ell + 3j)
-    - j(j + alpha + beta - k + 1)(alpha + 2 ell + 3k)."""
+    - j(j + alpha + beta - k + 1)(alpha + 2 ell + 3k),
+    evaluated as one integer numerator over d^2 (see _cleared)."""
     _check_bound("w", w)
     _check_j(p, j)
-    a, b, k, ell = p.alpha, p.beta, p.k, p.ell
-    return -w * (w + a + b + ell + j + 1) * (a - ell + 3 * j) - j * (j + a + b - k + 1) * (
-        a + 2 * ell + 3 * k
-    )
+    d, a, b, k = _cleared(p)
+    lead = -w * (a + b + (w + p.ell + j + 1) * d) * (a + (3 * j - p.ell) * d)
+    return Fraction(lead - j * (a + b - k + (j + 1) * d) * (a + 2 * p.ell * d + 3 * k), d * d)
 
 
 def eigenvalue_matrix(p: Params, w: int, which: str):

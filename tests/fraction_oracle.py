@@ -1,4 +1,4 @@
-"""Reference matrix-polynomial arithmetic, one Fraction entry at a time.
+"""Reference arithmetic in Fraction, one entry at a time.
 
 These are the operations MatPoly and DiffOp ran entry by entry on Fraction
 coefficients before they moved to integer numerators over one denominator;
@@ -6,10 +6,18 @@ the property tests hold the integer layer to them.  A polynomial is a tuple
 of coefficient matrices (tuples of row tuples) by ascending power, trailing
 zero matrices trimmed; an operator is a list of polynomials by ascending
 derivative order.
+
+The slot eigenvalues and find_collisions at the end are the library's
+Fraction versions from before each became one integer computation; the
+oracle tests hold the integer forms to them.
 """
 
 import math
 from fractions import Fraction
+
+from mvop.exact import _check_bound, exact_scalar
+from mvop.hyper import CollisionClass
+from mvop.model import Params, _check_j
 
 
 def trim(cs) -> tuple:
@@ -94,3 +102,58 @@ def compose(op1, op2) -> list:
                 acc[i + j - m] = add(acc[i + j - m], scale(mul(a, b), math.comb(i, m)))
                 b = derivative(b)
     return acc
+
+
+def hyper_eigenvalue(p: Params, w: int, j: int) -> Fraction:
+    """Eigenvalue of the hypergeometric operator on the (w, j) eigenfunction:
+    -w(w + alpha + beta + ell + j + 1) - j(alpha + beta - k + 1 + j)."""
+    _check_bound("w", w)
+    _check_j(p, j)
+    a, b, k, ell = p.alpha, p.beta, p.k, p.ell
+    return -w * (w + a + b + ell + j + 1) - j * (a + b - k + 1 + j)
+
+
+def companion_eigenvalue(p: Params, w: int, j: int) -> Fraction:
+    """Eigenvalue of the companion operator on the (w, j) eigenfunction:
+    -w(w + alpha + beta + ell + j + 1)(alpha - ell + 3j)
+    - j(j + alpha + beta - k + 1)(alpha + 2 ell + 3k)."""
+    _check_bound("w", w)
+    _check_j(p, j)
+    a, b, k, ell = p.alpha, p.beta, p.k, p.ell
+    return -w * (w + a + b + ell + j + 1) * (a - ell + 3 * j) - j * (j + a + b - k + 1) * (
+        a + 2 * ell + 3 * k
+    )
+
+
+def find_collisions(p: Params, lam) -> CollisionClass:
+    """Complete list of slots (w', j') with hyper_eigenvalue equal to lam.
+
+    For fixed j', hyper_eigenvalue(p, w', j') = lam is the quadratic
+    w'^2 + b w' + c = 0 with b = alpha + beta + ell + j' + 1 > 0 and
+    c = lam + j'(alpha + beta - k + 1 + j').  Its roots sum to -b < 0, so only
+    (sqrt(b^2 - 4c) - b)/2 can be a non-negative integer, and only when the
+    discriminant is the square of a rational.
+    """
+    lam = exact_scalar(lam)
+    a, b, k = p.alpha, p.beta, p.k
+    members = []
+    for jp in range(p.size):
+        lin = a + b + p.ell + jp + 1
+        disc = lin * lin - 4 * (lam + jp * (a + b - k + 1 + jp))
+        if disc < 0:
+            continue
+        num, den = math.isqrt(disc.numerator), math.isqrt(disc.denominator)
+        if num * num != disc.numerator or den * den != disc.denominator:
+            continue
+        root = (Fraction(num, den) - lin) / 2
+        if root < 0 or root.denominator != 1:
+            continue
+        w = int(root)
+        if hyper_eigenvalue(p, w, jp) != lam:
+            raise ArithmeticError(f"quadratic root w = {w} at j = {jp} does not reproduce lam")
+        members.append((w, jp))
+    members.sort()
+    for (w1, j1), (w2, j2) in zip(members, members[1:]):
+        if not (w2 > w1 and j1 >= j2 + 2):
+            raise ArithmeticError("repeated-eigenvalue structure violated")
+    return CollisionClass(lam, tuple(members))

@@ -1,5 +1,6 @@
 import gc
 import math
+import random
 import re
 import weakref
 from decimal import Decimal
@@ -34,6 +35,7 @@ from mvop.model import (
 )
 
 import dense_reference as dense
+import fraction_oracle as oracle
 from dense_reference import bracket_seq, inner_product, poly_solution_space, termination_matrix
 
 GRID = [
@@ -502,27 +504,28 @@ class TestBuildColumn:
             build_column(COLLIDING, 1, 0)
 
     @pytest.mark.usefixtures("fresh_family")
-    def test_descent_rejects_an_inconsistent_pivot(self, monkeypatch):
-        # (1, 0) shares lam = -5 with the lower slot (0, 2), so the pivot of
-        # row 2 vanishes at degree 0; a top value off the kernel vector leaves
-        # a nonzero right side there
-        real = mvop.hyper.kernel_vector
-
-        def skewed(p, w, j):
-            if (p, w, j) == (COLLIDING, 1, 0):
-                return (Fraction(1), Fraction(1, 7), Fraction(0))
-            return real(p, w, j)
-
-        monkeypatch.setattr(mvop.hyper, "kernel_vector", skewed)
+    def test_descent_rejects_an_inconsistent_pivot(self):
+        # in a copy of D's integer form, A_0's numerator at (2, 2) moved to
+        # lam(1, 1) L makes the degree-0 pivot of row 2 vanish in the descent
+        # of (1, 1), where the right side, A_1's (2, 1) entry times f_1[1] = 1,
+        # does not.  An entry off the diagonal cannot do this: the rows below
+        # the top slot stay zero in a staircase that covers every earlier
+        # member of a class.
+        fam = Family(COLLIDING)
+        ((a0,), *rest), scale = fam.hyper.integer_form
+        lam = hyper_eigenvalue(COLLIDING, 1, 1) * scale
+        a0 = tuple(tuple(lam.numerator if r == c == 2 else x for c, x in enumerate(row)) for r, row in enumerate(a0))
+        fam.hyper.__dict__["integer_form"] = ((a0,), *rest), scale
         with pytest.raises(ArithmeticError, match="degree 0, row 2"):
-            build_column(COLLIDING, 1, 0)
+            fam.column(1, 1)
 
     @pytest.mark.usefixtures("fresh_family")
     def test_principal_columns_skip_the_bracket_matrices(self, monkeypatch):
         # later slots included: the construction needs neither the dense
-        # bracket path nor any pairing against the weight
+        # bracket path nor any pairing against the weight; it starts from zero,
+        # so it reads neither the closed-form kernel vector nor a Fraction clear
         def refuse(*args, **kwargs):
-            raise AssertionError("dense bracket path or pairing used to build a column")
+            raise AssertionError("dense bracket path, pairing or closed form used to build a column")
 
         # the dense path and the one-call pairing now live only in dense_reference
         gone = {
@@ -543,6 +546,8 @@ class TestBuildColumn:
         monkeypatch.setattr(mvop.model.WeightSpec, "moment", refuse)
         monkeypatch.setattr(mvop.model.WeightSpec, "moment_num", refuse)
         monkeypatch.setattr(mvop.hyper, "moment_rows", refuse)
+        monkeypatch.setattr(mvop.hyper, "kernel_vector", refuse)
+        monkeypatch.setattr(linalg, "_integer_form", refuse)
         big = Params(0, 3, 1, 5)
         slots = [(COLLIDING, w, j) for w in range(4) for j in range(COLLIDING.size)]
         slots += [(big, w, j) for w, j in ((4, 5), (6, 2), (7, 0))]
@@ -620,6 +625,12 @@ class TestFamily:
         with pytest.raises(ArithmeticError, match="not an integer"):
             Family(BASE)._descend(1, 0, Fraction(1, 7))
 
+    def test_lam_of_another_slot_raises(self):
+        # the top pivot of (1, 0) vanishes only at its own eigenvalue; at
+        # lam(1, 1) the column would be zero
+        with pytest.raises(ArithmeticError, match=re.escape("lam = -15/2 is not the eigenvalue of slot (1, 0)")):
+            Family(COLLIDING)._descend(1, 0, hyper_eigenvalue(COLLIDING, 1, 1))
+
 
 class TestMatrixFamily:
     def test_rows_are_columns(self):
@@ -663,3 +674,101 @@ class TestMatrixFamily:
         p0 = orthogonal_polynomial(BASE, 0)
         assert p0.degree == 0
         assert p0.coeff(0) == ((Fraction(1), Fraction(0)), (Fraction(-1, 2), Fraction(1)))
+
+
+def sample_points(seed, count):
+    """count admissible points, ell cycling through 1..8; every second one
+    resonant: k solves lam(w, j) = lam(w', j') for random slots j > j',
+    w < w' <= 6."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) < count:
+        ell = len(points) % 8 + 1
+        a, b = (Fraction(rng.randint(-11, 40), rng.randint(1, 12)) for _ in range(2))
+        if a <= -1 or b <= -1:
+            continue
+        if len(points) % 2:
+            jp = rng.randint(0, ell - 1)
+            j, wp = rng.randint(jp + 1, ell), rng.randint(1, 6)
+            w = rng.randint(0, wp - 1)
+            # lam is affine in k with slope j
+            base = Params(a, b, (b + 1) / 2, ell)
+            rest = hyper_eigenvalue(base, w, j) - hyper_eigenvalue(base, wp, jp) - (j - jp) * base.k
+            k = -rest / (j - jp)
+        else:
+            k = (b + 1) * Fraction(rng.randint(1, 29), 30)
+        if 0 < k < b + 1:
+            points.append(Params(a, b, k, ell))
+    return points
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestIntegerSlotArithmetic:
+    """The integer eigenvalues and collision classes against the Fraction
+    versions they replaced (fraction_oracle): equal values, equal exceptions."""
+
+    POINTS = sample_points(1515, 120)
+    EIGENVALUES = ((hyper_eigenvalue, oracle.hyper_eigenvalue), (companion_eigenvalue, oracle.companion_eigenvalue))
+
+    def test_eigenvalues_match_the_fraction_oracle(self):
+        for p in self.POINTS:
+            for w in range(9):
+                for j in range(p.size):
+                    for new, old in self.EIGENVALUES:
+                        got = new(p, w, j)
+                        assert type(got) is Fraction and got == old(p, w, j)
+
+    @pytest.mark.parametrize("w, j", INEXACT + [(-1, 0), (0, -1), (0, 3), (1, "0")])
+    def test_eigenvalues_raise_what_the_oracle_raises(self, w, j):
+        for p in (COLLIDING, self.POINTS[1]):
+            for new, old in self.EIGENVALUES:
+                assert isinstance(outcome(old, p, w, j), tuple)
+                assert outcome(new, p, w, j) == outcome(old, p, w, j)
+
+    def test_classes_match_the_fraction_oracle(self):
+        resonant = set()
+        for p in self.POINTS:
+            for w in range(7):
+                for j in range(p.size):
+                    lam = hyper_eigenvalue(p, w, j)
+                    got = find_collisions(p, lam)
+                    assert got == oracle.find_collisions(p, lam)
+                    if len(got.members) > 1:
+                        resonant.add(p)
+        # the constructed resonances, and a few by coincidence
+        assert len(resonant) > len(self.POINTS) // 2
+
+    def test_values_off_the_spectrum_match_the_fraction_oracle(self):
+        rng = random.Random(1516)
+        for p in self.POINTS:
+            j = rng.randint(0, p.ell)
+            half = Fraction(2 * rng.randint(0, 6) + 1, 2)
+            queries = [
+                hyper_eigenvalue(p, 3, j) + Fraction(1, 3),  # not an eigenvalue
+                # a rational square discriminant with the root w = half
+                -half * (half + p.alpha + p.beta + p.ell + j + 1) - j * (p.alpha + p.beta - p.k + 1 + j),
+                Fraction(rng.randint(1, 10**6), rng.randint(1, 50)),  # positive: negative discriminants
+                Fraction(rng.randint(-(10**40), 10**40), rng.randint(1, 10**30)),  # large denominators
+                hyper_eigenvalue(p, 10**12, j),  # far up the spectrum
+            ]
+            for lam in queries:
+                assert find_collisions(p, lam) == oracle.find_collisions(p, lam)
+
+    @pytest.mark.parametrize("bad", [-4.0, False, True, "-4", "0.5", Decimal("-4"), None])
+    def test_classes_raise_what_the_oracle_raises(self, bad):
+        assert outcome(find_collisions, BASE, bad) == outcome(oracle.find_collisions, BASE, bad)
+        assert outcome(find_collisions, BASE, bad)[0] is TypeError
+
+    def test_a_root_that_misses_lam_raises_as_the_oracle_does(self, monkeypatch):
+        # both raise at their check that each root reproduces lam
+        monkeypatch.setattr(mvop.hyper, "hyper_eigenvalue", lambda p, w, j: Fraction(1))
+        monkeypatch.setattr(oracle, "hyper_eigenvalue", lambda p, w, j: Fraction(1))
+        for lam in (-5, Fraction(-15, 2)):
+            assert outcome(find_collisions, COLLIDING, lam) == outcome(oracle.find_collisions, COLLIDING, lam)

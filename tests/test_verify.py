@@ -117,7 +117,8 @@ class TestMomentTable:
         assert len(fam.weight._table) == 1  # H_0, for the block (0, 0)
         monkeypatch.setattr(linalg, "_integer_form", refuse)
         with pytest.raises(AssertionError, match="cleared again"):
-            Family(p).column(0, 0)  # the patch is live: the descent clears its kernel vector
+            # the patch is live: the dense reference's elimination clears through it
+            dense.solve_matrix(linalg.identity(2), linalg.identity(2))
         assert {(w, wp): fam.gram(w, wp) for w in range(6) for wp in range(6)} == expected
         assert len(fam.weight._table) == 2 * 5 + 1
 
@@ -625,6 +626,23 @@ class TestSuite:
         report = run_suite(BASE, max_w=1)
         assert {c.name: c.witness for c in report.checks if c.status == "fail"} == {
             "monic_eigenvalue_relation": "monic eigenvalue relation fails at n = 4",
+        }
+
+    @pytest.mark.usefixtures("fresh_family")
+    def test_leading_coefficient_checks_hold_the_descent_to_the_closed_form(self, monkeypatch):
+        # the descent starts from zero and never reads kernel_vector, so one
+        # entry below the diagonal of the closed form changed at w = 3 fails
+        # the leading coefficient check of that degree and nothing else
+        real = mvop.hyper.kernel_vector
+
+        def skewed(p, w, j):
+            out = real(p, w, j)
+            return (out[0] + 1,) + out[1:] if (w, j) == (3, 2) else out
+
+        monkeypatch.setattr(mvop.hyper, "kernel_vector", skewed)
+        report = run_suite(GRID[3], max_w=4)
+        assert {c.name: c.witness for c in report.checks if c.status == "fail"} == {
+            "leading_coefficient_w3": "leading coefficient differs at w = 3",
         }
 
     def test_decomposition_with_a_wrong_part_reports_a_mismatch(self, monkeypatch):
