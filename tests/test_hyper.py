@@ -503,14 +503,13 @@ class TestBuildColumn:
         with pytest.raises(ArithmeticError, match=re.escape("slots (0, 2) and (1, 0) share both eigenvalues")):
             build_column(COLLIDING, 1, 0)
 
-    @pytest.mark.usefixtures("fresh_family")
     def test_descent_rejects_an_inconsistent_pivot(self):
         # in a copy of D's integer form, A_0's numerator at (2, 2) moved to
         # lam(1, 1) L makes the degree-0 pivot of row 2 vanish in the descent
         # of (1, 1), where the right side, A_1's (2, 1) entry times f_1[1] = 1,
-        # does not.  An entry off the diagonal cannot do this: the rows below
-        # the top slot stay zero in a staircase that covers every earlier
-        # member of a class.
+        # does not.  An entry off the diagonal cannot do this: f_{w-t} stays
+        # zero in every row after j + t, a staircase that covers every
+        # earlier member of a class.
         fam = Family(COLLIDING)
         ((a0,), *rest), scale = fam.hyper.integer_form
         lam = hyper_eigenvalue(COLLIDING, 1, 1) * scale
