@@ -23,7 +23,7 @@ One Family holds all that a parameter set fixes; family(p) keeps the latest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -77,12 +77,10 @@ def kernel_vector(p: Params, w: int, j: int):
     return tuple(x)
 
 
-@dataclass(frozen=True)
-class CollisionClass:
+class CollisionClass(namedtuple("CollisionClass", "lam members")):
     """All slots (w, j) sharing one eigenvalue, sorted by increasing w."""
 
-    lam: Fraction
-    members: tuple
+    __slots__ = ()
 
 
 def find_collisions(p: Params, lam) -> CollisionClass:

@@ -4,15 +4,14 @@ Matrices are tuples of row tuples, immutable and hashable, so results can be
 cached and compared structurally.  Entries are int or Fraction only
 (exact_scalar).  Every matrix product runs on one integer kernel, int_matmul,
 on operands already cleared to integers over a denominator that the caller
-keeps (MatPoly coefficients, the moment table); _integer_form clears a
-Fraction matrix into that form.  Nothing here solves a linear system: the
-library only ever back-substitutes against bidiagonal or unit triangular
-matrices, next to where they arise.
+keeps (MatPoly coefficients, the moment table, the integer form of a
+DiffOp), so nothing here clears a Fraction matrix.  Nothing here solves a
+linear system: the library only ever back-substitutes against bidiagonal or
+unit triangular matrices, next to where they arise.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from fractions import Fraction
 
@@ -52,12 +51,6 @@ def add(a: Matrix, b: Matrix) -> Matrix:
 def scale(a: Matrix, q) -> Matrix:
     q = exact_scalar(q)
     return tuple(tuple(q * x for x in row) for row in a)
-
-
-def _integer_form(rows) -> tuple[list[list[int]], int]:
-    """(m, d) with rows == m / d entrywise, d the lcm of the entry denominators."""
-    den = math.lcm(*(x.denominator for row in rows for x in row))
-    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
 def int_matmul(a, b) -> Matrix:

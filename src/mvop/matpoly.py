@@ -11,13 +11,14 @@ coeff, leading, entry, evaluate, to_json_dict).  A DiffOp clears its
 coefficients once, on first use, to its integer_form, which apply, compose,
 degree_symbol and the descent of hyper all read.
 The degree of the zero polynomial is the sentinel float('-inf'), which
-compares correctly against integer degrees.  All values are immutable.
+compares correctly against integer degrees.  All values are immutable: a
+Frozen class compares, hashes and prints by its fields.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 from functools import cached_property
 from itertools import zip_longest
@@ -28,6 +29,36 @@ from .exact import exact_scalar, format_ratio
 __all__ = ["MatPoly", "DiffOp", "NEG_INF"]
 
 NEG_INF = float("-inf")
+
+
+class Frozen:
+    """Base of the immutable value classes, whose constructors write their
+    fields, named in _fields, through __dict__.  A value equals one of its
+    own class with equal fields, hashes by them and prints as
+    Name(field=value, ...); assigning or deleting an attribute raises."""
+
+    _fields = ()
+
+    def __init_subclass__(cls):
+        cls._key = operator.attrgetter(*cls._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
 def _trimmed(items, is_zero) -> tuple:
@@ -66,18 +97,14 @@ def _product_sum(terms, rows: int, cols: int) -> list:
     return out
 
 
-@dataclass(frozen=True, init=False)
-class MatPoly:
+class MatPoly(Frozen):
     """Matrix-valued polynomial in one variable u, dim rows by cols columns:
     sum over m of num[m] u^m / den.  MatPoly(dim, coeffs, cols) takes int or
     Fraction coefficient matrices by ascending power; cols defaults to dim, so
     MatPoly(dim, coeffs) is square and a column eigenfunction is dim x 1.
     """
 
-    dim: int
-    cols: int
-    num: tuple
-    den: int
+    _fields = ("dim", "cols", "num", "den")
 
     def __init__(self, dim: int, coeffs=(), cols: int | None = None):
         cols = dim if cols is None else cols
@@ -202,8 +229,7 @@ class MatPoly:
         }
 
 
-@dataclass(frozen=True)
-class DiffOp:
+class DiffOp(Frozen):
     """Differential operator sum_j A_j(u) d^j/du^j with MatPoly coefficients.
 
     Coefficients are square, stored leading order first, order zero last.
@@ -212,17 +238,16 @@ class DiffOp:
     even when leading coefficients vanish, so a commutator keeps its shape.
     """
 
-    dim: int
-    coeffs: tuple = ()
+    _fields = ("dim", "coeffs")
 
-    def __post_init__(self):
-        cs = tuple(self.coeffs)
+    def __init__(self, dim: int, coeffs=()):
+        cs = tuple(coeffs)
         if not cs:
             raise ValueError("an operator needs at least its order-zero coefficient")
         for c in cs:
-            if not isinstance(c, MatPoly) or c.dim != self.dim or c.cols != self.dim:
+            if not isinstance(c, MatPoly) or c.dim != dim or c.cols != dim:
                 raise ValueError("coefficients must be dim x dim MatPoly")
-        object.__setattr__(self, "coeffs", cs)
+        self.__dict__.update(dim=dim, coeffs=cs)
 
     @classmethod
     def from_ascending(cls, dim: int, coeffs_ascending) -> DiffOp:

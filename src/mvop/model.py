@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
 from .exact import MomentFunctional, _check_bound, format_rational, gen_binom, parse_rational
-from .matpoly import DiffOp, MatPoly
+from .matpoly import DiffOp, Frozen, MatPoly
 
 __all__ = [
     "Params",
@@ -40,21 +40,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(Frozen):
     """Admissible parameter tuple; the constructor rejects violations."""
 
-    alpha: Fraction
-    beta: Fraction
-    k: Fraction
-    ell: int
+    _fields = ("alpha", "beta", "k", "ell")
 
-    def __post_init__(self):
+    def __init__(self, alpha, beta, k, ell: int):
+        self.__dict__.update(alpha=alpha, beta=beta, k=k, ell=ell)
         for name in ("alpha", "beta", "k"):
             value = getattr(self, name)
             if isinstance(value, (float, bool)):
                 raise ValueError(f"{name} must be an exact rational, not a {type(value).__name__}")
-            object.__setattr__(self, name, parse_rational(value) if isinstance(value, str) else Fraction(value))
+            self.__dict__[name] = parse_rational(value) if isinstance(value, str) else Fraction(value)
         if not isinstance(self.ell, int) or isinstance(self.ell, bool):
             raise ValueError("ell must be an integer >= 1")
         if self.alpha <= -1:
@@ -300,14 +297,10 @@ def monic_eigenvalue(op: DiffOp, n: int):
     )
 
 
-@dataclass(frozen=True)
-class EigenPair:
+class EigenPair(namedtuple("EigenPair", "w j lam mu")):
     """One (w, j) slot with both eigenvalues."""
 
-    w: int
-    j: int
-    lam: Fraction
-    mu: Fraction
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
@@ -49,13 +49,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GramBlock:
+class GramBlock(namedtuple("GramBlock", "w w_prime entries")):
     """Pairing of the degree-w and degree-w_prime families; zero off the diagonal."""
 
-    w: int
-    w_prime: int
-    entries: tuple
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {
@@ -106,20 +103,12 @@ def check_symmetry_reduced(ws: WeightSpec, op: DiffOp):
     return r1, r2, r3
 
 
-@dataclass(frozen=True)
-class BoundaryEntry:
-    block: str
-    row: int
-    col: int
-    order_at_zero: int | None
-    order_at_one: int | None
-    ok: bool
+class BoundaryEntry(namedtuple("BoundaryEntry", "block row col order_at_zero order_at_one ok")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BoundaryReport:
-    passed: bool
-    entries: tuple
+class BoundaryReport(namedtuple("BoundaryReport", "passed entries")):
+    __slots__ = ()
 
 
 def check_boundary(ws: WeightSpec, op: DiffOp) -> BoundaryReport:
@@ -179,11 +168,19 @@ def check_bilinear_symmetry(ws: WeightSpec, op: DiffOp, max_power: int = 4) -> b
 
 def check_eigen(p: Params, w: int) -> bool:
     """Both operators act on the transposed degree-w family by right
-    multiplication with their diagonal eigenvalue matrices."""
+    multiplication with their diagonal eigenvalue matrices: each scales
+    column j by its eigenvalue at slot (w, j), as integer numerators over
+    one denominator."""
     fam = family(p)
     pt = fam.poly(w).transpose()
-    ops = ((fam.hyper, "hyper"), (fam.companion, "companion"))
-    return all(op.apply(pt) == pt * MatPoly.constant(eigenvalue_matrix(p, w, which)) for op, which in ops)
+    for op, eigenvalue in ((fam.hyper, hyper_eigenvalue), (fam.companion, companion_eigenvalue)):
+        values = [eigenvalue(p, w, j) for j in range(p.size)]
+        den = math.lcm(*(v.denominator for v in values))
+        scale = [v.numerator * (den // v.denominator) for v in values]
+        num = [tuple(tuple(x * s for x, s in zip(row, scale)) for row in c) for c in pt.num]
+        if op.apply(pt) != MatPoly._reduced(p.size, p.size, num, pt.den * den):
+            return False
+    return True
 
 
 def check_commute(p: Params) -> bool:
@@ -243,10 +240,8 @@ def decompose_in_basis(h: MatPoly, p: Params) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class IdealReport:
-    passed: bool
-    coincidences: tuple
+class IdealReport(namedtuple("IdealReport", "passed coincidences")):
+    __slots__ = ()
 
 
 def check_ideal(p: Params, w_max: int) -> IdealReport:
@@ -274,11 +269,8 @@ def check_ideal(p: Params, w_max: int) -> IdealReport:
     return IdealReport(passed, tuple(coincidences))
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    status: str
-    witness: str | None = None
+class CheckResult(namedtuple("CheckResult", "name status witness", defaults=(None,))):
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         out = {"name": self.name, "status": self.status}
@@ -287,11 +279,8 @@ class CheckResult:
         return out
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    params: Params
-    max_w: int
-    checks: tuple
+class VerificationReport(namedtuple("VerificationReport", "params max_w checks")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -11,12 +11,13 @@ assertions so the tests can hold the library to them.  Matrices are the
 library's tuples of row tuples, vectors are tuples.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from mvop import linalg
 from mvop.exact import _check_bound, exact_scalar
-from mvop.linalg import Matrix, _integer_form, int_matmul
+from mvop.linalg import Matrix, int_matmul
 from mvop.matpoly import MatPoly
 from mvop.model import (
     Params,
@@ -37,6 +38,12 @@ Vector = tuple
 
 class SingularMatrixError(ArithmeticError):
     pass
+
+
+def _integer_form(rows) -> tuple[list[list[int]], int]:
+    """(m, d) with rows == m / d entrywise, d the lcm of the entry denominators."""
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
 def sub(a: Matrix, b: Matrix) -> Matrix:
@@ -94,7 +101,7 @@ def _bareiss(a: Matrix):
     over den: returns the reduced rows, the (row, col) pivots, the sign of the
     row swaps and den.  Every division is exact, and the last pivot of a
     nonsingular square matrix is its determinant up to that sign."""
-    m, den = linalg._integer_form(a)
+    m, den = _integer_form(a)
     n_rows, n_cols = len(m), len(m[0]) if m else 0
     pivots, prev, sign = [], 1, 1
     for col in range(n_cols):

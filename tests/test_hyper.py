@@ -530,6 +530,7 @@ class TestBuildColumn:
         gone = {
             mvop.hyper: ("BracketSeq", "bracket_seq", "termination_matrix", "poly_solution_space"),
             linalg: (
+                "_integer_form",
                 "SingularMatrixError",
                 "solve_matrix",
                 "nullspace",
@@ -546,7 +547,6 @@ class TestBuildColumn:
         monkeypatch.setattr(mvop.model.WeightSpec, "moment_num", refuse)
         monkeypatch.setattr(mvop.hyper, "moment_rows", refuse)
         monkeypatch.setattr(mvop.hyper, "kernel_vector", refuse)
-        monkeypatch.setattr(linalg, "_integer_form", refuse)
         big = Params(0, 3, 1, 5)
         slots = [(COLLIDING, w, j) for w in range(4) for j in range(COLLIDING.size)]
         slots += [(big, w, j) for w, j in ((4, 5), (6, 2), (7, 0))]

@@ -2,6 +2,7 @@ import math
 import re
 from decimal import Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -403,3 +404,48 @@ def test_entry_rejects_indices_outside_the_matrix(i, j):
     with pytest.raises(ValueError):
         f.entry(i, j)
     assert f.entry(1, 0) == (2, 4)
+
+
+def _values():
+    f = MatPoly(2, (((1, Fraction(1, 2)), (0, 3)), ((0, 1), (2, 0))))
+    op = DiffOp(1, (MatPoly(1, [[[1]]]), MatPoly(1, [[[Fraction(1, 3)]], [[2]]])))
+    return f, op
+
+
+@pytest.mark.parametrize("index, names", [(0, ("dim", "cols", "num", "den", "degree")), (1, ("dim", "coeffs", "order"))])
+def test_fields_cannot_be_assigned_or_deleted(index, names):
+    value = _values()[index]
+    before = repr(value)
+    for name in names + ("extra",):
+        with pytest.raises(AttributeError, match="cannot assign"):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError, match="cannot delete"):
+            delattr(value, name)
+    assert repr(value) == before
+
+
+def test_equal_values_compare_and_hash_equal():
+    (f, op), (g, op2) = _values(), _values()
+    assert f is not g and f == g and hash(f) == hash(g) and not f != g
+    assert op is not op2 and op == op2 and hash(op) == hash(op2)
+    # the operator's cleared form is cached beside its fields, not one of them
+    assert op.integer_form and op == op2 and hash(op) == hash(op2)
+    assert f != f * 2 and op != -op
+
+
+def test_other_classes_compare_unequal():
+    f, op = _values()
+    fields = SimpleNamespace(**vars(f))
+    assert f != fields and f != (f.dim, f.cols, f.num, f.den) and f != op
+    assert f.__eq__(fields) is NotImplemented and op.__eq__(f) is NotImplemented
+    assert MatPoly.zero(1) != DiffOp(1, (MatPoly.zero(1),)) and MatPoly.zero(1) != 0
+
+
+def test_repr():
+    f, op = _values()
+    assert repr(f) == "MatPoly(dim=2, cols=2, num=(((2, 1), (0, 6)), ((0, 2), (4, 0))), den=2)"
+    assert repr(MatPoly.zero(2, 1)) == "MatPoly(dim=2, cols=1, num=(), den=1)"
+    assert repr(op) == (
+        "DiffOp(dim=1, coeffs=(MatPoly(dim=1, cols=1, num=(((1,),),), den=1), "
+        "MatPoly(dim=1, cols=1, num=(((1,),), ((6,),)), den=3)))"
+    )

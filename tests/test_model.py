@@ -1,9 +1,11 @@
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from mvop import linalg
+from mvop.hyper import family
 from mvop.matpoly import DiffOp, MatPoly
 from mvop.model import (
     EigenPair,
@@ -37,6 +39,31 @@ BASE = Params(0, 1, 1, 1)
 INEXACT = [(1.5, 0), (2.0, 0), (True, 0), (1, 1.0), (1, True), (Fraction(1), 0)]
 
 
+# every input the CLI rejects, with its message: each is refused whether it
+# comes positionally or by keyword
+REJECTED = [
+    ((-1, 1, 1, 1), "alpha must be > -1"),
+    ((-2, 1, 1, 1), "alpha must be > -1"),
+    ((0, -1, 1, 1), "beta must be > -1"),
+    ((0, 1, 0, 1), "k must satisfy 0 < k < beta + 1"),
+    ((0, 1, 2, 1), "k must satisfy 0 < k < beta + 1"),
+    ((0, 1, 5, 2), "k must satisfy 0 < k < beta + 1"),
+    ((0, 1, 1, 0), "ell must be an integer >= 1"),
+    ((0, 1, 1, Fraction(3, 2)), "ell must be an integer >= 1"),
+    ((0.1, 1, 1, 1), "alpha must be an exact rational, not a float"),
+    ((0, 1.5, 1, 1), "beta must be an exact rational, not a float"),
+    ((0, 1, 0.5, 1), "k must be an exact rational, not a float"),
+    ((0, 1, 1, True), "ell must be an integer >= 1"),
+    # the forms the CLI's p/q flags reject
+    (("0.5", 1, 1, 1), "not an exact rational of the form p/q: '0.5'"),
+    (("1e-1", 1, 1, 1), "not an exact rational of the form p/q: '1e-1'"),
+    ((True, 1, 1, 1), "alpha must be an exact rational, not a bool"),
+    ((0, 1, False, 1), "k must be an exact rational, not a bool"),
+    (("1/0", 1, 1, 1), "zero denominator: '1/0'"),
+    ((0, 1, 1, 1.0), "ell must be an integer >= 1"),
+]
+
+
 class TestParams:
     def test_coerces_to_fractions(self):
         p = Params("1/2", 1, "1/3", 2)
@@ -44,31 +71,52 @@ class TestParams:
         assert p.k == Fraction(1, 3)
         assert p.size == 3
 
-    @pytest.mark.parametrize(
-        "args, message",
-        [
-            ((-1, 1, 1, 1), "alpha must be > -1"),
-            ((-2, 1, 1, 1), "alpha must be > -1"),
-            ((0, -1, 1, 1), "beta must be > -1"),
-            ((0, 1, 0, 1), "k must satisfy 0 < k < beta + 1"),
-            ((0, 1, 2, 1), "k must satisfy 0 < k < beta + 1"),
-            ((0, 1, 5, 2), "k must satisfy 0 < k < beta + 1"),
-            ((0, 1, 1, 0), "ell must be an integer >= 1"),
-            ((0, 1, 1, Fraction(3, 2)), "ell must be an integer >= 1"),
-            ((0.1, 1, 1, 1), "alpha must be an exact rational, not a float"),
-            ((0, 1.5, 1, 1), "beta must be an exact rational, not a float"),
-            ((0, 1, 0.5, 1), "k must be an exact rational, not a float"),
-            ((0, 1, 1, True), "ell must be an integer >= 1"),
-            # the forms the CLI's p/q flags reject
-            (("0.5", 1, 1, 1), "not an exact rational of the form p/q: '0.5'"),
-            (("1e-1", 1, 1, 1), "not an exact rational of the form p/q: '1e-1'"),
-            ((True, 1, 1, 1), "alpha must be an exact rational, not a bool"),
-            ((0, 1, False, 1), "k must be an exact rational, not a bool"),
-        ],
-    )
+    @pytest.mark.parametrize("args, message", REJECTED)
     def test_rejects_inadmissible(self, args, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             Params(*args)
+
+    @pytest.mark.parametrize("args, message", REJECTED)
+    def test_rejects_inadmissible_by_keyword(self, args, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Params(**dict(zip(("alpha", "beta", "k", "ell"), args)))
+
+    def test_offers_no_unchecked_constructor(self):
+        # not a tuple, so there is no _make or _replace that skips the checks,
+        # and no length, iteration or concatenation either
+        p = Params(Fraction(1, 2), Fraction(3, 2), 1, 2)
+        assert not isinstance(p, tuple)
+        assert [name for name in ("_make", "_replace", "__replace__", "__iter__", "__len__") if hasattr(p, name)] == []
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        p = Params(Fraction(1, 2), Fraction(3, 2), 1, 2)
+        for name in ("alpha", "beta", "k", "ell", "size", "extra"):
+            with pytest.raises(AttributeError, match="cannot assign"):
+                setattr(p, name, 1)
+            with pytest.raises(AttributeError, match="cannot delete"):
+                delattr(p, name)
+        assert p == Params(Fraction(1, 2), Fraction(3, 2), 1, 2)
+
+    @pytest.mark.usefixtures("fresh_family")
+    def test_equal_values_are_one_key(self):
+        a, b = Params("1/2", "3/2", 1, 2), Params(Fraction(1, 2), Fraction(3, 2), Fraction(1), 2)
+        assert a is not b and a == b and hash(a) == hash(b)
+        fam = family(a)
+        assert family(b) is fam and family.cache_info().hits == 1
+        assert a != Params("1/2", "3/2", 1, 3)
+        assert a != (a.alpha, a.beta, a.k, a.ell) and a != SimpleNamespace(**vars(a))
+        assert a.__eq__(SimpleNamespace(**vars(a))) is NotImplemented
+
+    def test_repr(self):
+        assert repr(Params(Fraction(1, 2), Fraction(3, 2), 1, 2)) == (
+            "Params(alpha=Fraction(1, 2), beta=Fraction(3, 2), k=Fraction(1, 1), ell=2)"
+        )
+        assert repr(Params("1/3", 0, "1/2", 1)) == (
+            "Params(alpha=Fraction(1, 3), beta=Fraction(0, 1), k=Fraction(1, 2), ell=1)"
+        )
+        assert repr(EigenPair(0, 1, Fraction(-3), Fraction(5, 2))) == (
+            "EigenPair(w=0, j=1, lam=Fraction(-3, 1), mu=Fraction(5, 2))"
+        )
 
     def test_as_dict(self):
         p = Params(Fraction(1, 2), Fraction(3, 2), 1, 2)

@@ -1,6 +1,8 @@
 import ast
 import importlib
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import mvop
@@ -54,3 +56,16 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(f"mvop.{info.name}")
         stale += [f"{info.name}.{name}" for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert not stale, f"__all__ names that do not resolve: {stale}"
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    # every launch imports the CLI before it does any work, and these modules
+    # (with ast, dis and tokenize behind inspect) only cost start-up time; -S
+    # keeps site hooks from loading typing on their own
+    src = str(Path(mvop.__file__).parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import mvop.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"

@@ -102,23 +102,17 @@ class TestMomentTable:
         assert failed["bilinear_symmetry_hyper"] == failed["bilinear_symmetry_companion"] == "defect on monomials"
         assert all(name.startswith(("gram_", "bilinear_symmetry_")) for name in failed)
 
-    def test_gram_never_reclears_an_operand(self, monkeypatch):
+    def test_gram_never_reclears_an_operand(self):
         # once the polynomials exist, new blocks, new moment rows and a growing
-        # table run on integers that are already cleared
+        # table run on integers that are already cleared: the library has no
+        # Fraction-matrix clear left, which lives beside its users in the dense reference
+        assert not hasattr(linalg, "_integer_form") and hasattr(dense, "_integer_form")
         p = GRID[1]
         fam = Family(p)
         polys = [fam.poly(w) for w in range(6)]
         fam.gram(0, 0)
         expected = {(w, wp): literal_double_sum(polys[w], polys[wp], fam.weight) for w in range(6) for wp in range(6)}
-
-        def refuse(rows):
-            raise AssertionError("an operand was cleared again")
-
         assert len(fam.weight._table) == 1  # H_0, for the block (0, 0)
-        monkeypatch.setattr(linalg, "_integer_form", refuse)
-        with pytest.raises(AssertionError, match="cleared again"):
-            # the patch is live: the dense reference's elimination clears through it
-            dense.solve_matrix(linalg.identity(2), linalg.identity(2))
         assert {(w, wp): fam.gram(w, wp) for w in range(6) for wp in range(6)} == expected
         assert len(fam.weight._table) == 2 * 5 + 1
 
@@ -449,6 +443,21 @@ class TestEigenAndCommutation:
             for w in range(3):
                 assert check_eigen(p, w)
 
+    @pytest.mark.parametrize("name", ["hyper_eigenvalue", "companion_eigenvalue"])
+    def test_shifted_slot_eigenvalue_fails_only_its_degree(self, monkeypatch, name):
+        # one slot's eigenvalue moved by 1 breaks the eigenfunction identity
+        # at that slot's degree and nowhere else
+        real = getattr(verify, name)
+
+        def shifted(p, w, j):
+            return real(p, w, j) + (1 if (w, j) == (3, 1) else 0)
+
+        p = GRID[1]
+        monkeypatch.setattr(verify, name, shifted)
+        assert [w for w in range(6) if not check_eigen(p, w)] == [3]
+        failed = [c.name for c in run_suite(p, max_w=5).checks if c.status == "fail"]
+        assert [n for n in failed if n.startswith("eigenfunctions_")] == ["eigenfunctions_w3"]
+
     def test_operators_commute(self):
         for p in GRID:
             assert check_commute(p)
@@ -589,10 +598,8 @@ class TestSuite:
         assert check_eigen(p, 9)
         assert len(cleared) == 2
 
-        def refuse(rows):
-            raise AssertionError("a matrix was cleared")
-
-        monkeypatch.setattr(linalg, "_integer_form", refuse)
+        # the library keeps no Fraction-matrix clear: a fresh Family reads the same form
+        assert not hasattr(linalg, "_integer_form")
         fresh = Family(p)
         assert fresh.hyper.integer_form == fam.hyper.integer_form
 
