@@ -1,7 +1,7 @@
 """Exact matrix weights, orthogonal matrix polynomials, and commuting
 symmetric differential operators for a three-parameter family."""
 
-from .exact import MomentFunctional, falling, format_rational, gen_binom, parse_rational, poch
+from .exact import format_rational, gen_binom, parse_rational, poch
 from .matpoly import DiffOp, MatPoly
 from .model import (
     EigenPair,

@@ -1,9 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors
-(including inadmissible parameters).  All rational flags take exact 'p/q'
-values; decimals are rejected.  Output is deterministic.  Checks run in one
-thread: --jobs must be >= 1 and its value does not change the output.
+(including inadmissible parameters and an --out path that cannot be
+written).  All rational flags take exact 'p/q' values in ASCII digits;
+decimals are rejected.  Output is deterministic.  Checks run in one thread:
+--jobs must be >= 1 and its value does not change the output.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 
 from .exact import format_rational, parse_rational
 from .hyper import build_column, find_collisions
-from .model import Params, companion_eigenvalue, eigen_table, hyper_eigenvalue
+from .model import Params, eigen_table, hyper_eigenvalue
 from .verify import gram_block, run_suite
 
 
@@ -74,18 +75,10 @@ def cmd_table(p: Params, args) -> tuple[str, int]:
 
 
 def cmd_polys(p: Params, args) -> tuple[str, int]:
-    records = []
-    for w in range(args.max_w + 1):
-        for j in range(p.size):
-            records.append(
-                {
-                    "w": w,
-                    "j": j,
-                    "lambda": format_rational(hyper_eigenvalue(p, w, j)),
-                    "mu": format_rational(companion_eigenvalue(p, w, j)),
-                    "coeffs": build_column(p, w, j).to_json_dict()["coeffs"],
-                }
-            )
+    records = [
+        {**pair.as_dict(), "coeffs": build_column(p, pair.w, pair.j).to_json_dict()["coeffs"]}
+        for pair in eigen_table(p, args.max_w)
+    ]
     if args.format == "json":
         return _json_text(records), 0
     header = ("w", "j", "lambda", "mu", "power") + tuple(f"x{i}" for i in range(p.size))
@@ -159,9 +152,13 @@ def main(argv=None) -> int:
     text, code = _COMMANDS[args.command](p, args)
     if args.out is None:
         sys.stdout.write(text)
-    else:
+        return code
+    try:
         with open(args.out, "w") as handle:
             handle.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

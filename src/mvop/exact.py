@@ -1,5 +1,5 @@
-"""Exact rational scalars: factorial-type products, generalized binomials,
-strict p/q parsing, and the moment functional of the scalar weight factor.
+"""Exact rational scalars: rising factorials, generalized binomials, strict
+p/q parsing and lowest-terms formatting.
 
 Everything here returns Fraction; no floating point enters at any stage:
 every rational argument passes exact_scalar, which takes int and Fraction
@@ -15,12 +15,10 @@ from fractions import Fraction
 __all__ = [
     "exact_scalar",
     "poch",
-    "falling",
     "gen_binom",
     "parse_rational",
     "format_rational",
     "format_ratio",
-    "MomentFunctional",
 ]
 
 RationalLike = Fraction | int
@@ -54,16 +52,6 @@ def poch(z: RationalLike, r: int) -> Fraction:
     return out
 
 
-def falling(n: RationalLike, i: int) -> Fraction:
-    """Falling factorial n(n-1)...(n-i+1); the empty product is 1."""
-    _check_bound("i", i)
-    n = exact_scalar(n)
-    out = Fraction(1)
-    for m in range(i):
-        out *= n - m
-    return out
-
-
 def gen_binom(z: RationalLike, r: int) -> Fraction:
     """Binomial coefficient with arbitrary rational upper argument.
 
@@ -74,7 +62,7 @@ def gen_binom(z: RationalLike, r: int) -> Fraction:
     return poch(exact_scalar(z) - r + 1, r) / math.factorial(r)
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$", re.ASCII)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -101,32 +89,3 @@ def format_ratio(num: int, den: int) -> str:
     g = math.gcd(num, den)
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
-
-class MomentFunctional:
-    """Moments of (1-u)^alpha u^beta on (0, 1), relative to the zeroth moment.
-
-    ratio(m) is the m-th weighted moment divided by the zeroth one, which is
-    the exact rational poch(beta+1, m) / poch(alpha+beta+2, m).  Working in
-    these units keeps every Gram computation inside rational arithmetic.
-    Instances memoize ratios.
-    """
-
-    def __init__(self, alpha: RationalLike, beta: RationalLike):
-        alpha = exact_scalar(alpha)
-        beta = exact_scalar(beta)
-        if alpha <= -1:
-            raise ValueError("alpha must be > -1")
-        if beta <= -1:
-            raise ValueError("beta must be > -1")
-        self.alpha = alpha
-        self.beta = beta
-        self._cache = [Fraction(1)]
-
-    def ratio(self, m: int) -> Fraction:
-        """Exact m-th moment in units of the zeroth moment."""
-        _check_bound("m", m)
-        while len(self._cache) <= m:
-            n = len(self._cache)
-            # ratio(n) = ratio(n-1) * (beta + n) / (alpha + beta + 1 + n)
-            self._cache.append(self._cache[-1] * (self.beta + n) / (self.alpha + self.beta + 1 + n))
-        return self._cache[m]

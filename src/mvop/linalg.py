@@ -62,6 +62,3 @@ def int_matmul(a, b) -> Matrix:
 def transpose(a: Matrix) -> Matrix:
     return tuple(tuple(col) for col in zip(*a))
 
-
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(all(x == 0 for x in row) for row in a)

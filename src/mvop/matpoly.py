@@ -9,9 +9,8 @@ structural equality is exact polynomial equality.  All arithmetic runs on
 the integers; Fractions are built only where a caller reads entries (coeffs,
 coeff, leading, entry, evaluate, to_json_dict).  A DiffOp clears its
 coefficients once, on first use, to its integer_form, which apply, compose,
-degree_symbol and the descent of hyper all read.
-The degree of the zero polynomial is the sentinel float('-inf'), which
-compares correctly against integer degrees.  All values are immutable: a
+model.monic_eigenvalue and the descent of hyper all read.
+The degree of the zero polynomial is -1.  All values are immutable: a
 Frozen class compares, hashes and prints by its fields.
 """
 
@@ -26,9 +25,7 @@ from itertools import zip_longest
 from . import linalg
 from .exact import exact_scalar, format_ratio
 
-__all__ = ["MatPoly", "DiffOp", "NEG_INF"]
-
-NEG_INF = float("-inf")
+__all__ = ["MatPoly", "DiffOp"]
 
 
 class Frozen:
@@ -147,8 +144,8 @@ class MatPoly(Frozen):
         return cls(dim, (linalg.zeros(dim, len(mat[0])),) * power + (mat,), len(mat[0]))
 
     @property
-    def degree(self):
-        return len(self.num) - 1 if self.num else NEG_INF
+    def degree(self) -> int:
+        return len(self.num) - 1
 
     def is_zero(self) -> bool:
         return not self.num
@@ -276,15 +273,6 @@ class DiffOp(Frozen):
         matrices by ascending power, over den, the lcm of their denominators."""
         den = math.lcm(*(c.den for c in self.coeffs))
         return tuple(_scaled(c.num, den // c.den) for c in reversed(self.coeffs)), den
-
-    @cached_property
-    def degree_symbol(self) -> tuple:
-        """For deg A_j <= j (else ValueError), the u^j coefficients of the A_j
-        as (j, integer matrix) pairs over one denominator, and that den."""
-        if not self.is_degree_bounded():
-            raise ValueError("coefficient degrees must not exceed the derivative order")
-        nums, den = self.integer_form
-        return tuple((j, c[j]) for j, c in enumerate(nums) if j < len(c)), den
 
     def apply(self, f: MatPoly) -> MatPoly:
         """Apply to a dim x n MatPoly: sum_j A_j(u) f^(j)(u), each output

@@ -1,7 +1,8 @@
 """The three-parameter family: admissible parameters, the polynomial core of
-the matrix weight and the pairing it defines, the hypergeometric-form
-second-order operator, a second commuting symmetric operator, and all of
-their eigenvalue data.
+the matrix weight, its moment matrices (the only integrals, built from the
+moments of the scalar factor) and the pairing they define, the
+hypergeometric-form second-order operator, a second commuting symmetric
+operator, and all of their eigenvalue data.
 
 Parameters are (alpha, beta, k, ell) with alpha > -1, beta > -1,
 0 < k < beta + 1 and integer ell >= 1; matrices have size ell + 1.  Row and
@@ -16,7 +17,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
-from .exact import MomentFunctional, _check_bound, format_rational, gen_binom, parse_rational
+from .exact import _check_bound, format_rational, gen_binom, parse_rational
 from .matpoly import DiffOp, Frozen, MatPoly
 
 __all__ = [
@@ -135,38 +136,38 @@ class WeightSpec:
     """The weight W = (1-u)^alpha u^beta Z(u) as its core Z and its moment matrices.
 
     The moment matrix H_m = sum_c ratio(m + c) Z_c is the integral of u^m W in
-    units of the zeroth moment of the scalar factor.  Every pairing against
-    the weight is a sum of H_{a+b} between polynomial coefficients, so the
-    table, grown on demand, is the only place the weight is integrated.  It
-    holds H_m as one ratio-weighted sum of the core's integer numerators, over
-    the core's denominator times the lcm of the ratios' denominators.
+    units of the zeroth moment of the scalar factor, with the exact
+    ratio(n) = poch(beta + 1, n) / poch(alpha + beta + 2, n).  Every pairing
+    against the weight is a sum of H_{a+b} between polynomial coefficients,
+    so the table, grown on demand with the ratios, is the only place the
+    weight is integrated.  It holds H_m as one ratio-weighted sum of the
+    core's integer numerators, over the core's denominator times the lcm of
+    the ratios' denominators.
     """
 
     def __init__(self, params: Params):
         self.params = params
         self.core = weight_core(params)
-        self.moments = MomentFunctional(params.alpha, params.beta)
+        self._ratios = [Fraction(1)]
         self._table = []
 
     def moment_num(self, m: int) -> tuple:
         """Moment matrix H_m, for m >= 0, as (integer matrix, denominator)."""
         _check_bound("m", m)
-        core = self.core
-        while len(self._table) <= m:
-            n = len(self._table)
-            ratios = [self.moments.ratio(n + c) for c in range(len(core.num))]
-            den = math.lcm(*(r.denominator for r in ratios))
-            weights = [r.numerator * (den // r.denominator) for r in ratios]
+        core, ratios, table = self.core, self._ratios, self._table
+        a, b = self.params.alpha, self.params.beta
+        while len(ratios) < m + len(core.num):
+            # ratio(n) = ratio(n-1) * (beta + n) / (alpha + beta + 1 + n)
+            ratios.append(ratios[-1] * (b + len(ratios)) / (a + b + 1 + len(ratios)))
+        while len(table) <= m:
+            window = ratios[len(table) : len(table) + len(core.num)]
+            den = math.lcm(*(r.denominator for r in window))
+            weights = [r.numerator * (den // r.denominator) for r in window]
             num = tuple(
                 tuple(sum(map(operator.mul, weights, entry)) for entry in zip(*rows)) for rows in zip(*core.num)
             )
-            self._table.append((num, core.den * den))
-        return self._table[m]
-
-    def moment(self, m: int):
-        """Moment matrix H_m, for m >= 0, as Fractions."""
-        num, den = self.moment_num(m)
-        return tuple(tuple(Fraction(x, den) for x in row) for row in num)
+            table.append((num, core.den * den))
+        return table[m]
 
 
 def moment_rows(qq: MatPoly, ws: WeightSpec, n: int) -> tuple:
@@ -290,8 +291,10 @@ def monic_eigenvalue(op: DiffOp, n: int):
     """Constant matrix sum_i [n]_i (u^i coefficient of A_i), the eigenvalue
     of op on a monic degree-n polynomial family; requires deg A_i <= i."""
     _check_bound("n", n)
-    parts, den = op.degree_symbol
-    weighted = [(math.perm(n, i), mat) for i, mat in parts]
+    if not op.is_degree_bounded():
+        raise ValueError("coefficient degrees must not exceed the derivative order")
+    nums, den = op.integer_form
+    weighted = [(math.perm(n, i), a[i]) for i, a in enumerate(nums) if i < len(a)]
     return tuple(
         tuple(Fraction(sum(s * mat[r][c] for s, mat in weighted), den) for c in range(op.dim)) for r in range(op.dim)
     )

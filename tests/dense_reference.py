@@ -1,6 +1,6 @@
 """The dense reference: the bracket series of the hypergeometric recursion,
-general exact elimination, the Fraction moment matrices and the weight
-pairing as one call.
+general exact elimination, the Fraction moment matrices from the closed-form
+moments of the scalar factor and the weight pairing as one call.
 
 The library builds every column by a bidiagonal descent from its closed-form
 leading coefficient, decomposes by unit triangular back-substitution and
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mvop import linalg
-from mvop.exact import _check_bound, exact_scalar
+from mvop.exact import _check_bound, exact_scalar, poch
 from mvop.linalg import Matrix, int_matmul
 from mvop.matpoly import MatPoly
 from mvop.model import (
@@ -73,6 +73,10 @@ def matmul_sum(lefts, rights, left_den: int | None = None, right_den: int | None
     return tuple(tuple(Fraction(x, den) for x in row) for row in int_matmul(left, stacked))
 
 
+
+
+def is_zero_matrix(a: Matrix) -> bool:
+    return all(all(x == 0 for x in row) for row in a)
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -220,12 +224,19 @@ def poly_solution_space(p: Params, lam, n: int) -> list:
 # The Fraction moment matrices and the weight pairing as one call.
 
 
+def moment_ratio(p: Params, n: int) -> Fraction:
+    """The n-th moment of (1-u)^alpha u^beta on (0, 1) over the zeroth, in
+    closed form, poch(beta + 1, n) / poch(alpha + beta + 2, n), independent
+    of the recurrence the library grows its ratios by."""
+    return poch(p.beta + 1, n) / poch(p.alpha + p.beta + 2, n)
+
+
 def moment_matrix(ws: WeightSpec, m: int) -> Matrix:
-    """H_m = sum_c ratio(m + c) Z_c from the weight's core and moment
-    functional alone, never its table: ratio(m + c) I times Z_c, summed
-    through one dense product of Fraction matrices."""
+    """H_m = sum_c ratio(m + c) Z_c from the weight's core and the closed-form
+    ratios alone, never its table: ratio(m + c) I times Z_c, summed through
+    one dense product of Fraction matrices."""
     core, eye = ws.core, linalg.identity(ws.core.dim)
-    ratios = [linalg.scale(eye, ws.moments.ratio(m + c)) for c in range(len(core.num))]
+    ratios = [linalg.scale(eye, moment_ratio(ws.params, m + c)) for c in range(len(core.num))]
     return matmul_sum(ratios, core.num, right_den=core.den)
 
 

@@ -167,6 +167,15 @@ def test_decimal_flag_rejected(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("k", ["\u0661/\u0662", "\uff11/\uff12"])
+def test_non_ascii_digits_rejected(k, capsys):
+    # Arabic-Indic and fullwidth 1/2, which int() would read as 1/2
+    with pytest.raises(SystemExit) as info:
+        main(["table", "--alpha", "0", "--beta", "1", "--k", k, "--ell", "1"])
+    assert info.value.code == 2
+    assert "not an exact rational" in capsys.readouterr().err
+
+
 def test_missing_subcommand_rejected(capsys):
     with pytest.raises(SystemExit) as info:
         main([])
@@ -179,3 +188,13 @@ def test_out_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())[1]["lambda"] == "-2"
+
+
+def test_unwritable_out_exits_two(tmp_path, capsys):
+    # exit 1 means a verification failed, so a failed write is a usage error
+    target = tmp_path / "missing" / "table.json"
+    code, out, err = run_cli(capsys, "table", *BASE_FLAGS, "--max-w", "0", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert not target.exists()

@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction
+from functools import cached_property
 from types import SimpleNamespace
 
 import pytest
@@ -61,6 +62,9 @@ REJECTED = [
     ((0, 1, False, 1), "k must be an exact rational, not a bool"),
     (("1/0", 1, 1, 1), "zero denominator: '1/0'"),
     ((0, 1, 1, 1.0), "ell must be an integer >= 1"),
+    # Arabic-Indic and fullwidth 1/2: p/q takes ASCII digits only
+    (("\uff11/\uff12", 1, 1, 1), "not an exact rational of the form p/q: '\uff11/\uff12'"),
+    ((0, 1, "\u0661/\u0662", 1), "not an exact rational of the form p/q: '\u0661/\u0662'"),
 ]
 
 
@@ -136,7 +140,7 @@ class TestStructureMatrices:
     def test_potential_kills_first_unit_vector(self):
         for p in GRID:
             e0 = tuple((Fraction(i == 0),) for i in range(p.size))
-            assert linalg.is_zero_matrix(dense.matmul(potential_matrix(p), e0))
+            assert dense.is_zero_matrix(dense.matmul(potential_matrix(p), e0))
 
     def test_recursion_shifts_invertible(self):
         # the series recursion divides by recursion_matrix + i for every i >= 0
@@ -370,11 +374,13 @@ class TestMonicEigenvalue:
             monic_eigenvalue(hyper_operator(BASE), bad)
 
     def test_reads_each_operator_once(self, monkeypatch):
-        # the coefficients are read, and the degree bound checked, once per
-        # operator however many degrees are asked for
+        # each operator's coefficients are cleared to its integer form once,
+        # however many degrees are asked for
         calls = []
-        real = DiffOp.is_degree_bounded
-        monkeypatch.setattr(DiffOp, "is_degree_bounded", lambda op: calls.append(op) or real(op))
+        real = DiffOp.__dict__["integer_form"].func
+        counted = cached_property(lambda op: calls.append(op) or real(op))
+        counted.__set_name__(DiffOp, "integer_form")
+        monkeypatch.setattr(DiffOp, "integer_form", counted)
         p = GRID[1]
         ops = (hyper_operator(p), companion_operator(p))
         for n in range(21):

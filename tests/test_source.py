@@ -30,6 +30,21 @@ def test_library_raises_no_assertion_error():
     assert not found, f"raise AssertionError in the library: {found}"
 
 
+def test_library_has_no_floats():
+    # the library computes on int and Fraction only: no float or complex
+    # literal and no float(...) call; naming float in an isinstance check,
+    # to reject one, stays allowed
+    found = []
+    for path in sorted(Path(mvop.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            literal = isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+            call = isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float"
+            if literal or call:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"floats in the library: {found}"
+
+
 def test_only_memo_keeps_the_latest_family():
     # what one parameter set fixes lives in a Family and dies with it; the one
     # module-level memo holds only the latest Family

@@ -4,6 +4,7 @@ from fractions import Fraction
 from functools import cached_property
 
 import pytest
+from hypothesis import given, strategies as st
 
 import mvop.hyper
 from mvop import linalg
@@ -63,6 +64,10 @@ def literal_double_sum(pp, qq, ws):
     return total
 
 
+def as_fractions(num, den):
+    return tuple(tuple(Fraction(x, den) for x in row) for row in num)
+
+
 class TestMomentTable:
     # GRID plus one point whose alpha, beta and k have different denominators
     POINTS = GRID + [Params(Fraction(1, 2), Fraction(2, 3), Fraction(5, 6), 3)]
@@ -72,18 +77,27 @@ class TestMomentTable:
             ws = WeightSpec(p)
             for m in range(2 * 8 + 2 * p.ell + 1):
                 num, den = ws.moment_num(m)
-                ratios = [ws.moments.ratio(m + c) for c in range(len(ws.core.num))]
+                ratios = [dense.moment_ratio(p, m + c) for c in range(len(ws.core.num))]
                 assert den == ws.core.den * math.lcm(*(r.denominator for r in ratios))
                 assert all(type(x) is int for row in num for x in row)
-                assert ws.moment(m) == dense.moment_matrix(ws, m)
+                assert as_fractions(num, den) == dense.moment_matrix(ws, m)
+
+    @given(
+        st.fractions(min_value=Fraction(-9, 10), max_value=4, max_denominator=10),
+        st.fractions(min_value=Fraction(-9, 10), max_value=4, max_denominator=10),
+        st.integers(0, 12),
+    )
+    def test_table_matches_the_closed_form_at_random_exponents(self, alpha, beta, m):
+        # the table grows its ratios by a recurrence; the oracle uses the
+        # closed form, at any admissible exponents
+        ws = WeightSpec(Params(alpha, beta, (beta + 1) / 2, 1))
+        assert as_fractions(*ws.moment_num(m)) == dense.moment_matrix(ws, m)
 
     @pytest.mark.parametrize("bad", [True, False, 2.0, Fraction(2)])
     def test_index_must_be_an_integer(self, bad):
         ws = WeightSpec(BASE)
         with pytest.raises(ValueError, match="m must be an integer"):
             ws.moment_num(bad)
-        with pytest.raises(ValueError, match="m must be an integer"):
-            ws.moment(bad)
         with pytest.raises(ValueError, match="m must be >= 0"):
             ws.moment_num(-1)
 
@@ -187,7 +201,7 @@ class TestInnerProduct:
         with pytest.raises(ValueError):
             column_pairing(MatPoly.zero(3, 1), MatPoly.zero(3, 1), ws)
         with pytest.raises(ValueError):
-            ws.moment(-1)
+            ws.moment_num(-1)
 
     def test_arguments_need_the_weight_dim_as_column_count(self):
         ws = WeightSpec(BASE)
@@ -211,7 +225,7 @@ class TestGram:
         for p in GRID:
             for w in range(3):
                 for wp in range(w + 1, 4):
-                    assert linalg.is_zero_matrix(gram_block(p, w, wp).entries)
+                    assert dense.is_zero_matrix(gram_block(p, w, wp).entries)
 
     def test_diagonal_blocks_are_diagonal_positive(self):
         for p in GRID:
@@ -485,7 +499,7 @@ class TestDecomposition:
         assert len(parts) == 4
         assert parts[3] == linalg.identity(2)
         for d in range(3):
-            assert linalg.is_zero_matrix(parts[d])
+            assert dense.is_zero_matrix(parts[d])
 
     def test_zero_polynomial(self):
         assert decompose_in_basis(MatPoly.zero(2), BASE) == []
