@@ -4,21 +4,20 @@ Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors
 (including inadmissible parameters and an --out path that cannot be
 written).  All rational flags take exact 'p/q' values in ASCII digits;
 decimals are rejected.  Output is deterministic.  Checks run in one thread:
---jobs must be >= 1 and its value does not change the output.
+--jobs must be >= 1 and its value does not change the output.  A command
+loads only what it runs: verify alone imports the checks, and csv output
+alone imports csv.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 
 from .exact import format_rational, parse_rational
-from .hyper import build_column, find_collisions
+from .hyper import build_column, find_collisions, gram_block
 from .model import Params, eigen_table, hyper_eigenvalue
-from .verify import gram_block, run_suite
 
 
 def _rational_flag(text: str):
@@ -55,6 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _csv_text(header, rows) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -87,6 +89,8 @@ def cmd_polys(p: Params, args) -> tuple[str, int]:
 
 
 def cmd_verify(p: Params, args) -> tuple[str, int]:
+    from .verify import run_suite
+
     report = run_suite(p, max_w=args.max_w)
     code = 0 if report.passed else 1
     if args.format == "json":

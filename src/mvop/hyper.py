@@ -18,6 +18,9 @@ eigenfunction of the commuting companion operator, which makes it
 orthogonal to the earlier ones without a pairing.
 
 One Family holds all that a parameter set fixes; family(p) keeps the latest.
+The Params-keyed build_column, orthogonal_polynomial and gram_block read it;
+gram_block lives here, not in verify, so that mvop gram and the library
+sweep run without loading the checks.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .matpoly import MatPoly
-from .exact import _check_bound, exact_scalar, poch
+from .exact import _check_bound, exact_scalar, format_rational, poch
 from .model import (
     Params,
     WeightSpec,
@@ -51,6 +54,8 @@ __all__ = [
     "build_column",
     "orthogonal_polynomial",
     "leading_coefficient",
+    "GramBlock",
+    "gram_block",
 ]
 
 
@@ -274,6 +279,25 @@ def build_column(p: Params, w: int, j: int) -> MatPoly:
 def orthogonal_polynomial(p: Params, w: int) -> MatPoly:
     """Degree-w matrix polynomial whose row j is column (w, j): Family.poly."""
     return family(p).poly(w)
+
+
+class GramBlock(namedtuple("GramBlock", "w w_prime entries")):
+    """Pairing of the degree-w and degree-w_prime families; zero off the diagonal."""
+
+    __slots__ = ()
+
+    def as_dict(self) -> dict:
+        return {
+            "w": self.w,
+            "w_prime": self.w_prime,
+            "entries": [[format_rational(x) for x in row] for row in self.entries],
+        }
+
+
+def gram_block(p: Params, w: int, w_prime: int) -> GramBlock:
+    """The pairing block of P_w and P_w', from the moment rows that
+    family(p) shares across blocks."""
+    return GramBlock(w, w_prime, family(p).gram(w, w_prime))
 
 
 def leading_coefficient(p: Params, w: int):

@@ -25,23 +25,19 @@ def freeze_matrix(rows) -> Matrix:
 
 
 def zeros(n: int, m: int | None = None) -> Matrix:
-    m = n if m is None else m
-    return tuple((Fraction(0),) * m for _ in range(n))
+    return ((Fraction(0),) * (n if m is None else m),) * n
 
 
 def identity(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
-    )
+    return diagonal((Fraction(1),) * n)
 
 
 def diagonal(entries) -> Matrix:
-    entries = list(entries)
-    n = len(entries)
-    return tuple(
-        tuple(exact_scalar(entries[i]) if i == j else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
+    """Square matrix with the given diagonal: only those entries are checked,
+    and every off-diagonal entry is one shared Fraction(0)."""
+    entries = [exact_scalar(x) for x in entries]
+    zero = (Fraction(0),) * len(entries)
+    return tuple(zero[:i] + (x,) + zero[i + 1 :] for i, x in enumerate(entries))
 
 
 def add(a: Matrix, b: Matrix) -> Matrix:

@@ -23,7 +23,7 @@ from functools import cached_property
 from itertools import zip_longest
 
 from . import linalg
-from .exact import exact_scalar, format_ratio
+from .exact import _check_bound, exact_scalar, format_ratio
 
 __all__ = ["MatPoly", "DiffOp"]
 
@@ -138,8 +138,7 @@ class MatPoly(Frozen):
 
     @classmethod
     def monomial(cls, dim: int, mat, power: int) -> MatPoly:
-        if power < 0:
-            raise ValueError("power must be non-negative")
+        _check_bound("power", power)
         mat = linalg.freeze_matrix(mat)
         return cls(dim, (linalg.zeros(dim, len(mat[0])),) * power + (mat,), len(mat[0]))
 

@@ -42,7 +42,8 @@ __all__ = [
 
 
 class Params(Frozen):
-    """Admissible parameter tuple; the constructor rejects violations."""
+    """Admissible parameter tuple; the constructor rejects violations.
+    alpha, beta and k take an int (not a bool), a Fraction or a 'p/q' string."""
 
     _fields = ("alpha", "beta", "k", "ell")
 
@@ -50,9 +51,11 @@ class Params(Frozen):
         self.__dict__.update(alpha=alpha, beta=beta, k=k, ell=ell)
         for name in ("alpha", "beta", "k"):
             value = getattr(self, name)
-            if isinstance(value, (float, bool)):
+            if isinstance(value, str):
+                value = parse_rational(value)
+            elif not isinstance(value, (int, Fraction)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an exact rational, not a {type(value).__name__}")
-            self.__dict__[name] = parse_rational(value) if isinstance(value, str) else Fraction(value)
+            self.__dict__[name] = Fraction(value)
         if not isinstance(self.ell, int) or isinstance(self.ell, bool):
             raise ValueError("ell must be an integer >= 1")
         if self.alpha <= -1:

@@ -6,7 +6,7 @@ integrals go through the moment matrices of the weight, the symmetry
 equations are cleared of the non-polynomial scalar factor, and boundary
 limits become vanishing-order comparisons.  A check passes only when the
 corresponding exact object is identically zero (or identically positive,
-for norms).
+for norms).  GramBlock and gram_block live in hyper and are re-exported here.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .model import (
     moment_rows,
     pair_rows,
 )
-from .hyper import family, find_collisions, leading_coefficient
+from .hyper import GramBlock, family, find_collisions, gram_block, leading_coefficient
 
 __all__ = [
     "WeightSpec",
@@ -47,25 +47,6 @@ __all__ = [
     "VerificationReport",
     "run_suite",
 ]
-
-
-class GramBlock(namedtuple("GramBlock", "w w_prime entries")):
-    """Pairing of the degree-w and degree-w_prime families; zero off the diagonal."""
-
-    __slots__ = ()
-
-    def as_dict(self) -> dict:
-        return {
-            "w": self.w,
-            "w_prime": self.w_prime,
-            "entries": [[format_rational(x) for x in row] for row in self.entries],
-        }
-
-
-def gram_block(p: Params, w: int, w_prime: int) -> GramBlock:
-    """The pairing block of P_w and P_w', from the moment rows that
-    family(p) shares across blocks."""
-    return GramBlock(w, w_prime, family(p).gram(w, w_prime))
 
 
 def check_symmetry_reduced(ws: WeightSpec, op: DiffOp):

@@ -153,8 +153,16 @@ def test_monomial_factory():
     f = MatPoly.monomial(2, [[0, 1], [0, 0]], 3)
     assert f.degree == 3
     assert f.coeff(3)[0][1] == 1
-    with pytest.raises(ValueError):
-        MatPoly.monomial(2, [[0, 1], [0, 0]], -1)
+
+
+@pytest.mark.parametrize(
+    "power, message",
+    [(-1, "power must be >= 0"), (True, "not bool"), ("2", "not str"), (1.5, "not float")],
+)
+def test_monomial_power_must_be_a_count(power, message):
+    # a count is a non-negative int: a bool, a string or a float is refused
+    with pytest.raises(ValueError, match=message):
+        MatPoly.monomial(2, [[0, 1], [0, 0]], power)
 
 
 def test_json_dict_schema():

@@ -1,4 +1,5 @@
 import re
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from types import SimpleNamespace
@@ -65,6 +66,10 @@ REJECTED = [
     # Arabic-Indic and fullwidth 1/2: p/q takes ASCII digits only
     (("\uff11/\uff12", 1, 1, 1), "not an exact rational of the form p/q: '\uff11/\uff12'"),
     ((0, 1, "\u0661/\u0662", 1), "not an exact rational of the form p/q: '\u0661/\u0662'"),
+    # Fraction(Decimal) is exact, but Params takes only int, Fraction and p/q
+    ((Decimal("0.5"), 1, 1, 1), "alpha must be an exact rational, not a Decimal"),
+    ((0, Decimal("1.5"), 1, 1), "beta must be an exact rational, not a Decimal"),
+    ((0, 1, Decimal("0.5"), 1), "k must be an exact rational, not a Decimal"),
 ]
 
 

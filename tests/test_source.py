@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import mvop
 
 
@@ -65,12 +67,33 @@ def test_only_memo_keeps_the_latest_family():
 
 
 def test_every_exported_name_resolves():
-    # a removal must take its __all__ entries and re-exports with it
-    stale = []
-    for info in pkgutil.iter_modules(mvop.__path__):
-        module = importlib.import_module(f"mvop.{info.name}")
-        stale += [f"{info.name}.{name}" for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    # a removal must take its __all__ entries and re-exports with it; the
+    # package's own names resolve on first use
+    modules = [mvop] + [importlib.import_module(f"mvop.{info.name}") for info in pkgutil.iter_modules(mvop.__path__)]
+    stale = [f"{m.__name__}.{name}" for m in modules for name in getattr(m, "__all__", ()) if not hasattr(m, name)]
     assert not stale, f"__all__ names that do not resolve: {stale}"
+
+
+def test_package_names_are_their_home_objects():
+    listed = set(dir(mvop))
+    for name in mvop.__all__:
+        value = getattr(mvop, name)
+        home = sys.modules[value.__module__]
+        assert getattr(home, name) is value and name in home.__all__, name
+        assert name in listed, name
+
+
+def test_package_rejects_unknown_names():
+    assert not hasattr(mvop, "no_such_name")
+    with pytest.raises(AttributeError, match="'mvop' has no attribute 'no_such_name'"):
+        mvop.no_such_name
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from mvop import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(mvop.__all__)
+    assert all(namespace[name] is getattr(mvop, name) for name in mvop.__all__)
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():
@@ -84,3 +107,36 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     )
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+LIBRARY = ["mvop.exact", "mvop.linalg", "mvop.matpoly", "mvop.model"]
+CLI_FLAGS = "'--alpha=1/2', '--beta=3/2', '--k=1', '--ell=2', '--max-w=2'"
+
+
+@pytest.mark.parametrize(
+    "code, loaded",
+    [
+        ("import mvop", []),
+        ("import mvop; p = mvop.Params(0, 1, 1, 1); mvop.hyper_operator(p); mvop.companion_operator(p)", LIBRARY),
+        # linalg is not a public name, so the package imports it as a submodule
+        ("from mvop import linalg", ["mvop.exact", "mvop.linalg"]),
+        ("import mvop; mvop.gram_block(mvop.Params(0, 1, 1, 1), 1, 1)", LIBRARY + ["mvop.hyper"]),
+        (f"from mvop.cli import main; main(['polys', {CLI_FLAGS}])", ["mvop.cli"] + LIBRARY + ["mvop.hyper"]),
+        (f"from mvop.cli import main; main(['gram', {CLI_FLAGS}])", ["mvop.cli"] + LIBRARY + ["mvop.hyper"]),
+        (
+            f"from mvop.cli import main; main(['verify', {CLI_FLAGS}, '--format=csv'])",
+            ["csv", "mvop.cli"] + LIBRARY + ["mvop.hyper", "mvop.verify"],
+        ),
+    ],
+)
+def test_each_path_loads_only_the_modules_it_runs(code, loaded):
+    # a launch compiles every module it imports, so the package resolves its
+    # names on first use and the CLI imports the checks and csv only where
+    # they run; -S keeps site hooks from importing modules on their own
+    src = str(Path(mvop.__file__).parent.parent)
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); {code}; "
+        "print(sorted(m for m in sys.modules if m.startswith('mvop.') or m == 'csv'))"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True)
+    assert ast.literal_eval(out.stdout.splitlines()[-1]) == sorted(loaded)
