@@ -1,12 +1,20 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors
-(including inadmissible parameters and an --out path that cannot be
-written).  All rational flags take exact 'p/q' values in ASCII digits;
-decimals are rejected.  Output is deterministic.  Checks run in one thread:
---jobs must be >= 1 and its value does not change the output.  A command
-loads only what it runs: verify alone imports the checks, and csv output
-alone imports csv.
+(including inadmissible parameters and output that cannot be written; --out
+is opened before any work is done).  All rational flags take exact 'p/q'
+values in ASCII digits; decimals are rejected.  Output is deterministic.
+Checks run in one thread: --jobs must be >= 1 and its value does not change
+the output.  A command loads only what it runs: verify alone imports the
+checks, and csv output alone imports csv.
+
+Each command returns its output as a sequence of text chunks, which main
+writes to stdout or --out.  JSON list output (table, polys, collisions,
+gram) is written one record at a time, each record built only when it is
+due, byte for byte as json.dumps(list, indent=2) writes it: polys builds
+column (w, j) only when its record is written.  A run that raises partway
+leaves a truncated document and exits through the traceback.  verify writes
+its one report whole, and CSV output is built whole.
 """
 
 from __future__ import annotations
@@ -53,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _csv_text(header, rows) -> str:
+def _csv_text(header, rows) -> tuple:
     import csv
     import io
 
@@ -61,45 +69,53 @@ def _csv_text(header, rows) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return buf.getvalue()
+    return (buf.getvalue(),)
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+def _json_list(records):
+    """Chunks of json.dumps(list(records), indent=2) + "\n", one record each,
+    each record taken from the iterable only when its chunk is due.  The
+    bytes match because json escapes every newline inside a string, so the
+    raw newlines of a record are its indentation, which nests 2 deeper."""
+    sep = "[\n  "
+    for record in records:
+        yield sep + json.dumps(record, indent=2).replace("\n", "\n  ")
+        sep = ",\n  "
+    yield "[]\n" if sep == "[\n  " else "\n]\n"
 
 
-def cmd_table(p: Params, args) -> tuple[str, int]:
+def cmd_table(p: Params, args) -> tuple:
     pairs = eigen_table(p, args.max_w)
     if args.format == "json":
-        return _json_text([pair.as_dict() for pair in pairs]), 0
+        return _json_list(pair.as_dict() for pair in pairs), 0
     rows = [(pair.w, pair.j, format_rational(pair.lam), format_rational(pair.mu)) for pair in pairs]
     return _csv_text(("w", "j", "lambda", "mu"), rows), 0
 
 
-def cmd_polys(p: Params, args) -> tuple[str, int]:
-    records = [
+def cmd_polys(p: Params, args) -> tuple:
+    records = (
         {**pair.as_dict(), "coeffs": build_column(p, pair.w, pair.j).to_json_dict()["coeffs"]}
         for pair in eigen_table(p, args.max_w)
-    ]
+    )
     if args.format == "json":
-        return _json_text(records), 0
+        return _json_list(records), 0
     header = ("w", "j", "lambda", "mu", "power") + tuple(f"x{i}" for i in range(p.size))
-    rows = [(r["w"], r["j"], r["lambda"], r["mu"], m, *vec) for r in records for m, vec in enumerate(r["coeffs"])]
+    rows = ((r["w"], r["j"], r["lambda"], r["mu"], m, *vec) for r in records for m, vec in enumerate(r["coeffs"]))
     return _csv_text(header, rows), 0
 
 
-def cmd_verify(p: Params, args) -> tuple[str, int]:
+def cmd_verify(p: Params, args) -> tuple:
     from .verify import run_suite
 
     report = run_suite(p, max_w=args.max_w)
     code = 0 if report.passed else 1
     if args.format == "json":
-        return _json_text(report.as_dict()), code
+        return (json.dumps(report.as_dict(), indent=2) + "\n",), code
     rows = [(c.name, c.status, c.witness or "") for c in report.checks]
     return _csv_text(("name", "status", "witness"), rows), code
 
 
-def cmd_collisions(p: Params, args) -> tuple[str, int]:
+def cmd_collisions(p: Params, args) -> tuple:
     classes = []
     seen = set()
     for w in range(args.max_w + 1):
@@ -113,22 +129,22 @@ def cmd_collisions(p: Params, args) -> tuple[str, int]:
                 classes.append((members[0], lam, members))
     classes.sort(key=lambda item: item[0])
     if args.format == "json":
-        payload = [{"lambda": format_rational(lam), "members": list(map(list, members))} for _, lam, members in classes]
-        return _json_text(payload), 0
+        payload = ({"lambda": format_rational(lam), "members": list(map(list, members))} for _, lam, members in classes)
+        return _json_list(payload), 0
     rows = [(format_rational(lam), w, j) for _, lam, members in classes for w, j in members]
     return _csv_text(("lambda", "w", "j"), rows), 0
 
 
-def cmd_gram(p: Params, args) -> tuple[str, int]:
-    blocks = [gram_block(p, w, wp) for w in range(args.max_w + 1) for wp in range(w, args.max_w + 1)]
+def cmd_gram(p: Params, args) -> tuple:
+    blocks = (gram_block(p, w, wp) for w in range(args.max_w + 1) for wp in range(w, args.max_w + 1))
     if args.format == "json":
-        return _json_text([b.as_dict() for b in blocks]), 0
-    rows = [
+        return _json_list(b.as_dict() for b in blocks), 0
+    rows = (
         (b.w, b.w_prime, i, j, format_rational(b.entries[i][j]))
         for b in blocks
         for i in range(p.size)
         for j in range(p.size)
-    ]
+    )
     return _csv_text(("w", "w_prime", "i", "j", "value"), rows), 0
 
 
@@ -153,13 +169,14 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text, code = _COMMANDS[args.command](p, args)
-    if args.out is None:
-        sys.stdout.write(text)
-        return code
     try:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+        handle = sys.stdout if args.out is None else open(args.out, "w")
+        try:
+            chunks, code = _COMMANDS[args.command](p, args)
+            handle.writelines(chunks)
+        finally:
+            if handle is not sys.stdout:
+                handle.close()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,6 @@ __all__ = [
     "gen_binom",
     "parse_rational",
     "format_rational",
-    "format_ratio",
 ]
 
 RationalLike = Fraction | int
@@ -81,11 +80,5 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(q: RationalLike) -> str:
     """Render a rational as 'p' or 'p/q' in lowest terms with positive denominator."""
     q = exact_scalar(q)
-    return format_ratio(q.numerator, q.denominator)
-
-
-def format_ratio(num: int, den: int) -> str:
-    """Render the integers num / den, den > 0, as format_rational does."""
-    g = math.gcd(num, den)
-    return str(num // g) if g == den else f"{num // g}/{den // g}"
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 

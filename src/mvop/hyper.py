@@ -197,7 +197,7 @@ class Family:
             f, den = [x // common for x in g], den * grow // common
             coeffs.append((f, den))
         den = math.lcm(*(d for _, d in coeffs))
-        num = [tuple((x * (den // d),) for x in f) for f, d in reversed(coeffs)]
+        num = [tuple((x * s,) for x in f) for f, s in [(f, den // d) for f, d in reversed(coeffs)]]
         return MatPoly._reduced(n, 1, num, den), zero_pivots
 
     def column(self, w: int, j: int) -> MatPoly:
@@ -249,7 +249,8 @@ class Family:
             n = self.params.size
             cols = [self.column(w, j) for j in range(n)]
             den = math.lcm(*(col.den for col in cols))
-            num = [tuple(tuple(x * (den // col.den) for (x,) in col.num[m]) for col in cols) for m in range(w + 1)]
+            scaled = [(col.num, den // col.den) for col in cols]
+            num = [tuple(tuple(x * s for (x,) in c[m]) for c, s in scaled) for m in range(w + 1)]
             self._polys[w] = MatPoly._reduced(n, n, num, den)
         return self._polys[w]
 

@@ -23,7 +23,7 @@ from functools import cached_property
 from itertools import zip_longest
 
 from . import linalg
-from .exact import _check_bound, exact_scalar, format_ratio
+from .exact import _check_bound, exact_scalar
 
 __all__ = ["MatPoly", "DiffOp"]
 
@@ -218,11 +218,17 @@ class MatPoly(Frozen):
         return total
 
     def to_json_dict(self) -> dict:
-        """Entries as lowest-terms 'p' or 'p/q' strings, one gcd each."""
-        return {
-            "dim": self.dim,
-            "coeffs": [[format_ratio(x, self.den) for row in c for x in row] for c in self.num],
-        }
+        """Entries as lowest-terms 'p' or 'p/q' strings, as format_rational
+        writes them, one gcd each; each coefficient matrix flattened by rows."""
+        den, gcd, coeffs = self.den, math.gcd, []
+        for c in self.num:
+            entries = []
+            for row in c:
+                for x in row:
+                    g = gcd(x, den)
+                    entries.append(str(x // g) if g == den else f"{x // g}/{den // g}")
+            coeffs.append(entries)
+        return {"dim": self.dim, "coeffs": coeffs}
 
 
 class DiffOp(Frozen):

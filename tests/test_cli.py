@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
 
 import pytest
 
-from mvop.cli import main
+from mvop.cli import build_parser, cmd_polys, main
+from mvop.exact import format_rational, parse_rational
+from mvop.hyper import Family, build_column, find_collisions, gram_block
+from mvop.model import Params, eigen_table
 
 BASE_FLAGS = ["--alpha", "0", "--beta", "1", "--k", "1", "--ell", "1"]
 
@@ -54,19 +58,125 @@ def test_polys_deterministic(capsys):
     assert first == second
 
 
+POLYS_DEEP_FLAGS = ["--alpha=3/2", "--beta=5/3", "--k=3/2", "--ell=4", "--max-w=30"]
+POLYS_DEEP_JSON_DIGEST = "627f0e8cb88a396cd41c165fddf5281f44ef2be4ffa45a7eaf2e3ddb9b8fb2d4"
+
+
 @pytest.mark.parametrize(
     "fmt, digest",
     [
-        ("json", "627f0e8cb88a396cd41c165fddf5281f44ef2be4ffa45a7eaf2e3ddb9b8fb2d4"),
+        ("json", POLYS_DEEP_JSON_DIGEST),
         ("csv", "f246ed04069e39e645da13248e5de3dda1eef0299b4ad867e5ee1bbcf2d187d9"),
     ],
 )
 def test_polys_deep_output_is_byte_identical(capsys, fmt, digest):
     # digests of the output of the per-entry Fraction construction; a faster one must match byte for byte
-    flags = ["--alpha=3/2", "--beta=5/3", "--k=3/2", "--ell=4", "--max-w=30", "--format", fmt]
-    code, out, _ = run_cli(capsys, "polys", *flags)
+    code, out, _ = run_cli(capsys, "polys", *POLYS_DEEP_FLAGS, "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_polys_deep_out_file_is_byte_identical(tmp_path, capsys):
+    # --out and stdout share one writer, so the file holds the stdout bytes
+    target = tmp_path / "polys.json"
+    code, out, _ = run_cli(capsys, "polys", *POLYS_DEEP_FLAGS, "--out", str(target))
+    assert code == 0
+    assert out == ""
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == POLYS_DEEP_JSON_DIGEST
+
+
+@pytest.mark.parametrize(
+    "command, flags, digest",
+    [
+        ("table", POLYS_DEEP_FLAGS, "e4b89087434c5f22ab2b93f2fc2af5669ab54a1ea2edf38229bd9d5f2f4c705b"),
+        (
+            "collisions",
+            ["--alpha=0", "--beta=1", "--k=1", "--ell=6", "--max-w=20"],
+            "f01a68439a642667f5a0124cafd0ea6a696101ee809febdd1fff8601e2bfcc6b",
+        ),
+    ],
+)
+def test_table_and_collisions_output_is_byte_identical(capsys, command, flags, digest):
+    # digests of the output of the whole-document writer; the record-at-a-time one must match byte for byte
+    code, out, _ = run_cli(capsys, command, *flags, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def full_list(command, p, max_w):
+    """The records of a JSON list command, built whole from the library."""
+    if command == "table":
+        return [pair.as_dict() for pair in eigen_table(p, max_w)]
+    if command == "polys":
+        return [
+            {**pair.as_dict(), "coeffs": build_column(p, pair.w, pair.j).to_json_dict()["coeffs"]}
+            for pair in eigen_table(p, max_w)
+        ]
+    if command == "gram":
+        return [gram_block(p, w, wp).as_dict() for w in range(max_w + 1) for wp in range(w, max_w + 1)]
+    classes = {}
+    for pair in eigen_table(p, max_w):
+        members = find_collisions(p, pair.lam).members
+        if len(members) >= 2:
+            classes[members] = pair.lam
+    return [{"lambda": format_rational(lam), "members": list(map(list, members))} for members, lam in sorted(classes.items())]
+
+
+@pytest.mark.parametrize(
+    "command, point, max_w, empty",
+    [
+        ("table", ("0", "1", "3/2", 2), 10, False),
+        ("polys", ("0", "1", "3/2", 2), 10, False),  # resonant: collision columns included
+        ("gram", ("1/2", "3/2", "1", 2), 5, False),
+        ("collisions", ("0", "1", "1", 1), 4, True),
+        ("collisions", ("0", "1", "3/2", 2), 6, False),
+    ],
+)
+def test_json_list_output_matches_whole_document(capsys, command, point, max_w, empty):
+    alpha, beta, k, ell = point
+    p = Params(parse_rational(alpha), parse_rational(beta), parse_rational(k), ell)
+    records = full_list(command, p, max_w)
+    assert (records == []) == empty
+    flags = ["--alpha", alpha, "--beta", beta, "--k", k, "--ell", str(ell), "--max-w", str(max_w)]
+    code, out, _ = run_cli(capsys, command, *flags)
+    assert code == 0
+    assert out == json.dumps(records, indent=2) + "\n"
+
+
+@pytest.fixture
+def descents(monkeypatch, fresh_family):
+    """The slots (w, j) whose columns Family._descend builds during the test."""
+    built = []
+    descend = Family._descend
+
+    def counted(self, w, j, lam):
+        built.append((w, j))
+        return descend(self, w, j, lam)
+
+    monkeypatch.setattr(Family, "_descend", counted)
+    return built
+
+
+def test_polys_json_builds_each_column_when_its_record_is_written(descents):
+    flags = ["--alpha", "0", "--beta", "1", "--k", "3/2", "--ell", "2", "--max-w", "3"]
+    p = Params(0, 1, parse_rational("3/2"), 2)
+    chunks, code = cmd_polys(p, build_parser().parse_args(["polys", *flags]))
+    chunks = iter(chunks)
+    first = next(chunks)
+    assert code == 0
+    assert descents == [(0, 0)]
+    assert first.startswith('[\n  {\n    "w": 0,\n    "j": 0,')
+    document = first + "".join(chunks)
+    assert descents == [(pair.w, pair.j) for pair in eigen_table(p, 3)]
+    assert json.loads(document)[-1]["w"] == 3
+
+
+def test_unwritable_out_fails_before_any_column_is_built(tmp_path, capsys, descents):
+    target = tmp_path / "missing" / "polys.json"
+    code, out, err = run_cli(capsys, "polys", *BASE_FLAGS, "--max-w", "2", "--out", str(target))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert descents == []
 
 
 @pytest.mark.parametrize(
@@ -198,3 +308,11 @@ def test_unwritable_out_exits_two(tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: ") and str(target) in err
     assert not target.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device on which every write fails")
+def test_failed_write_to_out_exits_two(capsys):
+    code, out, err = run_cli(capsys, "polys", *BASE_FLAGS, "--max-w", "3", "--out", "/dev/full")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
