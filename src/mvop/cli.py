@@ -9,12 +9,13 @@ the output.  A command loads only what it runs: verify alone imports the
 checks, and csv output alone imports csv.
 
 Each command returns its output as a sequence of text chunks, which main
-writes to stdout or --out.  JSON list output (table, polys, collisions,
-gram) is written one record at a time, each record built only when it is
-due, byte for byte as json.dumps(list, indent=2) writes it: polys builds
-column (w, j) only when its record is written.  A run that raises partway
-leaves a truncated document and exits through the traceback.  verify writes
-its one report whole, and CSV output is built whole.
+writes to stdout or --out.  List output (table, polys, collisions, gram) is
+written one record at a time in either format, each record built only when
+it is due: polys builds column (w, j) only when its record is written.  JSON
+comes out byte for byte as json.dumps(list, indent=2) writes it, and CSV
+reads its rows from the same records.  A run that raises partway leaves a
+truncated document, in either format, and exits through the traceback.
+verify writes its one report whole.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import sys
 
 from .exact import format_rational, parse_rational
 from .hyper import build_column, find_collisions, gram_block
-from .model import Params, eigen_table, hyper_eigenvalue
+from .model import Params, eigen_table
 
 
 def _rational_flag(text: str):
@@ -53,23 +54,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact matrix weights, orthogonal matrix polynomials, and their commuting operators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("table", parents=[common], help="eigenvalue pairs per slot")
-    sub.add_parser("polys", parents=[common], help="column eigenfunction coefficients per slot")
-    sub.add_parser("verify", parents=[common], help="run the verification suite")
-    sub.add_parser("collisions", parents=[common], help="classes of slots sharing an eigenvalue")
-    sub.add_parser("gram", parents=[common], help="pairing blocks between degree families")
+    for name, run, summary in (
+        ("table", cmd_table, "eigenvalue pairs per slot"),
+        ("polys", cmd_polys, "column eigenfunction coefficients per slot"),
+        ("verify", cmd_verify, "run the verification suite"),
+        ("collisions", cmd_collisions, "classes of slots sharing an eigenvalue"),
+        ("gram", cmd_gram, "pairing blocks between degree families"),
+    ):
+        sub.add_parser(name, parents=[common], help=summary).set_defaults(run=run)
     return parser
 
 
-def _csv_text(header, rows) -> tuple:
+def _csv_lines(header, row_groups):
+    """Chunks of a CSV document: the header with the first group of rows,
+    then one chunk per later group, each group taken from the iterable only
+    when its chunk is due."""
     import csv
     import io
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
-    return (buf.getvalue(),)
+    for rows in row_groups:
+        writer.writerows(rows)
+        yield buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
+    yield buf.getvalue()
 
 
 def _json_list(records):
@@ -84,12 +95,17 @@ def _json_list(records):
     yield "[]\n" if sep == "[\n  " else "\n]\n"
 
 
-def cmd_table(p: Params, args) -> tuple:
-    pairs = eigen_table(p, args.max_w)
+def _listing(args, records, header, rows_of):
+    """The chunks of a list command in its --format: JSON writes each record
+    dict, CSV writes the rows rows_of reads from that same dict."""
     if args.format == "json":
-        return _json_list(pair.as_dict() for pair in pairs), 0
-    rows = [(pair.w, pair.j, format_rational(pair.lam), format_rational(pair.mu)) for pair in pairs]
-    return _csv_text(("w", "j", "lambda", "mu"), rows), 0
+        return _json_list(records)
+    return _csv_lines(header, map(rows_of, records))
+
+
+def cmd_table(p: Params, args) -> tuple:
+    records = (pair.as_dict() for pair in eigen_table(p, args.max_w))
+    return _listing(args, records, ("w", "j", "lambda", "mu"), lambda r: (r.values(),)), 0
 
 
 def cmd_polys(p: Params, args) -> tuple:
@@ -97,11 +113,12 @@ def cmd_polys(p: Params, args) -> tuple:
         {**pair.as_dict(), "coeffs": build_column(p, pair.w, pair.j).to_json_dict()["coeffs"]}
         for pair in eigen_table(p, args.max_w)
     )
-    if args.format == "json":
-        return _json_list(records), 0
     header = ("w", "j", "lambda", "mu", "power") + tuple(f"x{i}" for i in range(p.size))
-    rows = ((r["w"], r["j"], r["lambda"], r["mu"], m, *vec) for r in records for m, vec in enumerate(r["coeffs"]))
-    return _csv_text(header, rows), 0
+
+    def rows_of(r):
+        return ((r["w"], r["j"], r["lambda"], r["mu"], m, *vec) for m, vec in enumerate(r["coeffs"]))
+
+    return _listing(args, records, header, rows_of), 0
 
 
 def cmd_verify(p: Params, args) -> tuple:
@@ -112,49 +129,28 @@ def cmd_verify(p: Params, args) -> tuple:
     if args.format == "json":
         return (json.dumps(report.as_dict(), indent=2) + "\n",), code
     rows = [(c.name, c.status, c.witness or "") for c in report.checks]
-    return _csv_text(("name", "status", "witness"), rows), code
+    return _csv_lines(("name", "status", "witness"), [rows]), code
 
 
 def cmd_collisions(p: Params, args) -> tuple:
-    classes = []
-    seen = set()
-    for w in range(args.max_w + 1):
-        for j in range(p.size):
-            lam = hyper_eigenvalue(p, w, j)
-            if lam in seen:
-                continue
-            seen.add(lam)
-            members = find_collisions(p, lam).members
-            if len(members) >= 2:
-                classes.append((members[0], lam, members))
-    classes.sort(key=lambda item: item[0])
-    if args.format == "json":
-        payload = ({"lambda": format_rational(lam), "members": list(map(list, members))} for _, lam, members in classes)
-        return _json_list(payload), 0
-    rows = [(format_rational(lam), w, j) for _, lam, members in classes for w, j in members]
-    return _csv_text(("lambda", "w", "j"), rows), 0
+    # slot order reaches every class first at its lowest member, so listing a
+    # class there lists it once, and the classes come sorted by that member
+    def records():
+        for pair in eigen_table(p, args.max_w):
+            members = find_collisions(p, pair.lam).members
+            if len(members) >= 2 and members[0] == (pair.w, pair.j):
+                yield {"lambda": format_rational(pair.lam), "members": list(map(list, members))}
+
+    return _listing(args, records(), ("lambda", "w", "j"), lambda r: ((r["lambda"], *m) for m in r["members"])), 0
 
 
 def cmd_gram(p: Params, args) -> tuple:
-    blocks = (gram_block(p, w, wp) for w in range(args.max_w + 1) for wp in range(w, args.max_w + 1))
-    if args.format == "json":
-        return _json_list(b.as_dict() for b in blocks), 0
-    rows = (
-        (b.w, b.w_prime, i, j, format_rational(b.entries[i][j]))
-        for b in blocks
-        for i in range(p.size)
-        for j in range(p.size)
-    )
-    return _csv_text(("w", "w_prime", "i", "j", "value"), rows), 0
+    records = (gram_block(p, w, wp).as_dict() for w in range(args.max_w + 1) for wp in range(w, args.max_w + 1))
 
+    def rows_of(r):
+        return ((r["w"], r["w_prime"], i, j, x) for i, row in enumerate(r["entries"]) for j, x in enumerate(row))
 
-_COMMANDS = {
-    "table": cmd_table,
-    "polys": cmd_polys,
-    "verify": cmd_verify,
-    "collisions": cmd_collisions,
-    "gram": cmd_gram,
-}
+    return _listing(args, records, ("w", "w_prime", "i", "j", "value"), rows_of), 0
 
 
 def main(argv=None) -> int:
@@ -172,7 +168,7 @@ def main(argv=None) -> int:
     try:
         handle = sys.stdout if args.out is None else open(args.out, "w")
         try:
-            chunks, code = _COMMANDS[args.command](p, args)
+            chunks, code = args.run(p, args)
             handle.writelines(chunks)
         finally:
             if handle is not sys.stdout:

@@ -155,7 +155,8 @@ class MatPoly(Frozen):
         return tuple(map(self.coeff, range(len(self.num))))
 
     def coeff(self, m: int):
-        if 0 <= m < len(self.num):
+        _check_bound("power", m)
+        if m < len(self.num):
             return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.num[m])
         return linalg.zeros(self.dim, self.cols)
 
@@ -166,7 +167,9 @@ class MatPoly(Frozen):
 
     def entry(self, i: int, j: int) -> tuple:
         """Scalar coefficient sequence of one entry, ascending, trimmed."""
-        if not (0 <= i < self.dim and 0 <= j < self.cols):
+        _check_bound("i", i)
+        _check_bound("j", j)
+        if i >= self.dim or j >= self.cols:
             raise ValueError(f"entry ({i}, {j}) is outside a {self.dim} x {self.cols} matrix")
         return _trimmed([Fraction(c[i][j], self.den) for c in self.num], lambda x: x == 0)
 
@@ -260,7 +263,8 @@ class DiffOp(Frozen):
         return len(self.coeffs) - 1
 
     def coeff_of_order(self, j: int) -> MatPoly:
-        if 0 <= j <= self.order:
+        _check_bound("order", j)
+        if j <= self.order:
             return self.coeffs[self.order - j]
         return MatPoly.zero(self.dim)
 

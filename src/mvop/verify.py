@@ -23,7 +23,7 @@ from .model import (
     Params,
     WeightSpec,
     companion_eigenvalue,
-    eigenvalue_matrix,
+    eigen_table,
     hyper_eigenvalue,
     monic_eigenvalue,
     moment_rows,
@@ -238,15 +238,12 @@ def check_ideal(p: Params, w_max: int) -> IdealReport:
     offsets = [3 * j * (ell - j + k) * (j + a + b - k + 1) for j in range(p.size)]
     passed = True
     coincidences = []
-    for w in range(w_max + 1):
-        for j in range(p.size):
-            lam = hyper_eigenvalue(p, w, j)
-            mu = companion_eigenvalue(p, w, j)
-            if mu - slopes[j] * lam + offsets[j] != 0:
-                passed = False
-            for i in range(p.size):
-                if i != j and mu - slopes[i] * lam + offsets[i] == 0:
-                    coincidences.append((w, j, i))
+    for w, j, lam, mu in eigen_table(p, w_max):
+        if mu - slopes[j] * lam + offsets[j] != 0:
+            passed = False
+        for i in range(p.size):
+            if i != j and mu - slopes[i] * lam + offsets[i] == 0:
+                coincidences.append((w, j, i))
     return IdealReport(passed, tuple(coincidences))
 
 
@@ -333,36 +330,38 @@ def run_suite(p: Params, max_w: int = 6) -> VerificationReport:
     def leading(w):
         return lambda: (fam.poly(w).leading() == leading_coefficient(p, w), f"leading coefficient differs at w = {w}")
 
-    def relation(witness, pair):
-        # E = shift * D + offset * I entry by entry, (D, E) = pair(n), for every n <= eig_span
-        def thunk():
-            for n in range(eig_span + 1):
-                shift = p.alpha + 2 * p.ell + 3 * p.k + 3 * n
-                offset = 3 * n * (p.ell + p.k + n) * (n + p.alpha + p.beta + p.ell + 1)
-                for r, (d_row, e_row) in enumerate(zip(*pair(n), strict=True)):
-                    want = [shift * x for x in d_row]
-                    want[r] += offset
-                    if list(e_row) != want:
-                        return False, f"{witness} = {n}"
-            return True, None
+    def line(n):
+        # E = shift * D + offset * I on the degree-n eigenvalues of both families
+        shift = p.alpha + 2 * p.ell + 3 * p.k + 3 * n
+        return shift, 3 * n * (p.ell + p.k + n) * (n + p.alpha + p.beta + p.ell + 1)
 
-        return thunk
+    def eigenvalue_relation():
+        # the diagonal eigenvalue matrices are 0 = shift * 0 off the diagonal,
+        # so the relation holds there exactly when it holds slot by slot
+        for w, _, lam, mu in eigen_table(p, eig_span):
+            shift, offset = line(w)
+            if mu != shift * lam + offset:
+                return False, f"eigenvalue relation fails at w = {w}"
+        return True, None
 
-    def eigenvalue_pair(n):
-        return eigenvalue_matrix(p, n, "hyper"), eigenvalue_matrix(p, n, "companion")
-
-    def monic_pair(n):
-        return monic_eigenvalue(d, n), monic_eigenvalue(e, n)
+    def monic_relation():
+        # entry by entry, for every n <= eig_span
+        for n in range(eig_span + 1):
+            shift, offset = line(n)
+            for r, (d_row, e_row) in enumerate(zip(monic_eigenvalue(d, n), monic_eigenvalue(e, n), strict=True)):
+                want = [shift * x for x in d_row]
+                want[r] += offset
+                if list(e_row) != want:
+                    return False, f"monic eigenvalue relation fails at n = {n}"
+        return True, None
 
     def collisions():
         classes = {}
-        for w in range(max_w + 1):
-            for j in range(p.size):
-                lam = hyper_eigenvalue(p, w, j)
-                if lam not in classes:
-                    classes[lam] = find_collisions(p, lam).members
-                if (w, j) not in classes[lam]:
-                    return False, f"slot ({w}, {j}) missing from its class"
+        for w, j, lam, _ in eigen_table(p, max_w):
+            if lam not in classes:
+                classes[lam] = find_collisions(p, lam).members
+            if (w, j) not in classes[lam]:
+                return False, f"slot ({w}, {j}) missing from its class"
         return True, None
 
     def decomposition():
@@ -395,8 +394,8 @@ def run_suite(p: Params, max_w: int = 6) -> VerificationReport:
     named += [(f"gram_zero_w{w}_w{wp}", gram_pair(w, wp)) for w in range(max_w + 1) for wp in range(w + 1, max_w + 1)]
     named += [
         ("gram_norms_positive", norms),
-        ("eigenvalue_relation", relation("eigenvalue relation fails at w", eigenvalue_pair)),
-        ("monic_eigenvalue_relation", relation("monic eigenvalue relation fails at n", monic_pair)),
+        ("eigenvalue_relation", eigenvalue_relation),
+        ("monic_eigenvalue_relation", monic_relation),
         ("ideal_lines", lambda: (check_ideal(p, eig_span).passed, "eigenvalue pair off its line")),
         ("collision_classes", collisions),
         ("decomposition_random", decomposition),

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 
@@ -103,6 +105,29 @@ def test_table_and_collisions_output_is_byte_identical(capsys, command, flags, d
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "command, flags, digest",
+    [
+        ("table", POLYS_DEEP_FLAGS, "5ea5f257c8d08ea5eeb590d68ad15b8566921ae16dd6e9d596f6332bf87bccf8"),
+        (
+            "collisions",
+            ["--alpha=0", "--beta=1", "--k=1", "--ell=6", "--max-w=20"],
+            "ea925238d9bf86d1622c3c6efa61476ade4d5292180c723f25de486f1bb4bff1",
+        ),
+        (
+            "gram",
+            ["--alpha=1/2", "--beta=3/2", "--k=1", "--ell=2", "--max-w=14"],
+            "d878a716954b702f2952313ff1bc675e2997e726c0cb1e6b3c823509d5beacde",
+        ),
+    ],
+)
+def test_csv_output_is_byte_identical(capsys, command, flags, digest):
+    # digests of the output of the whole-document CSV writer; the record-at-a-time one must match byte for byte
+    code, out, _ = run_cli(capsys, command, *flags, "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def full_list(command, p, max_w):
     """The records of a JSON list command, built whole from the library."""
     if command == "table":
@@ -122,25 +147,67 @@ def full_list(command, p, max_w):
     return [{"lambda": format_rational(lam), "members": list(map(list, members))} for members, lam in sorted(classes.items())]
 
 
-@pytest.mark.parametrize(
-    "command, point, max_w, empty",
-    [
-        ("table", ("0", "1", "3/2", 2), 10, False),
-        ("polys", ("0", "1", "3/2", 2), 10, False),  # resonant: collision columns included
-        ("gram", ("1/2", "3/2", "1", 2), 5, False),
-        ("collisions", ("0", "1", "1", 1), 4, True),
-        ("collisions", ("0", "1", "3/2", 2), 6, False),
-    ],
-)
-def test_json_list_output_matches_whole_document(capsys, command, point, max_w, empty):
+def full_rows(command, p, max_w):
+    """The CSV header and rows of a list command, built whole from the library."""
+    slots = [(pair.w, pair.j, format_rational(pair.lam), format_rational(pair.mu)) for pair in eigen_table(p, max_w)]
+    if command == "table":
+        return ("w", "j", "lambda", "mu"), slots
+    if command == "polys":
+        rows = [
+            (*slot, m, *(format_rational(x) for (x,) in c))
+            for slot in slots
+            for m, c in enumerate(build_column(p, slot[0], slot[1]).coeffs)
+        ]
+        return ("w", "j", "lambda", "mu", "power") + tuple(f"x{i}" for i in range(p.size)), rows
+    if command == "gram":
+        rows = [
+            (w, wp, i, j, format_rational(x))
+            for w in range(max_w + 1)
+            for wp in range(w, max_w + 1)
+            for i, row in enumerate(gram_block(p, w, wp).entries)
+            for j, x in enumerate(row)
+        ]
+        return ("w", "w_prime", "i", "j", "value"), rows
+    rows = [(r["lambda"], w, j) for r in full_list("collisions", p, max_w) for w, j in r["members"]]
+    return ("lambda", "w", "j"), rows
+
+
+LIST_CASES = [
+    ("table", ("0", "1", "3/2", 2), 10, False),
+    ("polys", ("0", "1", "3/2", 2), 10, False),  # resonant: collision columns included
+    ("gram", ("1/2", "3/2", "1", 2), 5, False),
+    ("collisions", ("0", "1", "1", 1), 4, True),
+    ("collisions", ("0", "1", "3/2", 2), 6, False),
+]
+
+
+def list_output(capsys, command, point, max_w, fmt):
     alpha, beta, k, ell = point
     p = Params(parse_rational(alpha), parse_rational(beta), parse_rational(k), ell)
+    flags = ["--alpha", alpha, "--beta", beta, "--k", k, "--ell", str(ell), "--max-w", str(max_w)]
+    code, out, _ = run_cli(capsys, command, *flags, "--format", fmt)
+    assert code == 0
+    return p, out
+
+
+@pytest.mark.parametrize("command, point, max_w, empty", LIST_CASES)
+def test_json_list_output_matches_whole_document(capsys, command, point, max_w, empty):
+    p, out = list_output(capsys, command, point, max_w, "json")
     records = full_list(command, p, max_w)
     assert (records == []) == empty
-    flags = ["--alpha", alpha, "--beta", beta, "--k", k, "--ell", str(ell), "--max-w", str(max_w)]
-    code, out, _ = run_cli(capsys, command, *flags)
-    assert code == 0
     assert out == json.dumps(records, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("command, point, max_w, empty", LIST_CASES)
+def test_csv_list_output_matches_whole_document(capsys, command, point, max_w, empty):
+    p, out = list_output(capsys, command, point, max_w, "csv")
+    header, rows = full_rows(command, p, max_w)
+    assert (rows == []) == empty
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    assert out == buf.getvalue()
 
 
 @pytest.fixture
@@ -157,26 +224,39 @@ def descents(monkeypatch, fresh_family):
     return built
 
 
-def test_polys_json_builds_each_column_when_its_record_is_written(descents):
-    flags = ["--alpha", "0", "--beta", "1", "--k", "3/2", "--ell", "2", "--max-w", "3"]
+def last_degree(fmt, document):
+    """The degree w of the last slot in a polys document."""
+    if fmt == "json":
+        return json.loads(document)[-1]["w"]
+    return int(document.splitlines()[-1].split(",")[0])
+
+
+@pytest.mark.parametrize(
+    "fmt, head",
+    [("json", '[\n  {\n    "w": 0,\n    "j": 0,'), ("csv", "w,j,lambda,mu,power,x0,x1,x2\n0,0,")],
+    ids=["json", "csv"],
+)
+def test_polys_builds_each_column_when_its_record_is_written(descents, fmt, head):
+    flags = ["--alpha", "0", "--beta", "1", "--k", "3/2", "--ell", "2", "--max-w", "3", "--format", fmt]
     p = Params(0, 1, parse_rational("3/2"), 2)
     chunks, code = cmd_polys(p, build_parser().parse_args(["polys", *flags]))
     chunks = iter(chunks)
     first = next(chunks)
     assert code == 0
     assert descents == [(0, 0)]
-    assert first.startswith('[\n  {\n    "w": 0,\n    "j": 0,')
+    assert first.startswith(head)
     document = first + "".join(chunks)
     assert descents == [(pair.w, pair.j) for pair in eigen_table(p, 3)]
-    assert json.loads(document)[-1]["w"] == 3
+    assert last_degree(fmt, document) == 3
 
 
 def test_unwritable_out_fails_before_any_column_is_built(tmp_path, capsys, descents):
-    target = tmp_path / "missing" / "polys.json"
-    code, out, err = run_cli(capsys, "polys", *BASE_FLAGS, "--max-w", "2", "--out", str(target))
-    assert code == 2
-    assert err.startswith("error: ")
-    assert descents == []
+    for fmt in ("json", "csv"):
+        target = tmp_path / "missing" / f"polys.{fmt}"
+        code, out, err = run_cli(capsys, "polys", *BASE_FLAGS, "--max-w", "2", "--format", fmt, "--out", str(target))
+        assert code == 2
+        assert err.startswith("error: ")
+        assert descents == []
 
 
 @pytest.mark.parametrize(

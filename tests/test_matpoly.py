@@ -405,12 +405,32 @@ def test_evaluate_rejects_inexact_points(bad):
         MatPoly.from_scalar(2, (1,)).evaluate(bad)
 
 
-@pytest.mark.parametrize("i, j", [(-1, -1), (-1, 0), (0, -1), (2, 0), (0, 1), (5, 5)])
+@pytest.mark.parametrize(
+    "i, j", [(-1, -1), (-1, 0), (0, -1), (2, 0), (0, 1), (5, 5), (True, 0), (0, False), (0.5, 0), ("1", 0)]
+)
 def test_entry_rejects_indices_outside_the_matrix(i, j):
     f = MatPoly(2, [[[1], [2]], [[3], [4]]], 1)
     with pytest.raises(ValueError):
         f.entry(i, j)
     assert f.entry(1, 0) == (2, 4)
+
+
+@pytest.mark.parametrize("bad", [True, 0.5, 1.0, "1", -1])
+def test_coeff_rejects_non_index_powers(bad):
+    f = MatPoly(2, [[[1], [2]], [[3], [4]]], 1)
+    with pytest.raises(ValueError):
+        f.coeff(bad)
+    assert f.coeff(1) == ((3,), (4,))
+    assert f.coeff(2) == ((0,), (0,))
+
+
+@pytest.mark.parametrize("bad", [True, 0.5, 1.0, "1", -1])
+def test_coeff_of_order_rejects_non_index_orders(bad):
+    op = DiffOp(1, (MatPoly(1, [[[1]]]), MatPoly(1, [[[2]], [[3]]])))
+    with pytest.raises(ValueError):
+        op.coeff_of_order(bad)
+    assert op.coeff_of_order(1) == MatPoly(1, [[[1]]])
+    assert op.coeff_of_order(2).is_zero()
 
 
 def _values():

@@ -124,6 +124,11 @@ CLI_FLAGS = "'--alpha=1/2', '--beta=3/2', '--k=1', '--ell=2', '--max-w=2'"
         (f"from mvop.cli import main; main(['polys', {CLI_FLAGS}])", ["mvop.cli"] + LIBRARY + ["mvop.hyper"]),
         (f"from mvop.cli import main; main(['gram', {CLI_FLAGS}])", ["mvop.cli"] + LIBRARY + ["mvop.hyper"]),
         (
+            f"from mvop.cli import main; main(['polys', {CLI_FLAGS}, '--format=csv'])",
+            ["csv", "mvop.cli"] + LIBRARY + ["mvop.hyper"],
+        ),
+        (f"from mvop.cli import main; main(['table', {CLI_FLAGS}])", ["mvop.cli"] + LIBRARY + ["mvop.hyper"]),
+        (
             f"from mvop.cli import main; main(['verify', {CLI_FLAGS}, '--format=csv'])",
             ["csv", "mvop.cli"] + LIBRARY + ["mvop.hyper", "mvop.verify"],
         ),

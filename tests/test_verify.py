@@ -617,20 +617,25 @@ class TestSuite:
         assert fresh.hyper.integer_form == fam.hyper.integer_form
 
     def test_relation_witnesses_name_the_first_failing_degree(self, monkeypatch):
-        # the identity added to every matrix of one degree breaks the relation there
-        def bump(real, at):
-            def bumped(x, n, *rest):
-                out = real(x, n, *rest)
-                return linalg.add(out, linalg.identity(len(out))) if n == at else out
+        # mu off by 1 at every slot of w = 3 breaks the eigenvalue relation there,
+        # and the affine lines, which read the same table; the identity added
+        # to the monic eigenvalue matrices of n = 5 breaks the monic relation there
+        real_table, real_monic = verify.eigen_table, verify.monic_eigenvalue
 
-            return bumped
+        def bumped_table(p, max_w):
+            return [pair._replace(mu=pair.mu + 1) if pair.w == 3 else pair for pair in real_table(p, max_w)]
 
-        monkeypatch.setattr(verify, "eigenvalue_matrix", bump(verify.eigenvalue_matrix, 3))
-        monkeypatch.setattr(verify, "monic_eigenvalue", bump(verify.monic_eigenvalue, 5))
+        def bumped_monic(op, n):
+            out = real_monic(op, n)
+            return linalg.add(out, linalg.identity(len(out))) if n == 5 else out
+
+        monkeypatch.setattr(verify, "eigen_table", bumped_table)
+        monkeypatch.setattr(verify, "monic_eigenvalue", bumped_monic)
         report = run_suite(BASE, max_w=1)
         assert {c.name: c.witness for c in report.checks if c.status == "fail"} == {
             "eigenvalue_relation": "eigenvalue relation fails at w = 3",
             "monic_eigenvalue_relation": "monic eigenvalue relation fails at n = 5",
+            "ideal_lines": "eigenvalue pair off its line",
         }
 
     def test_relation_compares_the_entries_off_the_diagonal(self, monkeypatch):
