@@ -17,7 +17,8 @@ its top coefficients to it.  A later slot of a class is certified as an
 eigenfunction of the commuting companion operator, which makes it
 orthogonal to the earlier ones without a pairing.
 
-One Family holds all that a parameter set fixes; family(p) keeps the latest.
+One Family holds all that a parameter set fixes, P_w but not a lone column,
+which is built again if asked for again; family(p) keeps the latest.
 The Params-keyed build_column, orthogonal_polynomial and gram_block read it;
 gram_block lives here, not in verify, so that mvop gram and the library
 sweep run without loading the checks.
@@ -126,9 +127,9 @@ def find_collisions(p: Params, lam) -> CollisionClass:
 class Family:
     """Everything one parameter set fixes, kept as long as the instance and
     each part built on first use: the weight (a WeightSpec), the operators D
-    and E (the descent and every apply read their one integer form), the
-    columns and each P_w, and the moment rows of each P_w' that the Gram
-    blocks pair against."""
+    and E (the descent and every apply read their one integer form), each
+    P_w, and the moment rows of each P_w' that the Gram blocks pair against.
+    A column is not kept: column builds it on every call."""
 
     weight = cached_property(lambda self: WeightSpec(self.params))
     hyper = cached_property(lambda self: hyper_operator(self.params))
@@ -136,7 +137,7 @@ class Family:
 
     def __init__(self, params: Params):
         self.params = params
-        self._columns, self._polys, self._moment_rows = {}, {}, {}
+        self._polys, self._moment_rows = {}, {}
 
     def _descend(self, w: int, j: int, lam) -> tuple[MatPoly, list]:
         """A degree-w polynomial solution for slot (w, j), built downward from
@@ -202,9 +203,10 @@ class Family:
 
     def column(self, w: int, j: int) -> MatPoly:
         """Degree-w column eigenfunction for slot (w, j), a dim x 1 MatPoly
-        solved downward from zero above degree w.  Its leading coefficient,
-        1 in slot j and 0 in every slot after it, is the kernel vector, which
-        run_suite checks against the closed form kernel_vector(p, w, j).
+        solved downward from zero above degree w afresh on each call (P_w keeps
+        its columns as rows).  Its leading coefficient, 1 in slot j and 0 in
+        every slot after it, is the kernel vector, which run_suite checks
+        against the closed form kernel_vector(p, w, j).
 
         Where the descent met earlier members of the class of lam, the column is
         checked exactly to be the eigenfunction of the companion operator E for
@@ -225,8 +227,6 @@ class Family:
         p = self.params
         _check_bound("w", w)
         _check_j(p, j)
-        if (w, j) in self._columns:
-            return self._columns[w, j]
         column, earlier = self._descend(w, j, hyper_eigenvalue(p, w, j))
         if earlier:
             mu = companion_eigenvalue(p, w, j)
@@ -235,7 +235,6 @@ class Family:
                     raise ArithmeticError(f"slots {slot} and ({w}, {j}) share both eigenvalues")
             if self.companion.apply(column) != column * mu:
                 raise ArithmeticError(f"column ({w}, {j}) is not an eigenfunction of the companion operator")
-        self._columns[w, j] = column
         return column
 
     def poly(self, w: int) -> MatPoly:

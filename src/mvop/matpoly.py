@@ -105,6 +105,8 @@ class MatPoly(Frozen):
 
     def __init__(self, dim: int, coeffs=(), cols: int | None = None):
         cols = dim if cols is None else cols
+        _check_bound("dim", dim)
+        _check_bound("cols", cols)
         frozen = [linalg.freeze_matrix(c) for c in coeffs]
         if any(len(c) != dim or any(len(row) != cols for row in c) for c in frozen):
             raise ValueError("coefficient matrices must be dim x cols")
@@ -124,12 +126,12 @@ class MatPoly(Frozen):
 
     @classmethod
     def zero(cls, dim: int, cols: int | None = None) -> MatPoly:
-        return cls._reduced(dim, dim if cols is None else cols, (), 1)
+        return cls(dim, (), cols)
 
     @classmethod
     def constant(cls, mat) -> MatPoly:
         mat = linalg.freeze_matrix(mat)
-        return cls(len(mat), (mat,), len(mat[0]))
+        return cls.monomial(len(mat), mat, 0)
 
     @classmethod
     def from_scalar(cls, dim: int, scalar_coeffs) -> MatPoly:
@@ -140,7 +142,10 @@ class MatPoly(Frozen):
     def monomial(cls, dim: int, mat, power: int) -> MatPoly:
         _check_bound("power", power)
         mat = linalg.freeze_matrix(mat)
-        return cls(dim, (linalg.zeros(dim, len(mat[0])),) * power + (mat,), len(mat[0]))
+        if not mat:
+            raise ValueError("a coefficient matrix needs at least one row")
+        cols = len(mat[0])
+        return cls(dim, (linalg.zeros(dim, cols),) * power + (mat,), cols)
 
     @property
     def degree(self) -> int:
@@ -175,6 +180,8 @@ class MatPoly(Frozen):
 
     def _combined(self, other: MatPoly, sign: int) -> MatPoly:
         """self + sign * other over the lcm of the two denominators."""
+        if not isinstance(other, MatPoly):
+            return NotImplemented
         if (self.dim, self.cols) != (other.dim, other.cols):
             raise ValueError("shape mismatch")
         den, zero = math.lcm(self.den, other.den), ((0,) * self.cols,) * self.dim
@@ -246,6 +253,7 @@ class DiffOp(Frozen):
     _fields = ("dim", "coeffs")
 
     def __init__(self, dim: int, coeffs=()):
+        _check_bound("dim", dim)
         cs = tuple(coeffs)
         if not cs:
             raise ValueError("an operator needs at least its order-zero coefficient")
@@ -317,6 +325,8 @@ class DiffOp(Frozen):
         return DiffOp.from_ascending(self.dim, coeffs)
 
     def __add__(self, other: DiffOp) -> DiffOp:
+        if not isinstance(other, DiffOp):
+            return NotImplemented
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
         top = max(self.order, other.order)
@@ -325,7 +335,7 @@ class DiffOp(Frozen):
         )
 
     def __sub__(self, other: DiffOp) -> DiffOp:
-        return self + (-other)
+        return self + (-other) if isinstance(other, DiffOp) else NotImplemented
 
     def __neg__(self) -> DiffOp:
         return DiffOp(self.dim, tuple(-c for c in self.coeffs))

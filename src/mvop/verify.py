@@ -221,30 +221,14 @@ def decompose_in_basis(h: MatPoly, p: Params) -> list:
     return out
 
 
-class IdealReport(namedtuple("IdealReport", "passed coincidences")):
-    __slots__ = ()
-
-
-def check_ideal(p: Params, w_max: int) -> IdealReport:
+def check_ideal(p: Params, w_max: int) -> bool:
     """Each eigenvalue pair satisfies its affine line:
-    mu - (alpha - ell + 3j) lambda + 3j (ell - j + k)(j + alpha + beta - k + 1) = 0.
-
-    Cross lines are also sampled: slots landing on a line of a different
-    index are reported as coincidences, not failures.
-    """
+    mu - (alpha - ell + 3j) lambda + 3j (ell - j + k)(j + alpha + beta - k + 1) = 0."""
     _check_bound("w_max", w_max)
     a, b, k, ell = p.alpha, p.beta, p.k, p.ell
     slopes = [a - ell + 3 * j for j in range(p.size)]
     offsets = [3 * j * (ell - j + k) * (j + a + b - k + 1) for j in range(p.size)]
-    passed = True
-    coincidences = []
-    for w, j, lam, mu in eigen_table(p, w_max):
-        if mu - slopes[j] * lam + offsets[j] != 0:
-            passed = False
-        for i in range(p.size):
-            if i != j and mu - slopes[i] * lam + offsets[i] == 0:
-                coincidences.append((w, j, i))
-    return IdealReport(passed, tuple(coincidences))
+    return all(mu - slopes[j] * lam + offsets[j] == 0 for _, j, lam, mu in eigen_table(p, w_max))
 
 
 class CheckResult(namedtuple("CheckResult", "name status witness", defaults=(None,))):
@@ -396,7 +380,7 @@ def run_suite(p: Params, max_w: int = 6) -> VerificationReport:
         ("gram_norms_positive", norms),
         ("eigenvalue_relation", eigenvalue_relation),
         ("monic_eigenvalue_relation", monic_relation),
-        ("ideal_lines", lambda: (check_ideal(p, eig_span).passed, "eigenvalue pair off its line")),
+        ("ideal_lines", lambda: (check_ideal(p, eig_span), "eigenvalue pair off its line")),
         ("collision_classes", collisions),
         ("decomposition_random", decomposition),
     ]

@@ -1,14 +1,16 @@
 import csv
+import gc
 import hashlib
 import io
 import json
 import os
+import weakref
 
 import pytest
 
 from mvop.cli import build_parser, cmd_polys, main
 from mvop.exact import format_rational, parse_rational
-from mvop.hyper import Family, build_column, find_collisions, gram_block
+from mvop.hyper import Family, build_column, family, find_collisions, gram_block
 from mvop.model import Params, eigen_table
 
 BASE_FLAGS = ["--alpha", "0", "--beta", "1", "--k", "1", "--ell", "1"]
@@ -248,6 +250,29 @@ def test_polys_builds_each_column_when_its_record_is_written(descents, fmt, head
     document = first + "".join(chunks)
     assert descents == [(pair.w, pair.j) for pair in eigen_table(p, 3)]
     assert last_degree(fmt, document) == 3
+
+
+@pytest.mark.usefixtures("fresh_family")
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_polys_keeps_no_column_once_its_record_is_written(monkeypatch, fmt):
+    # the resonant point certifies its later class members against E too
+    columns, column = [], Family.column
+
+    def tracked(self, w, j):
+        col = column(self, w, j)
+        columns.append(weakref.ref(col))
+        return col
+
+    monkeypatch.setattr(Family, "column", tracked)
+    flags = ["--alpha", "0", "--beta", "1", "--k", "3/2", "--ell", "2", "--max-w", "3", "--format", fmt]
+    p = Params(0, 1, parse_rational("3/2"), 2)
+    chunks, _ = cmd_polys(p, build_parser().parse_args(["polys", *flags]))
+    for _ in chunks:
+        pass
+    gc.collect()
+    assert len(columns) == len(eigen_table(p, 3))
+    assert all(ref() is None for ref in columns)
+    assert family(p).params == p and family(p)._polys == {}
 
 
 def test_unwritable_out_fails_before_any_column_is_built(tmp_path, capsys, descents):

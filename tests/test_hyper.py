@@ -610,13 +610,25 @@ class TestFamily:
     def test_previous_family_is_released(self):
         first = family(COLLIDING)
         build_column(COLLIDING, 1, 0)
-        assert family(COLLIDING) is first and first.column(1, 0) is build_column(COLLIDING, 1, 0)
+        assert family(COLLIDING) is first and first.column(1, 0) == build_column(COLLIDING, 1, 0)
         gone = weakref.ref(first)
         del first
         second = family(BASE)
         gc.collect()
         assert gone() is None
         assert family(BASE) is second
+
+    @pytest.mark.usefixtures("fresh_family")
+    def test_columns_are_kept_by_their_callers_alone(self):
+        # (1, 0) is a later class member, certified against E on each call;
+        # P_w is the family's one construction cache
+        col = build_column(COLLIDING, 1, 0)
+        gone = weakref.ref(col)
+        assert build_column(COLLIDING, 1, 0) == col
+        del col
+        gc.collect()
+        assert gone() is None
+        assert orthogonal_polynomial(COLLIDING, 1) is orthogonal_polynomial(COLLIDING, 1)
 
     def test_lam_off_the_operator_scale_raises(self):
         # every eigenvalue is an integer over the scale of the operator

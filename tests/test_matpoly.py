@@ -1,6 +1,7 @@
 import math
 import re
 from decimal import Decimal
+from operator import add, sub
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -431,6 +432,64 @@ def test_coeff_of_order_rejects_non_index_orders(bad):
         op.coeff_of_order(bad)
     assert op.coeff_of_order(1) == MatPoly(1, [[[1]]])
     assert op.coeff_of_order(2).is_zero()
+
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: MatPoly(-1, []),
+        lambda: MatPoly(True, [[[1]]]),
+        lambda: MatPoly(2.0, []),
+        lambda: MatPoly(1, [[[1]]], False),
+        lambda: MatPoly(2, [], -1),
+        lambda: MatPoly(2, [], "2"),
+        lambda: MatPoly.zero(-1),
+        lambda: MatPoly.zero(2, 1.0),
+        lambda: MatPoly.constant(()),
+        lambda: MatPoly.monomial(2, (), 1),
+        lambda: DiffOp(2.0, (MatPoly.zero(2),)),
+        lambda: DiffOp(True, (MatPoly.zero(1),)),
+        lambda: DiffOp(-1, (MatPoly.zero(1),)),
+    ],
+    ids=[
+        "dim-negative",
+        "dim-bool",
+        "dim-float",
+        "cols-bool",
+        "cols-negative",
+        "cols-str",
+        "zero-dim-negative",
+        "zero-cols-float",
+        "constant-no-rows",
+        "monomial-no-rows",
+        "diffop-dim-float",
+        "diffop-dim-bool",
+        "diffop-dim-negative",
+    ],
+)
+def test_shapes_must_be_counts(build):
+    # dim and cols are non-negative ints, as indices are; a coefficient
+    # matrix with no rows has no column count to read
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_arithmetic_with_other_types_raises_type_error():
+    f = MatPoly(1, [[[1]], [[2]]])
+    op = DiffOp(1, (f,))
+    for value in (f, op):
+        for other in (1, Fraction(1, 2), "1", None):
+            for combine in (add, sub):
+                with pytest.raises(TypeError):
+                    combine(value, other)
+                with pytest.raises(TypeError):
+                    combine(other, value)
+    assert f + f == f * 2 and (op - op).is_zero()
+    with pytest.raises(TypeError):
+        f + op
+    with pytest.raises(TypeError):
+        op - f
 
 
 def _values():

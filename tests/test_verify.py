@@ -554,14 +554,17 @@ class TestDecomposition:
 class TestIdeal:
     def test_pairs_on_their_lines(self):
         for p in GRID:
-            report = check_ideal(p, 20)
-            assert report.passed
+            assert check_ideal(p, 20) is True
 
-    def test_coincidences_are_reported_not_fatal(self):
-        report = check_ideal(GRID[3], 10)
-        assert report.passed
-        for w, j, i in report.coincidences:
-            assert i != j
+    def test_last_pair_off_its_line_fails(self, monkeypatch):
+        real = verify.eigen_table
+
+        def bumped(p, max_w):
+            *pairs, last = real(p, max_w)
+            return [*pairs, last._replace(mu=last.mu + Fraction(1, 7))]
+
+        monkeypatch.setattr(verify, "eigen_table", bumped)
+        assert [check_ideal(p, 20) for p in GRID] == [False] * len(GRID)
 
 
 class TestSuite:
