@@ -12,7 +12,7 @@ quadratic in w', on integers.  Every column is built downward from zero
 above its top degree, one bidiagonal back-substitution per degree on
 integers read from the integer form of the operator D itself, with one
 common denominator and one gcd per degree.  The descent never reads the
-closed form kernel_vector; run_suite's leading_coefficient_w checks hold
+closed form kernel_matrix; run_suite's leading_coefficient_w checks hold
 its top coefficients to it.  A later slot of a class is certified as an
 eigenfunction of the commuting companion operator, which makes it
 orthogonal to the earlier ones without a pairing.
@@ -32,22 +32,13 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .matpoly import MatPoly
-from .exact import _check_bound, exact_scalar, format_rational, poch
-from .model import (
-    Params,
-    WeightSpec,
-    _check_j,
-    _cleared,
-    companion_eigenvalue,
-    companion_operator,
-    hyper_eigenvalue,
-    hyper_operator,
-    moment_rows,
-    pair_rows,
-)
+from .exact import _check_bound, exact_scalar, format_rational
+from .model import Params, WeightSpec, _check_j, _cleared, companion_eigenvalue, companion_operator
+from .model import hyper_eigenvalue, hyper_operator, moment_rows, pair_rows
 
 __all__ = [
     "CollisionClass",
+    "kernel_matrix",
     "kernel_vector",
     "find_collisions",
     "Family",
@@ -60,27 +51,34 @@ __all__ = [
 ]
 
 
-def kernel_vector(p: Params, w: int, j: int):
-    """Explicit kernel element of the termination matrix
+def kernel_matrix(p: Params, w: int) -> MatPoly:
+    """The paper's closed form of the leading coefficient of P_w, as a
+    constant MatPoly on integers: row j is the explicit kernel element of the
+    termination matrix
     w (drift_matrix + w - 1) + potential_matrix + hyper_eigenvalue(p, w, j),
-    normalized to 1 in slot j: the paper's closed form of the leading
-    coefficient of column (w, j).  The descent does not read it; the
-    leading_coefficient_w checks compare the columns' top coefficients with it.
+    normalized to 1 in slot j.  The descent does not read it; the
+    leading_coefficient_w checks compare P_w's top coefficient with it.
 
-    Entry i < j is (-1)^(i+j) C(ell-i, ell-j)
-    poch(beta-k+1+i, j-i) / poch(alpha+beta+j+i+w-k+1, j-i); entries above j
-    vanish.  The denominator products are strictly positive for admissible
-    parameters, so the vector is always defined.
+    Entry (j, i < j) is (-1)^(i+j) C(ell-i, ell-j) poch(beta-k+1+i, j-i) /
+    poch(alpha+beta+j+i+w-k+1, j-i), where the powers of d (see _cleared)
+    cancel; entries above the diagonal vanish.  The denominator is strictly
+    positive for admissible parameters, so the matrix is always defined.
     """
     _check_bound("w", w)
+    d, a, b, k = _cleared(p)
+    rows = [[(0, 1)] * p.size for _ in range(p.size)]
+    for j in range(p.size):
+        for i in range(j + 1):
+            ts, sign = range(i + 1, j + 1), (-1) ** (i + j) * math.comb(p.ell - i, p.ell - j)
+            rows[j][i] = sign * math.prod(b - k + t * d for t in ts), math.prod(a + b - k + (w + j + t) * d for t in ts)
+    den = math.lcm(*(y for row in rows for _, y in row))
+    return MatPoly._reduced(p.size, p.size, (tuple(tuple(x * (den // y) for x, y in row) for row in rows),), den)
+
+
+def kernel_vector(p: Params, w: int, j: int):
+    """Row j of kernel_matrix(p, w), as Fractions."""
     _check_j(p, j)
-    x = [Fraction(0)] * p.size
-    x[j] = Fraction(1)
-    for i in range(j):
-        num = poch(p.beta - p.k + 1 + i, j - i)
-        den = poch(p.alpha + p.beta + j + i + w - p.k + 1, j - i)
-        x[i] = Fraction((-1) ** (i + j)) * math.comb(p.ell - i, p.ell - j) * num / den
-    return tuple(x)
+    return kernel_matrix(p, w).coeff(0)[j]
 
 
 class CollisionClass(namedtuple("CollisionClass", "lam members")):
@@ -253,16 +251,21 @@ class Family:
             self._polys[w] = MatPoly._reduced(n, n, num, den)
         return self._polys[w]
 
-    def gram(self, w: int, w_prime: int):
-        """The pairing block <P_w, P_w'>, P_w paired against the moment rows of
-        P_w'.  The rows a <= max(w, w') of each P_w', integers over one
-        denominator, are computed on first use and again only when a wider P_w
-        needs more; every block is still its own exact sum."""
+    def gram_num(self, w: int, w_prime: int) -> tuple:
+        """The pairing block <P_w, P_w'> as (integer matrix, denominator): P_w
+        paired against the moment rows a <= max(w, w') of P_w', which are
+        computed on first use and again only when a wider P_w needs more;
+        every block is still its own exact sum."""
         left, right = self.poly(w), self.poly(w_prime)
         rows, den = self._moment_rows.get(w_prime, ((), 1))
         if len(rows) <= w:
             rows, den = self._moment_rows[w_prime] = moment_rows(right, self.weight, max(w, w_prime) + 1)
         return pair_rows(left, rows, den, self.params.size)
+
+    def gram(self, w: int, w_prime: int):
+        """The pairing block <P_w, P_w'>: gram_num as Fractions."""
+        num, den = self.gram_num(w, w_prime)
+        return tuple(tuple(Fraction(x, den) for x in row) for row in num)
 
 
 @lru_cache(maxsize=1)
@@ -301,5 +304,6 @@ def gram_block(p: Params, w: int, w_prime: int) -> GramBlock:
 
 
 def leading_coefficient(p: Params, w: int):
-    """Closed-form leading coefficient: row r is kernel_vector(p, w, r)."""
-    return tuple(kernel_vector(p, w, r) for r in range(p.size))
+    """Closed-form leading coefficient, kernel_matrix(p, w) as Fractions:
+    row r is kernel_vector(p, w, r)."""
+    return kernel_matrix(p, w).coeff(0)

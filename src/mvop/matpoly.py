@@ -9,7 +9,7 @@ structural equality is exact polynomial equality.  All arithmetic runs on
 the integers; Fractions are built only where a caller reads entries (coeffs,
 coeff, leading, entry, evaluate, to_json_dict).  A DiffOp clears its
 coefficients once, on first use, to its integer_form, which apply, compose,
-model.monic_eigenvalue and the descent of hyper all read.
+model.monic_matrix and the descent of hyper all read.
 The degree of the zero polynomial is -1.  All values are immutable: a
 Frozen class compares, hashes and prints by its fields.
 """

@@ -36,7 +36,9 @@ __all__ = [
     "hyper_eigenvalue",
     "companion_eigenvalue",
     "eigenvalue_matrix",
+    "monic_matrix",
     "monic_eigenvalue",
+    "slot_table",
     "eigen_table",
 ]
 
@@ -172,6 +174,12 @@ class WeightSpec:
             table.append((num, core.den * den))
         return table[m]
 
+    def moments(self, n: int) -> tuple:
+        """H_0, ..., H_{n-1} as integer matrices over one common denominator."""
+        table = [self.moment_num(m) for m in range(n)]
+        den = math.lcm(*(d for _, d in table))
+        return [[[x * (den // d) for x in row] for row in h] for h, d in table], den
+
 
 def moment_rows(qq: MatPoly, ws: WeightSpec, n: int) -> tuple:
     """The moment rows N[a] = sum_b H_{a+b} qq_b^T for a < n, the pairings of
@@ -183,27 +191,24 @@ def moment_rows(qq: MatPoly, ws: WeightSpec, n: int) -> tuple:
     if qq.is_zero():
         return [((0,) * qq.dim,) * dim] * n, 1
     width = len(qq.num)
-    table = [ws.moment_num(m) for m in range(n + width - 1)]
-    den = math.lcm(*(d for _, d in table))
-    hs = [[[x * (den // d) for x in row] for row in h] for h, d in table]
+    hs, den = ws.moments(n + width - 1)
     stacked = [col for c in qq.num for col in zip(*c)]
     rows = [linalg.int_matmul([[x for h in hs[a : a + width] for x in h[i]] for i in range(dim)], stacked) for a in range(n)]
     return rows, den * qq.den
 
 
-def pair_rows(pp: MatPoly, rows, den: int, cols: int):
+def pair_rows(pp: MatPoly, rows, den: int, cols: int) -> tuple:
     """sum_a pp_a rows[a] / den: pp paired against the moment rows (rows, den)
-    of a qq with cols rows, one integer product and one division per entry."""
+    of a qq with cols rows, as (integer matrix, den * pp.den), one product."""
     if len(rows) < len(pp.num):
         raise ValueError("need one moment row per coefficient of pp")
     if pp.is_zero():
-        return linalg.zeros(pp.dim, cols)
+        return ((0,) * cols,) * pp.dim, 1
     if any(len(r) != pp.cols for r in rows[: len(pp.num)]):
         raise ValueError("inner dimension mismatch")
     left = [[x for c in pp.num for x in c[i]] for i in range(pp.dim)]
     stacked = [row for r in rows[: len(pp.num)] for row in r]
-    den *= pp.den
-    return tuple(tuple(Fraction(x, den) for x in row) for row in linalg.int_matmul(left, stacked))
+    return linalg.int_matmul(left, stacked), den * pp.den
 
 
 def hyper_operator(p: Params) -> DiffOp:
@@ -257,26 +262,29 @@ def _cleared(p: Params) -> tuple:
     return d, a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), k.numerator * (d // k.denominator)
 
 
-def hyper_eigenvalue(p: Params, w: int, j: int) -> Fraction:
-    """Eigenvalue of the hypergeometric operator on the (w, j) eigenfunction:
-    -w(w + alpha + beta + ell + j + 1) - j(alpha + beta - k + 1 + j),
-    evaluated as one integer numerator over d (see _cleared)."""
+def _slot(p: Params, w: int, j: int, cleared: tuple) -> tuple:
+    """(lambda d, mu d^2) at slot (w, j), for cleared = _cleared(p): the one
+    place the closed forms of both eigenvalues are written, on integers."""
     _check_bound("w", w)
     _check_j(p, j)
-    d, a, b, k = _cleared(p)
-    return Fraction(-w * (a + b + (w + p.ell + j + 1) * d) - j * (a + b - k + (1 + j) * d), d)
+    d, a, b, k = cleared
+    grow, tail = -w * (a + b + (w + p.ell + j + 1) * d), -j * (a + b - k + (1 + j) * d)
+    return grow + tail, grow * (a + (3 * j - p.ell) * d) + tail * (a + 2 * p.ell * d + 3 * k)
+
+
+def hyper_eigenvalue(p: Params, w: int, j: int) -> Fraction:
+    """Eigenvalue of the hypergeometric operator on the (w, j) eigenfunction:
+    -w(w + alpha + beta + ell + j + 1) - j(alpha + beta - k + 1 + j), _slot's numerator over d."""
+    cleared = _cleared(p)
+    return Fraction(_slot(p, w, j, cleared)[0], cleared[0])
 
 
 def companion_eigenvalue(p: Params, w: int, j: int) -> Fraction:
     """Eigenvalue of the companion operator on the (w, j) eigenfunction:
     -w(w + alpha + beta + ell + j + 1)(alpha - ell + 3j)
-    - j(j + alpha + beta - k + 1)(alpha + 2 ell + 3k),
-    evaluated as one integer numerator over d^2 (see _cleared)."""
-    _check_bound("w", w)
-    _check_j(p, j)
-    d, a, b, k = _cleared(p)
-    lead = -w * (a + b + (w + p.ell + j + 1) * d) * (a + (3 * j - p.ell) * d)
-    return Fraction(lead - j * (a + b - k + (j + 1) * d) * (a + 2 * p.ell * d + 3 * k), d * d)
+    - j(j + alpha + beta - k + 1)(alpha + 2 ell + 3k), _slot's numerator over d^2."""
+    cleared = _cleared(p)
+    return Fraction(_slot(p, w, j, cleared)[1], cleared[0] ** 2)
 
 
 def eigenvalue_matrix(p: Params, w: int, which: str):
@@ -290,17 +298,22 @@ def eigenvalue_matrix(p: Params, w: int, which: str):
     return linalg.diagonal(values)
 
 
-def monic_eigenvalue(op: DiffOp, n: int):
+def monic_matrix(op: DiffOp, n: int) -> MatPoly:
     """Constant matrix sum_i [n]_i (u^i coefficient of A_i), the eigenvalue
-    of op on a monic degree-n polynomial family; requires deg A_i <= i."""
+    of op on a monic degree-n polynomial family, as a constant MatPoly built
+    on op's integer form; requires deg A_i <= i."""
     _check_bound("n", n)
     if not op.is_degree_bounded():
         raise ValueError("coefficient degrees must not exceed the derivative order")
     nums, den = op.integer_form
     weighted = [(math.perm(n, i), a[i]) for i, a in enumerate(nums) if i < len(a)]
-    return tuple(
-        tuple(Fraction(sum(s * mat[r][c] for s, mat in weighted), den) for c in range(op.dim)) for r in range(op.dim)
-    )
+    rows = tuple(tuple(sum(s * mat[r][c] for s, mat in weighted) for c in range(op.dim)) for r in range(op.dim))
+    return MatPoly._reduced(op.dim, op.dim, (rows,), den)
+
+
+def monic_eigenvalue(op: DiffOp, n: int):
+    """monic_matrix(op, n) as Fractions."""
+    return monic_matrix(op, n).coeff(0)
 
 
 class EigenPair(namedtuple("EigenPair", "w j lam mu")):
@@ -317,11 +330,15 @@ class EigenPair(namedtuple("EigenPair", "w j lam mu")):
         }
 
 
-def eigen_table(p: Params, max_w: int) -> list[EigenPair]:
-    """All eigenvalue pairs for 0 <= w <= max_w, 0 <= j <= ell, in (w, j) order."""
+def slot_table(p: Params, max_w: int) -> list:
+    """Each slot (w, j, lambda d, mu d^2) for 0 <= w <= max_w and 0 <= j <= ell,
+    in (w, j) order: both eigenvalues as integer numerators (see _slot)."""
     _check_bound("max_w", max_w)
-    return [
-        EigenPair(w, j, hyper_eigenvalue(p, w, j), companion_eigenvalue(p, w, j))
-        for w in range(max_w + 1)
-        for j in range(p.size)
-    ]
+    cleared = _cleared(p)
+    return [(w, j, *_slot(p, w, j, cleared)) for w in range(max_w + 1) for j in range(p.size)]
+
+
+def eigen_table(p: Params, max_w: int) -> list[EigenPair]:
+    """All eigenvalue pairs for 0 <= w <= max_w, 0 <= j <= ell, in (w, j) order, from slot_table."""
+    d = _cleared(p)[0]
+    return [EigenPair(w, j, Fraction(lam, d), Fraction(mu, d * d)) for w, j, lam, mu in slot_table(p, max_w)]

@@ -6,7 +6,10 @@ integrals go through the moment matrices of the weight, the symmetry
 equations are cleared of the non-polynomial scalar factor, and boundary
 limits become vanishing-order comparisons.  A check passes only when the
 corresponding exact object is identically zero (or identically positive,
-for norms).  GramBlock and gram_block live in hyper and are re-exported here.
+for norms).  Verdicts are decided on integer numerators, cross-multiplied
+where two denominators meet; the relation, Gram, boundary, bilinear and
+leading-coefficient checks build a Fraction only to write a witness.
+GramBlock and gram_block live in hyper and are re-exported here.
 """
 
 from __future__ import annotations
@@ -15,21 +18,14 @@ import math
 import random
 from collections import namedtuple
 from fractions import Fraction
+from functools import partial
 
 from . import linalg
-from .exact import _check_bound, format_rational
+from .exact import _check_bound
 from .matpoly import DiffOp, MatPoly
-from .model import (
-    Params,
-    WeightSpec,
-    companion_eigenvalue,
-    eigen_table,
-    hyper_eigenvalue,
-    monic_eigenvalue,
-    moment_rows,
-    pair_rows,
-)
-from .hyper import GramBlock, family, find_collisions, gram_block, leading_coefficient
+from .model import Params, WeightSpec, _cleared, companion_eigenvalue, hyper_eigenvalue
+from .model import monic_matrix, pair_rows, slot_table
+from .hyper import GramBlock, family, find_collisions, gram_block, kernel_matrix
 
 __all__ = [
     "WeightSpec",
@@ -98,32 +94,27 @@ def check_boundary(ws: WeightSpec, op: DiffOp) -> BoundaryReport:
     An entry q of Z A2 or Z A1 - A1^T Z satisfies the limit at u = 0 exactly
     when ord_0(q) + beta > 0 and at u = 1 exactly when ord_1(q) + alpha > 0;
     identically zero entries pass vacuously.  Order counting is exact for
-    polynomial entries, so each entry verdict is sharp.
+    polynomial entries, so each entry verdict is sharp.  It reads q's integer
+    numerators, and alpha and beta over d as in model._cleared.
     """
     if op.order != 2:
         raise ValueError("operator must have order 2")
     z, a2, a1 = ws.core, op.coeff_of_order(2), op.coeff_of_order(1)
-    alpha, beta = ws.params.alpha, ws.params.beta
-    blocks = (
-        ("second_order", z * a2),
-        ("first_order_skew", z * a1 - a1.transpose() * z),
-    )
+    d, alpha, beta, _ = _cleared(ws.params)
+    blocks = (("second_order", z * a2), ("first_order_skew", z * a1 - a1.transpose() * z))
     entries = []
-    passed = True
     for name, mp in blocks:
         for i in range(mp.dim):
             for j in range(mp.dim):
-                q = mp.entry(i, j)
-                if not q:
+                q = [c[i][j] for c in mp.num]
+                if not any(q):
                     entries.append(BoundaryEntry(name, i, j, None, None, True))
                     continue
-                ord0 = next(m for m, c in enumerate(q) if c != 0)
+                ord0 = next(m for m, c in enumerate(q) if c)
                 # ord_1(q) is the least m with q^(m)(1) = sum_t perm(t, m) q_t nonzero
                 ord1 = next(m for m in range(len(q)) if sum(math.perm(t, m) * c for t, c in enumerate(q)))
-                ok = ord0 + beta > 0 and ord1 + alpha > 0
-                passed = passed and ok
-                entries.append(BoundaryEntry(name, i, j, ord0, ord1, ok))
-    return BoundaryReport(passed, tuple(entries))
+                entries.append(BoundaryEntry(name, i, j, ord0, ord1, ord0 * d + beta > 0 and ord1 * d + alpha > 0))
+    return BoundaryReport(all(x.ok for x in entries), tuple(entries))
 
 
 def check_bilinear_symmetry(ws: WeightSpec, op: DiffOp, max_power: int = 4) -> bool:
@@ -134,16 +125,17 @@ def check_bilinear_symmetry(ws: WeightSpec, op: DiffOp, max_power: int = 4) -> b
     G[(a, r), (b, t)] = <op(u^a e_r), u^b e_t> of the vector monomials is
     symmetric.  With X_a = op(u^a I), G[(a, r), (b, t)] is entry (r, t) of the
     block S[a][b] = sum_c (X_a)_c^T H_{c+b}: X_a^T paired against the moment
-    rows H_{b+c} of u^b I.  So the test is S[a][b] == S[b][a]^T.
+    rows of u^b I, which are H_{b+c} read straight from the moment table.  So
+    the test is S[a][b] == S[b][a]^T, on integer numerators.
     """
     _check_bound("max_power", max_power)
     dim = ws.core.dim
-    eye = linalg.identity(dim)
     powers = range(max_power + 1)
-    monomials = [MatPoly.monomial(dim, eye, a) for a in powers]
-    images = [op.apply(m).transpose() for m in monomials]
-    rows = [moment_rows(m, ws, max(len(x.num) for x in images)) for m in monomials]
-    s = [[pair_rows(x, *rows[b], dim) for b in powers] for x in images]
+    images = [op.apply(MatPoly.monomial(dim, linalg.identity(dim), a)).transpose() for a in powers]
+    n = max(len(x.num) for x in images)
+    hs, den = ws.moments(max_power + n)
+    scale = math.lcm(*(x.den for x in images))  # every S[a][b] over den alone
+    s = [[pair_rows(x * scale, hs[b : b + n], den, dim)[0] for b in powers] for x in images]
     return all(s[a][b] == linalg.transpose(s[b][a]) for a in powers for b in range(a + 1))
 
 
@@ -225,10 +217,17 @@ def check_ideal(p: Params, w_max: int) -> bool:
     """Each eigenvalue pair satisfies its affine line:
     mu - (alpha - ell + 3j) lambda + 3j (ell - j + k)(j + alpha + beta - k + 1) = 0."""
     _check_bound("w_max", w_max)
-    a, b, k, ell = p.alpha, p.beta, p.k, p.ell
-    slopes = [a - ell + 3 * j for j in range(p.size)]
-    offsets = [3 * j * (ell - j + k) * (j + a + b - k + 1) for j in range(p.size)]
-    return all(mu - slopes[j] * lam + offsets[j] == 0 for _, j, lam, mu in eigen_table(p, w_max))
+    return _on_lines(p, slot_table(p, w_max))
+
+
+def _on_lines(p: Params, slots) -> bool:
+    # check_ideal times d^2, on the numerators lambda d and mu d^2 of slot_table
+    d, a, b, k = _cleared(p)
+    ell = p.ell
+    return not any(
+        mu - (a + (3 * j - ell) * d) * lam + 3 * j * ((ell - j) * d + k) * (a + b - k + (j + 1) * d)
+        for _, j, lam, mu in slots
+    )
 
 
 class CheckResult(namedtuple("CheckResult", "name status witness", defaults=(None,))):
@@ -279,71 +278,68 @@ def run_suite(p: Params, max_w: int = 6) -> VerificationReport:
     fam = family(p)
     ws, d, e = fam.weight, fam.hyper, fam.companion
     eig_span = max(max_w, 20)
+    den, a, b, k = _cleared(p)  # the relations compare numerators over den
+    slots = slot_table(p, eig_span)
 
     def boundary(op):
-        def thunk():
-            report = check_boundary(ws, op)
-            bad = [f"{x.block}[{x.row}][{x.col}]" for x in report.entries if not x.ok]
-            return report.passed, f"failing entries: {bad}" if bad else None
-
-        return thunk
+        report = check_boundary(ws, op)
+        bad = [f"{x.block}[{x.row}][{x.col}]" for x in report.entries if not x.ok]
+        return report.passed, f"failing entries: {bad}" if bad else None
 
     def gram_pair(w, wp):
-        def thunk():
-            block = fam.gram(w, wp)
-            for i, row in enumerate(block):
-                for j, x in enumerate(row):
-                    if x != 0:
-                        return False, f"nonzero block at ({w}, {wp}): entry ({i}, {j}) is {format_rational(x)}"
-            return True, None
-
-        return thunk
+        block, scale = fam.gram_num(w, wp)
+        for i, row in enumerate(block):
+            for j, x in enumerate(row):
+                if x:  # a Fraction prints as format_rational writes it
+                    return False, f"nonzero block at ({w}, {wp}): entry ({i}, {j}) is {Fraction(x, scale)}"
+        return True, None
 
     def norms():
         # each block <P_w, P_w> must be diagonal with positive diagonal
         for w in range(max_w + 1):
-            for i, row in enumerate(fam.gram(w, w)):
+            block, scale = fam.gram_num(w, w)
+            for i, row in enumerate(block):
                 for j, x in enumerate(row):
-                    if (x <= 0 if i == j else x != 0):
-                        return False, f"norm block entry (w, i, j) = ({w}, {i}, {j}) is {format_rational(x)}"
+                    if (x <= 0 if i == j else x):
+                        return False, f"norm block entry (w, i, j) = ({w}, {i}, {j}) is {Fraction(x, scale)}"
         return True, None
 
     def eigen(w):
-        return lambda: (check_eigen(p, w), f"eigenfunction identity fails at w = {w}")
+        return check_eigen(p, w), f"eigenfunction identity fails at w = {w}"
 
     def leading(w):
-        return lambda: (fam.poly(w).leading() == leading_coefficient(p, w), f"leading coefficient differs at w = {w}")
+        # P_w's top coefficient and the closed form, both reduced integers over one denominator
+        top = MatPoly._reduced(p.size, p.size, fam.poly(w).num[-1:], fam.poly(w).den)
+        return top == kernel_matrix(p, w), f"leading coefficient differs at w = {w}"
 
     def line(n):
-        # E = shift * D + offset * I on the degree-n eigenvalues of both families
-        shift = p.alpha + 2 * p.ell + 3 * p.k + 3 * n
-        return shift, 3 * n * (p.ell + p.k + n) * (n + p.alpha + p.beta + p.ell + 1)
+        # E = shift * D + offset * I on the degree-n eigenvalues of both families, as shift den and offset den^2
+        shift = a + 3 * k + (2 * p.ell + 3 * n) * den
+        return shift, 3 * n * ((p.ell + n) * den + k) * ((n + p.ell + 1) * den + a + b)
 
     def eigenvalue_relation():
         # the diagonal eigenvalue matrices are 0 = shift * 0 off the diagonal,
         # so the relation holds there exactly when it holds slot by slot
-        for w, _, lam, mu in eigen_table(p, eig_span):
+        for w, _, lam, mu in slots:
             shift, offset = line(w)
             if mu != shift * lam + offset:
                 return False, f"eigenvalue relation fails at w = {w}"
         return True, None
 
     def monic_relation():
-        # entry by entry, for every n <= eig_span
+        # E's monic matrix is shift * D's + offset * I for every n <= eig_span, times den^2
+        eye = MatPoly.constant(linalg.identity(p.size))
         for n in range(eig_span + 1):
             shift, offset = line(n)
-            for r, (d_row, e_row) in enumerate(zip(monic_eigenvalue(d, n), monic_eigenvalue(e, n), strict=True)):
-                want = [shift * x for x in d_row]
-                want[r] += offset
-                if list(e_row) != want:
-                    return False, f"monic eigenvalue relation fails at n = {n}"
+            if monic_matrix(e, n) * (den * den) != monic_matrix(d, n) * (shift * den) + eye * offset:
+                return False, f"monic eigenvalue relation fails at n = {n}"
         return True, None
 
     def collisions():
         classes = {}
-        for w, j, lam, _ in eigen_table(p, max_w):
+        for w, j, lam, _ in slots[: (max_w + 1) * p.size]:
             if lam not in classes:
-                classes[lam] = find_collisions(p, lam).members
+                classes[lam] = find_collisions(p, Fraction(lam, den)).members
             if (w, j) not in classes[lam]:
                 return False, f"slot ({w}, {j}) missing from its class"
         return True, None
@@ -353,13 +349,14 @@ def run_suite(p: Params, max_w: int = 6) -> VerificationReport:
         top = min(5, max_w)
         for _ in range(10):
             degree = rng.randint(0, top)
-            coeffs = [
-                [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(p.size)] for _ in range(p.size)]
+            # entries n / d for n in [-4, 4] and d in [1, 3], as numerators over 6
+            num = [
+                tuple(tuple(rng.randint(-4, 4) * (6 // rng.randint(1, 3)) for _ in range(p.size)) for _ in range(p.size))
                 for _ in range(degree + 1)
             ]
             try:
                 # raises unless h minus every peeled P_d^T A_d leaves zero
-                decompose_in_basis(MatPoly(p.size, coeffs), p)
+                decompose_in_basis(MatPoly._reduced(p.size, p.size, num, 6), p)
             except ArithmeticError:
                 return False, "reconstruction mismatch"
         return True, None
@@ -367,20 +364,21 @@ def run_suite(p: Params, max_w: int = 6) -> VerificationReport:
     named = [
         ("symmetry_reduced_hyper", lambda: _zero_residuals(ws, d)),
         ("symmetry_reduced_companion", lambda: _zero_residuals(ws, e)),
-        ("boundary_hyper", boundary(d)),
-        ("boundary_companion", boundary(e)),
+        ("boundary_hyper", partial(boundary, d)),
+        ("boundary_companion", partial(boundary, e)),
         ("bilinear_symmetry_hyper", lambda: (check_bilinear_symmetry(ws, d), "defect on monomials")),
         ("bilinear_symmetry_companion", lambda: (check_bilinear_symmetry(ws, e), "defect on monomials")),
         ("commutation", lambda: (check_commute(p), "nonzero commutator")),
     ]
-    named += [(f"eigenfunctions_w{w}", eigen(w)) for w in range(max_w + 1)]
-    named += [(f"leading_coefficient_w{w}", leading(w)) for w in range(max_w + 1)]
-    named += [(f"gram_zero_w{w}_w{wp}", gram_pair(w, wp)) for w in range(max_w + 1) for wp in range(w + 1, max_w + 1)]
+    degrees = range(max_w + 1)
+    named += [(f"eigenfunctions_w{w}", partial(eigen, w)) for w in degrees]
+    named += [(f"leading_coefficient_w{w}", partial(leading, w)) for w in degrees]
+    named += [(f"gram_zero_w{w}_w{wp}", partial(gram_pair, w, wp)) for w in degrees for wp in degrees[w + 1 :]]
     named += [
         ("gram_norms_positive", norms),
         ("eigenvalue_relation", eigenvalue_relation),
         ("monic_eigenvalue_relation", monic_relation),
-        ("ideal_lines", lambda: (check_ideal(p, eig_span), "eigenvalue pair off its line")),
+        ("ideal_lines", lambda: (_on_lines(p, slots), "eigenvalue pair off its line")),
         ("collision_classes", collisions),
         ("decomposition_random", decomposition),
     ]

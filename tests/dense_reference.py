@@ -244,7 +244,8 @@ def inner_product(pp: MatPoly, qq: MatPoly, ws: WeightSpec):
     """Matrix pairing integral of pp W qq^T, in units of the zeroth moment:
     the sum over a, b of pp_a H_{a+b} qq_b^T, which is pp paired against the
     moment rows of qq.  Both arguments need as many columns as the weight has
-    rows; the result is pp.dim x qq.dim."""
+    rows; the result is pp.dim x qq.dim, pair_rows' integer block as Fractions."""
     if pp.cols != ws.core.dim:
         raise ValueError("dimension mismatch")
-    return pair_rows(pp, *moment_rows(qq, ws, len(pp.num)), qq.dim)
+    num, den = pair_rows(pp, *moment_rows(qq, ws, len(pp.num)), qq.dim)
+    return tuple(tuple(Fraction(x, den) for x in row) for row in num)

@@ -7,17 +7,21 @@ of coefficient matrices (tuples of row tuples) by ascending power, trailing
 zero matrices trimmed; an operator is a list of polynomials by ascending
 derivative order.
 
-The slot eigenvalues and find_collisions at the end are the library's
-Fraction versions from before each became one integer computation; the
-oracle tests hold the integer forms to them.
+The slot eigenvalues and find_collisions are the library's Fraction
+versions from before each became one integer computation; the oracle tests
+hold the integer forms to them.  The run_suite decisions at the end are the
+Fraction forms of the checks that now compare integer numerators: verdicts
+gives each one's verdict by check name.
 """
 
 import math
 from fractions import Fraction
 
-from mvop.exact import _check_bound, exact_scalar
+from mvop import linalg
+from mvop.exact import _check_bound, exact_scalar, poch
 from mvop.hyper import CollisionClass
-from mvop.model import Params, _check_j
+from mvop.matpoly import MatPoly
+from mvop.model import Params, _check_j, moment_rows
 
 
 def trim(cs) -> tuple:
@@ -157,3 +161,135 @@ def find_collisions(p: Params, lam) -> CollisionClass:
         if not (w2 > w1 and j1 >= j2 + 2):
             raise ArithmeticError("repeated-eigenvalue structure violated")
     return CollisionClass(lam, tuple(members))
+
+
+# The run_suite decisions in Fraction, as they were before they moved to
+# integer numerators.
+
+
+def line(p: Params, n: int) -> tuple:
+    """E = shift * D + offset * I on the degree-n eigenvalues of both families."""
+    shift = p.alpha + 2 * p.ell + 3 * p.k + 3 * n
+    return shift, 3 * n * (p.ell + p.k + n) * (n + p.alpha + p.beta + p.ell + 1)
+
+
+def eigen_table(p: Params, max_w: int) -> list:
+    return [(w, j, hyper_eigenvalue(p, w, j), companion_eigenvalue(p, w, j)) for w in range(max_w + 1) for j in range(p.size)]
+
+
+def eigenvalue_relation(p: Params, span: int) -> bool:
+    return all(mu == shift * lam + offset for w, _, lam, mu in eigen_table(p, span) for shift, offset in [line(p, w)])
+
+
+def ideal_lines(p: Params, span: int) -> bool:
+    a, b, k, ell = p.alpha, p.beta, p.k, p.ell
+    slopes = [a - ell + 3 * j for j in range(p.size)]
+    offsets = [3 * j * (ell - j + k) * (j + a + b - k + 1) for j in range(p.size)]
+    return all(mu - slopes[j] * lam + offsets[j] == 0 for _, j, lam, mu in eigen_table(p, span))
+
+
+def monic_eigenvalue(op, n: int) -> list:
+    """sum_i [n]_i (u^i coefficient of A_i), from the Fraction coefficients."""
+    out = [[Fraction(0)] * op.dim for _ in range(op.dim)]
+    for i in range(op.order + 1):
+        for r, row in enumerate(op.coeff_of_order(i).coeff(i)):
+            for c, x in enumerate(row):
+                out[r][c] += math.perm(n, i) * x
+    return out
+
+
+def monic_relation(d, e, p: Params, span: int) -> bool:
+    """E's monic eigenvalue matrix is shift * D's + offset * I, entry by entry."""
+    for n in range(span + 1):
+        shift, offset = line(p, n)
+        for r, (d_row, e_row) in enumerate(zip(monic_eigenvalue(d, n), monic_eigenvalue(e, n))):
+            want = [shift * x for x in d_row]
+            want[r] += offset
+            if e_row != want:
+                return False
+    return True
+
+
+def kernel_vector(p: Params, w: int, j: int) -> tuple:
+    """The closed-form leading coefficient of column (w, j), through poch."""
+    x = [Fraction(0)] * p.size
+    x[j] = Fraction(1)
+    for i in range(j):
+        num = poch(p.beta - p.k + 1 + i, j - i)
+        den = poch(p.alpha + p.beta + j + i + w - p.k + 1, j - i)
+        x[i] = Fraction((-1) ** (i + j)) * math.comb(p.ell - i, p.ell - j) * num / den
+    return tuple(x)
+
+
+def leading(fam, w: int) -> bool:
+    return fam.poly(w).leading() == tuple(kernel_vector(fam.params, w, r) for r in range(fam.params.size))
+
+
+def boundary(ws, op) -> tuple:
+    """check_boundary's (passed, entries), with the orders read from entry()'s Fractions."""
+    z, a2, a1 = ws.core, op.coeff_of_order(2), op.coeff_of_order(1)
+    alpha, beta = ws.params.alpha, ws.params.beta
+    entries = []
+    for name, mp in (("second_order", z * a2), ("first_order_skew", z * a1 - a1.transpose() * z)):
+        for i in range(mp.dim):
+            for j in range(mp.dim):
+                q = mp.entry(i, j)
+                if not q:
+                    entries.append((name, i, j, None, None, True))
+                    continue
+                ord0 = next(m for m, c in enumerate(q) if c != 0)
+                ord1 = next(m for m in range(len(q)) if sum(math.perm(t, m) * c for t, c in enumerate(q)))
+                entries.append((name, i, j, ord0, ord1, ord0 + beta > 0 and ord1 + alpha > 0))
+    return all(x[-1] for x in entries), tuple(entries)
+
+
+def pair_rows(pp: MatPoly, rows, den: int, cols: int) -> tuple:
+    """sum_a pp_a rows[a] / den as Fractions, one division per entry."""
+    if pp.is_zero():
+        return linalg.zeros(pp.dim, cols)
+    left = [[x for c in pp.num for x in c[i]] for i in range(pp.dim)]
+    stacked = [row for r in rows[: len(pp.num)] for row in r]
+    den *= pp.den
+    return tuple(tuple(Fraction(x, den) for x in row) for row in linalg.int_matmul(left, stacked))
+
+
+def gram(fam, w: int, w_prime: int) -> tuple:
+    """The Fraction block <P_w, P_w'>: P_w paired against the moment rows of P_w'."""
+    rows, den = moment_rows(fam.poly(w_prime), fam.weight, max(w, w_prime) + 1)
+    return pair_rows(fam.poly(w), rows, den, fam.params.size)
+
+
+def bilinear_symmetry(ws, op, max_power: int = 4) -> bool:
+    """S[a][b] == S[b][a]^T, with the rows of u^b I from moment_rows of the
+    monomials and each block in Fractions."""
+    dim = ws.core.dim
+    powers = range(max_power + 1)
+    monomials = [MatPoly.monomial(dim, linalg.identity(dim), a) for a in powers]
+    images = [op.apply(m).transpose() for m in monomials]
+    rows = [moment_rows(m, ws, max(len(x.num) for x in images)) for m in monomials]
+    s = [[pair_rows(x, *rows[b], dim) for b in powers] for x in images]
+    return all(s[a][b] == linalg.transpose(s[b][a]) for a in powers for b in range(a + 1))
+
+
+def verdicts(fam, max_w: int) -> dict:
+    """The Fraction verdict of each run_suite check that decides on integer
+    numerators, by check name, for the Family fam."""
+    p, ws, span = fam.params, fam.weight, max(max_w, 20)
+    out = {}
+    for name, op in (("hyper", fam.hyper), ("companion", fam.companion)):
+        out[f"boundary_{name}"] = boundary(ws, op)[0]
+        out[f"bilinear_symmetry_{name}"] = bilinear_symmetry(ws, op)
+    degrees = range(max_w + 1)
+    blocks = {(w, wp): gram(fam, w, wp) for w in degrees for wp in degrees if w <= wp}
+    for w in degrees:
+        out[f"leading_coefficient_w{w}"] = leading(fam, w)
+    for w, wp in blocks:
+        if w < wp:
+            out[f"gram_zero_w{w}_w{wp}"] = all(x == 0 for row in blocks[w, wp] for x in row)
+    out["gram_norms_positive"] = all(
+        (x > 0 if i == j else x == 0) for w in degrees for i, row in enumerate(blocks[w, w]) for j, x in enumerate(row)
+    )
+    out["eigenvalue_relation"] = eigenvalue_relation(p, span)
+    out["monic_eigenvalue_relation"] = monic_relation(fam.hyper, fam.companion, p, span)
+    out["ideal_lines"] = ideal_lines(p, span)
+    return out

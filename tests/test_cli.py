@@ -4,10 +4,14 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
+import mvop
 from mvop.cli import build_parser, cmd_polys, main
 from mvop.exact import format_rational, parse_rational
 from mvop.hyper import Family, build_column, family, find_collisions, gram_block
@@ -421,3 +425,16 @@ def test_failed_write_to_out_exits_two(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_module_run_is_the_command(capsys):
+    # python -m mvop.cli runs a command as the installed mvop script does:
+    # the same stdout as main, and exit 2 for inadmissible parameters
+    src = str(Path(mvop.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["table", "--alpha", "0", "--beta", "1", "--k", "1", "--ell", "3"]
+    run = subprocess.run([sys.executable, "-m", "mvop.cli", *argv], capture_output=True, text=True, env=env)
+    code, out, _ = run_cli(capsys, *argv)
+    assert out.startswith("[") and (run.returncode, run.stdout, run.stderr) == (code, out, "")
+    bad = subprocess.run([sys.executable, "-m", "mvop.cli", *argv[:-1], "0"], capture_output=True, text=True, env=env)
+    assert (bad.returncode, bad.stdout) == (2, "") and bad.stderr.startswith("error: ell must be")

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,15 @@ def test_library_has_no_bare_asserts():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, f"bare assert statements: {found}"
+
+
+def test_library_parses_at_the_declared_python_floor():
+    # pyproject.toml declares requires-python >= 3.10, so no module may use
+    # syntax that a 3.10 parser rejects
+    pyproject = Path(mvop.__file__).parents[2] / "pyproject.toml"
+    assert re.search(r'^requires-python = ">=3\.10"$', pyproject.read_text(), re.MULTILINE)
+    for path in sorted(Path(mvop.__file__).parent.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
 def test_library_raises_no_assertion_error():

@@ -191,7 +191,7 @@ class TestInnerProduct:
         ws = WeightSpec(BASE)
         monkeypatch.setattr(linalg, "int_matmul", no_product)
         assert model.moment_rows(MatPoly.zero(3, 2), ws, 2) == ([linalg.zeros(2, 3)] * 2, 1)
-        assert model.pair_rows(MatPoly.zero(1, 2), [], 1, 3) == linalg.zeros(1, 3)
+        assert model.pair_rows(MatPoly.zero(1, 2), [], 1, 3) == (((0, 0, 0),), 1)
         assert inner_product(MatPoly.zero(2), MatPoly.from_scalar(2, (1,)), ws) == linalg.zeros(2)
 
     def test_dimension_guards(self):
@@ -432,7 +432,8 @@ class TestBilinearSymmetry:
             perturbed = DiffOp(
                 2, (op.coeff_of_order(2), op.coeff_of_order(1), op.coeff_of_order(0) + MatPoly.constant(bump))
             )
-            # max_power 0 leaves only the diagonal block S[0][0]
+            # max_power 0 leaves only the diagonal block S[0][0]; the Fraction
+            # form of the check gives the same verdicts
             for max_power in (0, 2):
                 units = [
                     MatPoly.monomial(2, [[int(i == r)] for i in range(2)], a)
@@ -442,6 +443,7 @@ class TestBilinearSymmetry:
                 gram = [[column_pairing(perturbed.apply(f), g, ws) for g in units] for f in units]
                 expected = all(gram[x][y] == gram[y][x] for x in range(len(units)) for y in range(x))
                 assert check_bilinear_symmetry(ws, perturbed, max_power=max_power) == expected
+                assert oracle.bilinear_symmetry(ws, perturbed, max_power=max_power) == expected
                 verdicts.add((max_power, expected))
         assert verdicts == {(0, True), (0, False), (2, True), (2, False)}
 
@@ -557,13 +559,14 @@ class TestIdeal:
             assert check_ideal(p, 20) is True
 
     def test_last_pair_off_its_line_fails(self, monkeypatch):
-        real = verify.eigen_table
+        # the last slot's mu numerator (mu d^2) off by one
+        real = verify.slot_table
 
         def bumped(p, max_w):
-            *pairs, last = real(p, max_w)
-            return [*pairs, last._replace(mu=last.mu + Fraction(1, 7))]
+            *slots, (w, j, lam, mu) = real(p, max_w)
+            return [*slots, (w, j, lam, mu + 1)]
 
-        monkeypatch.setattr(verify, "eigen_table", bumped)
+        monkeypatch.setattr(verify, "slot_table", bumped)
         assert [check_ideal(p, 20) for p in GRID] == [False] * len(GRID)
 
 
@@ -620,20 +623,22 @@ class TestSuite:
         assert fresh.hyper.integer_form == fam.hyper.integer_form
 
     def test_relation_witnesses_name_the_first_failing_degree(self, monkeypatch):
-        # mu off by 1 at every slot of w = 3 breaks the eigenvalue relation there,
-        # and the affine lines, which read the same table; the identity added
-        # to the monic eigenvalue matrices of n = 5 breaks the monic relation there
-        real_table, real_monic = verify.eigen_table, verify.monic_eigenvalue
+        # mu off by 1 at every slot of w = 3 (d^2 on its numerator) breaks the
+        # eigenvalue relation there, and the affine lines, which read the same
+        # slot table; the identity added to the monic eigenvalue matrices of
+        # n = 5 breaks the monic relation there
+        real_table, real_monic = verify.slot_table, verify.monic_matrix
 
         def bumped_table(p, max_w):
-            return [pair._replace(mu=pair.mu + 1) if pair.w == 3 else pair for pair in real_table(p, max_w)]
+            d = model._cleared(p)[0]
+            return [(w, j, lam, mu + d * d if w == 3 else mu) for w, j, lam, mu in real_table(p, max_w)]
 
         def bumped_monic(op, n):
             out = real_monic(op, n)
-            return linalg.add(out, linalg.identity(len(out))) if n == 5 else out
+            return out + MatPoly.constant(linalg.identity(op.dim)) if n == 5 else out
 
-        monkeypatch.setattr(verify, "eigen_table", bumped_table)
-        monkeypatch.setattr(verify, "monic_eigenvalue", bumped_monic)
+        monkeypatch.setattr(verify, "slot_table", bumped_table)
+        monkeypatch.setattr(verify, "monic_matrix", bumped_monic)
         report = run_suite(BASE, max_w=1)
         assert {c.name: c.witness for c in report.checks if c.status == "fail"} == {
             "eigenvalue_relation": "eigenvalue relation fails at w = 3",
@@ -644,13 +649,13 @@ class TestSuite:
     def test_relation_compares_the_entries_off_the_diagonal(self, monkeypatch):
         # the monic eigenvalue matrices are bidiagonal: one entry above the
         # diagonal changed at one degree breaks the relation there
-        real = verify.monic_eigenvalue
+        real = verify.monic_matrix
 
         def skewed(op, n):
-            out = real(op, n)
-            return ((out[0][0], out[0][1] + 1),) + out[1:] if n == 4 else out
+            bump = MatPoly.constant([[int((r, c) == (0, 1)) for c in range(op.dim)] for r in range(op.dim)])
+            return real(op, n) + bump if n == 4 else real(op, n)
 
-        monkeypatch.setattr(verify, "monic_eigenvalue", skewed)
+        monkeypatch.setattr(verify, "monic_matrix", skewed)
         report = run_suite(BASE, max_w=1)
         assert {c.name: c.witness for c in report.checks if c.status == "fail"} == {
             "monic_eigenvalue_relation": "monic eigenvalue relation fails at n = 4",
@@ -658,16 +663,16 @@ class TestSuite:
 
     @pytest.mark.usefixtures("fresh_family")
     def test_leading_coefficient_checks_hold_the_descent_to_the_closed_form(self, monkeypatch):
-        # the descent starts from zero and never reads kernel_vector, so one
+        # the descent starts from zero and never reads kernel_matrix, so one
         # entry below the diagonal of the closed form changed at w = 3 fails
         # the leading coefficient check of that degree and nothing else
-        real = mvop.hyper.kernel_vector
+        real = verify.kernel_matrix
 
-        def skewed(p, w, j):
-            out = real(p, w, j)
-            return (out[0] + 1,) + out[1:] if (w, j) == (3, 2) else out
+        def skewed(p, w):
+            bump = MatPoly.constant([[int((r, c) == (2, 0)) for c in range(p.size)] for r in range(p.size)])
+            return real(p, w) + bump if w == 3 else real(p, w)
 
-        monkeypatch.setattr(mvop.hyper, "kernel_vector", skewed)
+        monkeypatch.setattr(verify, "kernel_matrix", skewed)
         report = run_suite(GRID[3], max_w=4)
         assert {c.name: c.witness for c in report.checks if c.status == "fail"} == {
             "leading_coefficient_w3": "leading coefficient differs at w = 3",
@@ -745,18 +750,21 @@ class TestSuite:
 
     @staticmethod
     def _patch_block(monkeypatch, at, entry, value):
-        # the suite reads every Gram block through the Family of its parameters
-        real = Family.gram
+        # the suite reads every Gram block through the Family of its
+        # parameters, as integers over one denominator: the patched block
+        # moves to a denominator that also carries value's, and the entry
+        # becomes value
+        real = Family.gram_num
 
         def skewed(fam, w, wp):
-            block = real(fam, w, wp)
+            block, den = real(fam, w, wp)
             if (w, wp) != at:
-                return block
-            entries = [list(row) for row in block]
-            entries[entry[0]][entry[1]] = value
-            return tuple(map(tuple, entries))
+                return block, den
+            entries = [[x * value.denominator for x in row] for row in block]
+            entries[entry[0]][entry[1]] = value.numerator * den
+            return tuple(map(tuple, entries)), den * value.denominator
 
-        monkeypatch.setattr(Family, "gram", skewed)
+        monkeypatch.setattr(Family, "gram_num", skewed)
 
     def test_norm_block_with_off_diagonal_entry_fails(self, monkeypatch):
         self._patch_block(monkeypatch, (1, 1), (0, 1), Fraction(1, 7))
@@ -786,3 +794,108 @@ class TestSuite:
         check = next(c for c in report.checks if c.name == "collision_classes")
         assert check.status == "fail"
         assert check.witness == "slot (1, 0) missing from its class"
+
+
+# the run_suite checks that decide on integer numerators, by name prefix
+REWRITTEN = (
+    "boundary_",
+    "bilinear_symmetry_",
+    "leading_coefficient_w",
+    "gram_",
+    "eigenvalue_relation",
+    "monic_eigenvalue_relation",
+    "ideal_lines",
+)
+
+
+class TestFractionOracle:
+    # GRID[3] is the resonant Params(0, 1, 3/2, 2); Params(0, 1, 1, 6) is resonant too
+    POINTS = GRID + [Params(0, 1, 1, 6)]
+
+    @staticmethod
+    def _verdicts(p, max_w):
+        report = run_suite(p, max_w)
+        got = {c.name: c.status == "pass" for c in report.checks if c.name.startswith(REWRITTEN)}
+        return got, oracle.verdicts(mvop.hyper.family(p), max_w)
+
+    @pytest.mark.usefixtures("fresh_family")
+    @pytest.mark.parametrize("p", POINTS, ids=str)
+    def test_integer_verdicts_are_the_fraction_verdicts(self, p):
+        got, want = self._verdicts(p, 8)
+        assert got == want
+        assert all(want.values())
+
+    @pytest.mark.parametrize("p", POINTS, ids=str)
+    def test_integer_forms_are_the_fraction_forms(self, p):
+        fam = Family(p)
+        for op in (fam.hyper, fam.companion):
+            assert tuple(check_boundary(fam.weight, op)) == oracle.boundary(fam.weight, op)
+            for n in (0, 1, 5):
+                assert [list(row) for row in model.monic_eigenvalue(op, n)] == oracle.monic_eigenvalue(op, n)
+        for w in range(4):
+            assert [mvop.hyper.kernel_vector(p, w, j) for j in range(p.size)] == [
+                oracle.kernel_vector(p, w, j) for j in range(p.size)
+            ]
+            assert [fam.gram(w, wp) for wp in range(4)] == [oracle.gram(fam, w, wp) for wp in range(4)]
+        assert eigen_table(p, 6) == [model.EigenPair(*slot) for slot in oracle.eigen_table(p, 6)]
+
+    @pytest.mark.usefixtures("fresh_family")
+    @pytest.mark.parametrize("p", [GRID[1], Params(0, 1, 1, 6)], ids=str)
+    def test_perturbed_zero_order_coefficient_of_d_fails_in_both(self, p):
+        # one entry below the diagonal of D's zero-order coefficient, which the
+        # descent never reads: the family stays, while D is no longer
+        # symmetric nor on the monic eigenvalue relation with E
+        fam = mvop.hyper.family(p)
+        d = fam.hyper
+        bump = MatPoly.constant([[int((i, j) == (p.ell, 0)) for j in range(p.size)] for i in range(p.size)])
+        fam.hyper = DiffOp(p.size, (d.coeff_of_order(2), d.coeff_of_order(1), d.coeff_of_order(0) + bump))
+        got, want = self._verdicts(p, 4)
+        assert got == want
+        assert {name for name, ok in want.items() if not ok} == {"bilinear_symmetry_hyper", "monic_eigenvalue_relation"}
+
+
+
+class TestFractionFree:
+    COUNTED = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__", "__eq__")
+
+    @pytest.mark.usefixtures("fresh_family")
+    def test_rewritten_checks_do_no_fraction_arithmetic(self, monkeypatch):
+        # with P_w and the moment rows for w <= 8 built, the checks that
+        # decide on integer numerators call no Fraction arithmetic or
+        # comparison at a passing point; the counters run per check
+        p = Params(Fraction(1, 2), Fraction(3, 2), 1, 3)
+        fam = mvop.hyper.family(p)
+        for w in range(9):
+            for wp in range(w, 9):
+                fam.gram(w, wp)
+        counts, running = {}, []
+
+        def counting(real):
+            def counted(*args):
+                if running:
+                    counts[running[-1]] = counts.get(running[-1], 0) + 1
+                return real(*args)
+
+            return counted
+
+        def tracked(real):
+            def result(name, thunk):
+                running.append(name)
+                try:
+                    return real(name, thunk)
+                finally:
+                    running.pop()
+
+            return result
+
+        with monkeypatch.context() as patch:
+            for name in self.COUNTED:
+                patch.setattr(Fraction, name, counting(getattr(Fraction, name)))
+            patch.setattr(verify, "_result", tracked(verify._result))
+            report = run_suite(p, max_w=8)
+        assert report.passed
+        rewritten = [c.name for c in report.checks if c.name.startswith(REWRITTEN)]
+        assert len(rewritten) == 2 + 2 + 9 + 36 + 1 + 3
+        assert {name: counts.get(name, 0) for name in rewritten} == dict.fromkeys(rewritten, 0)
+        # the counters do see the checks that still run on Fractions
+        assert counts["symmetry_reduced_hyper"] > 0
