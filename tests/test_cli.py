@@ -306,6 +306,21 @@ def test_unwritable_out_fails_before_any_column_is_built(tmp_path, capsys, desce
             ["--alpha=1/2", "--beta=3/2", "--k=1", "--ell=2", "--max-w=14", "--format", "json"],
             "4c04d6a8e0dcdc3ff091f859b6b4c11979e9b6935bdafdad5aafc6676c3569ba",
         ),
+        (
+            "verify",
+            ["--alpha=5/2", "--beta=2/3", "--k=1/2", "--ell=3", "--max-w=0", "--format", "json"],
+            "6e016b6885d934c577675a1174b89fe6c5179d7da055b89c73af17b6d57a982d",
+        ),
+        (
+            "verify",
+            ["--alpha=5/2", "--beta=2/3", "--k=1/2", "--ell=3", "--max-w=2", "--format", "json"],
+            "6fad9ffd62d4a09f53b2ce5e262d5203d7663acd42c9a47f7ac62033109c27db",
+        ),
+        (
+            "verify",
+            ["--alpha=0", "--beta=1", "--k=3/2", "--ell=2", "--max-w=10", "--format", "json"],
+            "3eb3daf2c974581cecc464fb8ef2097c38a139e515f4a2a3f01113a0d2d6951a",
+        ),
     ],
 )
 def test_verify_and_gram_output_is_byte_identical(capsys, command, flags, digest):

@@ -485,6 +485,18 @@ class TestEigenAndCommutation:
         perturbed = DiffOp(2, (e.coeff_of_order(2), e.coeff_of_order(1) + ddu.coeff_of_order(1), e.coeff_of_order(0)))
         assert not (d.compose(perturbed) - perturbed.compose(d)).is_zero()
 
+    @pytest.mark.usefixtures("fresh_family")
+    def test_check_commute_rejects_a_perturbed_companion(self):
+        # E plus d/du no longer commutes with D; check_commute compares the two
+        # products instead of testing their difference for zero
+        fam = mvop.hyper.family(BASE)
+        e = fam.companion
+        ddu = MatPoly.from_scalar(2, (1,))
+        fam.companion = DiffOp(2, (e.coeff_of_order(2), e.coeff_of_order(1) + ddu, e.coeff_of_order(0)))
+        assert not check_commute(BASE)
+        report = run_suite(BASE, max_w=1)
+        assert ("commutation", "fail", "nonzero commutator") in report.checks
+
     def test_composed_operator_eigenvalue_is_product(self):
         for p in GRID[:2]:
             de = hyper_operator(p).compose(companion_operator(p))
@@ -626,7 +638,7 @@ class TestSuite:
         # mu off by 1 at every slot of w = 3 (d^2 on its numerator) breaks the
         # eigenvalue relation there, and the affine lines, which read the same
         # slot table; the identity added to the monic eigenvalue matrices of
-        # n = 5 breaks the monic relation there
+        # n = 3 breaks the monic relation there
         real_table, real_monic = verify.slot_table, verify.monic_matrix
 
         def bumped_table(p, max_w):
@@ -635,14 +647,14 @@ class TestSuite:
 
         def bumped_monic(op, n):
             out = real_monic(op, n)
-            return out + MatPoly.constant(linalg.identity(op.dim)) if n == 5 else out
+            return out + MatPoly.constant(linalg.identity(op.dim)) if n == 3 else out
 
         monkeypatch.setattr(verify, "slot_table", bumped_table)
         monkeypatch.setattr(verify, "monic_matrix", bumped_monic)
         report = run_suite(BASE, max_w=1)
         assert {c.name: c.witness for c in report.checks if c.status == "fail"} == {
             "eigenvalue_relation": "eigenvalue relation fails at w = 3",
-            "monic_eigenvalue_relation": "monic eigenvalue relation fails at n = 5",
+            "monic_eigenvalue_relation": "monic eigenvalue relation fails at n = 3",
             "ideal_lines": "eigenvalue pair off its line",
         }
 
@@ -653,13 +665,62 @@ class TestSuite:
 
         def skewed(op, n):
             bump = MatPoly.constant([[int((r, c) == (0, 1)) for c in range(op.dim)] for r in range(op.dim)])
-            return real(op, n) + bump if n == 4 else real(op, n)
+            return real(op, n) + bump if n == 2 else real(op, n)
 
         monkeypatch.setattr(verify, "monic_matrix", skewed)
         report = run_suite(BASE, max_w=1)
         assert {c.name: c.witness for c in report.checks if c.status == "fail"} == {
-            "monic_eigenvalue_relation": "monic eigenvalue relation fails at n = 4",
+            "monic_eigenvalue_relation": "monic eigenvalue relation fails at n = 2",
         }
+
+    @pytest.mark.parametrize("p", GRID, ids=str)
+    def test_cubic_defect_in_the_monic_matrices_fails_at_n_3(self, monkeypatch, p):
+        # n(n-1)(n-2) I added to every monic eigenvalue matrix vanishes at
+        # n <= 2, so the relation is caught at n = 3, its first failing degree
+        real = verify.monic_matrix
+
+        def bumped(op, n):
+            return real(op, n) + MatPoly.constant(linalg.identity(op.dim)) * (n * (n - 1) * (n - 2))
+
+        monkeypatch.setattr(verify, "monic_matrix", bumped)
+        report = run_suite(p, max_w=1)
+        assert {c.name: c.witness for c in report.checks if c.status == "fail"} == {
+            "monic_eigenvalue_relation": "monic eigenvalue relation fails at n = 3",
+        }
+
+    @pytest.mark.parametrize("p", GRID, ids=str)
+    def test_quadratic_defect_in_mu_fails_at_w_2(self, monkeypatch, p):
+        # w(w-1) added to every mu (d^2 on its numerator) vanishes at w <= 1,
+        # so the relation is caught at w = 2, and the affine lines fail too
+        real = verify.slot_table
+
+        def bumped(q, max_w):
+            d = model._cleared(q)[0]
+            return [(w, j, lam, mu + w * (w - 1) * d * d) for w, j, lam, mu in real(q, max_w)]
+
+        monkeypatch.setattr(verify, "slot_table", bumped)
+        report = run_suite(p, max_w=1)
+        assert {c.name: c.witness for c in report.checks if c.status == "fail"} == {
+            "eigenvalue_relation": "eigenvalue relation fails at w = 2",
+            "ideal_lines": "eigenvalue pair off its line",
+        }
+
+    @pytest.mark.parametrize("p", GRID + [Params(0, 1, 1, 6)], ids=str)
+    def test_relation_sides_are_polynomials_of_low_degree(self, p):
+        # run_suite decides the eigenvalue relations at degrees 0..3 alone,
+        # which holds for every degree because monic_matrix is quadratic in n
+        # and _slot's lambda d and mu d^2 are quadratic in w: every third
+        # finite difference vanishes
+        def third_difference(f, n):
+            return f(n + 3) - f(n + 2) * 3 + f(n + 1) * 3 - f(n)
+
+        fam = Family(p)
+        for op in (fam.hyper, fam.companion):
+            assert all(third_difference(lambda n: model.monic_matrix(op, n), n).is_zero() for n in range(31))
+        cleared = model._cleared(p)
+        for j in range(p.size):
+            for side in (0, 1):
+                assert all(third_difference(lambda w: model._slot(p, w, j, cleared)[side], w) == 0 for w in range(31))
 
     @pytest.mark.usefixtures("fresh_family")
     def test_leading_coefficient_checks_hold_the_descent_to_the_closed_form(self, monkeypatch):
