@@ -4,7 +4,7 @@ Matrices are tuples of row tuples, immutable and hashable, so results can be
 cached and compared structurally.  Entries are int or Fraction only
 (exact_scalar).  Every matrix product runs on one integer kernel, int_matmul,
 on operands already cleared to integers over a denominator that the caller
-keeps (MatPoly coefficients, the moment table, the integer form of a
+keeps (MatPoly coefficients, the weight's integrals, the integer form of a
 DiffOp), so nothing here clears a Fraction matrix.  Nothing here solves a
 linear system: the library only ever back-substitutes against bidiagonal or
 unit triangular matrices, next to where they arise.

@@ -1,8 +1,7 @@
 """The three-parameter family: admissible parameters, the polynomial core of
-the matrix weight, its moment matrices (the only integrals, built from the
-moments of the scalar factor) and the pairing they define, the
-hypergeometric-form second-order operator, a second commuting symmetric
-operator, and all of their eigenvalue data.
+the matrix weight, the moments of its scalar factor (the only integral) and
+the pairing they define, the hypergeometric-form second-order operator, a
+second commuting symmetric operator, and all of their eigenvalue data.
 
 Parameters are (alpha, beta, k, ell) with alpha > -1, beta > -1,
 0 < k < beta + 1 and integer ell >= 1; matrices have size ell + 1.  Row and
@@ -138,63 +137,50 @@ def weight_core(p: Params) -> MatPoly:
 
 
 class WeightSpec:
-    """The weight W = (1-u)^alpha u^beta Z(u) as its core Z and its moment matrices.
-
-    The moment matrix H_m = sum_c ratio(m + c) Z_c is the integral of u^m W in
-    units of the zeroth moment of the scalar factor, with the exact
-    ratio(n) = poch(beta + 1, n) / poch(alpha + beta + 2, n).  Every pairing
-    against the weight is a sum of H_{a+b} between polynomial coefficients,
-    so the table, grown on demand with the ratios, is the only place the
-    weight is integrated.  It holds H_m as one ratio-weighted sum of the
-    core's integer numerators, over the core's denominator times the lcm of
-    the ratios' denominators.
-    """
+    """The weight W = (1-u)^alpha u^beta Z(u) as its core Z and the moments
+    of its scalar factor, the only integral: in units of the zeroth moment,
+    u^n integrates against the factor to the exact
+    ratio(n) = poch(beta + 1, n) / poch(alpha + beta + 2, n), grown on
+    demand by their recurrence.  Every pairing against the weight is such an
+    integral of a matrix polynomial, which integrals reads from the ratios."""
 
     def __init__(self, params: Params):
         self.params = params
         self.core = weight_core(params)
         self._ratios = [Fraction(1)]
-        self._table = []
 
-    def moment_num(self, m: int) -> tuple:
-        """Moment matrix H_m, for m >= 0, as (integer matrix, denominator)."""
-        _check_bound("m", m)
-        core, ratios, table = self.core, self._ratios, self._table
-        a, b = self.params.alpha, self.params.beta
-        while len(ratios) < m + len(core.num):
-            # ratio(n) = ratio(n-1) * (beta + n) / (alpha + beta + 1 + n)
+    def integrals(self, y: MatPoly, n: int) -> tuple:
+        """The integrals of u^a Y against the scalar factor for a < n, each
+        sum_m ratio(a + m) Y_m, as (rows, den): integer matrices over one
+        denominator, the lcm of the ratios read times y.den."""
+        _check_bound("n", n)
+        if not (n and y.num):
+            return [((0,) * y.cols,) * y.dim] * n, y.den
+        ratios, a, b, width = self._ratios, self.params.alpha, self.params.beta, len(y.num)
+        while len(ratios) < n + width - 1:
+            # ratio(m) = ratio(m-1) * (beta + m) / (alpha + beta + 1 + m)
             ratios.append(ratios[-1] * (b + len(ratios)) / (a + b + 1 + len(ratios)))
-        while len(table) <= m:
-            window = ratios[len(table) : len(table) + len(core.num)]
-            den = math.lcm(*(r.denominator for r in window))
-            weights = [r.numerator * (den // r.denominator) for r in window]
-            num = tuple(
-                tuple(sum(map(operator.mul, weights, entry)) for entry in zip(*rows)) for rows in zip(*core.num)
-            )
-            table.append((num, core.den * den))
-        return table[m]
-
-    def moments(self, n: int) -> tuple:
-        """H_0, ..., H_{n-1} as integer matrices over one common denominator."""
-        table = [self.moment_num(m) for m in range(n)]
-        den = math.lcm(*(d for _, d in table))
-        return [[[x * (den // d) for x in row] for row in h] for h, d in table], den
+        read = ratios[: n + width - 1]
+        den = math.lcm(*(r.denominator for r in read))
+        weights = [r.numerator * (den // r.denominator) for r in read]
+        entries = [list(zip(*rows_i)) for rows_i in zip(*y.num)]  # entry (i, j) of every Y_m
+        windows = (weights[i : i + width] for i in range(n))
+        rows = [tuple(tuple(sum(map(operator.mul, part, e)) for e in row) for row in entries) for part in windows]
+        return rows, den * y.den
 
 
 def moment_rows(qq: MatPoly, ws: WeightSpec, n: int) -> tuple:
     """The moment rows N[a] = sum_b H_{a+b} qq_b^T for a < n, the pairings of
     u^a I against qq, as (rows, den): dim x qq.dim integer matrices over one
-    denominator, to which each H_m read is scaled once per call."""
+    denominator.  H_m = sum_c ratio(m + c) Z_c is never formed: with G the
+    integrals of qq^T, N[a] = sum_c Z_c G[a + c], the core paired against G."""
     dim = ws.core.dim
     if qq.cols != dim:
         raise ValueError("dimension mismatch")
-    if qq.is_zero():
+    if qq.is_zero() or n == 0:
         return [((0,) * qq.dim,) * dim] * n, 1
-    width = len(qq.num)
-    hs, den = ws.moments(n + width - 1)
-    stacked = [col for c in qq.num for col in zip(*c)]
-    rows = [linalg.int_matmul([[x for h in hs[a : a + width] for x in h[i]] for i in range(dim)], stacked) for a in range(n)]
-    return rows, den * qq.den
+    g, den = ws.integrals(qq.transpose(), n + len(ws.core.num) - 1)
+    return [pair_rows(ws.core, g[a:], den, qq.dim)[0] for a in range(n)], den * ws.core.den
 
 
 def pair_rows(pp: MatPoly, rows, den: int, cols: int) -> tuple:

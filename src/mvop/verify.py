@@ -2,7 +2,7 @@
 
 All checks reduce analytic statements about the weight
 W(u) = (1-u)^alpha u^beta Z(u) to polynomial or rational identities:
-integrals go through the moment matrices of the weight, the symmetry
+integrals go through the moments of the weight's scalar factor, the symmetry
 equations are cleared of the non-polynomial scalar factor, and boundary
 limits become vanishing-order comparisons.  A check passes only when the
 corresponding exact object is identically zero (or identically positive,
@@ -24,8 +24,7 @@ from functools import partial
 from . import linalg
 from .exact import _check_bound
 from .matpoly import DiffOp, MatPoly
-from .model import Params, WeightSpec, _cleared, companion_eigenvalue, hyper_eigenvalue
-from .model import monic_matrix, pair_rows, slot_table
+from .model import Params, WeightSpec, _cleared, _slot, monic_matrix, pair_rows, slot_table
 from .hyper import GramBlock, family, find_collisions, gram_block, kernel_matrix
 
 __all__ = [
@@ -126,15 +125,16 @@ def check_bilinear_symmetry(ws: WeightSpec, op: DiffOp, max_power: int = 4) -> b
     G[(a, r), (b, t)] = <op(u^a e_r), u^b e_t> of the vector monomials is
     symmetric.  With X_a = op(u^a I), G[(a, r), (b, t)] is entry (r, t) of the
     block S[a][b] = sum_c (X_a)_c^T H_{c+b}: X_a^T paired against the moment
-    rows of u^b I, which are H_{b+c} read straight from the moment table.  So
-    the test is S[a][b] == S[b][a]^T, on integer numerators.
+    rows of u^b I, which are the weight's moments H_{b+c}, the integrals of
+    u^(b+c) Z from WeightSpec.integrals.  So the test is S[a][b] == S[b][a]^T,
+    on integer numerators.
     """
     _check_bound("max_power", max_power)
     dim = ws.core.dim
     powers = range(max_power + 1)
     images = [op.apply(MatPoly.monomial(dim, linalg.identity(dim), a)).transpose() for a in powers]
     n = max(len(x.num) for x in images)
-    hs, den = ws.moments(max_power + n)
+    hs, den = ws.integrals(ws.core, max_power + n)
     scale = math.lcm(*(x.den for x in images))  # every S[a][b] over den alone
     s = [[pair_rows(x * scale, hs[b : b + n], den, dim)[0] for b in powers] for x in images]
     return all(s[a][b] == linalg.transpose(s[b][a]) for a in powers for b in range(a + 1))
@@ -143,14 +143,14 @@ def check_bilinear_symmetry(ws: WeightSpec, op: DiffOp, max_power: int = 4) -> b
 def check_eigen(p: Params, w: int) -> bool:
     """Both operators act on the transposed degree-w family by right
     multiplication with their diagonal eigenvalue matrices: each scales
-    column j by its eigenvalue at slot (w, j), as integer numerators over
-    one denominator."""
+    column j by its eigenvalue at slot (w, j), read from _slot as the integer
+    numerators lambda d and mu d^2."""
     fam = family(p)
     pt = fam.poly(w).transpose()
-    for op, eigenvalue in ((fam.hyper, hyper_eigenvalue), (fam.companion, companion_eigenvalue)):
-        values = [eigenvalue(p, w, j) for j in range(p.size)]
-        den = math.lcm(*(v.denominator for v in values))
-        scale = [v.numerator * (den // v.denominator) for v in values]
+    cleared = _cleared(p)
+    d = cleared[0]
+    lams, mus = zip(*(_slot(p, w, j, cleared) for j in range(p.size)))
+    for op, scale, den in ((fam.hyper, lams, d), (fam.companion, mus, d * d)):
         num = [tuple(tuple(x * s for x, s in zip(row, scale)) for row in c) for c in pt.num]
         if op.apply(pt) != MatPoly._reduced(p.size, p.size, num, pt.den * den):
             return False

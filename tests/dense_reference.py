@@ -4,11 +4,12 @@ moments of the scalar factor and the weight pairing as one call.
 
 The library builds every column by a bidiagonal descent from its closed-form
 leading coefficient, decomposes by unit triangular back-substitution and
-pairs through its integer moment table, moment_rows and pair_rows, so it
-needs none of this.  These are the second construction, the general solver
-and the Fraction moment matrices it used before, kept with their code and
-assertions so the tests can hold the library to them.  Matrices are the
-library's tuples of row tuples, vectors are tuples.
+pairs through the integrals of the scalar factor (WeightSpec.integrals),
+moment_rows and pair_rows, so it needs none of this.  These are the second
+construction, the general solver and the Fraction moment matrices it used
+before, kept with their code and assertions so the tests can hold the
+library to them.  Matrices are the library's tuples of row tuples, vectors
+are tuples.
 """
 
 import math
@@ -233,7 +234,7 @@ def moment_ratio(p: Params, n: int) -> Fraction:
 
 def moment_matrix(ws: WeightSpec, m: int) -> Matrix:
     """H_m = sum_c ratio(m + c) Z_c from the weight's core and the closed-form
-    ratios alone, never its table: ratio(m + c) I times Z_c, summed through
+    ratios alone, never its integrals: ratio(m + c) I times Z_c, summed through
     one dense product of Fraction matrices."""
     core, eye = ws.core, linalg.identity(ws.core.dim)
     ratios = [linalg.scale(eye, moment_ratio(ws.params, m + c)) for c in range(len(core.num))]

@@ -73,10 +73,11 @@ def test_format_rational_lowest_terms():
 
 def test_moment_ratio_frozen_values():
     # integer-exponent oracle: the m-th moment of u^beta on (0,1) is 1/(beta+m+1),
-    # so at alpha = 0 the table holds H_m = sum_c (beta+1)/(beta+m+c+1) Z_c
+    # so at alpha = 0 row m of the integrals of the core is H_m = sum_c (beta+1)/(beta+m+c+1) Z_c
     for beta, k, m in ((0, Fraction(1, 2), 2), (1, 1, 1), (3, 1, 4), (1, Fraction(1, 2), 0)):
         ws = WeightSpec(Params(0, beta, k, 1))
-        num, den = ws.moment_num(m)
+        rows, den = ws.integrals(ws.core, m + 1)
+        num = rows[m]
         zs = ws.core.coeffs
         want = [
             [sum(Fraction(beta + 1, beta + m + c + 1) * z[i][j] for c, z in enumerate(zs)) for j in range(2)]

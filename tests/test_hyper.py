@@ -544,7 +544,7 @@ class TestBuildColumn:
             mvop.model: ("inner_product",),
         }
         assert [(m.__name__, n) for m, names in gone.items() for n in names if hasattr(m, n)] == []
-        monkeypatch.setattr(mvop.model.WeightSpec, "moment_num", refuse)
+        monkeypatch.setattr(mvop.model.WeightSpec, "integrals", refuse)
         monkeypatch.setattr(mvop.hyper, "moment_rows", refuse)
         monkeypatch.setattr(mvop.hyper, "kernel_vector", refuse)
         big = Params(0, 3, 1, 5)

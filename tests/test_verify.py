@@ -55,7 +55,7 @@ def column_pairing(pv, qv, ws):
 
 def literal_double_sum(pp, qq, ws):
     """sum over a, b of P_a H_{a+b} Q_b^T, one coefficient pair at a time, with
-    H_m from the dense Fraction construction rather than the weight's table."""
+    H_m from the dense Fraction construction rather than the weight's integrals."""
     total = linalg.zeros(pp.dim, qq.dim)
     for a, pa in enumerate(pp.coeffs):
         for b, qb in enumerate(qq.coeffs):
@@ -73,11 +73,13 @@ class TestMomentTable:
     POINTS = GRID + [Params(Fraction(1, 2), Fraction(2, 3), Fraction(5, 6), 3)]
 
     def test_integer_table_matches_the_dense_fraction_construction(self):
+        # H_m is row m of the integrals of the core, over the lcm of every ratio read
         for p in self.POINTS:
             ws = WeightSpec(p)
             for m in range(2 * 8 + 2 * p.ell + 1):
-                num, den = ws.moment_num(m)
-                ratios = [dense.moment_ratio(p, m + c) for c in range(len(ws.core.num))]
+                rows, den = ws.integrals(ws.core, m + 1)
+                num = rows[m]
+                ratios = [dense.moment_ratio(p, c) for c in range(m + len(ws.core.num))]
                 assert den == ws.core.den * math.lcm(*(r.denominator for r in ratios))
                 assert all(type(x) is int for row in num for x in row)
                 assert as_fractions(num, den) == dense.moment_matrix(ws, m)
@@ -88,37 +90,73 @@ class TestMomentTable:
         st.integers(0, 12),
     )
     def test_table_matches_the_closed_form_at_random_exponents(self, alpha, beta, m):
-        # the table grows its ratios by a recurrence; the oracle uses the
+        # the weight grows its ratios by a recurrence; the oracle uses the
         # closed form, at any admissible exponents
         ws = WeightSpec(Params(alpha, beta, (beta + 1) / 2, 1))
-        assert as_fractions(*ws.moment_num(m)) == dense.moment_matrix(ws, m)
+        rows, den = ws.integrals(ws.core, m + 1)
+        assert as_fractions(rows[m], den) == dense.moment_matrix(ws, m)
+
+    def test_integrals_match_the_gamma_function_oracle(self):
+        # independent oracle: ratio(n) as a quotient of Gamma functions, which
+        # sympy simplifies to a rational, on a rectangular Y at a point whose
+        # alpha, beta and k have different denominators; a zero Y and n = 0 too
+        sympy = pytest.importorskip("sympy")
+        p = self.POINTS[-1]
+        a, b = (sympy.Rational(x.numerator, x.denominator) for x in (p.alpha, p.beta))
+        gamma = sympy.gamma
+
+        def ratio(n):
+            r = sympy.gammasimp(gamma(b + 1 + n) * gamma(a + b + 2) / (gamma(b + 1) * gamma(a + b + 2 + n)))
+            assert r.is_Rational
+            return Fraction(int(r.p), int(r.q))
+
+        y = MatPoly(2, [[[1, Fraction(-2, 3), 0], [5, 0, Fraction(1, 4)]], linalg.zeros(2, 3), [[0, 7, -1], [2, 3, 1]]], 3)
+        n = 6
+        ratios = [ratio(c) for c in range(n + len(y.num) - 1)]
+        rows, den = WeightSpec(p).integrals(y, n)
+        want = [
+            tuple(
+                tuple(sum(ratios[row + m] * c[i][j] for m, c in enumerate(y.coeffs)) for j in range(3)) for i in range(2)
+            )
+            for row in range(n)
+        ]
+        assert [as_fractions(r, den) for r in rows] == want
+        assert den == math.lcm(*(r.denominator for r in ratios)) * y.den
+        assert WeightSpec(p).integrals(MatPoly.zero(2, 3), 4) == ([((0, 0, 0), (0, 0, 0))] * 4, 1)
+        assert WeightSpec(p).integrals(y, 0) == ([], y.den)
 
     @pytest.mark.parametrize("bad", [True, False, 2.0, Fraction(2)])
     def test_index_must_be_an_integer(self, bad):
         ws = WeightSpec(BASE)
-        with pytest.raises(ValueError, match="m must be an integer"):
-            ws.moment_num(bad)
-        with pytest.raises(ValueError, match="m must be >= 0"):
-            ws.moment_num(-1)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            ws.integrals(ws.core, bad)
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            ws.integrals(ws.core, -1)
 
     @pytest.mark.usefixtures("fresh_family")
-    def test_corrupt_table_entry_fails_the_pairing_checks(self):
-        # negative control: one numerator of H_2 off by one breaks the Gram
-        # blocks and the bilinear symmetry, and nothing that reads no pairing
-        ws = mvop.hyper.family(BASE).weight
-        num, den = ws.moment_num(2)
-        bad = [list(row) for row in num]
-        bad[0][1] += 1
-        ws._table[2] = (tuple(map(tuple, bad)), den)
-        failed = {c.name: c.witness for c in run_suite(BASE, max_w=3).checks if c.status == "fail"}
-        assert failed["gram_zero_w0_w2"] == "nonzero block at (0, 2): entry (0, 1) is 1/30"
-        assert failed["gram_norms_positive"] == "norm block entry (w, i, j) = (1, 0, 1) is 1/30"
+    def test_corrupt_ratio_fails_the_pairing_checks(self):
+        # negative control: ratio(2) off by 1/7, seeded before first use (and
+        # carried up by the recurrence) breaks every Gram block and the
+        # bilinear symmetry, and nothing that reads no pairing
+        p = GRID[1]
+        ws = mvop.hyper.family(p).weight
+        ws._ratios = [Fraction(1), dense.moment_ratio(p, 1), dense.moment_ratio(p, 2) + Fraction(1, 7)]
+        failed = {c.name: c.witness for c in run_suite(p, max_w=3).checks if c.status == "fail"}
+        assert {name: w for name, w in failed.items() if name.startswith("gram_zero_")} == {
+            "gram_zero_w0_w1": "nonzero block at (0, 1): entry (0, 0) is -5/14",
+            "gram_zero_w0_w2": "nonzero block at (0, 2): entry (0, 0) is 495/1568",
+            "gram_zero_w0_w3": "nonzero block at (0, 3): entry (0, 0) is -1573/8960",
+            "gram_zero_w1_w2": "nonzero block at (1, 2): entry (0, 0) is -1485/12544",
+            "gram_zero_w1_w3": "nonzero block at (1, 3): entry (0, 0) is 143/2560",
+            "gram_zero_w2_w3": "nonzero block at (2, 3): entry (0, 0) is -42471/2007040",
+        }
+        assert failed["gram_norms_positive"] == "norm block entry (w, i, j) = (0, 0, 1) is -5/14"
         assert failed["bilinear_symmetry_hyper"] == failed["bilinear_symmetry_companion"] == "defect on monomials"
         assert all(name.startswith(("gram_", "bilinear_symmetry_")) for name in failed)
 
     def test_gram_never_reclears_an_operand(self):
-        # once the polynomials exist, new blocks, new moment rows and a growing
-        # table run on integers that are already cleared: the library has no
+        # once the polynomials exist, new blocks, new moment rows and growing
+        # ratios run on integers that are already cleared: the library has no
         # Fraction-matrix clear left, which lives beside its users in the dense reference
         assert not hasattr(linalg, "_integer_form") and hasattr(dense, "_integer_form")
         p = GRID[1]
@@ -126,9 +164,9 @@ class TestMomentTable:
         polys = [fam.poly(w) for w in range(6)]
         fam.gram(0, 0)
         expected = {(w, wp): literal_double_sum(polys[w], polys[wp], fam.weight) for w in range(6) for wp in range(6)}
-        assert len(fam.weight._table) == 1  # H_0, for the block (0, 0)
+        assert len(fam.weight._ratios) == 2 * p.ell + 1  # ratio(0..2 ell), for the block (0, 0)
         assert {(w, wp): fam.gram(w, wp) for w in range(6) for wp in range(6)} == expected
-        assert len(fam.weight._table) == 2 * 5 + 1
+        assert len(fam.weight._ratios) == 2 * 5 + 2 * p.ell + 1
 
 
 class TestInnerProduct:
@@ -201,7 +239,7 @@ class TestInnerProduct:
         with pytest.raises(ValueError):
             column_pairing(MatPoly.zero(3, 1), MatPoly.zero(3, 1), ws)
         with pytest.raises(ValueError):
-            ws.moment_num(-1)
+            ws.integrals(ws.core, -1)
 
     def test_arguments_need_the_weight_dim_as_column_count(self):
         ws = WeightSpec(BASE)
@@ -459,17 +497,20 @@ class TestEigenAndCommutation:
             for w in range(3):
                 assert check_eigen(p, w)
 
-    @pytest.mark.parametrize("name", ["hyper_eigenvalue", "companion_eigenvalue"])
-    def test_shifted_slot_eigenvalue_fails_only_its_degree(self, monkeypatch, name):
-        # one slot's eigenvalue moved by 1 breaks the eigenfunction identity
-        # at that slot's degree and nowhere else
-        real = getattr(verify, name)
+    @pytest.mark.parametrize("index", [0, 1], ids=["hyper_eigenvalue", "companion_eigenvalue"])
+    def test_shifted_slot_eigenvalue_fails_only_its_degree(self, monkeypatch, index):
+        # one slot's eigenvalue moved by 1 (lambda d by d, or mu d^2 by d^2)
+        # breaks the eigenfunction identity at that slot's degree and nowhere else
+        real = verify._slot
 
-        def shifted(p, w, j):
-            return real(p, w, j) + (1 if (w, j) == (3, 1) else 0)
+        def shifted(p, w, j, cleared):
+            out = list(real(p, w, j, cleared))
+            if (w, j) == (3, 1):
+                out[index] += cleared[0] ** (index + 1)
+            return tuple(out)
 
         p = GRID[1]
-        monkeypatch.setattr(verify, name, shifted)
+        monkeypatch.setattr(verify, "_slot", shifted)
         assert [w for w in range(6) if not check_eigen(p, w)] == [3]
         failed = [c.name for c in run_suite(p, max_w=5).checks if c.status == "fail"]
         assert [n for n in failed if n.startswith("eigenfunctions_")] == ["eigenfunctions_w3"]
