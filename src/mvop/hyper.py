@@ -31,6 +31,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
+from . import linalg
 from .matpoly import MatPoly
 from .exact import _check_bound, exact_scalar, format_rational
 from .model import Params, WeightSpec, _check_j, _cleared, companion_eigenvalue, companion_operator
@@ -126,7 +127,7 @@ class Family:
     """Everything one parameter set fixes, kept as long as the instance and
     each part built on first use: the weight (a WeightSpec), the operators D
     and E (the descent and every apply read their one integer form), each
-    P_w, and the moment rows of each P_w' that the Gram blocks pair against.
+    P_w, and the moment rows of each P_w', computed once per degree.
     A column is not kept: column builds it on every call."""
 
     weight = cached_property(lambda self: WeightSpec(self.params))
@@ -252,15 +253,17 @@ class Family:
         return self._polys[w]
 
     def gram_num(self, w: int, w_prime: int) -> tuple:
-        """The pairing block <P_w, P_w'> as (integer matrix, denominator): P_w
-        paired against the moment rows a <= max(w, w') of P_w', which are
-        computed on first use and again only when a wider P_w needs more;
-        every block is still its own exact sum."""
+        """The pairing block <P_w, P_w'> as (integer matrix, denominator): for
+        w <= w', P_w against the moment rows a <= w' of P_w', computed once.
+        weight_core is symmetric by construction, so <P_w, P_w'> = <P_w', P_w>^T
+        and a block below the diagonal is its mirror's transpose, same den."""
         left, right = self.poly(w), self.poly(w_prime)
-        rows, den = self._moment_rows.get(w_prime, ((), 1))
-        if len(rows) <= w:
-            rows, den = self._moment_rows[w_prime] = moment_rows(right, self.weight, max(w, w_prime) + 1)
-        return pair_rows(left, rows, den, self.params.size)
+        if w > w_prime:
+            num, den = self.gram_num(w_prime, w)
+            return linalg.transpose(num), den
+        if w_prime not in self._moment_rows:
+            self._moment_rows[w_prime] = moment_rows(right, self.weight, w_prime + 1)
+        return pair_rows(left, *self._moment_rows[w_prime], self.params.size)
 
     def gram(self, w: int, w_prime: int):
         """The pairing block <P_w, P_w'>: gram_num as Fractions."""

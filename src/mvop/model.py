@@ -174,6 +174,7 @@ def moment_rows(qq: MatPoly, ws: WeightSpec, n: int) -> tuple:
     u^a I against qq, as (rows, den): dim x qq.dim integer matrices over one
     denominator.  H_m = sum_c ratio(m + c) Z_c is never formed: with G the
     integrals of qq^T, N[a] = sum_c Z_c G[a + c], the core paired against G."""
+    _check_bound("n", n)
     dim = ws.core.dim
     if qq.cols != dim:
         raise ValueError("dimension mismatch")

@@ -6,11 +6,10 @@ integrals go through the moments of the weight's scalar factor, the symmetry
 equations are cleared of the non-polynomial scalar factor, and boundary
 limits become vanishing-order comparisons.  A check passes only when the
 corresponding exact object is identically zero (or identically positive,
-for norms).  The eigenvalue relations are cubics in the degree, so four
-degrees decide them for every degree.  Verdicts are decided on integer
-numerators, cross-multiplied where two denominators meet; the relation,
-Gram, boundary, bilinear and leading-coefficient checks build a Fraction
-only to write a witness.  GramBlock and gram_block are re-exported from hyper.
+for norms).  Verdicts are decided on integer numerators, cross-multiplied
+where two denominators meet; the relation, Gram, boundary, bilinear and
+leading-coefficient checks build a Fraction only to write a witness.
+GramBlock and gram_block are re-exported from hyper.
 """
 
 from __future__ import annotations
@@ -118,18 +117,20 @@ def check_boundary(ws: WeightSpec, op: DiffOp) -> BoundaryReport:
 
 
 def check_bilinear_symmetry(ws: WeightSpec, op: DiffOp, max_power: int = 4) -> bool:
-    """Test <op P, Q> = <P, op Q> on all matrix polynomials of degree <= max_power.
+    """Test <op P, Q> = <P, op Q> on all matrix polynomials of degree <= max_power,
+    for degree-bounded operators only (deg A_i <= i, else ValueError); one of
+    higher coefficient degree can pass on these monomials and not be symmetric.
+    Symmetry itself is decided by check_symmetry_reduced with check_boundary.
 
-    The operator acts column by column and <P, Q> = integral of P^T W Q pairs
-    columns, so the bilinear defect vanishes exactly when the Gram matrix
-    G[(a, r), (b, t)] = <op(u^a e_r), u^b e_t> of the vector monomials is
-    symmetric.  With X_a = op(u^a I), G[(a, r), (b, t)] is entry (r, t) of the
-    block S[a][b] = sum_c (X_a)_c^T H_{c+b}: X_a^T paired against the moment
-    rows of u^b I, which are the weight's moments H_{b+c}, the integrals of
-    u^(b+c) Z from WeightSpec.integrals.  So the test is S[a][b] == S[b][a]^T,
-    on integer numerators.
+    As op acts column by column, the bilinear defect vanishes exactly when
+    G[(a, r), (b, t)] = <op(u^a e_r), u^b e_t> is symmetric.  That is entry
+    (r, t) of S[a][b] = sum_c (X_a)_c^T H_{c+b}, X_a = op(u^a I), with H_m the
+    integrals of u^m Z from WeightSpec.integrals: the moment rows of u^b I.
+    So the test is S[a][b] == S[b][a]^T, on integer numerators.
     """
     _check_bound("max_power", max_power)
+    if not op.is_degree_bounded():
+        raise ValueError("coefficient degrees must not exceed the derivative order")
     dim = ws.core.dim
     powers = range(max_power + 1)
     images = [op.apply(MatPoly.monomial(dim, linalg.identity(dim), a)).transpose() for a in powers]
@@ -214,19 +215,13 @@ def decompose_in_basis(h: MatPoly, p: Params) -> list:
 
 
 def check_ideal(p: Params, w_max: int) -> bool:
-    """Each eigenvalue pair satisfies its affine line:
+    """Each eigenvalue pair satisfies its affine line, times d^2 on slot_table's lambda d and mu d^2:
     mu - (alpha - ell + 3j) lambda + 3j (ell - j + k)(j + alpha + beta - k + 1) = 0."""
     _check_bound("w_max", w_max)
-    return _on_lines(p, slot_table(p, w_max))
-
-
-def _on_lines(p: Params, slots) -> bool:
-    # check_ideal times d^2, on the numerators lambda d and mu d^2 of slot_table
     d, a, b, k = _cleared(p)
-    ell = p.ell
     return not any(
-        mu - (a + (3 * j - ell) * d) * lam + 3 * j * ((ell - j) * d + k) * (a + b - k + (j + 1) * d)
-        for _, j, lam, mu in slots
+        mu - (a + (3 * j - p.ell) * d) * lam + 3 * j * ((p.ell - j) * d + k) * (a + b - k + (j + 1) * d)
+        for _, j, lam, mu in slot_table(p, w_max)
     )
 
 
@@ -273,12 +268,13 @@ def _zero_residuals(ws, op):
 
 
 def run_suite(p: Params, max_w: int = 6) -> VerificationReport:
-    """Run every check for p in a fixed order; the eigenvalue relations are decided for every degree."""
+    """Run every check for p in a fixed order.  Every degree: symmetry_reduced_*, boundary_*, commutation
+    and the three eigenvalue relations (decided from degrees 0 to 3).  Up to max_w: eigenfunctions, leading
+    coefficients, Gram and collision checks.  A sample: bilinear_symmetry_* and decomposition_random."""
     _check_bound("max_w", max_w)
     fam = family(p)
     ws, d, e = fam.weight, fam.hyper, fam.companion
     den, a, b, k = _cleared(p)  # the relations compare numerators over den
-    slots = slot_table(p, 3)
 
     def boundary(op):
         report = check_boundary(ws, op)
@@ -321,7 +317,7 @@ def run_suite(p: Params, max_w: int = 6) -> VerificationReport:
     def eigenvalue_relation():
         # the diagonal eigenvalue matrices are 0 = shift * 0 off the diagonal,
         # so the relation holds there exactly when it holds slot by slot
-        for w, _, lam, mu in slots:
+        for w, _, lam, mu in slot_table(p, 3):
             shift, offset = line(w)
             if mu != shift * lam + offset:
                 return False, f"eigenvalue relation fails at w = {w}"
@@ -378,7 +374,7 @@ def run_suite(p: Params, max_w: int = 6) -> VerificationReport:
         ("gram_norms_positive", norms),
         ("eigenvalue_relation", eigenvalue_relation),
         ("monic_eigenvalue_relation", monic_relation),
-        ("ideal_lines", lambda: (_on_lines(p, slots), "eigenvalue pair off its line")),
+        ("ideal_lines", lambda: (check_ideal(p, 3), "eigenvalue pair off its line")),
         ("collision_classes", collisions),
         ("decomposition_random", decomposition),
     ]

@@ -232,6 +232,14 @@ class TestInnerProduct:
         assert model.pair_rows(MatPoly.zero(1, 2), [], 1, 3) == (((0, 0, 0),), 1)
         assert inner_product(MatPoly.zero(2), MatPoly.from_scalar(2, (1,)), ws) == linalg.zeros(2)
 
+    @pytest.mark.parametrize("bad", [-1, True, 2.0, "2"])
+    @pytest.mark.parametrize("zero", [True, False], ids=["zero", "nonzero"])
+    def test_moment_rows_count_is_checked(self, bad, zero):
+        # the zero polynomial's shortcut must not answer for a bad count
+        qq = MatPoly.zero(2) if zero else MatPoly.from_scalar(2, (1, 2))
+        with pytest.raises(ValueError, match="n must be"):
+            model.moment_rows(qq, WeightSpec(BASE), bad)
+
     def test_dimension_guards(self):
         ws = WeightSpec(BASE)
         with pytest.raises(ValueError):
@@ -314,12 +322,57 @@ class TestGram:
         assert run_suite(BASE, max_w=4).passed
         assert sorted(calls) == [(w, w + 1) for w in range(5)]
 
-    def test_table_grows_rows_for_a_wider_left_factor(self, monkeypatch):
+    def test_rows_are_computed_once_per_degree_in_any_order(self, monkeypatch):
+        # a block below the diagonal is its mirror's transpose, so a wider
+        # left factor reads the rows of its own degree, never more rows of P_3
         expected = [gram_block(BASE, w, 3).entries for w in (1, 0, 5, 4)]
         calls = self._count_rows(monkeypatch)
         fam = Family(BASE)
         assert [fam.gram(w, 3) for w in (1, 0, 5, 4)] == expected
-        assert calls == [(3, 4), (3, 6)]
+        assert calls == [(3, 4), (5, 6), (4, 5)]
+
+    @pytest.mark.parametrize("p", [BASE, GRID[3]], ids=str)
+    def test_full_square_in_either_order_reads_each_degree_once(self, monkeypatch, p):
+        # the oracle pairs P_w against the rows of P_w' directly for every
+        # (w, w'), with no transpose; both orders give its blocks and build
+        # the rows of each P_w' once, with w' + 1 of them
+        square = [(w, wp) for w in range(6) for wp in range(6)]
+        ref = Family(p)
+        want = {(w, wp): oracle.gram(ref, w, wp) for w, wp in square}
+        calls = self._count_rows(monkeypatch)
+        forward, backward = Family(p), Family(p)
+        got_forward = {(w, wp): forward.gram(w, wp) for w, wp in square}
+        assert sorted(calls) == [(wp, wp + 1) for wp in range(6)]
+        calls.clear()
+        got_backward = {(w, wp): backward.gram(w, wp) for w, wp in reversed(square)}
+        assert sorted(calls) == [(wp, wp + 1) for wp in range(6)]
+        assert got_forward == got_backward == want
+        assert forward._moment_rows == backward._moment_rows
+
+    def test_block_below_the_diagonal_is_its_mirrors_transpose(self):
+        # the blocks of an orthogonal family vanish off the diagonal, where a
+        # missing transpose would not show; seeded polynomials that are not
+        # orthogonal give nonzero blocks that are not symmetric
+        rng = random.Random(26)
+        p = GRID[1]
+        fam = Family(p)
+
+        def entries():
+            return [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(p.size)] for _ in range(p.size)]
+
+        for w in range(4):
+            fam._polys[w] = MatPoly(p.size, [entries() for _ in range(w + 1)])
+        for w in range(4):
+            for wp in range(w):
+                block = fam.gram(w, wp)
+                assert block == oracle.gram(fam, w, wp) == linalg.transpose(fam.gram(wp, w))
+                assert block != linalg.transpose(block)
+
+    @pytest.mark.parametrize("w, wp", [("x", 1), (1, True), (True, 0), (0, "1")])
+    def test_indices_are_checked_before_they_are_compared(self, w, wp):
+        # a str or bool index raises ValueError, not the TypeError of w > w'
+        with pytest.raises(ValueError, match="w must be an integer"):
+            Family(BASE).gram(w, wp)
 
 
 class TestSymmetryReduced:
@@ -484,6 +537,31 @@ class TestBilinearSymmetry:
                 assert oracle.bilinear_symmetry(ws, perturbed, max_power=max_power) == expected
                 verdicts.add((max_power, expected))
         assert verdicts == {(0, True), (0, False), (2, True), (2, False)}
+
+    def test_refuses_an_operator_it_cannot_decide(self):
+        # g, of degree 9, has sum_i g_i int u^(m+i) z_01 (1-u)^alpha u^beta = 0
+        # for m <= 8; g(u) E_00 added to D's order-0 coefficient breaks
+        # symmetry, but the defect on monomials of degree <= 4 pairs u^(a+b) g
+        # with a + b <= 8 only, so the sample cannot see it there
+        p = Params(Fraction(1, 2), Fraction(3, 2), 1, 1)
+        ws = WeightSpec(p)
+        z01 = [c[0][1] for c in ws.core.coeffs]
+        moments = [
+            [sum(z * dense.moment_ratio(p, m + i + c) for c, z in enumerate(z01)) for i in range(10)] for m in range(9)
+        ]
+        (g,) = dense.nullspace(moments)
+        op = hyper_operator(p)
+        bump = MatPoly(2, [[[x, 0], [0, 0]] for x in g])
+        perturbed = DiffOp(2, (op.coeff_of_order(2), op.coeff_of_order(1), op.coeff_of_order(0) + bump))
+        assert not perturbed.is_degree_bounded()
+        r1, r2, r3 = check_symmetry_reduced(ws, perturbed)
+        assert r1.is_zero() and r2.is_zero() and not r3.is_zero()
+        assert check_boundary(ws, perturbed).passed
+        # the Fraction form without the guard: the sample passes up to max_power 4
+        assert [oracle.bilinear_symmetry(ws, perturbed, m) for m in (3, 4, 5)] == [True, True, False]
+        for max_power in (3, 4, 5):
+            with pytest.raises(ValueError, match="coefficient degrees must not exceed the derivative order"):
+                check_bilinear_symmetry(ws, perturbed, max_power=max_power)
 
     @pytest.mark.parametrize("bad", [True, False, 2.0, Fraction(2)])
     def test_max_power_must_be_an_integer(self, bad):
