@@ -51,31 +51,24 @@ def check_symmetry_reduced(ws: WeightSpec, op: DiffOp):
         A2^T W = W A2
         A1^T W = -W A1 + 2 (W A2)'
         A0^T W = W A0 - (W A1)' + (W A2)''
-    divide by rho and clear denominators with u^2 (1-u)^2, using
-    rho'/rho = h / (u(1-u)) with h = beta (1-u) - alpha u.  The operator is
-    symmetric for the weight exactly when all three residuals vanish.
+    divide by rho and clear denominators with u^2 (1-u)^2: c_n = u^2 (1-u)^2 rho^(n) / rho is
+    c0 = u^2 (1-u)^2, c1 = u (1-u) h and c2 = h^2 - beta (1-u)^2 - alpha u^2, h = beta - (alpha + beta) u.
+    weight_core is symmetric by construction, so A^T Z = (Z A)^T.  The operator is symmetric for the
+    weight exactly when all three residuals vanish.
     """
     if op.order != 2:
         raise ValueError("operator must have order 2")
-    p = ws.params
-    z = ws.core
-    a2, a1, a0 = (op.coeff_of_order(j) for j in (2, 1, 0))
-    alpha, beta = p.alpha, p.beta
-
-    # scalar polynomials, as multiples of the identity
-    uu = MatPoly.from_scalar(z.dim, (0, 1, -1))
-    h = MatPoly.from_scalar(z.dim, (beta, -alpha - beta))
-    uu2, uuh = uu * uu, uu * h
-    # u^2 (1-u)^2 (rho''/rho) = h^2 - beta (1-u)^2 - alpha u^2
-    rho2 = h * h - MatPoly.from_scalar(z.dim, (beta, -2 * beta, beta + alpha))
-
-    za2, za1 = z * a2, z * a1
+    z, a, b = ws.core, ws.params.alpha, ws.params.beta
+    za2, za1, za0 = (z * op.coeff_of_order(j) for j in (2, 1, 0))
+    c0 = MatPoly.from_scalar(z.dim, (0, 0, 1, -2, 1))
+    c1 = MatPoly.from_scalar(z.dim, (0, b, -a - 2 * b, a + b))
+    c2 = MatPoly.from_scalar(z.dim, (b * b - b, 2 * b * (1 - a - b), (a + b) ** 2 - a - b))
     dza2 = za2.derivative()
+    mid = za1 - 2 * dza2  # Z A1 - 2 (Z A2)', the c1 term of r3 and the c0 term of r2 less A1^T Z
 
-    r1 = (a2.transpose() * z - z * a2) * uu2
-    r2 = (a1.transpose() * z + z * a1 - 2 * dza2) * uu2 - 2 * za2 * uuh
-    r3 = (a0.transpose() * z - z * a0 + za1.derivative() - dza2.derivative()) * uu2
-    r3 = r3 + za1 * uuh - za2 * rho2 - 2 * dza2 * uuh
+    r1 = (za2.transpose() - za2) * c0
+    r2 = (za1.transpose() + mid) * c0 - 2 * za2 * c1
+    r3 = (za0.transpose() - za0 + za1.derivative() - dza2.derivative()) * c0 + mid * c1 - za2 * c2
     return r1, r2, r3
 
 
@@ -98,9 +91,9 @@ def check_boundary(ws: WeightSpec, op: DiffOp) -> BoundaryReport:
     """
     if op.order != 2:
         raise ValueError("operator must have order 2")
-    z, a2, a1 = ws.core, op.coeff_of_order(2), op.coeff_of_order(1)
+    za2, za1 = (ws.core * op.coeff_of_order(j) for j in (2, 1))
     d, alpha, beta, _ = _cleared(ws.params)
-    blocks = (("second_order", z * a2), ("first_order_skew", z * a1 - a1.transpose() * z))
+    blocks = (("second_order", za2), ("first_order_skew", za1 - za1.transpose()))
     entries = []
     for name, mp in blocks:
         for i in range(mp.dim):
@@ -137,7 +130,7 @@ def check_bilinear_symmetry(ws: WeightSpec, op: DiffOp, max_power: int = 4) -> b
     n = max(len(x.num) for x in images)
     hs, den = ws.integrals(ws.core, max_power + n)
     scale = math.lcm(*(x.den for x in images))  # every S[a][b] over den alone
-    s = [[pair_rows(x * scale, hs[b : b + n], den, dim)[0] for b in powers] for x in images]
+    s = [[pair_rows(x, hs[b : b + n], den, dim)[0] for b in powers] for x in (y * scale for y in images)]
     return all(s[a][b] == linalg.transpose(s[b][a]) for a in powers for b in range(a + 1))
 
 
@@ -186,11 +179,12 @@ def _unit_upper_solve(pt: MatPoly, residual: MatPoly, d: int) -> MatPoly:
 def decompose_in_basis(h: MatPoly, p: Params) -> list:
     """Unique constant matrices A_j with h = sum_j transpose(family_j) A_j.
 
-    Peels degrees from the top: the leading coefficient of each transposed
-    family member is the transpose of the unit lower triangular
-    leading_coefficient(p, d), so A_d follows by back-substitution.  Each
-    peel must lower the residual's degree and the final residual must vanish
-    exactly (else ArithmeticError), which certifies every part.
+    Peels degrees from the top: A_d solves lc(P_d)^T A_d = the residual's degree-d coefficient by
+    _unit_upper_solve, which never reads the diagonal of lc(P_d)^T or the entries below it.  So every
+    peel is exact when lc(P_d) is unit lower triangular, as leading_coefficient_w decides, and a random h
+    fails otherwise: decomposition_random confirms that fact on a sample, through a second code path.
+    Each peel must lower the residual's degree and the final residual must vanish exactly (else
+    ArithmeticError), which certifies every part.
     """
     if h.dim != p.size or h.cols != p.size:
         raise ValueError("h must be a square MatPoly of the family's size")
@@ -214,15 +208,20 @@ def decompose_in_basis(h: MatPoly, p: Params) -> list:
     return out
 
 
-def check_ideal(p: Params, w_max: int) -> bool:
-    """Each eigenvalue pair satisfies its affine line, times d^2 on slot_table's lambda d and mu d^2:
-    mu - (alpha - ell + 3j) lambda + 3j (ell - j + k)(j + alpha + beta - k + 1) = 0."""
-    _check_bound("w_max", w_max)
+def _off_line(p: Params, w_max: int):
+    """The first slot (w, j) of slot_table(p, w_max) off its affine line, or None.  The line, times d^2 on
+    lambda d and mu d^2: mu - (alpha - ell + 3j) lambda + 3j (ell - j + k)(j + alpha + beta - k + 1) = 0."""
     d, a, b, k = _cleared(p)
-    return not any(
-        mu - (a + (3 * j - p.ell) * d) * lam + 3 * j * ((p.ell - j) * d + k) * (a + b - k + (j + 1) * d)
-        for _, j, lam, mu in slot_table(p, w_max)
-    )
+    for w, j, lam, mu in slot_table(p, w_max):
+        if mu - (a + (3 * j - p.ell) * d) * lam + 3 * j * ((p.ell - j) * d + k) * (a + b - k + (j + 1) * d):
+            return w, j
+    return None
+
+
+def check_ideal(p: Params, w_max: int) -> bool:
+    """Each eigenvalue pair up to degree w_max satisfies its affine line (see _off_line)."""
+    _check_bound("w_max", w_max)
+    return _off_line(p, w_max) is None
 
 
 class CheckResult(namedtuple("CheckResult", "name status witness", defaults=(None,))):
@@ -331,6 +330,10 @@ def run_suite(p: Params, max_w: int = 6) -> VerificationReport:
                 return False, f"monic eigenvalue relation fails at n = {n}"
         return True, None
 
+    def ideal_lines():
+        slot = _off_line(p, 3)
+        return slot is None, f"eigenvalue pair off its line at (w, j) = {slot}"
+
     def collisions():
         classes = {}
         for w, j, lam, _ in slot_table(p, max_w):
@@ -374,7 +377,7 @@ def run_suite(p: Params, max_w: int = 6) -> VerificationReport:
         ("gram_norms_positive", norms),
         ("eigenvalue_relation", eigenvalue_relation),
         ("monic_eigenvalue_relation", monic_relation),
-        ("ideal_lines", lambda: (check_ideal(p, 3), "eigenvalue pair off its line")),
+        ("ideal_lines", ideal_lines),
         ("collision_classes", collisions),
         ("decomposition_random", decomposition),
     ]

@@ -411,12 +411,18 @@ class TestSymmetryReduced:
 
     @pytest.mark.parametrize(
         "p",
-        [BASE, Params(Fraction(1, 2), Fraction(3, 2), 1, 2), Params(Fraction(5, 2), Fraction(2, 3), Fraction(1, 2), 3)],
+        [
+            BASE,
+            Params(Fraction(1, 2), Fraction(3, 2), 1, 2),
+            Params(Fraction(5, 2), Fraction(2, 3), Fraction(1, 2), 3),
+            Params(0, 1, Fraction(3, 2), 2),
+            Params(0, 1, 1, 4),
+        ],
     )
     def test_residuals_match_sympy_on_the_true_weight(self, p):
         # Re-derive the residuals from W = rho Z with rho = (1-u)^alpha u^beta
         # itself: sympy differentiates rho and clears u^2 (1-u)^2 / rho, which
-        # checks the hand-cleared h, u(1-u) h and rho2 terms; the matrix
+        # checks the hand-expanded c0, c1 and c2 of the residuals; the matrix
         # polynomial algebra runs in the Fraction oracle, apart from MatPoly.
         sp = pytest.importorskip("sympy")
         u = sp.Symbol("u", positive=True)
@@ -455,6 +461,28 @@ class TestSymmetryReduced:
             e2 = oracle.sub(times(oracle.add(aw[1], za1), c0), oracle.scale(d1(za2), 2))
             e3 = oracle.sub(oracle.add(times(oracle.sub(aw[2], oracle.mul(z, a0)), c0), d1(za1)), d2(za2))
             assert [r.coeffs for r in check_symmetry_reduced(ws, op)] == [e1, e2, e3]
+
+    def test_each_core_product_is_formed_once(self, monkeypatch):
+        # Z = Z^T, so A_j^T Z is read as (Z A_j)^T: each check forms every
+        # Z A_j it needs once, with the core on the left, and the scalar
+        # factors c_n are built from their coefficients, not as products
+        real, products = MatPoly.__mul__, []
+
+        def counted(x, y):
+            if isinstance(y, MatPoly):
+                products.append((x, y))
+            return real(x, y)
+
+        monkeypatch.setattr(MatPoly, "__mul__", counted)
+        for p in GRID:
+            ws = WeightSpec(p)
+            for op in (hyper_operator(p), companion_operator(p)):
+                for check, with_core, most in ((check_symmetry_reduced, 3, 9), (check_boundary, 2, 2)):
+                    products.clear()
+                    check(ws, op)
+                    assert sum(x is ws.core for x, _ in products) == with_core
+                    assert not any(y is ws.core for _, y in products)
+                    assert len(products) <= most
 
 
 class TestBoundary:
@@ -774,7 +802,23 @@ class TestSuite:
         assert {c.name: c.witness for c in report.checks if c.status == "fail"} == {
             "eigenvalue_relation": "eigenvalue relation fails at w = 3",
             "monic_eigenvalue_relation": "monic eigenvalue relation fails at n = 3",
-            "ideal_lines": "eigenvalue pair off its line",
+            "ideal_lines": "eigenvalue pair off its line at (w, j) = (3, 0)",
+        }
+
+    def test_ideal_witness_names_the_first_slot_off_its_line(self, monkeypatch):
+        # mu off by one (d^2 on its numerator) at (w, j) = (1, 1) and at every
+        # slot of w = 3: the witness names the first of them in (w, j) order
+        real = verify.slot_table
+
+        def bumped(p, max_w):
+            d = model._cleared(p)[0]
+            return [(w, j, lam, mu + d * d if (w, j) == (1, 1) or w == 3 else mu) for w, j, lam, mu in real(p, max_w)]
+
+        monkeypatch.setattr(verify, "slot_table", bumped)
+        report = run_suite(BASE, max_w=1)
+        assert {c.name: c.witness for c in report.checks if c.status == "fail"} == {
+            "eigenvalue_relation": "eigenvalue relation fails at w = 1",
+            "ideal_lines": "eigenvalue pair off its line at (w, j) = (1, 1)",
         }
 
     def test_relation_compares_the_entries_off_the_diagonal(self, monkeypatch):
@@ -821,7 +865,7 @@ class TestSuite:
         report = run_suite(p, max_w=1)
         assert {c.name: c.witness for c in report.checks if c.status == "fail"} == {
             "eigenvalue_relation": "eigenvalue relation fails at w = 2",
-            "ideal_lines": "eigenvalue pair off its line",
+            "ideal_lines": "eigenvalue pair off its line at (w, j) = (2, 0)",
         }
 
     @pytest.mark.parametrize("p", GRID + [Params(0, 1, 1, 6)], ids=str)
