@@ -4,7 +4,7 @@ hypergeometric operator.
 A column eigenfunction with eigenvalue lam solves D F = lam F for
 D = hyper_operator(p).  It is a polynomial of degree w exactly at the slots
 (w, j) whose eigenvalue hyper_eigenvalue(p, w, j) is lam, and its leading
-coefficient is then the explicit kernel_vector(p, w, j).
+coefficient is then the explicit row j of kernel_matrix(p, w).
 
 Distinct slots (w, j) and (w', j') can share an eigenvalue.  find_collisions
 recovers the full class of slots sharing a value as exact roots of a
@@ -40,13 +40,11 @@ from .model import hyper_eigenvalue, hyper_operator, moment_rows, pair_rows
 __all__ = [
     "CollisionClass",
     "kernel_matrix",
-    "kernel_vector",
     "find_collisions",
     "Family",
     "family",
     "build_column",
     "orthogonal_polynomial",
-    "leading_coefficient",
     "GramBlock",
     "gram_block",
 ]
@@ -74,12 +72,6 @@ def kernel_matrix(p: Params, w: int) -> MatPoly:
             rows[j][i] = sign * math.prod(b - k + t * d for t in ts), math.prod(a + b - k + (w + j + t) * d for t in ts)
     den = math.lcm(*(y for row in rows for _, y in row))
     return MatPoly._reduced(p.size, p.size, (tuple(tuple(x * (den // y) for x, y in row) for row in rows),), den)
-
-
-def kernel_vector(p: Params, w: int, j: int):
-    """Row j of kernel_matrix(p, w), as Fractions."""
-    _check_j(p, j)
-    return kernel_matrix(p, w).coeff(0)[j]
 
 
 class CollisionClass(namedtuple("CollisionClass", "lam members")):
@@ -205,7 +197,7 @@ class Family:
         solved downward from zero above degree w afresh on each call (P_w keeps
         its columns as rows).  Its leading coefficient, 1 in slot j and 0 in
         every slot after it, is the kernel vector, which run_suite checks
-        against the closed form kernel_vector(p, w, j).
+        against the closed form, row j of kernel_matrix(p, w).
 
         Where the descent met earlier members of the class of lam, the column is
         checked exactly to be the eigenfunction of the companion operator E for
@@ -239,8 +231,9 @@ class Family:
     def poly(self, w: int) -> MatPoly:
         """Degree-w matrix polynomial P_w whose row j is the column (w, j).
 
-        Its leading coefficient is leading_coefficient(p, w), unit lower
-        triangular, so the family is linearly independent degree by degree.
+        Its leading coefficient is kernel_matrix(p, w), with row j that of the
+        column (w, j): unit lower triangular, so the family is linearly
+        independent degree by degree.
         """
         _check_bound("w", w)
         if w not in self._polys:
@@ -304,9 +297,3 @@ def gram_block(p: Params, w: int, w_prime: int) -> GramBlock:
     """The pairing block of P_w and P_w', from the moment rows that
     family(p) shares across blocks."""
     return GramBlock(w, w_prime, family(p).gram(w, w_prime))
-
-
-def leading_coefficient(p: Params, w: int):
-    """Closed-form leading coefficient, kernel_matrix(p, w) as Fractions:
-    row r is kernel_vector(p, w, r)."""
-    return kernel_matrix(p, w).coeff(0)

@@ -34,9 +34,7 @@ __all__ = [
     "companion_operator",
     "hyper_eigenvalue",
     "companion_eigenvalue",
-    "eigenvalue_matrix",
     "monic_matrix",
-    "monic_eigenvalue",
     "slot_table",
     "eigen_table",
 ]
@@ -173,7 +171,9 @@ def moment_rows(qq: MatPoly, ws: WeightSpec, n: int) -> tuple:
     """The moment rows N[a] = sum_b H_{a+b} qq_b^T for a < n, the pairings of
     u^a I against qq, as (rows, den): dim x qq.dim integer matrices over one
     denominator.  H_m = sum_c ratio(m + c) Z_c is never formed: with G the
-    integrals of qq^T, N[a] = sum_c Z_c G[a + c], the core paired against G."""
+    integrals of qq^T, N[a] = sum_c Z_c G[a + c], the core paired against G.
+    Z_c[i][j] vanishes outside the band i + j <= c <= ell + min(i, j), so
+    only the core's nonzero entries, listed once per row, are read."""
     _check_bound("n", n)
     dim = ws.core.dim
     if qq.cols != dim:
@@ -181,7 +181,10 @@ def moment_rows(qq: MatPoly, ws: WeightSpec, n: int) -> tuple:
     if qq.is_zero() or n == 0:
         return [((0,) * qq.dim,) * dim] * n, 1
     g, den = ws.integrals(qq.transpose(), n + len(ws.core.num) - 1)
-    return [pair_rows(ws.core, g[a:], den, qq.dim)[0] for a in range(n)], den * ws.core.den
+    band = [[(c, j, z) for c, zc in enumerate(ws.core.num) for j, z in enumerate(zc[i]) if z] for i in range(dim)]
+    cols = range(qq.dim)
+    rows = [tuple(tuple(sum(z * g[a + c][j][k] for c, j, z in row) for k in cols) for row in band) for a in range(n)]
+    return rows, den * ws.core.den
 
 
 def pair_rows(pp: MatPoly, rows, den: int, cols: int) -> tuple:
@@ -274,17 +277,6 @@ def companion_eigenvalue(p: Params, w: int, j: int) -> Fraction:
     return Fraction(_slot(p, w, j, cleared)[1], cleared[0] ** 2)
 
 
-def eigenvalue_matrix(p: Params, w: int, which: str):
-    """Diagonal eigenvalue matrix at level w for 'hyper' or 'companion'."""
-    if which == "hyper":
-        values = [hyper_eigenvalue(p, w, j) for j in range(p.size)]
-    elif which == "companion":
-        values = [companion_eigenvalue(p, w, j) for j in range(p.size)]
-    else:
-        raise ValueError("which must be 'hyper' or 'companion'")
-    return linalg.diagonal(values)
-
-
 def monic_matrix(op: DiffOp, n: int) -> MatPoly:
     """Constant matrix sum_i [n]_i (u^i coefficient of A_i), the eigenvalue
     of op on a monic degree-n polynomial family, as a constant MatPoly built
@@ -296,11 +288,6 @@ def monic_matrix(op: DiffOp, n: int) -> MatPoly:
     weighted = [(math.perm(n, i), a[i]) for i, a in enumerate(nums) if i < len(a)]
     rows = tuple(tuple(sum(s * mat[r][c] for s, mat in weighted) for c in range(op.dim)) for r in range(op.dim))
     return MatPoly._reduced(op.dim, op.dim, (rows,), den)
-
-
-def monic_eigenvalue(op: DiffOp, n: int):
-    """monic_matrix(op, n) as Fractions."""
-    return monic_matrix(op, n).coeff(0)
 
 
 class EigenPair(namedtuple("EigenPair", "w j lam mu")):

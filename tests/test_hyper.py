@@ -17,8 +17,7 @@ from mvop.hyper import (
     build_column,
     family,
     find_collisions,
-    kernel_vector,
-    leading_coefficient,
+    kernel_matrix,
     orthogonal_polynomial,
 )
 from mvop.matpoly import MatPoly
@@ -76,10 +75,10 @@ def scan_collisions(p, lam):
 
 def bracket_column(p, w, j):
     """Reference column of the lowest slot of a class, from the bracket matrices: the value
-    f0 at u = 0 solves B_w f0 = kernel_vector, and coefficient i is
+    f0 at u = 0 solves B_w f0 = row j of kernel_matrix, and coefficient i is
     w!/i! B_i f0."""
     brackets = bracket_seq(p, hyper_eigenvalue(p, w, j), w).coeffs
-    f0 = dense.solve_matrix(brackets[w], column(kernel_vector(p, w, j)))
+    f0 = dense.solve_matrix(brackets[w], column(kernel_matrix(p, w).coeff(0)[j]))
     coeffs = [
         linalg.scale(dense.matmul(brackets[i], f0), Fraction(math.factorial(w), math.factorial(i)))
         for i in range(w + 1)
@@ -113,7 +112,7 @@ def orthogonalized_column(p, w, j):
     value f0 of poly_solution_space gives the series with coefficients
     B_i f0 / i!, Gram-Schmidt removes the earlier columns of the class (built
     by these references too), and the leading coefficient is scaled to
-    kernel_vector."""
+    row j of kernel_matrix."""
     lam = hyper_eigenvalue(p, w, j)
     members = find_collisions(p, lam).members
     pos = members.index((w, j))
@@ -137,7 +136,7 @@ def orthogonalized_column(p, w, j):
     pick = next(v for v in reduced if not v.is_zero())
     assert pick.degree == w
     lead = pick.coeff(w)[j][0]
-    assert pick.coeff(w) == linalg.scale(column(kernel_vector(p, w, j)), lead)
+    assert pick.coeff(w) == linalg.scale(column(kernel_matrix(p, w).coeff(0)[j]), lead)
     return pick * (1 / lead)
 
 
@@ -158,7 +157,7 @@ def fraction_descent(p, w, j, lam):
     u = drift_matrix(p)
     v = potential_matrix(p)
     n = p.size
-    f = kernel_vector(p, w, j)
+    f = kernel_matrix(p, w).coeff(0)[j]
     coeffs = [tuple((x,) for x in f)]
     zero_pivots = []
     for i in range(w - 1, -1, -1):
@@ -258,12 +257,12 @@ class TestTerminationMatrix:
 
 class TestKernelVector:
     def test_frozen_example(self):
-        assert kernel_vector(BASE, 0, 1) == (Fraction(-1, 2), Fraction(1))
+        assert kernel_matrix(BASE, 0).coeff(0)[1] == (Fraction(-1, 2), Fraction(1))
 
     def test_unit_slot_and_support(self):
         for p in GRID:
             for j in range(p.size):
-                x = kernel_vector(p, 3, j)
+                x = kernel_matrix(p, 3).coeff(0)[j]
                 assert x[j] == 1
                 assert all(x[i] == 0 for i in range(j + 1, p.size))
 
@@ -276,18 +275,11 @@ class TestKernelVector:
     def test_lies_in_kernel(self, p, w, data):
         j = data.draw(st.integers(min_value=0, max_value=p.ell))
         m = termination_matrix(p, w, j)
-        assert dense.is_zero_matrix(dense.matmul(m, column(kernel_vector(p, w, j))))
+        assert dense.is_zero_matrix(dense.matmul(m, column(kernel_matrix(p, w).coeff(0)[j])))
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
-            kernel_vector(BASE, -1, 0)
-        with pytest.raises(ValueError):
-            kernel_vector(BASE, 0, 3)
-
-    @pytest.mark.parametrize("w, j", INEXACT)
-    def test_rejects_inexact_slots(self, w, j):
-        with pytest.raises(ValueError, match="integer"):
-            kernel_vector(BASE, w, j)
+            kernel_matrix(BASE, -1)
 
 
 class TestFindCollisions:
@@ -403,7 +395,7 @@ class TestBuildColumn:
             for j in range(p.size):
                 col = build_column(p, 0, j)
                 assert col.degree == 0
-                assert col.coeff(0) == column(kernel_vector(p, 0, j))
+                assert col.coeff(0) == column(kernel_matrix(p, 0).coeff(0)[j])
 
     def test_eigenfunction_property(self):
         for p in GRID:
@@ -419,7 +411,7 @@ class TestBuildColumn:
                 for j in range(p.size):
                     col = build_column(p, w, j)
                     assert col.degree == w
-                    assert col.coeff(w) == column(kernel_vector(p, w, j))
+                    assert col.coeff(w) == column(kernel_matrix(p, w).coeff(0)[j])
 
     def test_collision_columns_frozen(self):
         first = build_column(COLLIDING, 0, 2)
@@ -522,13 +514,22 @@ class TestBuildColumn:
     def test_principal_columns_skip_the_bracket_matrices(self, monkeypatch):
         # later slots included: the construction needs neither the dense
         # bracket path nor any pairing against the weight; it starts from zero,
-        # so it reads neither the closed-form kernel vector nor a Fraction clear
+        # so it reads neither the closed-form kernel_matrix nor a Fraction clear
         def refuse(*args, **kwargs):
             raise AssertionError("dense bracket path, pairing or closed form used to build a column")
 
         # the dense path and the one-call pairing now live only in dense_reference
+        # the Fraction views of the closed forms are gone: callers read
+        # kernel_matrix(p, w).coeff(0) and monic_matrix(op, n).coeff(0)
         gone = {
-            mvop.hyper: ("BracketSeq", "bracket_seq", "termination_matrix", "poly_solution_space"),
+            mvop.hyper: (
+                "BracketSeq",
+                "bracket_seq",
+                "termination_matrix",
+                "poly_solution_space",
+                "kernel_vector",
+                "leading_coefficient",
+            ),
             linalg: (
                 "_integer_form",
                 "SingularMatrixError",
@@ -541,19 +542,19 @@ class TestBuildColumn:
                 "sub",
                 "is_zero_matrix",
             ),
-            mvop.model: ("inner_product",),
+            mvop.model: ("inner_product", "monic_eigenvalue", "eigenvalue_matrix"),
         }
         assert [(m.__name__, n) for m, names in gone.items() for n in names if hasattr(m, n)] == []
         monkeypatch.setattr(mvop.model.WeightSpec, "integrals", refuse)
         monkeypatch.setattr(mvop.hyper, "moment_rows", refuse)
-        monkeypatch.setattr(mvop.hyper, "kernel_vector", refuse)
+        monkeypatch.setattr(mvop.hyper, "kernel_matrix", refuse)
         big = Params(0, 3, 1, 5)
         slots = [(COLLIDING, w, j) for w in range(4) for j in range(COLLIDING.size)]
         slots += [(big, w, j) for w, j in ((4, 5), (6, 2), (7, 0))]
         for p, w, j in slots:
             col = build_column(p, w, j)
             assert col.degree == w
-            assert col.coeff(w) == column(kernel_vector(p, w, j))
+            assert col.coeff(w) == column(oracle.kernel_vector(p, w, j))
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
@@ -657,15 +658,15 @@ class TestMatrixFamily:
         for p in GRID:
             for w in range(4):
                 poly = orthogonal_polynomial(p, w)
-                lead = leading_coefficient(p, w)
+                lead = kernel_matrix(p, w).coeff(0)
                 assert poly.coeff(w) == lead
                 for r in range(p.size):
-                    assert lead[r] == kernel_vector(p, w, r)
+                    assert lead[r] == oracle.kernel_vector(p, w, r)
 
     @pytest.mark.parametrize("w", [1.5, 2.0, True, Fraction(1)])
     def test_leading_coefficient_rejects_inexact_degree(self, w):
         with pytest.raises(ValueError, match="integer"):
-            leading_coefficient(BASE, w)
+            kernel_matrix(BASE, w)
 
     @pytest.mark.parametrize("w", [1.5, 2.0, True, Fraction(1)])
     def test_orthogonal_polynomial_rejects_inexact_degree(self, w):
@@ -676,7 +677,7 @@ class TestMatrixFamily:
     def test_leading_unit_lower_triangular(self):
         for p in GRID:
             for w in range(4):
-                lead = leading_coefficient(p, w)
+                lead = kernel_matrix(p, w).coeff(0)
                 for r in range(p.size):
                     assert lead[r][r] == 1
                     assert all(lead[r][c] == 0 for c in range(r + 1, p.size))

@@ -17,10 +17,9 @@ from mvop.model import (
     companion_operator,
     drift_matrix,
     eigen_table,
-    eigenvalue_matrix,
     hyper_eigenvalue,
     hyper_operator,
-    monic_eigenvalue,
+    monic_matrix,
     potential_matrix,
     recursion_matrix,
     weight_core,
@@ -201,6 +200,25 @@ class TestWeightCore:
             assert z == z.transpose()
             assert z.degree <= 2 * p.ell
 
+    @staticmethod
+    def _nonzero_and_band(p):
+        z = weight_core(p)
+        nonzero = {(c, i, j) for c, zc in enumerate(z.num) for i, row in enumerate(zc) for j, x in enumerate(row) if x}
+        band = {(c, i, j) for i in range(p.size) for j in range(p.size) for c in range(i + j, p.ell + min(i, j) + 1)}
+        return nonzero, band
+
+    @pytest.mark.parametrize("ell", range(1, 11))
+    def test_nonzero_entries_are_the_band(self, ell):
+        # moment_rows reads only the core's nonzero entries, Z_c[i][j] with
+        # i + j <= c <= ell + min(i, j); at a generic point none inside vanishes
+        nonzero, band = self._nonzero_and_band(Params(Fraction(1, 2), Fraction(3, 2), 1, ell))
+        assert nonzero == band
+
+    @pytest.mark.parametrize("p", [Params(0, 1, Fraction(3, 2), 2), Params(0, 1, 1, 6)], ids=str)
+    def test_nonzero_entries_lie_in_the_band_at_resonant_points(self, p):
+        nonzero, band = self._nonzero_and_band(p)
+        assert nonzero <= band
+
     def test_value_at_zero_concentrates(self):
         for p in GRID:
             z0 = weight_core(p).evaluate(0)
@@ -284,10 +302,8 @@ class TestEigenvalues:
         assert companion_eigenvalue(BASE, 1, 0) == 4
 
     def test_eigenvalue_matrix(self):
-        assert eigenvalue_matrix(BASE, 1, "hyper") == linalg.diagonal([-4, -7])
-        assert eigenvalue_matrix(BASE, 0, "companion") == linalg.diagonal([0, -10])
-        with pytest.raises(ValueError):
-            eigenvalue_matrix(BASE, 1, "both")
+        assert linalg.diagonal(hyper_eigenvalue(BASE, 1, j) for j in range(2)) == linalg.diagonal([-4, -7])
+        assert linalg.diagonal(companion_eigenvalue(BASE, 0, j) for j in range(2)) == linalg.diagonal([0, -10])
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
@@ -329,7 +345,7 @@ class TestMonicEigenvalue:
         # sum of weighted coefficient tops equals -n(U + n - 1) - V
         for p in GRID:
             for n in range(6):
-                got = monic_eigenvalue(hyper_operator(p), n)
+                got = monic_matrix(hyper_operator(p), n).coeff(0)
                 shifted = linalg.add(drift_matrix(p), linalg.scale(linalg.identity(p.size), n - 1))
                 expect = dense.sub(linalg.scale(shifted, -n), potential_matrix(p))
                 assert got == expect
@@ -339,7 +355,7 @@ class TestMonicEigenvalue:
             q0, q1, r0, r1 = companion_blocks(p)
             scalar = p.alpha + 2 * p.ell + 3 * p.k
             for n in range(6):
-                got = monic_eigenvalue(companion_operator(p), n)
+                got = monic_matrix(companion_operator(p), n).coeff(0)
                 expect = linalg.add(
                     linalg.scale(q1, -n * (n - 1)),
                     dense.sub(linalg.scale(r1, n), linalg.scale(potential_matrix(p), scalar)),
@@ -349,7 +365,7 @@ class TestMonicEigenvalue:
     def test_diagonal_matches_scalar_eigenvalues(self):
         for p in GRID:
             for n in range(6):
-                gam = monic_eigenvalue(hyper_operator(p), n)
+                gam = monic_matrix(hyper_operator(p), n).coeff(0)
                 for j in range(p.size):
                     assert gam[j][j] == hyper_eigenvalue(p, n, j)
 
@@ -358,8 +374,8 @@ class TestMonicEigenvalue:
         for p in GRID:
             scalar = p.alpha + 2 * p.ell + 3 * p.k
             for n in range(8):
-                lhs = monic_eigenvalue(companion_operator(p), n)
-                gam = monic_eigenvalue(hyper_operator(p), n)
+                lhs = monic_matrix(companion_operator(p), n).coeff(0)
+                gam = monic_matrix(hyper_operator(p), n).coeff(0)
                 shift = 3 * n * (p.ell + p.k + n) * (n + p.alpha + p.beta + p.ell + 1)
                 rhs = linalg.add(
                     linalg.scale(gam, scalar + 3 * n),
@@ -370,14 +386,14 @@ class TestMonicEigenvalue:
     def test_rejects_degree_violations(self):
         bad = DiffOp(2, (MatPoly.zero(2), MatPoly.from_scalar(2, (0, 0, 1)), MatPoly.zero(2)))
         with pytest.raises(ValueError):
-            monic_eigenvalue(bad, 2)
+            monic_matrix(bad, 2)
         with pytest.raises(ValueError):
-            monic_eigenvalue(hyper_operator(BASE), -1)
+            monic_matrix(hyper_operator(BASE), -1)
 
     @pytest.mark.parametrize("bad", [True, False, 2.0, Fraction(2)])
     def test_rejects_non_integer_degrees(self, bad):
         with pytest.raises(ValueError, match="n must be an integer"):
-            monic_eigenvalue(hyper_operator(BASE), bad)
+            monic_matrix(hyper_operator(BASE), bad)
 
     def test_reads_each_operator_once(self, monkeypatch):
         # each operator's coefficients are cleared to its integer form once,
@@ -391,7 +407,7 @@ class TestMonicEigenvalue:
         ops = (hyper_operator(p), companion_operator(p))
         for n in range(21):
             for op in ops:
-                monic_eigenvalue(op, n)
+                monic_matrix(op, n)
         assert calls == list(ops)
 
 

@@ -93,6 +93,17 @@ def test_package_names_are_their_home_objects():
         assert name in listed, name
 
 
+def test_each_closed_form_has_one_public_name():
+    # the Fraction views of the closed forms are gone; callers read the
+    # integer forms through MatPoly.coeff
+    for name in ("kernel_vector", "leading_coefficient", "monic_eigenvalue", "eigenvalue_matrix"):
+        assert name not in mvop.__all__
+        with pytest.raises(AttributeError, match=f"'mvop' has no attribute '{name}'"):
+            getattr(mvop, name)
+    assert mvop.kernel_matrix is mvop.hyper.kernel_matrix
+    assert mvop.monic_matrix is mvop.model.monic_matrix
+
+
 def test_package_rejects_unknown_names():
     assert not hasattr(mvop, "no_such_name")
     with pytest.raises(AttributeError, match="'mvop' has no attribute 'no_such_name'"):

@@ -18,9 +18,10 @@ from dense_reference import inner_product
 from mvop.model import (
     Params,
     WeightSpec,
+    companion_eigenvalue,
     companion_operator,
     eigen_table,
-    eigenvalue_matrix,
+    hyper_eigenvalue,
     hyper_operator,
     weight_core,
 )
@@ -302,6 +303,22 @@ class TestGram:
                     # rectangular: the first rows of P_w against the last rows of P_wp
                     pp, qq = rows_of(pw, 0, 1 + w % p.size), rows_of(pwp, wp % p.size, p.size)
                     assert inner_product(pp, qq, ws) == literal_double_sum(pp, qq, ws)
+
+    @pytest.mark.parametrize("ell", [6, 10])
+    def test_large_ell_blocks_match_literal_double_sum(self, ell):
+        # the band of the core grows with ell, beyond GRID's ell <= 2: P_2's
+        # norm block, and two random degree-2 polynomials whose block is dense
+        p = Params(Fraction(1, 2), Fraction(3, 2), 1, ell)
+        fam, rng = Family(p), random.Random(ell)
+
+        def rand_poly():
+            rows = range(p.size)
+            coeffs = [[[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in rows] for _ in rows] for _ in range(3)]
+            return MatPoly(p.size, coeffs)
+
+        pp, qq = rand_poly(), rand_poly()
+        assert fam.gram(2, 2) == literal_double_sum(fam.poly(2), fam.poly(2), fam.weight)
+        assert inner_product(pp, qq, fam.weight) == literal_double_sum(pp, qq, fam.weight)
 
     @staticmethod
     def _count_rows(monkeypatch):
@@ -649,8 +666,8 @@ class TestEigenAndCommutation:
             de = hyper_operator(p).compose(companion_operator(p))
             for w in range(3):
                 pt = orthogonal_polynomial(p, w).transpose()
-                lam = eigenvalue_matrix(p, w, "hyper")
-                mu = eigenvalue_matrix(p, w, "companion")
+                lam = linalg.diagonal(hyper_eigenvalue(p, w, j) for j in range(p.size))
+                mu = linalg.diagonal(companion_eigenvalue(p, w, j) for j in range(p.size))
                 assert de.apply(pt) == pt * MatPoly.constant(dense.matmul(mu, lam))
 
 
@@ -1055,11 +1072,10 @@ class TestFractionOracle:
         for op in (fam.hyper, fam.companion):
             assert tuple(check_boundary(fam.weight, op)) == oracle.boundary(fam.weight, op)
             for n in (0, 1, 5):
-                assert [list(row) for row in model.monic_eigenvalue(op, n)] == oracle.monic_eigenvalue(op, n)
+                assert [list(row) for row in model.monic_matrix(op, n).coeff(0)] == oracle.monic_eigenvalue(op, n)
         for w in range(4):
-            assert [mvop.hyper.kernel_vector(p, w, j) for j in range(p.size)] == [
-                oracle.kernel_vector(p, w, j) for j in range(p.size)
-            ]
+            want = [oracle.kernel_vector(p, w, j) for j in range(p.size)]
+            assert list(mvop.hyper.kernel_matrix(p, w).coeff(0)) == want
             assert [fam.gram(w, wp) for wp in range(4)] == [oracle.gram(fam, w, wp) for wp in range(4)]
         assert eigen_table(p, 6) == [model.EigenPair(*slot) for slot in oracle.eigen_table(p, 6)]
 
