@@ -54,7 +54,7 @@ def kernel_matrix(p: Params, w: int) -> MatPoly:
     """The paper's closed form of the leading coefficient of P_w, as a
     constant MatPoly on integers: row j is the explicit kernel element of the
     termination matrix
-    w (drift_matrix + w - 1) + potential_matrix + hyper_eigenvalue(p, w, j),
+    w (U + w - 1) + V + hyper_eigenvalue(p, w, j), U and V of hyper_operator,
     normalized to 1 in slot j.  The descent does not read it; the
     leading_coefficient_w checks compare P_w's top coefficient with it.
 

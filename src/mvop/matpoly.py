@@ -135,8 +135,12 @@ class MatPoly(Frozen):
 
     @classmethod
     def from_scalar(cls, dim: int, scalar_coeffs) -> MatPoly:
-        """Scalar polynomial times the identity matrix."""
-        return cls(dim, tuple(linalg.scale(linalg.identity(dim), c) for c in scalar_coeffs))
+        """Scalar polynomial times the identity matrix, over the lcm of the coefficients' denominators."""
+        _check_bound("dim", dim)
+        cs, zero = [exact_scalar(c) for c in scalar_coeffs], (0,) * dim
+        den = math.lcm(*(c.denominator for c in cs))
+        xs = (c.numerator * (den // c.denominator) for c in cs)
+        return cls._reduced(dim, dim, [tuple(zero[:i] + (x,) + zero[i + 1 :] for i in range(dim)) for x in xs], den)
 
     @classmethod
     def monomial(cls, dim: int, mat, power: int) -> MatPoly:

@@ -2,6 +2,8 @@
 the matrix weight, the moments of its scalar factor (the only integral) and
 the pairing they define, the hypergeometric-form second-order operator, a
 second commuting symmetric operator, and all of their eigenvalue data.
+The core and both operators are built on integers over powers of d (see
+_cleared); C, U, V, Q0, Q1, R0 and R1 are read back as their coefficients.
 
 Parameters are (alpha, beta, k, ell) with alpha > -1, beta > -1,
 0 < k < beta + 1 and integer ell >= 1; matrices have size ell + 1.  Row and
@@ -16,21 +18,17 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
-from .exact import _check_bound, format_rational, gen_binom, parse_rational
+from .exact import _check_bound, format_rational, parse_rational
 from .matpoly import DiffOp, Frozen, MatPoly
 
 __all__ = [
     "Params",
     "EigenPair",
-    "recursion_matrix",
-    "drift_matrix",
-    "potential_matrix",
     "weight_core",
     "WeightSpec",
     "moment_rows",
     "pair_rows",
     "hyper_operator",
-    "companion_blocks",
     "companion_operator",
     "hyper_eigenvalue",
     "companion_eigenvalue",
@@ -84,34 +82,21 @@ def _check_j(p: Params, j: int) -> None:
         raise ValueError(f"j must be an integer in [0, {p.ell}]")
 
 
-def recursion_matrix(p: Params):
-    """Lower-bidiagonal matrix with diagonal beta + 1 + 2i and subdiagonal i.
-
-    Its integer shifts are the denominators of the series recursion; every
-    shift stays invertible because the diagonal is positive.
-    """
-    m = [[Fraction(0)] * p.size for _ in range(p.size)]
-    for i in range(p.size):
-        m[i][i] = p.beta + 1 + 2 * i
-        if i >= 1:
-            m[i][i - 1] = Fraction(i)
-    return linalg.freeze_matrix(m)
+def _cleared(p: Params) -> tuple:
+    """(d, alpha d, beta d, k d), d the lcm of the denominators of alpha, beta and k: the
+    core, both operators and the slot eigenvalues are integer polynomials over powers of d."""
+    a, b, k = p.alpha, p.beta, p.k
+    d = math.lcm(a.denominator, b.denominator, k.denominator)
+    return d, a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), k.numerator * (d // k.denominator)
 
 
-def drift_matrix(p: Params):
-    """Diagonal matrix with entries alpha + beta + ell + i + 2."""
-    return linalg.diagonal(p.alpha + p.beta + p.ell + i + 2 for i in range(p.size))
-
-
-def potential_matrix(p: Params):
-    """Upper-bidiagonal matrix: diagonal i(alpha + beta - k + 1 + i),
-    superdiagonal -(ell - i)(beta - k + 1 + i).  Kills the first unit vector."""
-    m = [[Fraction(0)] * p.size for _ in range(p.size)]
-    for i in range(p.size):
-        m[i][i] = i * (p.alpha + p.beta - p.k + 1 + i)
-        if i < p.ell:
-            m[i][i + 1] = -(p.ell - i) * (p.beta - p.k + 1 + i)
-    return linalg.freeze_matrix(m)
+def _bands(diag, below=(), above=()) -> tuple:
+    """The square integer matrix with diag[i] at (i, i), below[i] at (i + 1, i) and above[i] at (i, i + 1)."""
+    m = [[0] * len(diag) for _ in diag]
+    for (di, dj), band in (((0, 0), diag), ((1, 0), below), ((0, 1), above)):
+        for i, x in enumerate(band):
+            m[i + di][i + dj] = x
+    return tuple(map(tuple, m))
 
 
 def weight_core(p: Params) -> MatPoly:
@@ -120,18 +105,22 @@ def weight_core(p: Params) -> MatPoly:
     Entry (i, j) is the sum over r of
     C(r, i) C(r, j) C(ell + k - 1 - r, ell - r) C(beta - k + r, r) (1-u)^(ell-r) u^(i+j),
     with generalized binomials.  Symmetric, degree at most 2 ell, and at u = 0
-    only the (0, 0) entry survives.
+    only the (0, 0) entry survives.  Built on integers over d^ell ell! (see _cleared): the
+    binomials of r are C(ell, r) prod_{i < ell-r} (kd + id) prod_{i < r} (beta d - kd + (1+i)d) over it.
     """
-    ell = p.ell
-    coeffs = [[[Fraction(0)] * p.size for _ in range(p.size)] for _ in range(2 * ell + 1)]
-    for r in range(ell + 1):
-        scale = gen_binom(ell + p.k - 1 - r, ell - r) * gen_binom(p.beta - p.k + r, r)
+    d, _, b, k = _cleared(p)
+    ell, n = p.ell, p.size
+    coeffs = [[[0] * n for _ in range(n)] for _ in range(2 * ell + 1)]
+    for r in range(n):
+        scale = math.comb(ell, r) * math.prod(k + i * d for i in range(ell - r))
+        scale *= math.prod(b - k + (1 + i) * d for i in range(r))
+        tail = [(-1) ** t * math.comb(ell - r, t) for t in range(ell - r + 1)]  # (1-u)^(ell-r)
         for i in range(r + 1):  # C(r, i) vanishes for i > r
             for j in range(r + 1):
                 c = math.comb(r, i) * math.comb(r, j) * scale
-                for t in range(ell - r + 1):
-                    coeffs[i + j + t][i][j] += c * math.comb(ell - r, t) * (-1) ** t
-    return MatPoly(p.size, coeffs)
+                for t, x in enumerate(tail):
+                    coeffs[i + j + t][i][j] += c * x
+    return MatPoly._reduced(n, n, [tuple(map(tuple, c)) for c in coeffs], d**ell * math.factorial(ell))
 
 
 class WeightSpec:
@@ -201,55 +190,61 @@ def pair_rows(pp: MatPoly, rows, den: int, cols: int) -> tuple:
     return linalg.int_matmul(left, stacked), den * pp.den
 
 
+def _minus_potential(p: Params, s: int, den: int) -> MatPoly:
+    """-s V d / den, V as in hyper_operator: the order-zero coefficient of both operators."""
+    d, a, b, k = _cleared(p)
+    diag = [-s * i * (a + b - k + (1 + i) * d) for i in range(p.size)]
+    above = [s * (p.ell - i) * (b - k + (1 + i) * d) for i in range(p.ell)]
+    return MatPoly._reduced(p.size, p.size, (_bands(diag, above=above),), den)
+
+
 def hyper_operator(p: Params) -> DiffOp:
-    """Second-order operator in matrix hypergeometric form.
-
-    u(1-u) d^2/du^2 + (recursion_matrix - u drift_matrix) d/du - potential_matrix,
-    symmetric with respect to the weight.
+    """Second-order operator in matrix hypergeometric form, symmetric with
+    respect to the weight: u(1-u) d^2/du^2 + (C - u U) d/du - V.  Row i of C
+    has beta + 1 + 2i on the diagonal and i below it (every shift C + i, a
+    denominator of the series recursion, is invertible); U is diagonal with
+    alpha + beta + ell + i + 2; row i of V has i(alpha + beta - k + 1 + i) on
+    the diagonal and -(ell - i)(beta - k + 1 + i) above it (V kills the first
+    unit vector).  A1 and A0 are built on integers over d (see _cleared).
+    Read back: C is coeff_of_order(1).coeff(0), U is -coeff_of_order(1).coeff(1)
+    and V is -coeff_of_order(0).coeff(0).
     """
-    a2 = MatPoly.from_scalar(p.size, (0, 1, -1))
-    a1 = MatPoly(p.size, (recursion_matrix(p), linalg.scale(drift_matrix(p), -1)))
-    a0 = MatPoly.constant(linalg.scale(potential_matrix(p), -1))
-    return DiffOp(p.size, (a2, a1, a0))
-
-
-def companion_blocks(p: Params):
-    """The four constant matrices (q0, q1, r0, r1) of the companion operator.
-
-    Its leading coefficient is (1-u)(q0 + u q1), its first-order coefficient
-    is r0 + u r1, and its zero-order coefficient is
-    -(alpha + 2 ell + 3k) potential_matrix.
-    """
-    a, b, k, ell = p.alpha, p.beta, p.k, p.ell
-    q0, q1, r0, r1 = ([[Fraction(0)] * p.size for _ in range(p.size)] for _ in range(4))
-    for i in range(p.size):
-        q1[i][i] = a - ell + 3 * i
-        r0[i][i] = (a + 2 * ell) * (b + 1 + 2 * i) - 3 * k * (ell - i) - 3 * i * (b - k + i)
-        r1[i][i] = -(a - ell + 3 * i) * (a + b + ell + i + 2)
-        if i >= 1:
-            q0[i][i - 1] = Fraction(3 * i)
-            r0[i][i - 1] = -i * (3 * i + 3 * b - 3 * k + 3 + ell + 2 * a)
-        if i < ell:
-            r1[i][i + 1] = 3 * (b - k + 1 + i) * (ell - i)
-    return tuple(linalg.freeze_matrix(m) for m in (q0, q1, r0, r1))
+    (d, a, b, _), rows = _cleared(p), range(p.size)
+    c = _bands([b + (1 + 2 * i) * d for i in rows], below=[i * d for i in rows[1:]])
+    u = _bands([-(a + b + (p.ell + i + 2) * d) for i in rows])
+    a1 = MatPoly._reduced(p.size, p.size, (c, u), d)
+    return DiffOp(p.size, (MatPoly.from_scalar(p.size, (0, 1, -1)), a1, _minus_potential(p, 1, d)))
 
 
 def companion_operator(p: Params) -> DiffOp:
-    """The second symmetric operator; commutes with hyper_operator."""
-    q0, q1, r0, r1 = companion_blocks(p)
-    a2 = MatPoly.from_scalar(p.size, (1, -1)) * MatPoly(p.size, (q0, q1))
-    a1 = MatPoly(p.size, (r0, r1))
-    scalar = p.alpha + 2 * p.ell + 3 * p.k
-    a0 = MatPoly.constant(linalg.scale(potential_matrix(p), -scalar))
-    return DiffOp(p.size, (a2, a1, a0))
-
-
-def _cleared(p: Params) -> tuple:
-    """(d, alpha d, beta d, k d), d the lcm of the denominators of alpha, beta
-    and k, so the slot eigenvalues are integer polynomials over d or d^2."""
-    a, b, k = p.alpha, p.beta, p.k
-    d = math.lcm(a.denominator, b.denominator, k.denominator)
-    return d, a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), k.numerator * (d // k.denominator)
+    """The second symmetric operator, which commutes with hyper_operator:
+    (1-u)(Q0 + u Q1) d^2/du^2 + (R0 + u R1) d/du - (alpha + 2 ell + 3k) V,
+    V as in hyper_operator.  Row i of each matrix holds
+    Q0: 3i below the diagonal;
+    Q1: alpha - ell + 3i on the diagonal;
+    R0: (alpha + 2 ell)(beta + 1 + 2i) - 3k(ell - i) - 3i(beta - k + i) on the
+        diagonal and -i(2 alpha + 3 beta - 3k + 3 + ell + 3i) below it;
+    R1: -(alpha - ell + 3i)(alpha + beta + ell + i + 2) on the diagonal and
+        3(ell - i)(beta - k + 1 + i) above it.
+    Built on integers: A2 over d (see _cleared), A1 and A0 over d^2.  Read
+    back from A2 and A1 (coeff_of_order): Q0 is A2.coeff(0), Q1 is
+    -A2.coeff(2), R0 is A1.coeff(0) and R1 is A1.coeff(1).
+    """
+    d, a, b, k = _cleared(p)
+    n, ell, rows = p.size, p.ell, range(p.size)
+    q0 = _bands([0] * n, below=[3 * i * d for i in rows[1:]])
+    q1 = _bands([a + (3 * i - ell) * d for i in rows])
+    r0 = _bands(
+        [(a + 2 * ell * d) * (b + (1 + 2 * i) * d) - 3 * d * ((ell - i) * k + i * (b - k + i * d)) for i in rows],
+        below=[-i * d * (2 * a + 3 * b - 3 * k + (3 + ell + 3 * i) * d) for i in rows[1:]],
+    )
+    r1 = _bands(
+        [-(a + (3 * i - ell) * d) * (a + b + (ell + i + 2) * d) for i in rows],
+        above=[3 * (ell - i) * d * (b - k + (1 + i) * d) for i in range(ell)],
+    )
+    a2 = MatPoly.from_scalar(n, (1, -1)) * MatPoly._reduced(n, n, (q0, q1), d)
+    a1 = MatPoly._reduced(n, n, (r0, r1), d * d)
+    return DiffOp(n, (a2, a1, _minus_potential(p, a + 2 * ell * d + 3 * k, d * d)))
 
 
 def _slot(p: Params, w: int, j: int, cleared: tuple) -> tuple:

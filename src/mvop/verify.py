@@ -126,7 +126,7 @@ def check_bilinear_symmetry(ws: WeightSpec, op: DiffOp, max_power: int = 4) -> b
         raise ValueError("coefficient degrees must not exceed the derivative order")
     dim = ws.core.dim
     powers = range(max_power + 1)
-    images = [op.apply(MatPoly.monomial(dim, linalg.identity(dim), a)).transpose() for a in powers]
+    images = [op.apply(MatPoly.from_scalar(dim, (0,) * a + (1,))).transpose() for a in powers]
     n = max(len(x.num) for x in images)
     hs, den = ws.integrals(ws.core, max_power + n)
     scale = math.lcm(*(x.den for x in images))  # every S[a][b] over den alone
@@ -323,7 +323,7 @@ def run_suite(p: Params, max_w: int = 6) -> VerificationReport:
         return True, None
 
     def monic_relation():
-        eye = MatPoly.constant(linalg.identity(p.size))
+        eye = MatPoly.from_scalar(p.size, (1,))
         for n in range(4):
             shift, offset = line(n)
             if monic_matrix(e, n) * (den * den) != monic_matrix(d, n) * (shift * den) + eye * offset:

@@ -8,8 +8,9 @@ pairs through the integrals of the scalar factor (WeightSpec.integrals),
 moment_rows and pair_rows, so it needs none of this.  These are the second
 construction, the general solver and the Fraction moment matrices it used
 before, kept with their code and assertions so the tests can hold the
-library to them.  Matrices are the library's tuples of row tuples, vectors
-are tuples.
+library to them.  The bracket series reads C, U and V from the Fraction
+builders of fraction_oracle, not from the operator under test.  Matrices are
+the library's tuples of row tuples, vectors are tuples.
 """
 
 import math
@@ -20,16 +21,9 @@ from mvop import linalg
 from mvop.exact import _check_bound, exact_scalar, poch
 from mvop.linalg import Matrix, int_matmul
 from mvop.matpoly import MatPoly
-from mvop.model import (
-    Params,
-    WeightSpec,
-    _check_j,
-    drift_matrix,
-    moment_rows,
-    pair_rows,
-    potential_matrix,
-    recursion_matrix,
-)
+from mvop.model import Params, WeightSpec, _check_j, moment_rows, pair_rows
+
+from fraction_oracle import drift_matrix, potential_matrix, recursion_matrix
 
 Vector = tuple
 

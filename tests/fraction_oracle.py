@@ -7,9 +7,10 @@ of coefficient matrices (tuples of row tuples) by ascending power, trailing
 zero matrices trimmed; an operator is a list of polynomials by ascending
 derivative order.
 
-The slot eigenvalues and find_collisions are the library's Fraction
-versions from before each became one integer computation; the oracle tests
-hold the integer forms to them.  The run_suite decisions at the end are the
+The weight core, both operators and their closed-form matrices, the slot
+eigenvalues and find_collisions are the library's Fraction versions from
+before each became one integer computation; the oracle tests hold the
+integer forms to them.  The run_suite decisions at the end are the
 Fraction forms of the checks that now compare integer numerators: verdicts
 gives each one's verdict by check name.
 """
@@ -18,9 +19,9 @@ import math
 from fractions import Fraction
 
 from mvop import linalg
-from mvop.exact import _check_bound, exact_scalar, poch
+from mvop.exact import _check_bound, exact_scalar, gen_binom, poch
 from mvop.hyper import CollisionClass
-from mvop.matpoly import MatPoly
+from mvop.matpoly import DiffOp, MatPoly
 from mvop.model import Params, _check_j, moment_rows
 
 
@@ -106,6 +107,84 @@ def compose(op1, op2) -> list:
                 acc[i + j - m] = add(acc[i + j - m], scale(mul(a, b), math.comb(i, m)))
                 b = derivative(b)
     return acc
+
+
+# The weight core and both operators in Fraction, built as the library built
+# them before it wrote their numerators on integers: the closed-form matrices
+# of the operators one entry at a time and the core through gen_binom.
+
+
+def recursion_matrix(p: Params):
+    """C: lower bidiagonal, diagonal beta + 1 + 2i and subdiagonal i."""
+    m = [[Fraction(0)] * p.size for _ in range(p.size)]
+    for i in range(p.size):
+        m[i][i] = p.beta + 1 + 2 * i
+        if i >= 1:
+            m[i][i - 1] = Fraction(i)
+    return linalg.freeze_matrix(m)
+
+
+def drift_matrix(p: Params):
+    """U: diagonal, entries alpha + beta + ell + i + 2."""
+    return linalg.diagonal(p.alpha + p.beta + p.ell + i + 2 for i in range(p.size))
+
+
+def potential_matrix(p: Params):
+    """V: upper bidiagonal, diagonal i(alpha + beta - k + 1 + i) and
+    superdiagonal -(ell - i)(beta - k + 1 + i)."""
+    m = [[Fraction(0)] * p.size for _ in range(p.size)]
+    for i in range(p.size):
+        m[i][i] = i * (p.alpha + p.beta - p.k + 1 + i)
+        if i < p.ell:
+            m[i][i + 1] = -(p.ell - i) * (p.beta - p.k + 1 + i)
+    return linalg.freeze_matrix(m)
+
+
+def companion_blocks(p: Params):
+    """(Q0, Q1, R0, R1) of the companion operator, entry by entry."""
+    a, b, k, ell = p.alpha, p.beta, p.k, p.ell
+    q0, q1, r0, r1 = ([[Fraction(0)] * p.size for _ in range(p.size)] for _ in range(4))
+    for i in range(p.size):
+        q1[i][i] = a - ell + 3 * i
+        r0[i][i] = (a + 2 * ell) * (b + 1 + 2 * i) - 3 * k * (ell - i) - 3 * i * (b - k + i)
+        r1[i][i] = -(a - ell + 3 * i) * (a + b + ell + i + 2)
+        if i >= 1:
+            q0[i][i - 1] = Fraction(3 * i)
+            r0[i][i - 1] = -i * (3 * i + 3 * b - 3 * k + 3 + ell + 2 * a)
+        if i < ell:
+            r1[i][i + 1] = 3 * (b - k + 1 + i) * (ell - i)
+    return tuple(linalg.freeze_matrix(m) for m in (q0, q1, r0, r1))
+
+
+def weight_core(p: Params) -> MatPoly:
+    """Z, entry (i, j) the sum over r of C(r, i) C(r, j) C(ell + k - 1 - r, ell - r)
+    C(beta - k + r, r) (1-u)^(ell-r) u^(i+j), with generalized binomials."""
+    ell = p.ell
+    coeffs = [[[Fraction(0)] * p.size for _ in range(p.size)] for _ in range(2 * ell + 1)]
+    for r in range(ell + 1):
+        scale = gen_binom(ell + p.k - 1 - r, ell - r) * gen_binom(p.beta - p.k + r, r)
+        for i in range(r + 1):
+            for j in range(r + 1):
+                c = math.comb(r, i) * math.comb(r, j) * scale
+                for t in range(ell - r + 1):
+                    coeffs[i + j + t][i][j] += c * math.comb(ell - r, t) * (-1) ** t
+    return MatPoly(p.size, coeffs)
+
+
+def hyper_operator(p: Params) -> DiffOp:
+    """u(1-u) d^2/du^2 + (C - u U) d/du - V."""
+    a2 = MatPoly(p.size, tuple(linalg.scale(linalg.identity(p.size), c) for c in (0, 1, -1)))
+    a1 = MatPoly(p.size, (recursion_matrix(p), linalg.scale(drift_matrix(p), -1)))
+    return DiffOp(p.size, (a2, a1, MatPoly(p.size, (linalg.scale(potential_matrix(p), -1),))))
+
+
+def companion_operator(p: Params) -> DiffOp:
+    """(1-u)(Q0 + u Q1) d^2/du^2 + (R0 + u R1) d/du - (alpha + 2 ell + 3k) V."""
+    q0, q1, r0, r1 = companion_blocks(p)
+    a2 = MatPoly(p.size, (q0, linalg.add(q1, linalg.scale(q0, -1)), linalg.scale(q1, -1)))
+    scalar = p.alpha + 2 * p.ell + 3 * p.k
+    a0 = MatPoly(p.size, (linalg.scale(potential_matrix(p), -scalar),))
+    return DiffOp(p.size, (a2, MatPoly(p.size, (r0, r1)), a0))
 
 
 def hyper_eigenvalue(p: Params, w: int, j: int) -> Fraction:

@@ -22,19 +22,11 @@ from mvop.hyper import (
 )
 from mvop.matpoly import MatPoly
 from mvop.verify import gram_block
-from mvop.model import (
-    Params,
-    WeightSpec,
-    companion_eigenvalue,
-    drift_matrix,
-    hyper_eigenvalue,
-    hyper_operator,
-    potential_matrix,
-    recursion_matrix,
-)
+from mvop.model import Params, WeightSpec, companion_eigenvalue, hyper_eigenvalue, hyper_operator
 
 import dense_reference as dense
 import fraction_oracle as oracle
+from fraction_oracle import drift_matrix, potential_matrix, recursion_matrix
 from dense_reference import bracket_seq, inner_product, poly_solution_space, termination_matrix
 
 GRID = [

@@ -79,6 +79,24 @@ def test_zero_polynomial_degree_sentinel():
     assert MatPoly.zero(3, 1).degree == -1
 
 
+@pytest.mark.parametrize("dim", [0, 3])
+@pytest.mark.parametrize("scalars", [(), (0, 0), (1,), (0, 0, 1, -2, 1), (Fraction(1, 2), -3, Fraction(-5, 6))])
+def test_from_scalar_is_the_identity_times_each_coefficient(dim, scalars):
+    # the integer build against the Fraction identity matrices it replaced
+    want = MatPoly(dim, [linalg.scale(linalg.identity(dim), c) for c in scalars])
+    assert MatPoly.from_scalar(dim, scalars) == want
+
+
+@pytest.mark.parametrize("dim", [-1, 1.5, True, "2"])
+def test_from_scalar_checks_dim_before_the_coefficients(dim):
+    # as the constructor does, so a bad dim is a ValueError whatever the coefficients
+    for scalars in ((1,), (0.5,)):
+        with pytest.raises(ValueError, match="dim must be"):
+            MatPoly.from_scalar(dim, scalars)
+    with pytest.raises(ValueError, match="dim must be"):
+        MatPoly.zero(dim)
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         MatPoly(2, [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]])

@@ -12,20 +12,17 @@ from mvop.matpoly import DiffOp, MatPoly
 from mvop.model import (
     EigenPair,
     Params,
-    companion_blocks,
     companion_eigenvalue,
     companion_operator,
-    drift_matrix,
     eigen_table,
     hyper_eigenvalue,
     hyper_operator,
     monic_matrix,
-    potential_matrix,
-    recursion_matrix,
     weight_core,
 )
 
 import dense_reference as dense
+import fraction_oracle as oracle
 
 GRID = [
     Params(0, 1, 1, 1),
@@ -131,26 +128,41 @@ class TestParams:
         assert p.as_dict() == {"alpha": "1/2", "beta": "3/2", "k": "1", "ell": 2}
 
 
+def read_hyper(p: Params) -> tuple:
+    """(C, U, V) read back from hyper_operator(p) = u(1-u) d^2 + (C - u U) d - V."""
+    op = hyper_operator(p)
+    a1, a0 = op.coeff_of_order(1), op.coeff_of_order(0)
+    return a1.coeff(0), (-a1).coeff(1), (-a0).coeff(0)
+
+
+def read_companion(p: Params) -> tuple:
+    """(Q0, Q1, R0, R1) read back from companion_operator(p), whose A2 is
+    (1-u)(Q0 + u Q1) and whose A1 is R0 + u R1."""
+    op = companion_operator(p)
+    a2, a1 = op.coeff_of_order(2), op.coeff_of_order(1)
+    return a2.coeff(0), (-a2).coeff(2), a1.coeff(0), a1.coeff(1)
+
+
 class TestStructureMatrices:
     def test_recursion_matrix_base(self):
-        assert recursion_matrix(BASE) == ((Fraction(2), Fraction(0)), (Fraction(1), Fraction(4)))
+        assert read_hyper(BASE)[0] == ((Fraction(2), Fraction(0)), (Fraction(1), Fraction(4)))
 
     def test_drift_matrix_base(self):
-        assert drift_matrix(BASE) == linalg.diagonal([4, 5])
+        assert read_hyper(BASE)[1] == linalg.diagonal([4, 5])
 
     def test_potential_matrix_base(self):
-        assert potential_matrix(BASE) == ((Fraction(0), Fraction(-1)), (Fraction(0), Fraction(2)))
+        assert read_hyper(BASE)[2] == ((Fraction(0), Fraction(-1)), (Fraction(0), Fraction(2)))
 
     def test_potential_kills_first_unit_vector(self):
         for p in GRID:
             e0 = tuple((Fraction(i == 0),) for i in range(p.size))
-            assert dense.is_zero_matrix(dense.matmul(potential_matrix(p), e0))
+            assert dense.is_zero_matrix(dense.matmul(read_hyper(p)[2], e0))
 
     def test_recursion_shifts_invertible(self):
-        # the series recursion divides by recursion_matrix + i for every i >= 0
+        # the series recursion divides by C + i for every i >= 0
         for p in GRID:
             for i in range(8):
-                shifted = linalg.add(recursion_matrix(p), linalg.scale(linalg.identity(p.size), i))
+                shifted = linalg.add(read_hyper(p)[0], linalg.scale(linalg.identity(p.size), i))
                 assert dense.det(shifted) != 0
 
 
@@ -254,17 +266,8 @@ class TestWeightCore:
 
 
 class TestOperators:
-    def test_hyper_coefficients(self):
-        op = hyper_operator(BASE)
-        assert op.order == 2
-        assert op.coeff_of_order(2) == MatPoly.from_scalar(2, (0, 1, -1))
-        assert op.coeff_of_order(1) == MatPoly(
-            2, [recursion_matrix(BASE), linalg.scale(drift_matrix(BASE), -1)]
-        )
-        assert op.coeff_of_order(0) == MatPoly.constant(linalg.scale(potential_matrix(BASE), -1))
-
     def test_companion_blocks_base(self):
-        q0, q1, r0, r1 = companion_blocks(BASE)
+        q0, q1, r0, r1 = read_companion(BASE)
         assert q0 == ((0, 0), (3, 0))
         assert q1 == linalg.diagonal([-1, 2])
         assert r0 == ((1, 0), (-7, 5))
@@ -272,8 +275,7 @@ class TestOperators:
 
     def test_companion_q1_diagonal_rank_three(self):
         p = Params(1, 1, Fraction(1, 2), 2)
-        _, q1, _, _ = companion_blocks(p)
-        assert q1 == linalg.diagonal([-1, 2, 5])
+        assert read_companion(p)[1] == linalg.diagonal([-1, 2, 5])
 
     def test_companion_zero_order_is_scaled_hyper(self):
         for p in GRID:
@@ -283,8 +285,10 @@ class TestOperators:
             assert lhs == rhs
 
     def test_companion_leading_factorization(self):
+        # Q0 and Q1 are read from A2's two ends, so this holds its middle
+        # coefficient to Q1 - Q0 (A2 vanishes at u = 1) and its degree to 2
         for p in GRID:
-            q0, q1, _, _ = companion_blocks(p)
+            q0, q1, _, _ = read_companion(p)
             expect = MatPoly.from_scalar(p.size, (1, -1)) * MatPoly(p.size, (q0, q1))
             assert companion_operator(p).coeff_of_order(2) == expect
 
@@ -292,6 +296,53 @@ class TestOperators:
         for p in GRID:
             assert hyper_operator(p).is_degree_bounded()
             assert companion_operator(p).is_degree_bounded()
+
+
+# the points the integer construction is held to its Fraction oracle at:
+# ell = 1..10, two resonant points, both seed-0 sweep-resonant points and one more
+ORACLE_POINTS = [Params(Fraction(1, 2), Fraction(3, 2), 1, ell) for ell in range(1, 11)] + [
+    Params(0, 1, Fraction(3, 2), 2),
+    Params(0, 1, 1, 6),
+    Params(Fraction(-1, 2), Fraction(8, 3), Fraction(13, 12), 4),
+    Params(Fraction(5, 2), Fraction(7, 3), Fraction(11, 18), 4),
+    Params(Fraction(5, 2), Fraction(2, 3), Fraction(1, 2), 3),
+]
+
+# every arithmetic operator of Fraction; comparisons and construction are not counted
+FRACTION_ARITHMETIC = (
+    "__add__ __radd__ __sub__ __rsub__ __mul__ __rmul__ __truediv__ __rtruediv__ __floordiv__ __rfloordiv__"
+    " __mod__ __rmod__ __divmod__ __rdivmod__ __pow__ __rpow__ __neg__ __pos__ __abs__"
+).split()
+
+
+def numerators(op) -> tuple:
+    return tuple((c.num, c.den) for c in op.coeffs)
+
+
+class TestIntegerConstruction:
+    @pytest.mark.parametrize("p", ORACLE_POINTS, ids=str)
+    def test_matches_fraction_oracle(self, p):
+        got, want = weight_core(p), oracle.weight_core(p)
+        assert (got.num, got.den) == (want.num, want.den)
+        assert numerators(hyper_operator(p)) == numerators(oracle.hyper_operator(p))
+        assert numerators(companion_operator(p)) == numerators(oracle.companion_operator(p))
+
+    def test_builds_without_fraction_arithmetic(self, monkeypatch):
+        p = Params(Fraction(1, 2), Fraction(3, 2), 1, 10)
+        calls = []
+        for name in FRACTION_ARITHMETIC:
+
+            def counted(*args, name=name, original=getattr(Fraction, name)):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(Fraction, name, counted)
+        weight_core(p)
+        hyper_operator(p)
+        companion_operator(p)
+        assert calls == []
+        assert Fraction(1, 2) * 3 == Fraction(3, 2)  # the counter sees Fraction arithmetic
+        assert calls == ["__mul__"]
 
 
 class TestEigenvalues:
@@ -346,19 +397,19 @@ class TestMonicEigenvalue:
         for p in GRID:
             for n in range(6):
                 got = monic_matrix(hyper_operator(p), n).coeff(0)
-                shifted = linalg.add(drift_matrix(p), linalg.scale(linalg.identity(p.size), n - 1))
-                expect = dense.sub(linalg.scale(shifted, -n), potential_matrix(p))
+                shifted = linalg.add(oracle.drift_matrix(p), linalg.scale(linalg.identity(p.size), n - 1))
+                expect = dense.sub(linalg.scale(shifted, -n), oracle.potential_matrix(p))
                 assert got == expect
 
     def test_companion_route(self):
         for p in GRID:
-            q0, q1, r0, r1 = companion_blocks(p)
+            q0, q1, r0, r1 = oracle.companion_blocks(p)
             scalar = p.alpha + 2 * p.ell + 3 * p.k
             for n in range(6):
                 got = monic_matrix(companion_operator(p), n).coeff(0)
                 expect = linalg.add(
                     linalg.scale(q1, -n * (n - 1)),
-                    dense.sub(linalg.scale(r1, n), linalg.scale(potential_matrix(p), scalar)),
+                    dense.sub(linalg.scale(r1, n), linalg.scale(oracle.potential_matrix(p), scalar)),
                 )
                 assert got == expect
 

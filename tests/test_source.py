@@ -94,10 +94,14 @@ def test_package_names_are_their_home_objects():
 
 
 def test_each_closed_form_has_one_public_name():
-    # the Fraction views of the closed forms are gone; callers read the
-    # integer forms through MatPoly.coeff
-    for name in ("kernel_vector", "leading_coefficient", "monic_eigenvalue", "eigenvalue_matrix"):
+    # the Fraction views of the closed forms are gone: callers read the integer
+    # forms through MatPoly.coeff, and C, U, V, Q0, Q1, R0 and R1 as
+    # coefficients of hyper_operator and companion_operator
+    gone = ("kernel_vector", "leading_coefficient", "monic_eigenvalue", "eigenvalue_matrix")
+    gone += ("recursion_matrix", "drift_matrix", "potential_matrix", "companion_blocks")
+    for name in gone:
         assert name not in mvop.__all__
+        assert not hasattr(mvop.model, name) and not hasattr(mvop.hyper, name)
         with pytest.raises(AttributeError, match=f"'mvop' has no attribute '{name}'"):
             getattr(mvop, name)
     assert mvop.kernel_matrix is mvop.hyper.kernel_matrix
