@@ -10,7 +10,7 @@ Distinct slots (w, j) and (w', j') can share an eigenvalue.  find_collisions
 recovers the full class of slots sharing a value as exact roots of a
 quadratic in w', on integers.  Every column is built downward from zero
 above its top degree, one bidiagonal back-substitution per degree on
-integers read from the integer form of the operator D itself, with one
+integers read from the numerators D.num of the operator D itself, with one
 common denominator and one gcd per degree.  The descent never reads the
 closed form kernel_matrix; run_suite's leading_coefficient_w checks hold
 its top coefficients to it.  A later slot of a class is certified as an
@@ -118,7 +118,7 @@ def find_collisions(p: Params, lam) -> CollisionClass:
 class Family:
     """Everything one parameter set fixes, kept as long as the instance and
     each part built on first use: the weight (a WeightSpec), the operators D
-    and E (the descent and every apply read their one integer form), each
+    and E (each held as integer numerators over one denominator), each
     P_w, and the moment rows of each P_w', computed once per degree.
     A column is not kept: column builds it on every call."""
 
@@ -135,7 +135,7 @@ class Family:
         f_{w+1} = 0, and the slots (i, r) below the top where a pivot vanished.
 
         With F = sum_i f_i u^i, the u^i coefficient of (D - lam) F = 0 is
-        M1(i) f_{i+1} = (lam - M0(i)) f_i, read from D's integer_form:
+        M1(i) f_{i+1} = (lam - M0(i)) f_i, read from D's numerators num:
         M1(i) = (i+1)(A_1[u^0] + i A_2[u^1]) is lower bidiagonal and
         M0(i) = A_0[u^0] + i A_1[u^1] + i(i-1) A_2[u^2] upper bidiagonal, as
         A_2 = u(1-u) I, A_1 is linear with a diagonal u^1 coefficient and A_0
@@ -155,7 +155,7 @@ class Family:
         degrees' denominators.
         """
         n = self.params.size
-        ((a0,), (b0, b1), (_, c1, c2)), scale = self.hyper.integer_form
+        ((a0,), (b0, b1), (_, c1, c2)), scale = self.hyper.num, self.hyper.den
         lam = lam * scale
         if lam.denominator != 1:
             raise ArithmeticError(f"lam times the operator scale {scale} is not an integer: {lam}")

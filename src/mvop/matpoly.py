@@ -7,9 +7,9 @@ zeros trimmed, over one denominator den > 0 reduced against all of them by
 one gcd (the zero polynomial is num = (), den = 1).  That form is unique, so
 structural equality is exact polynomial equality.  All arithmetic runs on
 the integers; Fractions are built only where a caller reads entries (coeffs,
-coeff, leading, entry, evaluate, to_json_dict).  A DiffOp clears its
-coefficients once, on first use, to its integer_form, which apply, compose,
-model.monic_matrix and the descent of hyper all read.
+coeff, leading, entry, evaluate, to_json_dict).  A DiffOp holds the same
+form for all of its coefficients at once, over the lcm of their denominators,
+which apply, compose, model.monic_matrix and the descent of hyper all read.
 The degree of the zero polynomial is -1.  All values are immutable: a
 Frozen class compares, hashes and prints by its fields.
 """
@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import cached_property
 from itertools import zip_longest
 
 from . import linalg
@@ -246,15 +245,18 @@ class MatPoly(Frozen):
 
 
 class DiffOp(Frozen):
-    """Differential operator sum_j A_j(u) d^j/du^j with MatPoly coefficients.
+    """Differential operator sum_j A_j(u) d^j/du^j, each A_j a square matrix polynomial.
 
-    Coefficients are square, stored leading order first, order zero last.
-    The operator acts on a dim x n matrix polynomial by left multiplication
-    of the coefficients, so it acts column by column.  Order is structural: it is preserved by arithmetic
-    even when leading coefficients vanish, so a commutator keeps its shape.
+    num[j] holds the integer coefficient matrices of A_j by ascending power,
+    for j = 0 .. order, over one denominator den, the lcm of the coefficients'
+    own denominators: a reduced, unique form, so == is operator equality.
+    DiffOp(dim, coeffs) clears MatPoly coefficients given leading order first;
+    coeffs and coeff_of_order read them back.  The operator multiplies a dim x n
+    matrix polynomial from the left, so it acts column by column.  Order is
+    structural (a zero A_j is () in num), so a commutator keeps its shape.
     """
 
-    _fields = ("dim", "coeffs")
+    _fields = ("dim", "num", "den")
 
     def __init__(self, dim: int, coeffs=()):
         _check_bound("dim", dim)
@@ -264,7 +266,8 @@ class DiffOp(Frozen):
         for c in cs:
             if not isinstance(c, MatPoly) or c.dim != dim or c.cols != dim:
                 raise ValueError("coefficients must be dim x dim MatPoly")
-        self.__dict__.update(dim=dim, coeffs=cs)
+        den = math.lcm(*(c.den for c in cs))
+        self.__dict__.update(dim=dim, num=tuple(_scaled(c.num, den // c.den) for c in reversed(cs)), den=den)
 
     @classmethod
     def from_ascending(cls, dim: int, coeffs_ascending) -> DiffOp:
@@ -272,28 +275,22 @@ class DiffOp(Frozen):
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
+
+    @property
+    def coeffs(self) -> tuple:  # leading order first
+        return tuple(map(self.coeff_of_order, range(self.order, -1, -1)))
 
     def coeff_of_order(self, j: int) -> MatPoly:
         _check_bound("order", j)
-        if j <= self.order:
-            return self.coeffs[self.order - j]
-        return MatPoly.zero(self.dim)
+        return MatPoly._reduced(self.dim, self.dim, self.num[j] if j <= self.order else (), self.den)
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not any(self.num)
 
     def is_degree_bounded(self) -> bool:
         """True when deg A_j <= j for every order j, the class closed under composition."""
-        return all(self.coeff_of_order(j).degree <= j for j in range(self.order + 1))
-
-    @cached_property
-    def integer_form(self) -> tuple:
-        """The operator's one integer form, cleared on first use: the numerators
-        of A_0, A_1, ... by ascending order, each its integer coefficient
-        matrices by ascending power, over den, the lcm of their denominators."""
-        den = math.lcm(*(c.den for c in self.coeffs))
-        return tuple(_scaled(c.num, den // c.den) for c in reversed(self.coeffs)), den
+        return all(len(a) <= j + 1 for j, a in enumerate(self.num))
 
     def apply(self, f: MatPoly) -> MatPoly:
         """Apply to a dim x n MatPoly: sum_j A_j(u) f^(j)(u), each output
@@ -302,12 +299,11 @@ class DiffOp(Frozen):
             raise TypeError("apply expects a MatPoly")
         if f.dim != self.dim:
             raise ValueError("dimension mismatch")
-        nums, den = self.integer_form
         terms, g = [], f.num
-        for a in nums:
+        for a in self.num:
             terms.append((a, g))
             g = _derived(g)
-        return MatPoly._reduced(self.dim, f.cols, _product_sum(terms, self.dim, f.cols), den * f.den)
+        return MatPoly._reduced(self.dim, f.cols, _product_sum(terms, self.dim, f.cols), self.den * f.den)
 
     def compose(self, other: DiffOp) -> DiffOp:
         """Operator product self(other(.)), expanded by the Leibniz rule.
@@ -318,14 +314,13 @@ class DiffOp(Frozen):
         """
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        (lefts, dl), (rights, dr) = self.integer_form, other.integer_form
-        terms = [[] for _ in range(self.order + other.order + 1)]
-        for i, a in enumerate(lefts):
-            for j, b in enumerate(rights):
+        den, terms = self.den * other.den, [[] for _ in range(self.order + other.order + 1)]
+        for i, a in enumerate(self.num):
+            for j, b in enumerate(other.num):
                 for m in range(i + 1):
                     terms[i + j - m].append((_scaled(a, math.comb(i, m)), b))
                     b = _derived(b)
-        coeffs = [MatPoly._reduced(self.dim, self.dim, _product_sum(t, self.dim, self.dim), dl * dr) for t in terms]
+        coeffs = [MatPoly._reduced(self.dim, self.dim, _product_sum(t, self.dim, self.dim), den) for t in terms]
         return DiffOp.from_ascending(self.dim, coeffs)
 
     def __add__(self, other: DiffOp) -> DiffOp:

@@ -232,8 +232,8 @@ def companion_operator(p: Params) -> DiffOp:
     """
     d, a, b, k = _cleared(p)
     n, ell, rows = p.size, p.ell, range(p.size)
-    q0 = _bands([0] * n, below=[3 * i * d for i in rows[1:]])
-    q1 = _bands([a + (3 * i - ell) * d for i in rows])
+    q0 = [3 * i * d for i in rows[1:]]  # Q0's band below the diagonal
+    q1 = [a + (3 * i - ell) * d for i in rows]  # Q1's diagonal
     r0 = _bands(
         [(a + 2 * ell * d) * (b + (1 + 2 * i) * d) - 3 * d * ((ell - i) * k + i * (b - k + i * d)) for i in rows],
         below=[-i * d * (2 * a + 3 * b - 3 * k + (3 + ell + 3 * i) * d) for i in rows[1:]],
@@ -242,9 +242,10 @@ def companion_operator(p: Params) -> DiffOp:
         [-(a + (3 * i - ell) * d) * (a + b + (ell + i + 2) * d) for i in rows],
         above=[3 * (ell - i) * d * (b - k + (1 + i) * d) for i in range(ell)],
     )
-    a2 = MatPoly.from_scalar(n, (1, -1)) * MatPoly._reduced(n, n, (q0, q1), d)
+    # A2 = (1-u)(Q0 + u Q1) by ascending power: Q0, Q1 - Q0 and -Q1
+    a2 = _bands([0] * n, below=q0), _bands(q1, below=[-x for x in q0]), _bands([-x for x in q1])
     a1 = MatPoly._reduced(n, n, (r0, r1), d * d)
-    return DiffOp(n, (a2, a1, _minus_potential(p, a + 2 * ell * d + 3 * k, d * d)))
+    return DiffOp(n, (MatPoly._reduced(n, n, a2, d), a1, _minus_potential(p, a + 2 * ell * d + 3 * k, d * d)))
 
 
 def _slot(p: Params, w: int, j: int, cleared: tuple) -> tuple:
@@ -275,14 +276,13 @@ def companion_eigenvalue(p: Params, w: int, j: int) -> Fraction:
 def monic_matrix(op: DiffOp, n: int) -> MatPoly:
     """Constant matrix sum_i [n]_i (u^i coefficient of A_i), the eigenvalue
     of op on a monic degree-n polynomial family, as a constant MatPoly built
-    on op's integer form; requires deg A_i <= i."""
+    on op's numerators over op.den; requires deg A_i <= i."""
     _check_bound("n", n)
     if not op.is_degree_bounded():
         raise ValueError("coefficient degrees must not exceed the derivative order")
-    nums, den = op.integer_form
-    weighted = [(math.perm(n, i), a[i]) for i, a in enumerate(nums) if i < len(a)]
+    weighted = [(math.perm(n, i), a[i]) for i, a in enumerate(op.num) if i < len(a)]
     rows = tuple(tuple(sum(s * mat[r][c] for s, mat in weighted) for c in range(op.dim)) for r in range(op.dim))
-    return MatPoly._reduced(op.dim, op.dim, (rows,), den)
+    return MatPoly._reduced(op.dim, op.dim, (rows,), op.den)
 
 
 class EigenPair(namedtuple("EigenPair", "w j lam mu")):

@@ -114,6 +114,8 @@ def check_bilinear_symmetry(ws: WeightSpec, op: DiffOp, max_power: int = 4) -> b
     for degree-bounded operators only (deg A_i <= i, else ValueError); one of
     higher coefficient degree can pass on these monomials and not be symmetric.
     Symmetry itself is decided by check_symmetry_reduced with check_boundary.
+    max_power = 4 is a sample: at every order-2 point tried, degree
+    order + 1 = 3 already decided symmetry among degree-bounded operators.
 
     As op acts column by column, the bilinear defect vanishes exactly when
     G[(a, r), (b, t)] = <op(u^a e_r), u^b e_t> is symmetric.  That is entry

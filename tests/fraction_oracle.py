@@ -21,7 +21,7 @@ from fractions import Fraction
 from mvop import linalg
 from mvop.exact import _check_bound, exact_scalar, gen_binom, poch
 from mvop.hyper import CollisionClass
-from mvop.matpoly import DiffOp, MatPoly
+from mvop.matpoly import MatPoly
 from mvop.model import Params, _check_j, moment_rows
 
 
@@ -109,9 +109,10 @@ def compose(op1, op2) -> list:
     return acc
 
 
-# The weight core and both operators in Fraction, built as the library built
-# them before it wrote their numerators on integers: the closed-form matrices
-# of the operators one entry at a time and the core through gen_binom.
+# The weight core and the coefficients of both operators in Fraction, built
+# as the library built them before it wrote their numerators on integers: the
+# closed-form matrices of the operators one entry at a time and the core
+# through gen_binom.
 
 
 def recursion_matrix(p: Params):
@@ -171,20 +172,20 @@ def weight_core(p: Params) -> MatPoly:
     return MatPoly(p.size, coeffs)
 
 
-def hyper_operator(p: Params) -> DiffOp:
-    """u(1-u) d^2/du^2 + (C - u U) d/du - V."""
+def hyper_coeffs(p: Params) -> tuple:
+    """(A2, A1, A0) of u(1-u) d^2/du^2 + (C - u U) d/du - V."""
     a2 = MatPoly(p.size, tuple(linalg.scale(linalg.identity(p.size), c) for c in (0, 1, -1)))
     a1 = MatPoly(p.size, (recursion_matrix(p), linalg.scale(drift_matrix(p), -1)))
-    return DiffOp(p.size, (a2, a1, MatPoly(p.size, (linalg.scale(potential_matrix(p), -1),))))
+    return a2, a1, MatPoly(p.size, (linalg.scale(potential_matrix(p), -1),))
 
 
-def companion_operator(p: Params) -> DiffOp:
-    """(1-u)(Q0 + u Q1) d^2/du^2 + (R0 + u R1) d/du - (alpha + 2 ell + 3k) V."""
+def companion_coeffs(p: Params) -> tuple:
+    """(A2, A1, A0) of (1-u)(Q0 + u Q1) d^2/du^2 + (R0 + u R1) d/du - (alpha + 2 ell + 3k) V."""
     q0, q1, r0, r1 = companion_blocks(p)
     a2 = MatPoly(p.size, (q0, linalg.add(q1, linalg.scale(q0, -1)), linalg.scale(q1, -1)))
     scalar = p.alpha + 2 * p.ell + 3 * p.k
     a0 = MatPoly(p.size, (linalg.scale(potential_matrix(p), -scalar),))
-    return DiffOp(p.size, (a2, MatPoly(p.size, (r0, r1)), a0))
+    return a2, MatPoly(p.size, (r0, r1)), a0
 
 
 def hyper_eigenvalue(p: Params, w: int, j: int) -> Fraction:

@@ -415,10 +415,12 @@ class TestBuildColumn:
         assert second.coeff(0) == ((Fraction(-12, 35),), (Fraction(-2, 7),), (Fraction(0),))
 
     def test_collision_columns_orthogonal(self):
-        # a two-member class, and a three-member one (these need ell >= 4)
+        # a two-member class, a three-member one (these need ell >= 4) and a
+        # four-member one (found at ell = 8, 10 and 12)
         for p, slots in (
             (COLLIDING, ((0, 2), (1, 0))),
             (Params(0, 3, 1, 5), ((4, 5), (6, 2), (7, 0))),
+            (Params(Fraction(-2, 3), Fraction(11, 3), 4, 8), ((1, 8), (3, 5), (4, 3), (5, 0))),
         ):
             assert find_collisions(p, hyper_eigenvalue(p, *slots[0])).members == slots
             ws = WeightSpec(p)
@@ -448,9 +450,13 @@ class TestBuildColumn:
             for w, j in later:
                 assert build_column(p, w, j) == orthogonalized_column(p, w, j)
         # the later members of the three-member class (4, 5), (6, 2), (7, 0)
-        p = Params(0, 3, 1, 5)
-        for w, j in ((6, 2), (7, 0)):
-            assert build_column(p, w, j) == orthogonalized_column(p, w, j)
+        # and of the four-member class (1, 8), (3, 5), (4, 3), (5, 0)
+        for p, later in (
+            (Params(0, 3, 1, 5), ((6, 2), (7, 0))),
+            (Params(Fraction(-2, 3), Fraction(11, 3), 4, 8), ((3, 5), (4, 3), (5, 0))),
+        ):
+            for w, j in later:
+                assert build_column(p, w, j) == orthogonalized_column(p, w, j)
 
     @pytest.mark.usefixtures("fresh_family")
     def test_later_slot_off_its_companion_eigenvalue_raises(self, monkeypatch):
@@ -488,17 +494,16 @@ class TestBuildColumn:
             build_column(COLLIDING, 1, 0)
 
     def test_descent_rejects_an_inconsistent_pivot(self):
-        # in a copy of D's integer form, A_0's numerator at (2, 2) moved to
-        # lam(1, 1) L makes the degree-0 pivot of row 2 vanish in the descent
+        # in D's numerators, A_0's entry at (2, 2) moved to lam(1, 1) L makes the degree-0 pivot of row 2 vanish in the descent
         # of (1, 1), where the right side, A_1's (2, 1) entry times f_1[1] = 1,
         # does not.  An entry off the diagonal cannot do this: f_{w-t} stays
         # zero in every row after j + t, a staircase that covers every
         # earlier member of a class.
         fam = Family(COLLIDING)
-        ((a0,), *rest), scale = fam.hyper.integer_form
-        lam = hyper_eigenvalue(COLLIDING, 1, 1) * scale
+        (a0,), *rest = fam.hyper.num
+        lam = hyper_eigenvalue(COLLIDING, 1, 1) * fam.hyper.den
         a0 = tuple(tuple(lam.numerator if r == c == 2 else x for c, x in enumerate(row)) for r, row in enumerate(a0))
-        fam.hyper.__dict__["integer_form"] = ((a0,), *rest), scale
+        fam.hyper.__dict__["num"] = (a0,), *rest
         with pytest.raises(ArithmeticError, match="degree 0, row 2"):
             fam.column(1, 1)
 

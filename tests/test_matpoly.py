@@ -387,6 +387,8 @@ def test_compose_matches_the_oracle(dim, data):
     assert product.order == op1.order + op2.order
     for c in product.coeffs:
         assert_reduced(c)
+    # the lcm of the coefficients' denominators leaves the operator's form reduced too
+    assert math.gcd(product.den, *(x for a in product.num for c in a for row in c for x in row)) == 1
     assert [product.coeff_of_order(t).coeffs for t in range(product.order + 1)] == oracle.compose(ref1, ref2)
 
 
@@ -516,7 +518,7 @@ def _values():
     return f, op
 
 
-@pytest.mark.parametrize("index, names", [(0, ("dim", "cols", "num", "den", "degree")), (1, ("dim", "coeffs", "order"))])
+@pytest.mark.parametrize("index, names", [(0, ("dim", "cols", "num", "den", "degree")), (1, ("dim", "num", "den", "coeffs", "order"))])
 def test_fields_cannot_be_assigned_or_deleted(index, names):
     value = _values()[index]
     before = repr(value)
@@ -532,8 +534,6 @@ def test_equal_values_compare_and_hash_equal():
     (f, op), (g, op2) = _values(), _values()
     assert f is not g and f == g and hash(f) == hash(g) and not f != g
     assert op is not op2 and op == op2 and hash(op) == hash(op2)
-    # the operator's cleared form is cached beside its fields, not one of them
-    assert op.integer_form and op == op2 and hash(op) == hash(op2)
     assert f != f * 2 and op != -op
 
 
@@ -549,7 +549,5 @@ def test_repr():
     f, op = _values()
     assert repr(f) == "MatPoly(dim=2, cols=2, num=(((2, 1), (0, 6)), ((0, 2), (4, 0))), den=2)"
     assert repr(MatPoly.zero(2, 1)) == "MatPoly(dim=2, cols=1, num=(), den=1)"
-    assert repr(op) == (
-        "DiffOp(dim=1, coeffs=(MatPoly(dim=1, cols=1, num=(((1,),),), den=1), "
-        "MatPoly(dim=1, cols=1, num=(((1,),), ((6,),)), den=3)))"
-    )
+    # A_0 = 1/3 + 2u and A_1 = 1 over the lcm 3 of their denominators
+    assert repr(op) == "DiffOp(dim=1, num=((((1,),), ((6,),)), (((3,),),)), den=3)"

@@ -1,12 +1,12 @@
+import math
 import re
 from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property
 from types import SimpleNamespace
 
 import pytest
 
-from mvop import linalg
+from mvop import linalg, matpoly
 from mvop.hyper import family
 from mvop.matpoly import DiffOp, MatPoly
 from mvop.model import (
@@ -315,8 +315,8 @@ FRACTION_ARITHMETIC = (
 ).split()
 
 
-def numerators(op) -> tuple:
-    return tuple((c.num, c.den) for c in op.coeffs)
+def numerators(coeffs) -> tuple:
+    return tuple((c.num, c.den) for c in coeffs)
 
 
 class TestIntegerConstruction:
@@ -324,8 +324,33 @@ class TestIntegerConstruction:
     def test_matches_fraction_oracle(self, p):
         got, want = weight_core(p), oracle.weight_core(p)
         assert (got.num, got.den) == (want.num, want.den)
-        assert numerators(hyper_operator(p)) == numerators(oracle.hyper_operator(p))
-        assert numerators(companion_operator(p)) == numerators(oracle.companion_operator(p))
+        assert numerators(hyper_operator(p).coeffs) == numerators(oracle.hyper_coeffs(p))
+        assert numerators(companion_operator(p).coeffs) == numerators(oracle.companion_coeffs(p))
+
+    @pytest.mark.parametrize("p", ORACLE_POINTS, ids=str)
+    def test_operators_hold_the_lcm_clearing(self, p):
+        # each operator holds the oracle's Fraction entries of A_0, A_1, A_2
+        # cleared by the lcm of all of their denominators
+        ops = hyper_operator(p), companion_operator(p)
+        refs = [[c.coeffs for c in reversed(coeffs)] for coeffs in (oracle.hyper_coeffs(p), oracle.companion_coeffs(p))]
+        for op, ref in zip(ops, refs):
+            den = math.lcm(*(x.denominator for a in ref for m in a for row in m for x in row))
+            num = tuple(tuple(tuple(tuple(int(x * den) for x in row) for row in m) for m in a) for a in ref)
+            assert (op.num, op.den) == (num, den)
+        # so is their product, rebuilt from the MatPoly views of its coefficients
+        prod = ops[0].compose(ops[1])
+        assert DiffOp.from_ascending(p.size, reversed(prod.coeffs)) == prod
+        assert [prod.coeff_of_order(t).coeffs for t in range(prod.order + 1)] == oracle.compose(*refs)
+
+    def test_companion_builds_without_a_matrix_product(self, monkeypatch):
+        # A2 = (1-u)(Q0 + u Q1) is written by its three coefficients, not as
+        # a product with the identity multiple 1 - u
+        calls, real = [], matpoly._product_sum
+        monkeypatch.setattr(matpoly, "_product_sum", lambda *args: calls.append(args) or real(*args))
+        companion_operator(Params(Fraction(1, 2), Fraction(3, 2), 1, 10))
+        assert calls == []
+        assert MatPoly.from_scalar(2, (1, 1)) * MatPoly.from_scalar(2, (1,))  # the counter sees a product
+        assert len(calls) == 1
 
     def test_builds_without_fraction_arithmetic(self, monkeypatch):
         p = Params(Fraction(1, 2), Fraction(3, 2), 1, 10)
@@ -446,20 +471,21 @@ class TestMonicEigenvalue:
         with pytest.raises(ValueError, match="n must be an integer"):
             monic_matrix(hyper_operator(BASE), bad)
 
-    def test_reads_each_operator_once(self, monkeypatch):
-        # each operator's coefficients are cleared to its integer form once,
-        # however many degrees are asked for
-        calls = []
-        real = DiffOp.__dict__["integer_form"].func
-        counted = cached_property(lambda op: calls.append(op) or real(op))
-        counted.__set_name__(DiffOp, "integer_form")
-        monkeypatch.setattr(DiffOp, "integer_form", counted)
+    def test_reads_the_numerators_alone(self, monkeypatch):
+        # each operator is cleared once, when it is built: monic_matrix reads
+        # its numerators over its denominator, never a MatPoly view of a
+        # coefficient, however many degrees are asked for
         p = GRID[1]
         ops = (hyper_operator(p), companion_operator(p))
-        for n in range(21):
-            for op in ops:
-                monic_matrix(op, n)
-        assert calls == list(ops)
+        want = [[oracle.monic_eigenvalue(op, n) for op in ops] for n in range(21)]
+
+        def refuse(*args):
+            raise AssertionError("a coefficient of the operator was read back as a MatPoly")
+
+        monkeypatch.setattr(DiffOp, "coeffs", property(refuse))
+        monkeypatch.setattr(DiffOp, "coeff_of_order", refuse)
+        got = [[[list(row) for row in monic_matrix(op, n).coeff(0)] for op in ops] for n in range(21)]
+        assert got == want
 
 
 class TestEigenTable:

@@ -58,22 +58,32 @@ def test_library_has_no_floats():
 
 
 def test_only_memo_keeps_the_latest_family():
-    # what one parameter set fixes lives in a Family and dies with it; the one
-    # module-level memo holds only the latest Family
+    # what one parameter set fixes lives in a Family and dies with it: its
+    # weight and two operators are the only cached attributes in the library,
+    # and the one module-level memo holds only the latest Family
     uses = []
     for path in sorted(Path(mvop.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        decorated = {
-            id(d.func if isinstance(d, ast.Call) else d): (node.name, ast.unparse(d))
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            for d in node.decorator_list
-        }
+        owners = {}  # id of a decorator, or of the callee of an assigned call -> (owner, source)
+        for scope in [tree] + [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]:
+            prefix = f"{scope.name}." if isinstance(scope, ast.ClassDef) else ""
+            for node in scope.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    for d in node.decorator_list:
+                        owners[id(d.func if isinstance(d, ast.Call) else d)] = (prefix + node.name, ast.unparse(d))
+                elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+                    target = ast.unparse(node.targets[0])
+                    owners[id(node.value.func)] = (prefix + target, ast.unparse(node.value.func))
         for node in ast.walk(tree):
             name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
-            if name in ("lru_cache", "cache"):
-                uses.append((path.name,) + decorated.get(id(node), (None, ast.unparse(node))))
-    assert uses == [("hyper.py", "family", "lru_cache(maxsize=1)")]
+            if name in ("lru_cache", "cache", "cached_property"):
+                uses.append((path.name,) + owners.get(id(node), (None, ast.unparse(node))))
+    assert sorted(uses) == [
+        ("hyper.py", "Family.companion", "cached_property"),
+        ("hyper.py", "Family.hyper", "cached_property"),
+        ("hyper.py", "Family.weight", "cached_property"),
+        ("hyper.py", "family", "lru_cache(maxsize=1)"),
+    ]
 
 
 def test_every_exported_name_resolves():

@@ -1,14 +1,13 @@
 import math
 import random
 from fractions import Fraction
-from functools import cached_property
 
 import pytest
 from hypothesis import given, strategies as st
 
 import mvop.hyper
 from mvop import linalg
-from mvop.hyper import CollisionClass, Family, build_column, orthogonal_polynomial
+from mvop.hyper import CollisionClass, Family, build_column, find_collisions, orthogonal_polynomial
 from mvop import model, verify
 from mvop.matpoly import DiffOp, MatPoly
 
@@ -770,33 +769,27 @@ class TestSuite:
         assert counts == {"_descend": 36, "hyper_operator": 1, "companion_operator": 1, "weight_core": 1}
 
     @pytest.mark.usefixtures("fresh_family")
-    def test_each_operator_is_cleared_once(self, monkeypatch):
-        # D and E each clear their coefficients once, to the integer form that
-        # apply, compose, the monic eigenvalues and the descent all read; the
-        # Family clears no copy of D of its own
-        real, cleared = DiffOp.integer_form.func, []
-
-        def counted(op):
-            cleared.append(op)
-            return real(op)
-
-        prop = cached_property(counted)
-        prop.__set_name__(DiffOp, "integer_form")
-        monkeypatch.setattr(DiffOp, "integer_form", prop)
+    def test_operators_are_read_as_numerators(self, monkeypatch):
+        # D and E are held as integer numerators over one denominator, which
+        # apply, compose, the monic eigenvalues and the descent all read
         p = Params(Fraction(1, 2), Fraction(3, 2), 1, 3)
         assert run_suite(p, max_w=8).passed
         fam = mvop.hyper.family(p)
-        assert len(cleared) == 2 and cleared[0] is fam.hyper and cleared[1] is fam.companion
+        assert 9 not in fam._polys
 
-        # with their coefficients zeroed, the cleared forms alone still build and certify P_9
-        for op in (fam.hyper, fam.companion):
-            object.__setattr__(op, "coeffs", (MatPoly.zero(op.dim),) * len(op.coeffs))
-        assert check_eigen(p, 9)
-        assert len(cleared) == 2
+        # with the MatPoly views of the coefficients refused, the numerators
+        # alone still build and certify P_9 and decide that D and E commute
+        def refuse(*args):
+            raise AssertionError("a coefficient of an operator was read back as a MatPoly")
 
-        # a fresh Family clears D to the same form
+        with monkeypatch.context() as patch:
+            patch.setattr(DiffOp, "coeffs", property(refuse))
+            patch.setattr(DiffOp, "coeff_of_order", refuse)
+            assert check_eigen(p, 9) and check_commute(p)
+
+        # a fresh Family builds the same D
         fresh = Family(p)
-        assert fresh.hyper.integer_form == fam.hyper.integer_form
+        assert fresh.hyper == fam.hyper
 
     def test_relation_witnesses_name_the_first_failing_degree(self, monkeypatch):
         # mu off by 1 at every slot of w = 3 (d^2 on its numerator) breaks the
@@ -1020,6 +1013,16 @@ class TestSuite:
         failed = [c for c in report.checks if c.status == "fail"]
         assert [c.name for c in failed] == ["gram_zero_w0_w2"]
         assert failed[0].witness == "nonzero block at (0, 2): entry (1, 0) is -2/5"
+
+    @pytest.mark.parametrize(
+        "p",
+        [Params(Fraction(-2, 3), Fraction(11, 3), 4, 8), Params(Fraction(-3, 4), Fraction(7, 4), 2, 10)],
+        ids=str,
+    )
+    def test_passes_with_a_class_of_four(self, p):
+        # the largest classes found up to ell = 12 have four members
+        assert find_collisions(p, hyper_eigenvalue(p, 1, 8)).members == ((1, 8), (3, 5), (4, 3), (5, 0))
+        assert run_suite(p, max_w=5).passed
 
     def test_class_missing_a_later_member_fails(self, monkeypatch):
         # lam = -5 is shared by (0, 2) and (1, 0) at GRID[3]; dropping the
