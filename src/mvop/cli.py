@@ -11,10 +11,12 @@ checks, and csv output alone imports csv.
 Each command returns its output as a sequence of text chunks, which main
 writes to stdout or --out.  List output (table, polys, collisions, gram) is
 written one record at a time in either format, each record built only when
-it is due: polys builds column (w, j) only when its record is written.  JSON
-comes out byte for byte as json.dumps(list, indent=2) writes it, and CSV
-reads its rows from the same records.  A run that raises partway leaves a
-truncated document, in either format, and exits through the traceback.
+it is due: polys descends to column (w, j) only when its record is written,
+and writes its entries straight from the descent's per-degree rows
+(Family.column_strings), with no MatPoly between.  JSON comes out byte for
+byte as json.dumps(list, indent=2) writes it, and CSV reads its rows from
+the same records.  A run that raises partway leaves a truncated document,
+in either format, and exits through the traceback.
 verify writes its one report whole.
 """
 
@@ -23,10 +25,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
-from .exact import format_rational, parse_rational
-from .hyper import build_column, find_collisions, gram_block
-from .model import Params, eigen_table
+from .exact import _format_ratio, parse_rational
+from .hyper import family, find_collisions, gram_block
+from .model import Params, _cleared, eigen_table, slot_table
 
 
 def _rational_flag(text: str):
@@ -109,10 +112,8 @@ def cmd_table(p: Params, args) -> tuple:
 
 
 def cmd_polys(p: Params, args) -> tuple:
-    records = (
-        {**pair.as_dict(), "coeffs": build_column(p, pair.w, pair.j).to_json_dict()["coeffs"]}
-        for pair in eigen_table(p, args.max_w)
-    )
+    fam = family(p)
+    records = ({**pair.as_dict(), "coeffs": fam.column_strings(pair.w, pair.j)} for pair in eigen_table(p, args.max_w))
     header = ("w", "j", "lambda", "mu", "power") + tuple(f"x{i}" for i in range(p.size))
 
     def rows_of(r):
@@ -136,10 +137,11 @@ def cmd_collisions(p: Params, args) -> tuple:
     # slot order reaches every class first at its lowest member, so listing a
     # class there lists it once, and the classes come sorted by that member
     def records():
-        for pair in eigen_table(p, args.max_w):
-            members = find_collisions(p, pair.lam).members
-            if len(members) >= 2 and members[0] == (pair.w, pair.j):
-                yield {"lambda": format_rational(pair.lam), "members": list(map(list, members))}
+        d = _cleared(p)[0]
+        for w, j, lam, _ in slot_table(p, args.max_w):
+            members = find_collisions(p, Fraction(lam, d)).members
+            if len(members) >= 2 and members[0] == (w, j):
+                yield {"lambda": _format_ratio(lam, d), "members": list(map(list, members))}
 
     return _listing(args, records(), ("lambda", "w", "j"), lambda r: ((r["lambda"], *m) for m in r["members"])), 0
 

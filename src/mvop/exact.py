@@ -77,8 +77,15 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(s))
 
 
+def _format_ratio(num: int, den: int) -> str:
+    """The rational num/den, for integers num and den > 0, as 'p' or 'p/q' in
+    lowest terms: the one place that form is written, one gcd."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 def format_rational(q: RationalLike) -> str:
     """Render a rational as 'p' or 'p/q' in lowest terms with positive denominator."""
     q = exact_scalar(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    return _format_ratio(q.numerator, q.denominator)
 

@@ -17,6 +17,12 @@ its top coefficients to it.  A later slot of a class is certified as an
 eigenfunction of the commuting companion operator, which makes it
 orthogonal to the earlier ones without a pairing.
 
+A column leaves the descent in one format, its per-degree rows: degree i's
+integer numerators over its own denominator, jointly in lowest terms.
+Family.column_strings writes mvop polys' entries straight from them, and
+Family.column and Family.poly assemble their MatPoly from them with one lcm
+and one scaling per entry, P_w from its n columns' rows directly.
+
 One Family holds all that a parameter set fixes, P_w but not a lone column,
 which is built again if asked for again; family(p) keeps the latest.
 The Params-keyed build_column, orthogonal_polynomial and gram_block read it;
@@ -33,7 +39,7 @@ from functools import cached_property, lru_cache
 
 from . import linalg
 from .matpoly import MatPoly
-from .exact import _check_bound, exact_scalar, format_rational
+from .exact import _check_bound, _format_ratio, exact_scalar, format_rational
 from .model import Params, WeightSpec, _check_j, _cleared, companion_eigenvalue, companion_operator
 from .model import hyper_eigenvalue, hyper_operator, moment_rows, pair_rows
 
@@ -130,9 +136,10 @@ class Family:
         self.params = params
         self._polys, self._moment_rows = {}, {}
 
-    def _descend(self, w: int, j: int, lam) -> tuple[MatPoly, list]:
+    def _descend(self, w: int, j: int, lam) -> tuple[list, list]:
         """A degree-w polynomial solution for slot (w, j), built downward from
-        f_{w+1} = 0, and the slots (i, r) below the top where a pivot vanished.
+        f_{w+1} = 0, as its rows, and the slots (i, r) below the top where a
+        pivot vanished.
 
         With F = sum_i f_i u^i, the u^i coefficient of (D - lam) F = 0 is
         M1(i) f_{i+1} = (lam - M0(i)) f_i, read from D's numerators num:
@@ -150,9 +157,9 @@ class Family:
         It runs on integers: D's numerators over its denominator L (so lam L
         must be an integer, else ArithmeticError), row r of f_i over the
         previous denominator times the nonzero pivots of rows >= r, lifted
-        once per degree to their full product and reduced by one gcd.  The
-        column is handed to MatPoly as those numerators over the lcm of the
-        degrees' denominators.
+        once per degree to their full product and reduced by one gcd.  Row i
+        of the result, by ascending degree, is (f_i, den_i): f_i's integer
+        numerators over den_i > 0, the n + 1 integers jointly in lowest terms.
         """
         n = self.params.size
         ((a0,), (b0, b1), (_, c1, c2)), scale = self.hyper.num, self.hyper.den
@@ -160,7 +167,7 @@ class Family:
         if lam.denominator != 1:
             raise ArithmeticError(f"lam times the operator scale {scale} is not an integer: {lam}")
         lam = lam.numerator
-        f, den, coeffs, zero_pivots = [0] * n, 1, [], []
+        f, den, rows, zero_pivots = [0] * n, 1, [], []
         for i in range(w, -1, -1):
             g, grow, pivots = [0] * n, 1, [1] * n
             for r in range(n - 1, -1, -1):
@@ -185,28 +192,25 @@ class Family:
             for r in range(n):
                 g[r] *= lift
                 lift *= pivots[r]
-            common = math.gcd(den * grow, *g)
-            f, den = [x // common for x in g], den * grow // common
-            coeffs.append((f, den))
-        den = math.lcm(*(d for _, d in coeffs))
-        num = [tuple((x * s,) for x in f) for f, s in [(f, den // d) for f, d in reversed(coeffs)]]
-        return MatPoly._reduced(n, 1, num, den), zero_pivots
+            den *= grow
+            common = math.gcd(den, *g) if den > 0 else -math.gcd(den, *g)
+            f, den = [x // common for x in g], den // common
+            rows.append((f, den))
+        rows.reverse()
+        return rows, zero_pivots
 
-    def column(self, w: int, j: int) -> MatPoly:
-        """Degree-w column eigenfunction for slot (w, j), a dim x 1 MatPoly
-        solved downward from zero above degree w afresh on each call (P_w keeps
-        its columns as rows).  Its leading coefficient, 1 in slot j and 0 in
-        every slot after it, is the kernel vector, which run_suite checks
-        against the closed form, row j of kernel_matrix(p, w).
+    def _rows(self, w: int, j: int) -> list:
+        """The rows of column (w, j) (see _descend), certified where the
+        descent met earlier members of the class of lam: the column is checked
+        exactly to be the eigenfunction of the companion operator E for
+        mu(w, j), with mu apart from theirs (else ArithmeticError).
 
-        Where the descent met earlier members of the class of lam, the column is
-        checked exactly to be the eigenfunction of the companion operator E for
-        mu(w, j), with mu apart from theirs (else ArithmeticError).  E commutes
-        with D, keeps degree and is symmetric for the weight, so among the
-        degree-<= w solutions of D F = lam F, whose E-eigenvalues are the mu of
-        the class, one eigenvector for mu(w, j) has that top coefficient
-        and it is orthogonal to the earlier columns: the Gram-Schmidt column.
-        That the descent's free entries 0 land on it is checked, not proved.
+        E commutes with D, keeps degree and is symmetric for the weight, so
+        among the degree-<= w solutions of D F = lam F, whose E-eigenvalues are
+        the mu of the class, one eigenvector for mu(w, j) has the column's top
+        coefficient, and it is orthogonal to the earlier columns: the
+        Gram-Schmidt column.  That the descent's free entries 0 land on it is
+        checked, not proved.
 
         The mu differ: lam strictly decreases in w and in j, so an earlier member
         (w, j) of (w', j') has d = w' - w >= 1 and g = j - j' >= 1.  With
@@ -218,18 +222,39 @@ class Family:
         p = self.params
         _check_bound("w", w)
         _check_j(p, j)
-        column, earlier = self._descend(w, j, hyper_eigenvalue(p, w, j))
+        rows, earlier = self._descend(w, j, hyper_eigenvalue(p, w, j))
         if earlier:
             mu = companion_eigenvalue(p, w, j)
             for slot in earlier:
                 if companion_eigenvalue(p, *slot) == mu:
                     raise ArithmeticError(f"slots {slot} and ({w}, {j}) share both eigenvalues")
+            column = _assembled([rows])
             if self.companion.apply(column) != column * mu:
                 raise ArithmeticError(f"column ({w}, {j}) is not an eigenfunction of the companion operator")
-        return column
+        return rows
+
+    def column(self, w: int, j: int) -> MatPoly:
+        """Degree-w column eigenfunction for slot (w, j), a dim x 1 MatPoly
+        solved downward from zero above degree w afresh on each call (P_w
+        keeps its columns as rows).  It is assembled from its certified rows
+        (see _rows) over their lcm, one scaling per entry and no gcd, which
+        rows in lowest terms leave at 1 (see _assembled).  Its leading
+        coefficient, 1 in slot j and 0 in every slot after it, is the kernel
+        vector, which run_suite checks against the closed form, row j of
+        kernel_matrix(p, w).
+        """
+        return _assembled([self._rows(w, j)])
+
+    def column_strings(self, w: int, j: int) -> list:
+        """Column (w, j) as column(w, j).to_json_dict()["coeffs"] writes it,
+        each entry read straight from its row (f_i, den_i), one gcd each."""
+        return [[_format_ratio(x, den) for x in f] for f, den in self._rows(w, j)]
 
     def poly(self, w: int) -> MatPoly:
-        """Degree-w matrix polynomial P_w whose row j is the column (w, j).
+        """Degree-w matrix polynomial P_w whose row j is the column (w, j),
+        assembled straight from the n columns' certified rows (see _rows), with
+        no column MatPoly between: one lcm over all of them, one scaling per
+        entry and no gcd, which rows in lowest terms leave at 1 (see _assembled).
 
         Its leading coefficient is kernel_matrix(p, w), with row j that of the
         column (w, j): unit lower triangular, so the family is linearly
@@ -237,12 +262,7 @@ class Family:
         """
         _check_bound("w", w)
         if w not in self._polys:
-            n = self.params.size
-            cols = [self.column(w, j) for j in range(n)]
-            den = math.lcm(*(col.den for col in cols))
-            scaled = [(col.num, den // col.den) for col in cols]
-            num = [tuple(tuple(x * s for (x,) in c[m]) for c, s in scaled) for m in range(w + 1)]
-            self._polys[w] = MatPoly._reduced(n, n, num, den)
+            self._polys[w] = _assembled([self._rows(w, j) for j in range(self.params.size)])
         return self._polys[w]
 
     def gram_num(self, w: int, w_prime: int) -> tuple:
@@ -262,6 +282,22 @@ class Family:
         """The pairing block <P_w, P_w'>: gram_num as Fractions."""
         num, den = self.gram_num(w, w_prime)
         return tuple(tuple(Fraction(x, den) for x in row) for row in num)
+
+
+def _assembled(columns: list) -> MatPoly:
+    """The MatPoly of the given columns, each as its rows (f_m, den_m) in
+    lowest terms (see Family._descend): one column gives that dim x 1 column,
+    n columns give P_w, whose row c is column c.  Every entry is scaled once
+    to the one lcm L of all den_m, and no gcd is taken, as it is 1: a prime
+    power p^e dividing L exactly divides some den_m, whose scale L / den_m is
+    then prime to p, so p dividing every scaled entry would divide den_m and
+    all of f_m.  Each column's top row holds the slot's 1, so no coefficient
+    is trimmed."""
+    den, dim = math.lcm(*(d for rows in columns for _, d in rows)), len(columns[0][0][0])
+    num = tuple(tuple(tuple(x * (den // d) for x in f) for f, d in degree) for degree in zip(*columns))
+    if len(columns) == 1:
+        return MatPoly._lowest(dim, 1, tuple(tuple(zip(*c)) for c in num), den)
+    return MatPoly._lowest(dim, dim, num, den)
 
 
 @lru_cache(maxsize=1)

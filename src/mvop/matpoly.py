@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from . import linalg
-from .exact import _check_bound, exact_scalar
+from .exact import _check_bound, _format_ratio, exact_scalar
 
 __all__ = ["MatPoly", "DiffOp"]
 
@@ -62,6 +62,10 @@ def _trimmed(items, is_zero) -> tuple:
     while n > 0 and is_zero(items[n - 1]):
         n -= 1
     return tuple(items[:n])
+
+
+def _is_zero_matrix(c) -> bool:
+    return not any(map(any, c))
 
 
 def _scaled(mats, s: int, g: int = 1):
@@ -117,10 +121,17 @@ class MatPoly(Frozen):
     def _reduced(cls, dim: int, cols: int, num, den: int) -> MatPoly:
         """Trusted constructor, with no entry check: integer coefficient
         matrices over den > 0, trimmed and divided by one gcd."""
-        num = _trimmed(num, lambda c: not any(map(any, c)))
+        num = _trimmed(num, _is_zero_matrix)
         g = math.gcd(den, *(x for c in num for row in c for x in row)) if den != 1 else 1
+        return cls._lowest(dim, cols, num if g == 1 else _scaled(num, 1, g), den // g)
+
+    @classmethod
+    def _lowest(cls, dim: int, cols: int, num: tuple, den: int) -> MatPoly:
+        """Trusted constructor of the form itself, with no check: integer
+        coefficient matrices as tuples, the top one nonzero, over den > 0
+        that has no common factor with all of their entries."""
         out = object.__new__(cls)
-        out.__dict__.update(dim=dim, cols=cols, num=num if g == 1 else _scaled(num, 1, g), den=den // g)
+        out.__dict__.update(dim=dim, cols=cols, num=num, den=den)
         return out
 
     @classmethod
@@ -233,15 +244,8 @@ class MatPoly(Frozen):
     def to_json_dict(self) -> dict:
         """Entries as lowest-terms 'p' or 'p/q' strings, as format_rational
         writes them, one gcd each; each coefficient matrix flattened by rows."""
-        den, gcd, coeffs = self.den, math.gcd, []
-        for c in self.num:
-            entries = []
-            for row in c:
-                for x in row:
-                    g = gcd(x, den)
-                    entries.append(str(x // g) if g == den else f"{x // g}/{den // g}")
-            coeffs.append(entries)
-        return {"dim": self.dim, "coeffs": coeffs}
+        den = self.den
+        return {"dim": self.dim, "coeffs": [[_format_ratio(x, den) for row in c for x in row] for c in self.num]}
 
 
 class DiffOp(Frozen):
@@ -310,7 +314,8 @@ class DiffOp(Frozen):
 
         The term A_i d^i applied after B_j d^j contributes
         C(i, m) A_i B_j^(m) at order i + j - m for 0 <= m <= i; each order's
-        coefficient is one integer sum over all of its terms.
+        coefficient is one integer sum over all of its terms, and the
+        product's integer form over self.den * other.den is divided by one gcd.
         """
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
@@ -320,8 +325,11 @@ class DiffOp(Frozen):
                 for m in range(i + 1):
                     terms[i + j - m].append((_scaled(a, math.comb(i, m)), b))
                     b = _derived(b)
-        coeffs = [MatPoly._reduced(self.dim, self.dim, _product_sum(t, self.dim, self.dim), den) for t in terms]
-        return DiffOp.from_ascending(self.dim, coeffs)
+        num = [_trimmed(_product_sum(t, self.dim, self.dim), _is_zero_matrix) for t in terms]
+        g = math.gcd(den, *(x for a in num for c in a for row in c for x in row))
+        out = object.__new__(DiffOp)
+        out.__dict__.update(dim=self.dim, num=tuple(_scaled(a, 1, g) for a in num), den=den // g)
+        return out
 
     def __add__(self, other: DiffOp) -> DiffOp:
         if not isinstance(other, DiffOp):

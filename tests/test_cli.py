@@ -15,6 +15,7 @@ import mvop
 from mvop.cli import build_parser, cmd_polys, main
 from mvop.exact import format_rational, parse_rational
 from mvop.hyper import Family, build_column, family, find_collisions, gram_block
+from mvop.matpoly import MatPoly
 from mvop.model import Params, eigen_table
 
 BASE_FLAGS = ["--alpha", "0", "--beta", "1", "--k", "1", "--ell", "1"]
@@ -256,27 +257,87 @@ def test_polys_builds_each_column_when_its_record_is_written(descents, fmt, head
     assert last_degree(fmt, document) == 3
 
 
+class Tracked(list):
+    """A list that a weak reference can point to."""
+
+
 @pytest.mark.usefixtures("fresh_family")
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_polys_keeps_no_column_once_its_record_is_written(monkeypatch, fmt):
-    # the resonant point certifies its later class members against E too
-    columns, column = [], Family.column
+    # what each record is built from, its rows and its strings, and the
+    # columns that certify the resonant point's later class members against E
+    rows, strings, columns = [], [], []
+    descend, written, assembled = Family._descend, Family.column_strings, mvop.hyper._assembled
 
-    def tracked(self, w, j):
-        col = column(self, w, j)
-        columns.append(weakref.ref(col))
-        return col
+    def descended(self, w, j, lam):
+        out, earlier = descend(self, w, j, lam)
+        out = Tracked(out)
+        rows.append(weakref.ref(out))
+        return out, earlier
 
-    monkeypatch.setattr(Family, "column", tracked)
+    def tracked_strings(self, w, j):
+        out = Tracked(written(self, w, j))
+        strings.append(weakref.ref(out))
+        return out
+
+    def tracked_column(*args):
+        out = assembled(*args)
+        columns.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(Family, "_descend", descended)
+    monkeypatch.setattr(Family, "column_strings", tracked_strings)
+    monkeypatch.setattr(mvop.hyper, "_assembled", tracked_column)
     flags = ["--alpha", "0", "--beta", "1", "--k", "3/2", "--ell", "2", "--max-w", "3", "--format", fmt]
     p = Params(0, 1, parse_rational("3/2"), 2)
     chunks, _ = cmd_polys(p, build_parser().parse_args(["polys", *flags]))
     for _ in chunks:
         pass
     gc.collect()
-    assert len(columns) == len(eigen_table(p, 3))
-    assert all(ref() is None for ref in columns)
+    assert len(rows) == len(strings) == len(eigen_table(p, 3))
+    assert columns
+    assert all(ref() is None for ref in rows + strings + columns)
     assert family(p).params == p and family(p)._polys == {}
+
+
+@pytest.mark.usefixtures("fresh_family")
+@pytest.mark.parametrize(
+    "flags, later",
+    [
+        (["--alpha=1/2", "--beta=4/3", "--k=1/2", "--ell=3", "--max-w=8"], set()),
+        (["--alpha=0", "--beta=1", "--k=3/2", "--ell=2", "--max-w=8"], {(w, 0) for w in range(1, 9)}),
+    ],
+    ids=["generic", "resonant"],
+)
+def test_polys_builds_a_polynomial_only_to_certify_a_later_member(monkeypatch, flags, later):
+    # polys writes each record straight from the descent's rows; a MatPoly, reduced
+    # by a gcd or assembled in lowest terms, is built only while a later class
+    # member is checked against E
+    args = build_parser().parse_args(["polys", *flags])
+    p = Params(args.alpha, args.beta, args.k, args.ell)
+    assert later == {
+        m for pair in eigen_table(p, args.max_w) for m in find_collisions(p, pair.lam).members[1:] if m[0] <= args.max_w
+    }
+    family(p).hyper, family(p).companion  # each built once per Family
+    slot, calls, descend = [None], [], Family._descend
+
+    def descended(self, w, j, lam):
+        slot[0] = (w, j)
+        return descend(self, w, j, lam)
+
+    def counted(build):
+        def call(cls, *args):
+            calls.append(slot[0])
+            return build(cls, *args)
+
+        return classmethod(call)
+
+    monkeypatch.setattr(Family, "_descend", descended)
+    for name in ("_reduced", "_lowest"):
+        monkeypatch.setattr(MatPoly, name, counted(getattr(MatPoly, name).__func__))
+    chunks, code = cmd_polys(p, args)
+    assert code == 0 and "".join(chunks).endswith("]\n")
+    assert set(calls) == later
 
 
 def test_unwritable_out_fails_before_any_column_is_built(tmp_path, capsys, descents):

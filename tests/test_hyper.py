@@ -174,6 +174,12 @@ def fraction_descent(p, w, j, lam):
     return MatPoly(n, coeffs, 1), zero_pivots
 
 
+def lowest_row(entries) -> tuple:
+    """A vector of Fractions as (integer numerators, den > 0) jointly in lowest terms."""
+    den = math.lcm(*(x.denominator for x in entries))
+    return [x.numerator * (den // x.denominator) for x in entries], den
+
+
 class TestBracketSeq:
     def test_starts_at_identity(self):
         seq = bracket_seq(BASE, -2, 3)
@@ -471,10 +477,12 @@ class TestBuildColumn:
         real = Family._descend
 
         def shifted(fam, w, j, lam):
-            col, earlier = real(fam, w, j, lam)
+            rows, earlier = real(fam, w, j, lam)
+            entries = [[Fraction(x, den) for x in f] for f, den in rows]
             for m, low in enumerate(shifts.get((fam.params, w, j), ())):
-                col = col + low * Fraction(3, m + 2)
-            return col, earlier
+                for i, c in enumerate(low.coeffs):
+                    entries[i] = [x + Fraction(3, m + 2) * y for x, (y,) in zip(entries[i], c)]
+            return [lowest_row(row) for row in entries], earlier
 
         monkeypatch.setattr(Family, "_descend", shifted)
         mvop.hyper.family.cache_clear()
@@ -575,12 +583,12 @@ class TestBuildColumn:
             for w in range(max_w + 1):
                 for j in range(p.size):
                     lam = hyper_eigenvalue(p, w, j)
-                    col, earlier = fam._descend(w, j, lam)
-                    assert (col, earlier) == fraction_descent(p, w, j, lam)
-                    for m in range(w + 1):
-                        for (x,) in col.coeff(m):
-                            assert type(x) is Fraction and x.denominator > 0
-                            assert math.gcd(x.numerator, x.denominator) == 1
+                    rows, earlier = fam._descend(w, j, lam)
+                    col, oracle_earlier = fraction_descent(p, w, j, lam)
+                    assert earlier == oracle_earlier and len(rows) == w + 1
+                    for m, (f, den) in enumerate(rows):
+                        assert type(den) is int and den > 0 and math.gcd(den, *f) == 1
+                        assert [Fraction(x, den) for x in f] == [x for (x,) in col.coeff(m)]
                     zero_pivots += len(earlier)
         # both branches of the pivot test ran
         assert zero_pivots > 0
@@ -639,6 +647,37 @@ class TestFamily:
         # lam(1, 1) the column would be zero
         with pytest.raises(ArithmeticError, match=re.escape("lam = -15/2 is not the eigenvalue of slot (1, 0)")):
             Family(COLLIDING)._descend(1, 0, hyper_eigenvalue(COLLIDING, 1, 1))
+
+
+ROUTE_POINTS = [
+    (Params(Fraction(1, 2), Fraction(4, 3), Fraction(1, 2), 3), 8),  # generic: no class up to w = 8
+    (COLLIDING, 10),
+    (Params(0, 1, 1, 6), 8),
+    (Params(0, 3, 1, 5), 7),
+    (Params(Fraction(-2, 3), Fraction(11, 3), 4, 8), 5),
+    (Params(Fraction(3, 2), Fraction(9, 2), 5, 12), 6),
+]
+
+
+@pytest.mark.usefixtures("fresh_family")
+@pytest.mark.parametrize("p, max_w", ROUTE_POINTS)
+def test_rows_route_matches_the_column_route(p, max_w):
+    # polys writes each slot's strings from its rows, and P_w is assembled from
+    # the n columns' rows; both must equal the route through each column
+    # MatPoly, in the form its Fraction constructor reduces by a gcd
+    fam, n = family(p), p.size
+    for w in range(max_w + 1):
+        cols = [fam.column(w, j) for j in range(n)]
+        for j, col in enumerate(cols):
+            assert col == MatPoly(n, col.coeffs, 1)
+            assert fam.column_strings(w, j) == build_column(p, w, j).to_json_dict()["coeffs"]
+        stacked = MatPoly(n, [[[x for (x,) in col.coeff(m)] for col in cols] for m in range(w + 1)])
+        assert fam.poly(w) == stacked
+
+
+def test_route_points_reach_a_class_of_four_at_ell_12():
+    p, max_w = ROUTE_POINTS[-1]
+    assert find_collisions(p, hyper_eigenvalue(p, 1, 10)).members == ((1, 10), (3, 7), (5, 3), (6, 0)) and max_w == 6
 
 
 class TestMatrixFamily:
