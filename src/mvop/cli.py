@@ -6,7 +6,8 @@ is opened before any work is done).  All rational flags take exact 'p/q'
 values in ASCII digits; decimals are rejected.  Output is deterministic.
 Checks run in one thread: --jobs must be >= 1 and its value does not change
 the output.  A command loads only what it runs: verify alone imports the
-checks, and csv output alone imports csv.
+checks, csv output alone imports csv, and JSON output alone imports json,
+except that of polys, which writes its records itself.
 
 Each command returns its output as a sequence of text chunks, which main
 writes to stdout or --out.  List output (table, polys, collisions, gram) is
@@ -14,16 +15,17 @@ written one record at a time in either format, each record built only when
 it is due: polys descends to column (w, j) only when its record is written,
 and writes its entries straight from the descent's per-degree rows
 (Family.column_strings), with no MatPoly between.  JSON comes out byte for
-byte as json.dumps(list, indent=2) writes it, and CSV reads its rows from
-the same records.  A run that raises partway leaves a truncated document,
-in either format, and exits through the traceback.
+byte as json.dumps(list, indent=2) writes it: polys writes the text of its
+records itself (see _polys_text), the other commands through json.dumps,
+and the tests pin both to json.dumps of the whole list.  CSV reads its rows
+from the same records.  A run that raises partway leaves a truncated
+document, in either format, and exits through the traceback.
 verify writes its one report whole.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -86,23 +88,31 @@ def _csv_lines(header, row_groups):
     yield buf.getvalue()
 
 
-def _json_list(records):
+def _json_text(record) -> str:
+    """json.dumps(record, indent=2) as it stands inside a list, nested 2
+    deeper: json escapes every newline inside a string, so the raw newlines
+    of a record are its indentation."""
+    import json
+
+    return json.dumps(record, indent=2).replace("\n", "\n  ")
+
+
+def _json_list(records, text):
     """Chunks of json.dumps(list(records), indent=2) + "\n", one record each,
-    each record taken from the iterable only when its chunk is due.  The
-    bytes match because json escapes every newline inside a string, so the
-    raw newlines of a record are its indentation, which nests 2 deeper."""
+    each record taken from the iterable only when its chunk is due and
+    written by text(record) as it stands inside the list."""
     sep = "[\n  "
     for record in records:
-        yield sep + json.dumps(record, indent=2).replace("\n", "\n  ")
+        yield sep + text(record)
         sep = ",\n  "
     yield "[]\n" if sep == "[\n  " else "\n]\n"
 
 
-def _listing(args, records, header, rows_of):
+def _listing(args, records, header, rows_of, text=_json_text):
     """The chunks of a list command in its --format: JSON writes each record
-    dict, CSV writes the rows rows_of reads from that same dict."""
+    (see _json_list), CSV writes the rows rows_of reads from that same record."""
     if args.format == "json":
-        return _json_list(records)
+        return _json_list(records, text)
     return _csv_lines(header, map(rows_of, records))
 
 
@@ -111,15 +121,32 @@ def cmd_table(p: Params, args) -> tuple:
     return _listing(args, records, ("w", "j", "lambda", "mu"), lambda r: (r.values(),)), 0
 
 
+def _polys_text(record) -> str:
+    """A polys record (w, j, lambda, mu, coeffs) as _json_text writes its dict
+    with those five keys, with no dict built: the ints as str writes them and
+    each string quoted as it stands.  That is json's quoting, as each string
+    is _format_ratio's, of '-', '/' and ASCII digits only, which json never
+    escapes.  No list is empty: coeffs holds w + 1 rows of ell + 1 strings."""
+    w, j, lam, mu, coeffs = record
+    rows = '"\n      ],\n      [\n        "'.join(map('",\n        "'.join, coeffs))
+    return (
+        f'{{\n    "w": {w},\n    "j": {j},\n    "lambda": "{lam}",\n    "mu": "{mu}",\n'
+        f'    "coeffs": [\n      [\n        "{rows}"\n      ]\n    ]\n  }}'
+    )
+
+
 def cmd_polys(p: Params, args) -> tuple:
-    fam = family(p)
-    records = ({**pair.as_dict(), "coeffs": fam.column_strings(pair.w, pair.j)} for pair in eigen_table(p, args.max_w))
+    fam, d = family(p), _cleared(p)[0]
+    records = (
+        (w, j, _format_ratio(lam, d), _format_ratio(mu, d * d), fam.column_strings(w, j))
+        for w, j, lam, mu in slot_table(p, args.max_w)
+    )
     header = ("w", "j", "lambda", "mu", "power") + tuple(f"x{i}" for i in range(p.size))
 
     def rows_of(r):
-        return ((r["w"], r["j"], r["lambda"], r["mu"], m, *vec) for m, vec in enumerate(r["coeffs"]))
+        return ((*r[:4], m, *vec) for m, vec in enumerate(r[4]))
 
-    return _listing(args, records, header, rows_of), 0
+    return _listing(args, records, header, rows_of, _polys_text), 0
 
 
 def cmd_verify(p: Params, args) -> tuple:
@@ -128,6 +155,8 @@ def cmd_verify(p: Params, args) -> tuple:
     report = run_suite(p, max_w=args.max_w)
     code = 0 if report.passed else 1
     if args.format == "json":
+        import json
+
         return (json.dumps(report.as_dict(), indent=2) + "\n",), code
     rows = [(c.name, c.status, c.witness or "") for c in report.checks]
     return _csv_lines(("name", "status", "witness"), [rows]), code

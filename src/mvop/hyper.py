@@ -199,11 +199,13 @@ class Family:
         rows.reverse()
         return rows, zero_pivots
 
-    def _rows(self, w: int, j: int) -> list:
+    def _rows(self, w: int, j: int) -> tuple:
         """The rows of column (w, j) (see _descend), certified where the
         descent met earlier members of the class of lam: the column is checked
         exactly to be the eigenfunction of the companion operator E for
-        mu(w, j), with mu apart from theirs (else ArithmeticError).
+        mu(w, j), with mu apart from theirs (else ArithmeticError).  Returns
+        the rows and the column MatPoly that certification assembled, or None
+        where there was none to certify.
 
         E commutes with D, keeps degree and is symmetric for the weight, so
         among the degree-<= w solutions of D F = lam F, whose E-eigenvalues are
@@ -231,24 +233,27 @@ class Family:
             column = _assembled([rows])
             if self.companion.apply(column) != column * mu:
                 raise ArithmeticError(f"column ({w}, {j}) is not an eigenfunction of the companion operator")
-        return rows
+            return rows, column
+        return rows, None
 
     def column(self, w: int, j: int) -> MatPoly:
         """Degree-w column eigenfunction for slot (w, j), a dim x 1 MatPoly
         solved downward from zero above degree w afresh on each call (P_w
-        keeps its columns as rows).  It is assembled from its certified rows
-        (see _rows) over their lcm, one scaling per entry and no gcd, which
-        rows in lowest terms leave at 1 (see _assembled).  Its leading
+        keeps its columns as rows).  It is assembled once from its certified
+        rows (see _rows) over their lcm, one scaling per entry and no gcd,
+        which rows in lowest terms leave at 1 (see _assembled): a later class
+        member returns the column its certification assembled.  Its leading
         coefficient, 1 in slot j and 0 in every slot after it, is the kernel
         vector, which run_suite checks against the closed form, row j of
         kernel_matrix(p, w).
         """
-        return _assembled([self._rows(w, j)])
+        rows, column = self._rows(w, j)
+        return _assembled([rows]) if column is None else column
 
     def column_strings(self, w: int, j: int) -> list:
         """Column (w, j) as column(w, j).to_json_dict()["coeffs"] writes it,
         each entry read straight from its row (f_i, den_i), one gcd each."""
-        return [[_format_ratio(x, den) for x in f] for f, den in self._rows(w, j)]
+        return [[_format_ratio(x, den) for x in f] for f, den in self._rows(w, j)[0]]
 
     def poly(self, w: int) -> MatPoly:
         """Degree-w matrix polynomial P_w whose row j is the column (w, j),
@@ -262,7 +267,7 @@ class Family:
         """
         _check_bound("w", w)
         if w not in self._polys:
-            self._polys[w] = _assembled([self._rows(w, j) for j in range(self.params.size)])
+            self._polys[w] = _assembled([self._rows(w, j)[0] for j in range(self.params.size)])
         return self._polys[w]
 
     def gram_num(self, w: int, w_prime: int) -> tuple:

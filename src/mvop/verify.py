@@ -44,6 +44,14 @@ __all__ = [
 ]
 
 
+def _core_products(ws: WeightSpec, op: DiffOp, count: int) -> tuple:
+    """Z A2, Z A1, Z A0 for an order-2 op (else ValueError), the first count of them: each product
+    of the core that check_symmetry_reduced (all three) and check_boundary (the first two) read."""
+    if op.order != 2:
+        raise ValueError("operator must have order 2")
+    return tuple(ws.core * op.coeff_of_order(j) for j in (2, 1, 0)[:count])
+
+
 def check_symmetry_reduced(ws: WeightSpec, op: DiffOp):
     """Three polynomial residuals equivalent to the symmetry equations.
 
@@ -56,13 +64,15 @@ def check_symmetry_reduced(ws: WeightSpec, op: DiffOp):
     weight_core is symmetric by construction, so A^T Z = (Z A)^T.  The operator is symmetric for the
     weight exactly when all three residuals vanish.
     """
-    if op.order != 2:
-        raise ValueError("operator must have order 2")
-    z, a, b = ws.core, ws.params.alpha, ws.params.beta
-    za2, za1, za0 = (z * op.coeff_of_order(j) for j in (2, 1, 0))
-    c0 = MatPoly.from_scalar(z.dim, (0, 0, 1, -2, 1))
-    c1 = MatPoly.from_scalar(z.dim, (0, b, -a - 2 * b, a + b))
-    c2 = MatPoly.from_scalar(z.dim, (b * b - b, 2 * b * (1 - a - b), (a + b) ** 2 - a - b))
+    return _symmetry_residuals(ws.params, *_core_products(ws, op, 3))
+
+
+def _symmetry_residuals(p: Params, za2: MatPoly, za1: MatPoly, za0: MatPoly) -> tuple:
+    """check_symmetry_reduced's residuals, from the core products Z A2, Z A1 and Z A0."""
+    dim, a, b = za2.dim, p.alpha, p.beta
+    c0 = MatPoly.from_scalar(dim, (0, 0, 1, -2, 1))
+    c1 = MatPoly.from_scalar(dim, (0, b, -a - 2 * b, a + b))
+    c2 = MatPoly.from_scalar(dim, (b * b - b, 2 * b * (1 - a - b), (a + b) ** 2 - a - b))
     dza2 = za2.derivative()
     mid = za1 - 2 * dza2  # Z A1 - 2 (Z A2)', the c1 term of r3 and the c0 term of r2 less A1^T Z
 
@@ -89,10 +99,12 @@ def check_boundary(ws: WeightSpec, op: DiffOp) -> BoundaryReport:
     polynomial entries, so each entry verdict is sharp.  It reads q's integer
     numerators, and alpha and beta over d as in model._cleared.
     """
-    if op.order != 2:
-        raise ValueError("operator must have order 2")
-    za2, za1 = (ws.core * op.coeff_of_order(j) for j in (2, 1))
-    d, alpha, beta, _ = _cleared(ws.params)
+    return _boundary_report(ws.params, *_core_products(ws, op, 2))
+
+
+def _boundary_report(p: Params, za2: MatPoly, za1: MatPoly) -> BoundaryReport:
+    """check_boundary's report, from the core products Z A2 and Z A1."""
+    d, alpha, beta, _ = _cleared(p)
     blocks = (("second_order", za2), ("first_order_skew", za1 - za1.transpose()))
     entries = []
     for name, mp in blocks:
@@ -262,23 +274,29 @@ def _result(name: str, thunk) -> CheckResult:
     return CheckResult(name, "fail", witness)
 
 
-def _zero_residuals(ws, op):
-    r1, r2, r3 = check_symmetry_reduced(ws, op)
-    bad = [i + 1 for i, r in enumerate((r1, r2, r3)) if not r.is_zero()]
-    return not bad, f"nonzero residuals: {bad}" if bad else None
-
-
 def run_suite(p: Params, max_w: int = 6) -> VerificationReport:
     """Run every check for p in a fixed order.  Every degree: symmetry_reduced_*, boundary_*, commutation
     and the three eigenvalue relations (decided from degrees 0 to 3).  Up to max_w: eigenfunctions, leading
-    coefficients, Gram and collision checks.  A sample: bilinear_symmetry_* and decomposition_random."""
+    coefficients, Gram and collision checks.  A sample: bilinear_symmetry_* and decomposition_random.
+    symmetry_reduced_* and boundary_* of one operator read one set of its core products (see _core_products)."""
     _check_bound("max_w", max_w)
     fam = family(p)
     ws, d, e = fam.weight, fam.hyper, fam.companion
     den, a, b, k = _cleared(p)  # the relations compare numerators over den
+    ops, products = {"hyper": d, "companion": e}, {}
 
-    def boundary(op):
-        report = check_boundary(ws, op)
+    def core_products(name):
+        # Z A2, Z A1 and Z A0 of one operator, formed in its first check and read by both
+        if name not in products:
+            products[name] = _core_products(ws, ops[name], 3)
+        return products[name]
+
+    def residuals(name):
+        bad = [i + 1 for i, r in enumerate(_symmetry_residuals(p, *core_products(name))) if not r.is_zero()]
+        return not bad, f"nonzero residuals: {bad}" if bad else None
+
+    def boundary(name):
+        report = _boundary_report(p, *core_products(name)[:2])
         bad = [f"{x.block}[{x.row}][{x.col}]" for x in report.entries if not x.ok]
         return report.passed, f"failing entries: {bad}" if bad else None
 
@@ -362,11 +380,9 @@ def run_suite(p: Params, max_w: int = 6) -> VerificationReport:
                 return False, "reconstruction mismatch"
         return True, None
 
-    named = [
-        ("symmetry_reduced_hyper", lambda: _zero_residuals(ws, d)),
-        ("symmetry_reduced_companion", lambda: _zero_residuals(ws, e)),
-        ("boundary_hyper", partial(boundary, d)),
-        ("boundary_companion", partial(boundary, e)),
+    named = [(f"symmetry_reduced_{name}", partial(residuals, name)) for name in ops]
+    named += [(f"boundary_{name}", partial(boundary, name)) for name in ops]
+    named += [
         ("bilinear_symmetry_hyper", lambda: (check_bilinear_symmetry(ws, d), "defect on monomials")),
         ("bilinear_symmetry_companion", lambda: (check_bilinear_symmetry(ws, e), "defect on monomials")),
         ("commutation", lambda: (check_commute(p), "nonzero commutator")),

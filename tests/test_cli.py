@@ -182,6 +182,10 @@ def full_rows(command, p, max_w):
 LIST_CASES = [
     ("table", ("0", "1", "3/2", 2), 10, False),
     ("polys", ("0", "1", "3/2", 2), 10, False),  # resonant: collision columns included
+    ("polys", ("1/2", "2/3", "1/2", 4), 30, False),  # generic, a polys-deep benchmark task's shape
+    ("polys", ("-2/3", "11/3", "4", 8), 6, False),  # a class of four: (1, 8), (3, 5), (4, 3), (5, 0)
+    ("polys", ("1/2", "4/3", "1/2", 3), 0, False),  # one record per slot of degree 0
+    ("polys", ("-1/2", "-1/3", "1/2", 3), 12, False),  # negative alpha and beta
     ("gram", ("1/2", "3/2", "1", 2), 5, False),
     ("collisions", ("0", "1", "1", 1), 4, True),
     ("collisions", ("0", "1", "3/2", 2), 6, False),
@@ -191,7 +195,7 @@ LIST_CASES = [
 def list_output(capsys, command, point, max_w, fmt):
     alpha, beta, k, ell = point
     p = Params(parse_rational(alpha), parse_rational(beta), parse_rational(k), ell)
-    flags = ["--alpha", alpha, "--beta", beta, "--k", k, "--ell", str(ell), "--max-w", str(max_w)]
+    flags = [f"--alpha={alpha}", f"--beta={beta}", f"--k={k}", f"--ell={ell}", f"--max-w={max_w}"]
     code, out, _ = run_cli(capsys, command, *flags, "--format", fmt)
     assert code == 0
     return p, out
@@ -203,6 +207,17 @@ def test_json_list_output_matches_whole_document(capsys, command, point, max_w, 
     records = full_list(command, p, max_w)
     assert (records == []) == empty
     assert out == json.dumps(records, indent=2) + "\n"
+
+
+def test_polys_json_out_file_matches_whole_document(tmp_path, capsys):
+    # polys writes its JSON records itself; through --out they are still json.dumps of the whole list
+    alpha, beta, k, ell, max_w = "-1/2", "5/3", "3/2", 4, 9
+    target = tmp_path / "polys.json"
+    flags = [f"--alpha={alpha}", f"--beta={beta}", f"--k={k}", f"--ell={ell}", f"--max-w={max_w}"]
+    code, out, _ = run_cli(capsys, "polys", *flags, "--out", str(target))
+    assert code == 0 and out == ""
+    p = Params(parse_rational(alpha), parse_rational(beta), parse_rational(k), ell)
+    assert target.read_text() == json.dumps(full_list("polys", p, max_w), indent=2) + "\n"
 
 
 @pytest.mark.parametrize("command, point, max_w, empty", LIST_CASES)

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 from decimal import Decimal
@@ -6,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from mvop.exact import format_rational, gen_binom, parse_rational, poch
+from mvop.exact import _format_ratio, format_rational, gen_binom, parse_rational, poch
 from mvop.model import Params, WeightSpec
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
@@ -63,6 +64,15 @@ def test_parse_rational_rejects_inexact_forms(bad):
 @given(rationals)
 def test_format_parse_round_trip(q):
     assert parse_rational(format_rational(q)) == q
+
+
+@given(st.integers(), st.integers(min_value=1))
+def test_format_ratio_writes_only_what_json_leaves_unescaped(num, den):
+    # mvop polys quotes these strings itself, which is json's quoting only for '-', '/' and digits
+    s = _format_ratio(num, den)
+    assert re.fullmatch(r"-?\d+(/\d+)?", s, re.ASCII)
+    assert json.dumps(s) == '"' + s + '"'
+    assert Fraction(s) == Fraction(num, den)
 
 
 def test_format_rational_lowest_terms():

@@ -636,6 +636,24 @@ class TestFamily:
         assert gone() is None
         assert orthogonal_polynomial(COLLIDING, 1) is orthogonal_polynomial(COLLIDING, 1)
 
+    @pytest.mark.usefixtures("fresh_family")
+    def test_column_is_assembled_once(self, monkeypatch):
+        # (1, 0) is a later member of the class of (0, 2): the column that its
+        # certification against E assembles is the column returned
+        assert find_collisions(COLLIDING, hyper_eigenvalue(COLLIDING, 1, 0)).members == ((0, 2), (1, 0))
+        real, calls = mvop.hyper._assembled, []
+
+        def counted(columns):
+            calls.append(len(columns))
+            return real(columns)
+
+        monkeypatch.setattr(mvop.hyper, "_assembled", counted)
+        want = {slot: orthogonalized_column(COLLIDING, *slot) for slot in ((0, 0), (1, 0))}
+        for slot in want:
+            calls.clear()
+            assert build_column(COLLIDING, *slot) == want[slot]
+            assert calls == [1]
+
     def test_lam_off_the_operator_scale_raises(self):
         # every eigenvalue is an integer over the scale of the operator
         # matrices; a lam with another denominator is refused

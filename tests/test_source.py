@@ -156,13 +156,18 @@ CLI_FLAGS = "'--alpha=1/2', '--beta=3/2', '--k=1', '--ell=2', '--max-w=2'"
         # linalg is not a public name, so the package imports it as a submodule
         ("from mvop import linalg", ["mvop.exact", "mvop.linalg"]),
         ("import mvop; mvop.gram_block(mvop.Params(0, 1, 1, 1), 1, 1)", LIBRARY + ["mvop.hyper"]),
+        # polys writes its JSON records itself, so only the other JSON writers load json
         (f"from mvop.cli import main; main(['polys', {CLI_FLAGS}])", ["mvop.cli"] + LIBRARY + ["mvop.hyper"]),
-        (f"from mvop.cli import main; main(['gram', {CLI_FLAGS}])", ["mvop.cli"] + LIBRARY + ["mvop.hyper"]),
+        (f"from mvop.cli import main; main(['gram', {CLI_FLAGS}])", ["json", "mvop.cli"] + LIBRARY + ["mvop.hyper"]),
         (
             f"from mvop.cli import main; main(['polys', {CLI_FLAGS}, '--format=csv'])",
             ["csv", "mvop.cli"] + LIBRARY + ["mvop.hyper"],
         ),
-        (f"from mvop.cli import main; main(['table', {CLI_FLAGS}])", ["mvop.cli"] + LIBRARY + ["mvop.hyper"]),
+        (f"from mvop.cli import main; main(['table', {CLI_FLAGS}])", ["json", "mvop.cli"] + LIBRARY + ["mvop.hyper"]),
+        (
+            f"from mvop.cli import main; main(['verify', {CLI_FLAGS}])",
+            ["json", "mvop.cli"] + LIBRARY + ["mvop.hyper", "mvop.verify"],
+        ),
         (
             f"from mvop.cli import main; main(['verify', {CLI_FLAGS}, '--format=csv'])",
             ["csv", "mvop.cli"] + LIBRARY + ["mvop.hyper", "mvop.verify"],
@@ -171,12 +176,12 @@ CLI_FLAGS = "'--alpha=1/2', '--beta=3/2', '--k=1', '--ell=2', '--max-w=2'"
 )
 def test_each_path_loads_only_the_modules_it_runs(code, loaded):
     # a launch compiles every module it imports, so the package resolves its
-    # names on first use and the CLI imports the checks and csv only where
-    # they run; -S keeps site hooks from importing modules on their own
+    # names on first use and the CLI imports the checks, csv and json only
+    # where they run; -S keeps site hooks from importing modules on their own
     src = str(Path(mvop.__file__).parent.parent)
     probe = (
         f"import sys; sys.path.insert(0, {src!r}); {code}; "
-        "print(sorted(m for m in sys.modules if m.startswith('mvop.') or m == 'csv'))"
+        "print(sorted(m for m in sys.modules if m.startswith('mvop.') or m in ('csv', 'json')))"
     )
     out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True)
     assert ast.literal_eval(out.stdout.splitlines()[-1]) == sorted(loaded)

@@ -500,6 +500,38 @@ class TestSymmetryReduced:
                     assert not any(y is ws.core for _, y in products)
                     assert len(products) <= most
 
+    @pytest.mark.usefixtures("fresh_family")
+    @pytest.mark.parametrize("p", GRID, ids=str)
+    def test_suite_forms_each_core_product_once_per_operator(self, monkeypatch, p):
+        # symmetry_reduced_* and boundary_* read one Z A2, Z A1 and Z A0 per
+        # operator: 3 core products each, not the 3 + 2 of the public checks
+        real, products = MatPoly.__mul__, []
+
+        def counted(x, y):
+            products.append(x)
+            return real(x, y)
+
+        core = mvop.hyper.family(p).weight.core
+        monkeypatch.setattr(MatPoly, "__mul__", counted)
+        assert run_suite(p, max_w=2).passed
+        assert sum(x is core for x in products) == 2 * 3
+
+    @pytest.mark.usefixtures("fresh_family")
+    def test_suite_witnesses_are_the_public_checks(self):
+        # the suite's shared products give the verdicts and witnesses of
+        # check_symmetry_reduced and check_boundary on a skew first-order term
+        fam = mvop.hyper.family(BASE)
+        d = fam.hyper
+        fam.hyper = DiffOp(2, (d.coeff_of_order(2), MatPoly.constant([[0, 1], [0, 0]]), d.coeff_of_order(0)))
+        residuals, report = check_symmetry_reduced(fam.weight, fam.hyper), check_boundary(fam.weight, fam.hyper)
+        bad = [i + 1 for i, r in enumerate(residuals) if not r.is_zero()]
+        failing = [f"{x.block}[{x.row}][{x.col}]" for x in report.entries if not x.ok]
+        assert bad and failing
+        checks = {c.name: c for c in run_suite(BASE, max_w=1).checks}
+        assert checks["symmetry_reduced_hyper"] == ("symmetry_reduced_hyper", "fail", f"nonzero residuals: {bad}")
+        assert checks["boundary_hyper"] == ("boundary_hyper", "fail", f"failing entries: {failing}")
+        assert checks["symmetry_reduced_companion"].status == checks["boundary_companion"].status == "pass"
+
 
 class TestBoundary:
     def test_passes_for_both_operators(self):
