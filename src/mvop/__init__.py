@@ -14,8 +14,8 @@ import importlib
 _EXPORTS = {
     "exact": "format_rational gen_binom parse_rational poch",
     "matpoly": "DiffOp MatPoly",
-    "model": "EigenPair Params WeightSpec companion_eigenvalue companion_operator eigen_table hyper_eigenvalue"
-    " hyper_operator monic_matrix weight_core",
+    "model": "Params WeightSpec companion_eigenvalue companion_operator hyper_eigenvalue hyper_operator"
+    " monic_matrix slot_table weight_core",
     "hyper": "CollisionClass Family GramBlock build_column family find_collisions gram_block kernel_matrix"
     " orthogonal_polynomial",
     "verify": "BoundaryReport VerificationReport check_bilinear_symmetry check_boundary check_commute check_eigen"

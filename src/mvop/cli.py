@@ -6,8 +6,8 @@ is opened before any work is done).  All rational flags take exact 'p/q'
 values in ASCII digits; decimals are rejected.  Output is deterministic.
 Checks run in one thread: --jobs must be >= 1 and its value does not change
 the output.  A command loads only what it runs: verify alone imports the
-checks, csv output alone imports csv, and JSON output alone imports json,
-except that of polys, which writes its records itself.
+checks, csv output alone imports csv, and only verify's JSON output imports
+json.
 
 Each command returns its output as a sequence of text chunks, which main
 writes to stdout or --out.  List output (table, polys, collisions, gram) is
@@ -15,11 +15,10 @@ written one record at a time in either format, each record built only when
 it is due: polys descends to column (w, j) only when its record is written,
 and writes its entries straight from the descent's per-degree rows
 (Family.column_strings), with no MatPoly between.  JSON comes out byte for
-byte as json.dumps(list, indent=2) writes it: polys writes the text of its
-records itself (see _polys_text), the other commands through json.dumps,
-and the tests pin both to json.dumps of the whole list.  CSV reads its rows
-from the same records.  A run that raises partway leaves a truncated
-document, in either format, and exits through the traceback.
+byte as json.dumps(list, indent=2) writes it, each record through one writer
+(_record_text), and the tests pin it to json.dumps of the whole list.  CSV
+reads its rows from the same records.  A run that raises partway leaves a
+truncated document, in either format, and exits through the traceback.
 verify writes its one report whole.
 """
 
@@ -31,7 +30,7 @@ from fractions import Fraction
 
 from .exact import _format_ratio, parse_rational
 from .hyper import family, find_collisions, gram_block
-from .model import Params, _cleared, eigen_table, slot_table
+from .model import Params, _cleared, slot_table
 
 
 def _rational_flag(text: str):
@@ -88,65 +87,69 @@ def _csv_lines(header, row_groups):
     yield buf.getvalue()
 
 
-def _json_text(record) -> str:
-    """json.dumps(record, indent=2) as it stands inside a list, nested 2
-    deeper: json escapes every newline inside a string, so the raw newlines
-    of a record are its indentation."""
-    import json
+def _record_text(record) -> str:
+    """json.dumps(record, indent=2) as it stands inside a list, nested 2 deeper,
+    for a dict whose values are ints, strings, or non-empty sequences of
+    non-empty rows of ints or of strings.  Each row is one join and the record
+    one final join.  The ints are written as str writes them and each string
+    and key quoted as it stands: that is json's quoting, as every string is
+    _format_ratio's, of '-', '/' and ASCII digits only, and every key of ASCII
+    letters and '_', none of which json escapes."""
+    parts, sep = [], "{\n    "
+    for key, value in record.items():
+        if isinstance(value, int):
+            parts.append(f'{sep}"{key}": {value}')
+        elif isinstance(value, str):
+            parts.append(f'{sep}"{key}": "{value}"')
+        else:
+            q = '"' if isinstance(value[0][0], str) else ""
+            rows = value if q else (map(str, row) for row in value)
+            rows = f"{q}\n      ],\n      [\n        {q}".join(map(f"{q},\n        {q}".join, rows))
+            parts += (f'{sep}"{key}": [\n      [\n        {q}', rows, f"{q}\n      ]\n    ]")
+        sep = ",\n    "
+    parts.append("\n  }")
+    return "".join(parts)
 
-    return json.dumps(record, indent=2).replace("\n", "\n  ")
 
-
-def _json_list(records, text):
+def _json_list(records):
     """Chunks of json.dumps(list(records), indent=2) + "\n", one record each,
-    each record taken from the iterable only when its chunk is due and
-    written by text(record) as it stands inside the list."""
+    each record taken from the iterable only when its chunk is due."""
     sep = "[\n  "
     for record in records:
-        yield sep + text(record)
+        yield sep + _record_text(record)
         sep = ",\n  "
     yield "[]\n" if sep == "[\n  " else "\n]\n"
 
 
-def _listing(args, records, header, rows_of, text=_json_text):
+def _listing(args, records, header, rows_of):
     """The chunks of a list command in its --format: JSON writes each record
     (see _json_list), CSV writes the rows rows_of reads from that same record."""
     if args.format == "json":
-        return _json_list(records, text)
+        return _json_list(records)
     return _csv_lines(header, map(rows_of, records))
 
 
+def _slot_records(p: Params, max_w: int):
+    """The record {w, j, lambda, mu} of each slot up to max_w, in slot order, each built when it is due."""
+    d = _cleared(p)[0]
+    for w, j, lam, mu in slot_table(p, max_w):
+        yield {"w": w, "j": j, "lambda": _format_ratio(lam, d), "mu": _format_ratio(mu, d * d)}
+
+
 def cmd_table(p: Params, args) -> tuple:
-    records = (pair.as_dict() for pair in eigen_table(p, args.max_w))
-    return _listing(args, records, ("w", "j", "lambda", "mu"), lambda r: (r.values(),)), 0
-
-
-def _polys_text(record) -> str:
-    """A polys record (w, j, lambda, mu, coeffs) as _json_text writes its dict
-    with those five keys, with no dict built: the ints as str writes them and
-    each string quoted as it stands.  That is json's quoting, as each string
-    is _format_ratio's, of '-', '/' and ASCII digits only, which json never
-    escapes.  No list is empty: coeffs holds w + 1 rows of ell + 1 strings."""
-    w, j, lam, mu, coeffs = record
-    rows = '"\n      ],\n      [\n        "'.join(map('",\n        "'.join, coeffs))
-    return (
-        f'{{\n    "w": {w},\n    "j": {j},\n    "lambda": "{lam}",\n    "mu": "{mu}",\n'
-        f'    "coeffs": [\n      [\n        "{rows}"\n      ]\n    ]\n  }}'
-    )
+    return _listing(args, _slot_records(p, args.max_w), ("w", "j", "lambda", "mu"), lambda r: (r.values(),)), 0
 
 
 def cmd_polys(p: Params, args) -> tuple:
-    fam, d = family(p), _cleared(p)[0]
-    records = (
-        (w, j, _format_ratio(lam, d), _format_ratio(mu, d * d), fam.column_strings(w, j))
-        for w, j, lam, mu in slot_table(p, args.max_w)
-    )
+    fam = family(p)
+    records = (r | {"coeffs": fam.column_strings(r["w"], r["j"])} for r in _slot_records(p, args.max_w))
     header = ("w", "j", "lambda", "mu", "power") + tuple(f"x{i}" for i in range(p.size))
 
     def rows_of(r):
-        return ((*r[:4], m, *vec) for m, vec in enumerate(r[4]))
+        *slot, coeffs = r.values()
+        return ((*slot, m, *vec) for m, vec in enumerate(coeffs))
 
-    return _listing(args, records, header, rows_of, _polys_text), 0
+    return _listing(args, records, header, rows_of), 0
 
 
 def cmd_verify(p: Params, args) -> tuple:
@@ -170,7 +173,7 @@ def cmd_collisions(p: Params, args) -> tuple:
         for w, j, lam, _ in slot_table(p, args.max_w):
             members = find_collisions(p, Fraction(lam, d)).members
             if len(members) >= 2 and members[0] == (w, j):
-                yield {"lambda": _format_ratio(lam, d), "members": list(map(list, members))}
+                yield {"lambda": _format_ratio(lam, d), "members": members}
 
     return _listing(args, records(), ("lambda", "w", "j"), lambda r: ((r["lambda"], *m) for m in r["members"])), 0
 

@@ -1,7 +1,8 @@
 """Exact rational scalars: rising factorials, generalized binomials, strict
 p/q parsing and lowest-terms formatting.
 
-Everything here returns Fraction; no floating point enters at any stage:
+The rationals here are Fractions, and only format_rational and
+_format_ratio turn one into a str; no floating point enters at any stage:
 every rational argument passes exact_scalar, which takes int and Fraction
 only.
 """

@@ -2,12 +2,13 @@
 
 Matrices are tuples of row tuples, immutable and hashable, so results can be
 cached and compared structurally.  Entries are int or Fraction only
-(exact_scalar).  Every matrix product runs on one integer kernel, int_matmul,
-on operands already cleared to integers over a denominator that the caller
-keeps (MatPoly coefficients, the weight's integrals, the integer form of a
-DiffOp), so nothing here clears a Fraction matrix.  Nothing here solves a
-linear system: the library only ever back-substitutes against bidiagonal or
-unit triangular matrices, next to where they arise.
+(exact_scalar).  MatPoly products and pair_rows run on one integer kernel,
+int_matmul, on operands already cleared to integers over a denominator that
+the caller keeps, so nothing here clears a Fraction matrix.  The sums that
+read only a band or a window of terms (moment_rows over the core's band,
+WeightSpec.integrals, monic_matrix) are written out where they arise.
+Nothing here solves a linear system: the library only ever back-substitutes
+against bidiagonal or unit triangular matrices, next to where they arise.
 """
 
 from __future__ import annotations

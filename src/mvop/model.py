@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
@@ -23,7 +22,6 @@ from .matpoly import DiffOp, Frozen, MatPoly
 
 __all__ = [
     "Params",
-    "EigenPair",
     "weight_core",
     "WeightSpec",
     "moment_rows",
@@ -34,7 +32,6 @@ __all__ = [
     "companion_eigenvalue",
     "monic_matrix",
     "slot_table",
-    "eigen_table",
 ]
 
 
@@ -285,29 +282,9 @@ def monic_matrix(op: DiffOp, n: int) -> MatPoly:
     return MatPoly._reduced(op.dim, op.dim, (rows,), op.den)
 
 
-class EigenPair(namedtuple("EigenPair", "w j lam mu")):
-    """One (w, j) slot with both eigenvalues."""
-
-    __slots__ = ()
-
-    def as_dict(self) -> dict:
-        return {
-            "w": self.w,
-            "j": self.j,
-            "lambda": format_rational(self.lam),
-            "mu": format_rational(self.mu),
-        }
-
-
 def slot_table(p: Params, max_w: int) -> list:
     """Each slot (w, j, lambda d, mu d^2) for 0 <= w <= max_w and 0 <= j <= ell,
     in (w, j) order: both eigenvalues as integer numerators (see _slot)."""
     _check_bound("max_w", max_w)
     cleared = _cleared(p)
     return [(w, j, *_slot(p, w, j, cleared)) for w in range(max_w + 1) for j in range(p.size)]
-
-
-def eigen_table(p: Params, max_w: int) -> list[EigenPair]:
-    """All eigenvalue pairs for 0 <= w <= max_w, 0 <= j <= ell, in (w, j) order, from slot_table."""
-    d = _cleared(p)[0]
-    return [EigenPair(w, j, Fraction(lam, d), Fraction(mu, d * d)) for w, j, lam, mu in slot_table(p, max_w)]

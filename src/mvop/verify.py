@@ -44,12 +44,12 @@ __all__ = [
 ]
 
 
-def _core_products(ws: WeightSpec, op: DiffOp, count: int) -> tuple:
-    """Z A2, Z A1, Z A0 for an order-2 op (else ValueError), the first count of them: each product
-    of the core that check_symmetry_reduced (all three) and check_boundary (the first two) read."""
+def _core_products(ws: WeightSpec, op: DiffOp) -> tuple:
+    """Z A2, Z A1, Z A0 for an order-2 op (else ValueError): each product of the core that
+    check_symmetry_reduced (all three) and check_boundary (the first two) read."""
     if op.order != 2:
         raise ValueError("operator must have order 2")
-    return tuple(ws.core * op.coeff_of_order(j) for j in (2, 1, 0)[:count])
+    return tuple(ws.core * op.coeff_of_order(j) for j in (2, 1, 0))
 
 
 def check_symmetry_reduced(ws: WeightSpec, op: DiffOp):
@@ -64,7 +64,7 @@ def check_symmetry_reduced(ws: WeightSpec, op: DiffOp):
     weight_core is symmetric by construction, so A^T Z = (Z A)^T.  The operator is symmetric for the
     weight exactly when all three residuals vanish.
     """
-    return _symmetry_residuals(ws.params, *_core_products(ws, op, 3))
+    return _symmetry_residuals(ws.params, *_core_products(ws, op))
 
 
 def _symmetry_residuals(p: Params, za2: MatPoly, za1: MatPoly, za0: MatPoly) -> tuple:
@@ -99,7 +99,7 @@ def check_boundary(ws: WeightSpec, op: DiffOp) -> BoundaryReport:
     polynomial entries, so each entry verdict is sharp.  It reads q's integer
     numerators, and alpha and beta over d as in model._cleared.
     """
-    return _boundary_report(ws.params, *_core_products(ws, op, 2))
+    return _boundary_report(ws.params, *_core_products(ws, op)[:2])
 
 
 def _boundary_report(p: Params, za2: MatPoly, za1: MatPoly) -> BoundaryReport:
@@ -288,7 +288,7 @@ def run_suite(p: Params, max_w: int = 6) -> VerificationReport:
     def core_products(name):
         # Z A2, Z A1 and Z A0 of one operator, formed in its first check and read by both
         if name not in products:
-            products[name] = _core_products(ws, ops[name], 3)
+            products[name] = _core_products(ws, ops[name])
         return products[name]
 
     def residuals(name):

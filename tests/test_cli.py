@@ -10,13 +10,14 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import mvop
-from mvop.cli import build_parser, cmd_polys, main
-from mvop.exact import format_rational, parse_rational
+from mvop.cli import _record_text, build_parser, cmd_polys, main
+from mvop.exact import _format_ratio, format_rational, parse_rational
 from mvop.hyper import Family, build_column, family, find_collisions, gram_block
 from mvop.matpoly import MatPoly
-from mvop.model import Params, eigen_table
+from mvop.model import Params, companion_eigenvalue, hyper_eigenvalue, slot_table
 
 BASE_FLAGS = ["--alpha", "0", "--beta", "1", "--k", "1", "--ell", "1"]
 
@@ -135,28 +136,42 @@ def test_csv_output_is_byte_identical(capsys, command, flags, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def slot_records(p, max_w):
+    """The {w, j, lambda, mu} record of each slot, from the Fraction eigenvalues."""
+    return [
+        {
+            "w": w,
+            "j": j,
+            "lambda": format_rational(hyper_eigenvalue(p, w, j)),
+            "mu": format_rational(companion_eigenvalue(p, w, j)),
+        }
+        for w in range(max_w + 1)
+        for j in range(p.size)
+    ]
+
+
 def full_list(command, p, max_w):
     """The records of a JSON list command, built whole from the library."""
     if command == "table":
-        return [pair.as_dict() for pair in eigen_table(p, max_w)]
+        return slot_records(p, max_w)
     if command == "polys":
         return [
-            {**pair.as_dict(), "coeffs": build_column(p, pair.w, pair.j).to_json_dict()["coeffs"]}
-            for pair in eigen_table(p, max_w)
+            {**r, "coeffs": build_column(p, r["w"], r["j"]).to_json_dict()["coeffs"]} for r in slot_records(p, max_w)
         ]
     if command == "gram":
         return [gram_block(p, w, wp).as_dict() for w in range(max_w + 1) for wp in range(w, max_w + 1)]
     classes = {}
-    for pair in eigen_table(p, max_w):
-        members = find_collisions(p, pair.lam).members
+    for r in slot_records(p, max_w):
+        lam = hyper_eigenvalue(p, r["w"], r["j"])
+        members = find_collisions(p, lam).members
         if len(members) >= 2:
-            classes[members] = pair.lam
+            classes[members] = lam
     return [{"lambda": format_rational(lam), "members": list(map(list, members))} for members, lam in sorted(classes.items())]
 
 
 def full_rows(command, p, max_w):
     """The CSV header and rows of a list command, built whole from the library."""
-    slots = [(pair.w, pair.j, format_rational(pair.lam), format_rational(pair.mu)) for pair in eigen_table(p, max_w)]
+    slots = [tuple(r.values()) for r in slot_records(p, max_w)]
     if command == "table":
         return ("w", "j", "lambda", "mu"), slots
     if command == "polys":
@@ -189,6 +204,10 @@ LIST_CASES = [
     ("gram", ("1/2", "3/2", "1", 2), 5, False),
     ("collisions", ("0", "1", "1", 1), 4, True),
     ("collisions", ("0", "1", "3/2", 2), 6, False),
+    ("table", ("-1/2", "-1/3", "1/2", 3), 0, False),
+    ("table", ("-1/2", "-1/3", "1/2", 3), 12, False),
+    ("gram", ("0", "1", "3/2", 2), 6, False),  # resonant
+    ("collisions", ("-2/3", "11/3", "4", 8), 6, False),  # a class of four
 ]
 
 
@@ -201,6 +220,34 @@ def list_output(capsys, command, point, max_w, fmt):
     return p, out
 
 
+INTS = st.integers(-(10**60), 10**60)
+RATIOS = st.builds(_format_ratio, INTS, st.integers(1, 10**60))
+
+
+def rows(entries):
+    return st.lists(st.lists(entries, min_size=1, max_size=5), min_size=1, max_size=5)
+
+
+def dicts(*fields):
+    """Dicts of the given (key, strategy) fields, in that order."""
+    keys = [key for key, _ in fields]
+    return st.tuples(*(values for _, values in fields)).map(lambda values: dict(zip(keys, values)))
+
+
+SLOT = (("w", INTS), ("j", INTS), ("lambda", RATIOS), ("mu", RATIOS))
+RECORDS = st.one_of(
+    dicts(*SLOT),  # table
+    dicts(*SLOT, ("coeffs", rows(RATIOS))),  # polys
+    dicts(("lambda", RATIOS), ("members", rows(INTS).map(lambda m: tuple(map(tuple, m))))),  # collisions
+    dicts(("w", INTS), ("w_prime", INTS), ("entries", rows(RATIOS))),  # gram
+)
+
+
+@given(RECORDS)
+def test_record_text_is_json_dumps_of_the_record(record):
+    assert _record_text(record) == json.dumps(record, indent=2).replace("\n", "\n  ")
+
+
 @pytest.mark.parametrize("command, point, max_w, empty", LIST_CASES)
 def test_json_list_output_matches_whole_document(capsys, command, point, max_w, empty):
     p, out = list_output(capsys, command, point, max_w, "json")
@@ -210,7 +257,7 @@ def test_json_list_output_matches_whole_document(capsys, command, point, max_w, 
 
 
 def test_polys_json_out_file_matches_whole_document(tmp_path, capsys):
-    # polys writes its JSON records itself; through --out they are still json.dumps of the whole list
+    # through --out, the records of the one JSON writer are still json.dumps of the whole list
     alpha, beta, k, ell, max_w = "-1/2", "5/3", "3/2", 4, 9
     target = tmp_path / "polys.json"
     flags = [f"--alpha={alpha}", f"--beta={beta}", f"--k={k}", f"--ell={ell}", f"--max-w={max_w}"]
@@ -268,7 +315,7 @@ def test_polys_builds_each_column_when_its_record_is_written(descents, fmt, head
     assert descents == [(0, 0)]
     assert first.startswith(head)
     document = first + "".join(chunks)
-    assert descents == [(pair.w, pair.j) for pair in eigen_table(p, 3)]
+    assert descents == [(w, j) for w, j, _, _ in slot_table(p, 3)]
     assert last_degree(fmt, document) == 3
 
 
@@ -309,7 +356,7 @@ def test_polys_keeps_no_column_once_its_record_is_written(monkeypatch, fmt):
     for _ in chunks:
         pass
     gc.collect()
-    assert len(rows) == len(strings) == len(eigen_table(p, 3))
+    assert len(rows) == len(strings) == len(slot_table(p, 3))
     assert columns
     assert all(ref() is None for ref in rows + strings + columns)
     assert family(p).params == p and family(p)._polys == {}
@@ -331,7 +378,10 @@ def test_polys_builds_a_polynomial_only_to_certify_a_later_member(monkeypatch, f
     args = build_parser().parse_args(["polys", *flags])
     p = Params(args.alpha, args.beta, args.k, args.ell)
     assert later == {
-        m for pair in eigen_table(p, args.max_w) for m in find_collisions(p, pair.lam).members[1:] if m[0] <= args.max_w
+        m
+        for w, j, _, _ in slot_table(p, args.max_w)
+        for m in find_collisions(p, hyper_eigenvalue(p, w, j)).members[1:]
+        if m[0] <= args.max_w
     }
     family(p).hyper, family(p).companion  # each built once per Family
     slot, calls, descend = [None], [], Family._descend

@@ -10,14 +10,13 @@ from mvop import linalg, matpoly
 from mvop.hyper import family
 from mvop.matpoly import DiffOp, MatPoly
 from mvop.model import (
-    EigenPair,
     Params,
     companion_eigenvalue,
     companion_operator,
-    eigen_table,
     hyper_eigenvalue,
     hyper_operator,
     monic_matrix,
+    slot_table,
     weight_core,
 )
 
@@ -118,9 +117,6 @@ class TestParams:
         )
         assert repr(Params("1/3", 0, "1/2", 1)) == (
             "Params(alpha=Fraction(1, 3), beta=Fraction(0, 1), k=Fraction(1, 2), ell=1)"
-        )
-        assert repr(EigenPair(0, 1, Fraction(-3), Fraction(5, 2))) == (
-            "EigenPair(w=0, j=1, lam=Fraction(-3, 1), mu=Fraction(5, 2))"
         )
 
     def test_as_dict(self):
@@ -488,16 +484,18 @@ class TestMonicEigenvalue:
         assert got == want
 
 
-class TestEigenTable:
+class TestSlotTable:
     def test_ordering_and_values(self):
-        table = eigen_table(BASE, 1)
-        assert [(e.w, e.j) for e in table] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-        assert table[1] == EigenPair(0, 1, Fraction(-2), Fraction(-10))
+        table = slot_table(BASE, 1)
+        assert [(w, j) for w, j, _, _ in table] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert table[1] == (0, 1, -2, -10)
 
-    def test_as_dict(self):
-        row = eigen_table(BASE, 0)[1]
-        assert row.as_dict() == {"w": 0, "j": 1, "lambda": "-2", "mu": "-10"}
+    def test_numerators_over_d(self):
+        # lambda d and mu d^2, d = 6 the lcm of the parameters' denominators
+        p = Params(Fraction(1, 2), Fraction(2, 3), Fraction(1, 2), 2)
+        want = [(w, j, oracle.hyper_eigenvalue(p, w, j) * 6, oracle.companion_eigenvalue(p, w, j) * 36) for w in range(4) for j in range(3)]
+        assert slot_table(p, 3) == want
 
     def test_rejects_negative_span(self):
         with pytest.raises(ValueError):
-            eigen_table(BASE, -1)
+            slot_table(BASE, -1)

@@ -109,6 +109,7 @@ def test_each_closed_form_has_one_public_name():
     # coefficients of hyper_operator and companion_operator
     gone = ("kernel_vector", "leading_coefficient", "monic_eigenvalue", "eigenvalue_matrix")
     gone += ("recursion_matrix", "drift_matrix", "potential_matrix", "companion_blocks")
+    gone += ("eigen_table", "EigenPair")  # the Fraction view of slot_table
     for name in gone:
         assert name not in mvop.__all__
         assert not hasattr(mvop.model, name) and not hasattr(mvop.hyper, name)
@@ -156,14 +157,19 @@ CLI_FLAGS = "'--alpha=1/2', '--beta=3/2', '--k=1', '--ell=2', '--max-w=2'"
         # linalg is not a public name, so the package imports it as a submodule
         ("from mvop import linalg", ["mvop.exact", "mvop.linalg"]),
         ("import mvop; mvop.gram_block(mvop.Params(0, 1, 1, 1), 1, 1)", LIBRARY + ["mvop.hyper"]),
-        # polys writes its JSON records itself, so only the other JSON writers load json
+        # the list commands write their JSON records themselves, so only verify's JSON loads json
         (f"from mvop.cli import main; main(['polys', {CLI_FLAGS}])", ["mvop.cli"] + LIBRARY + ["mvop.hyper"]),
-        (f"from mvop.cli import main; main(['gram', {CLI_FLAGS}])", ["json", "mvop.cli"] + LIBRARY + ["mvop.hyper"]),
+        (f"from mvop.cli import main; main(['gram', {CLI_FLAGS}])", ["mvop.cli"] + LIBRARY + ["mvop.hyper"]),
         (
             f"from mvop.cli import main; main(['polys', {CLI_FLAGS}, '--format=csv'])",
             ["csv", "mvop.cli"] + LIBRARY + ["mvop.hyper"],
         ),
-        (f"from mvop.cli import main; main(['table', {CLI_FLAGS}])", ["json", "mvop.cli"] + LIBRARY + ["mvop.hyper"]),
+        (f"from mvop.cli import main; main(['table', {CLI_FLAGS}])", ["mvop.cli"] + LIBRARY + ["mvop.hyper"]),
+        (f"from mvop.cli import main; main(['collisions', {CLI_FLAGS}])", ["mvop.cli"] + LIBRARY + ["mvop.hyper"]),
+        (
+            f"from mvop.cli import main; main(['collisions', {CLI_FLAGS}, '--format=csv'])",
+            ["csv", "mvop.cli"] + LIBRARY + ["mvop.hyper"],
+        ),
         (
             f"from mvop.cli import main; main(['verify', {CLI_FLAGS}])",
             ["json", "mvop.cli"] + LIBRARY + ["mvop.hyper", "mvop.verify"],

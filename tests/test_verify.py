@@ -19,9 +19,9 @@ from mvop.model import (
     WeightSpec,
     companion_eigenvalue,
     companion_operator,
-    eigen_table,
     hyper_eigenvalue,
     hyper_operator,
+    slot_table,
     weight_core,
 )
 from mvop.verify import (
@@ -479,8 +479,8 @@ class TestSymmetryReduced:
             assert [r.coeffs for r in check_symmetry_reduced(ws, op)] == [e1, e2, e3]
 
     def test_each_core_product_is_formed_once(self, monkeypatch):
-        # Z = Z^T, so A_j^T Z is read as (Z A_j)^T: each check forms every
-        # Z A_j it needs once, with the core on the left, and the scalar
+        # Z = Z^T, so A_j^T Z is read as (Z A_j)^T: each check forms Z A2, Z A1
+        # and Z A0 once, with the core on the left, and the scalar
         # factors c_n are built from their coefficients, not as products
         real, products = MatPoly.__mul__, []
 
@@ -493,7 +493,7 @@ class TestSymmetryReduced:
         for p in GRID:
             ws = WeightSpec(p)
             for op in (hyper_operator(p), companion_operator(p)):
-                for check, with_core, most in ((check_symmetry_reduced, 3, 9), (check_boundary, 2, 2)):
+                for check, with_core, most in ((check_symmetry_reduced, 3, 9), (check_boundary, 3, 3)):
                     products.clear()
                     check(ws, op)
                     assert sum(x is ws.core for x, _ in products) == with_core
@@ -504,7 +504,7 @@ class TestSymmetryReduced:
     @pytest.mark.parametrize("p", GRID, ids=str)
     def test_suite_forms_each_core_product_once_per_operator(self, monkeypatch, p):
         # symmetry_reduced_* and boundary_* read one Z A2, Z A1 and Z A0 per
-        # operator: 3 core products each, not the 3 + 2 of the public checks
+        # operator: 3 core products each, not the 3 + 3 of the public checks
         real, products = MatPoly.__mul__, []
 
         def counted(x, y):
@@ -991,7 +991,7 @@ class TestSuite:
             check_ideal(BASE, -3)
 
     @pytest.mark.parametrize("bad", [True, False, 2.0, "3", Fraction(2)])
-    @pytest.mark.parametrize("call", [run_suite, check_ideal, eigen_table], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("call", [run_suite, check_ideal, slot_table], ids=lambda f: f.__name__)
     def test_degree_bounds_must_be_integers(self, call, bad):
         # the CLI rejects these, so the library does too; a negative bound
         # keeps its own message
@@ -1112,7 +1112,8 @@ class TestFractionOracle:
             want = [oracle.kernel_vector(p, w, j) for j in range(p.size)]
             assert list(mvop.hyper.kernel_matrix(p, w).coeff(0)) == want
             assert [fam.gram(w, wp) for wp in range(4)] == [oracle.gram(fam, w, wp) for wp in range(4)]
-        assert eigen_table(p, 6) == [model.EigenPair(*slot) for slot in oracle.eigen_table(p, 6)]
+        d = model._cleared(p)[0]
+        assert slot_table(p, 6) == [(w, j, lam * d, mu * d * d) for w, j, lam, mu in oracle.eigen_table(p, 6)]
 
     @pytest.mark.usefixtures("fresh_family")
     @pytest.mark.parametrize("p", [GRID[1], Params(0, 1, 1, 6)], ids=str)
