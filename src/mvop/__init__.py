@@ -18,8 +18,8 @@ _EXPORTS = {
     " monic_matrix slot_table weight_core",
     "hyper": "CollisionClass Family GramBlock build_column family find_collisions gram_block kernel_matrix"
     " orthogonal_polynomial",
-    "verify": "BoundaryReport VerificationReport check_bilinear_symmetry check_boundary check_commute check_eigen"
-    " check_ideal check_symmetry_reduced decompose_in_basis run_suite",
+    "verify": "BoundaryReport VerificationReport check_bilinear_symmetry check_commute check_eigen check_ideal"
+    " check_symmetry decompose_in_basis run_suite",
 }
 _HOMES = {name: home for home, names in _EXPORTS.items() for name in names.split()}
 

@@ -27,7 +27,8 @@ One Family holds all that a parameter set fixes, P_w but not a lone column,
 which is built again if asked for again; family(p) keeps the latest.
 The Params-keyed build_column, orthogonal_polynomial and gram_block read it;
 gram_block lives here, not in verify, so that mvop gram and the library
-sweep run without loading the checks.
+sweep run without loading the checks.  A GramBlock holds gram_num's one
+form and writes it without building a Fraction.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from functools import cached_property, lru_cache
 
 from . import linalg
 from .matpoly import MatPoly
-from .exact import _check_bound, _format_ratio, exact_scalar, format_rational
+from .exact import _check_bound, _format_ratio, exact_scalar
 from .model import Params, WeightSpec, _check_j, _cleared, companion_eigenvalue, companion_operator
 from .model import hyper_eigenvalue, hyper_operator, moment_rows, pair_rows
 
@@ -283,11 +284,6 @@ class Family:
             self._moment_rows[w_prime] = moment_rows(right, self.weight, w_prime + 1)
         return pair_rows(left, *self._moment_rows[w_prime], self.params.size)
 
-    def gram(self, w: int, w_prime: int):
-        """The pairing block <P_w, P_w'>: gram_num as Fractions."""
-        num, den = self.gram_num(w, w_prime)
-        return tuple(tuple(Fraction(x, den) for x in row) for row in num)
-
 
 def _assembled(columns: list) -> MatPoly:
     """The MatPoly of the given columns, each as its rows (f_m, den_m) in
@@ -321,20 +317,25 @@ def orthogonal_polynomial(p: Params, w: int) -> MatPoly:
     return family(p).poly(w)
 
 
-class GramBlock(namedtuple("GramBlock", "w w_prime entries")):
-    """Pairing of the degree-w and degree-w_prime families; zero off the diagonal."""
+class GramBlock(namedtuple("GramBlock", "w w_prime num den")):
+    """Pairing of the degree-w and degree-w_prime families, zero off the
+    diagonal, as Family.gram_num's integers num over den; entries are its Fractions."""
 
     __slots__ = ()
+
+    @property
+    def entries(self) -> tuple:
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.num)
 
     def as_dict(self) -> dict:
         return {
             "w": self.w,
             "w_prime": self.w_prime,
-            "entries": [[format_rational(x) for x in row] for row in self.entries],
+            "entries": [[_format_ratio(x, self.den) for x in row] for row in self.num],
         }
 
 
 def gram_block(p: Params, w: int, w_prime: int) -> GramBlock:
     """The pairing block of P_w and P_w', from the moment rows that
     family(p) shares across blocks."""
-    return GramBlock(w, w_prime, family(p).gram(w, w_prime))
+    return GramBlock(w, w_prime, *family(p).gram_num(w, w_prime))

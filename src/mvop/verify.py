@@ -6,7 +6,9 @@ integrals go through the moments of the weight's scalar factor, the symmetry
 equations are cleared of the non-polynomial scalar factor, and boundary
 limits become vanishing-order comparisons.  A check passes only when the
 corresponding exact object is identically zero (or identically positive,
-for norms).  Verdicts are decided on integer numerators, cross-multiplied
+for norms).  Symmetry of an operator for the weight is one criterion and one
+check, check_symmetry: the three reduced equations hold and the boundary
+terms vanish.  Verdicts are decided on integer numerators, cross-multiplied
 where two denominators meet; the relation, Gram, boundary, bilinear and
 leading-coefficient checks build a Fraction only to write a witness.
 GramBlock and gram_block are re-exported from hyper.
@@ -30,9 +32,8 @@ __all__ = [
     "WeightSpec",
     "GramBlock",
     "gram_block",
-    "check_symmetry_reduced",
+    "check_symmetry",
     "BoundaryReport",
-    "check_boundary",
     "check_bilinear_symmetry",
     "check_eigen",
     "check_commute",
@@ -44,32 +45,39 @@ __all__ = [
 ]
 
 
-def _core_products(ws: WeightSpec, op: DiffOp) -> tuple:
-    """Z A2, Z A1, Z A0 for an order-2 op (else ValueError): each product of the core that
-    check_symmetry_reduced (all three) and check_boundary (the first two) read."""
-    if op.order != 2:
-        raise ValueError("operator must have order 2")
-    return tuple(ws.core * op.coeff_of_order(j) for j in (2, 1, 0))
+class BoundaryEntry(namedtuple("BoundaryEntry", "block row col order_at_zero order_at_one ok")):
+    __slots__ = ()
 
 
-def check_symmetry_reduced(ws: WeightSpec, op: DiffOp):
-    """Three polynomial residuals equivalent to the symmetry equations.
+class BoundaryReport(namedtuple("BoundaryReport", "passed entries")):
+    __slots__ = ()
 
-    With W = rho Z, rho = (1-u)^alpha u^beta, the equations
+
+def check_symmetry(ws: WeightSpec, op: DiffOp) -> tuple:
+    """Symmetry of an order-2 op (else ValueError) for the weight, as the pair
+    (residuals, report): it is symmetric exactly when the three residuals vanish
+    and the report passes.  Z A2, Z A1 and Z A0 are each formed once, and
+    weight_core is symmetric by construction, so A^T Z = (Z A)^T.
+
+    Residuals: with W = rho Z, rho = (1-u)^alpha u^beta, the equations
         A2^T W = W A2
         A1^T W = -W A1 + 2 (W A2)'
         A0^T W = W A0 - (W A1)' + (W A2)''
     divide by rho and clear denominators with u^2 (1-u)^2: c_n = u^2 (1-u)^2 rho^(n) / rho is
     c0 = u^2 (1-u)^2, c1 = u (1-u) h and c2 = h^2 - beta (1-u)^2 - alpha u^2, h = beta - (alpha + beta) u.
-    weight_core is symmetric by construction, so A^T Z = (Z A)^T.  The operator is symmetric for the
-    weight exactly when all three residuals vanish.
+
+    Report: the vanishing of W A2 and of W A1 - A1^T W at both endpoints.  An
+    entry q of Z A2 or Z A1 - A1^T Z satisfies the limit at u = 0 exactly when
+    ord_0(q) + beta > 0 and at u = 1 exactly when ord_1(q) + alpha > 0;
+    identically zero entries pass vacuously.  Order counting is exact for
+    polynomial entries, so each entry verdict is sharp.  It reads q's integer
+    numerators, and alpha and beta over d as in model._cleared.
     """
-    return _symmetry_residuals(ws.params, *_core_products(ws, op))
-
-
-def _symmetry_residuals(p: Params, za2: MatPoly, za1: MatPoly, za0: MatPoly) -> tuple:
-    """check_symmetry_reduced's residuals, from the core products Z A2, Z A1 and Z A0."""
-    dim, a, b = za2.dim, p.alpha, p.beta
+    if op.order != 2:
+        raise ValueError("operator must have order 2")
+    za2, za1, za0 = (ws.core * op.coeff_of_order(j) for j in (2, 1, 0))
+    d, ad, bd, _ = _cleared(ws.params)  # alpha d and beta d, for the report
+    dim, a, b = za2.dim, ws.params.alpha, ws.params.beta
     c0 = MatPoly.from_scalar(dim, (0, 0, 1, -2, 1))
     c1 = MatPoly.from_scalar(dim, (0, b, -a - 2 * b, a + b))
     c2 = MatPoly.from_scalar(dim, (b * b - b, 2 * b * (1 - a - b), (a + b) ** 2 - a - b))
@@ -79,37 +87,11 @@ def _symmetry_residuals(p: Params, za2: MatPoly, za1: MatPoly, za0: MatPoly) -> 
     r1 = (za2.transpose() - za2) * c0
     r2 = (za1.transpose() + mid) * c0 - 2 * za2 * c1
     r3 = (za0.transpose() - za0 + za1.derivative() - dza2.derivative()) * c0 + mid * c1 - za2 * c2
-    return r1, r2, r3
 
-
-class BoundaryEntry(namedtuple("BoundaryEntry", "block row col order_at_zero order_at_one ok")):
-    __slots__ = ()
-
-
-class BoundaryReport(namedtuple("BoundaryReport", "passed entries")):
-    __slots__ = ()
-
-
-def check_boundary(ws: WeightSpec, op: DiffOp) -> BoundaryReport:
-    """Vanishing of W A2 and of W A1 - A1^T W at both endpoints.
-
-    An entry q of Z A2 or Z A1 - A1^T Z satisfies the limit at u = 0 exactly
-    when ord_0(q) + beta > 0 and at u = 1 exactly when ord_1(q) + alpha > 0;
-    identically zero entries pass vacuously.  Order counting is exact for
-    polynomial entries, so each entry verdict is sharp.  It reads q's integer
-    numerators, and alpha and beta over d as in model._cleared.
-    """
-    return _boundary_report(ws.params, *_core_products(ws, op)[:2])
-
-
-def _boundary_report(p: Params, za2: MatPoly, za1: MatPoly) -> BoundaryReport:
-    """check_boundary's report, from the core products Z A2 and Z A1."""
-    d, alpha, beta, _ = _cleared(p)
-    blocks = (("second_order", za2), ("first_order_skew", za1 - za1.transpose()))
     entries = []
-    for name, mp in blocks:
-        for i in range(mp.dim):
-            for j in range(mp.dim):
+    for name, mp in (("second_order", za2), ("first_order_skew", za1 - za1.transpose())):
+        for i in range(dim):
+            for j in range(dim):
                 q = [c[i][j] for c in mp.num]
                 if not any(q):
                     entries.append(BoundaryEntry(name, i, j, None, None, True))
@@ -117,15 +99,15 @@ def _boundary_report(p: Params, za2: MatPoly, za1: MatPoly) -> BoundaryReport:
                 ord0 = next(m for m, c in enumerate(q) if c)
                 # ord_1(q) is the least m with q^(m)(1) = sum_t perm(t, m) q_t nonzero
                 ord1 = next(m for m in range(len(q)) if sum(math.perm(t, m) * c for t, c in enumerate(q)))
-                entries.append(BoundaryEntry(name, i, j, ord0, ord1, ord0 * d + beta > 0 and ord1 * d + alpha > 0))
-    return BoundaryReport(all(x.ok for x in entries), tuple(entries))
+                entries.append(BoundaryEntry(name, i, j, ord0, ord1, ord0 * d + bd > 0 and ord1 * d + ad > 0))
+    return (r1, r2, r3), BoundaryReport(all(x.ok for x in entries), tuple(entries))
 
 
 def check_bilinear_symmetry(ws: WeightSpec, op: DiffOp, max_power: int = 4) -> bool:
     """Test <op P, Q> = <P, op Q> on all matrix polynomials of degree <= max_power,
     for degree-bounded operators only (deg A_i <= i, else ValueError); one of
     higher coefficient degree can pass on these monomials and not be symmetric.
-    Symmetry itself is decided by check_symmetry_reduced with check_boundary.
+    Symmetry itself is decided by check_symmetry.
     max_power = 4 is a sample: at every order-2 point tried, degree
     order + 1 = 3 already decided symmetry among degree-bounded operators.
 
@@ -278,25 +260,25 @@ def run_suite(p: Params, max_w: int = 6) -> VerificationReport:
     """Run every check for p in a fixed order.  Every degree: symmetry_reduced_*, boundary_*, commutation
     and the three eigenvalue relations (decided from degrees 0 to 3).  Up to max_w: eigenfunctions, leading
     coefficients, Gram and collision checks.  A sample: bilinear_symmetry_* and decomposition_random.
-    symmetry_reduced_* and boundary_* of one operator read one set of its core products (see _core_products)."""
+    symmetry_reduced_* and boundary_* of one operator read one check_symmetry of it, run in the first of the
+    two: its time, the boundary order counting included, lands in symmetry_reduced_*, and boundary_* only reads."""
     _check_bound("max_w", max_w)
     fam = family(p)
     ws, d, e = fam.weight, fam.hyper, fam.companion
     den, a, b, k = _cleared(p)  # the relations compare numerators over den
-    ops, products = {"hyper": d, "companion": e}, {}
+    ops, symmetry = {"hyper": d, "companion": e}, {}
 
-    def core_products(name):
-        # Z A2, Z A1 and Z A0 of one operator, formed in its first check and read by both
-        if name not in products:
-            products[name] = _core_products(ws, ops[name])
-        return products[name]
+    def symmetric(name):
+        if name not in symmetry:
+            symmetry[name] = check_symmetry(ws, ops[name])
+        return symmetry[name]
 
     def residuals(name):
-        bad = [i + 1 for i, r in enumerate(_symmetry_residuals(p, *core_products(name))) if not r.is_zero()]
+        bad = [i + 1 for i, r in enumerate(symmetric(name)[0]) if not r.is_zero()]
         return not bad, f"nonzero residuals: {bad}" if bad else None
 
     def boundary(name):
-        report = _boundary_report(p, *core_products(name)[:2])
+        report = symmetric(name)[1]
         bad = [f"{x.block}[{x.row}][{x.col}]" for x in report.entries if not x.ok]
         return report.passed, f"failing entries: {bad}" if bad else None
 

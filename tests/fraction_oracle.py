@@ -306,7 +306,7 @@ def leading(fam, w: int) -> bool:
 
 
 def boundary(ws, op) -> tuple:
-    """check_boundary's (passed, entries), with the orders read from entry()'s Fractions."""
+    """check_symmetry's boundary report as (passed, entries), with the orders read from entry()'s Fractions."""
     z, a2, a1 = ws.core, op.coeff_of_order(2), op.coeff_of_order(1)
     alpha, beta = ws.params.alpha, ws.params.beta
     entries = []

@@ -28,11 +28,10 @@ from mvop.model import (
     monic_matrix,
 )
 from mvop.verify import (
-    check_boundary,
     check_commute,
     check_eigen,
     check_ideal,
-    check_symmetry_reduced,
+    check_symmetry,
     decompose_in_basis,
     gram_block,
 )
@@ -62,8 +61,7 @@ def report(number: int, name: str, ok: bool) -> None:
 def symmetry_and_boundary(p, op, budget: float):
     start = time.perf_counter()
     ws = WeightSpec(p)
-    residuals = check_symmetry_reduced(ws, op)
-    boundary = check_boundary(ws, op)
+    residuals, boundary = check_symmetry(ws, op)
     elapsed = time.perf_counter() - start
     ok = all(r.is_zero() for r in residuals) and boundary.passed and elapsed < budget
     return ok, elapsed

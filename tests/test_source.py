@@ -119,6 +119,17 @@ def test_each_closed_form_has_one_public_name():
     assert mvop.monic_matrix is mvop.model.monic_matrix
 
 
+def test_symmetry_has_one_check_and_a_gram_block_one_form():
+    # the symmetry equations and the boundary terms are one criterion, decided
+    # by check_symmetry alone, and a Gram block's Fractions are its entries
+    for name in ("check_symmetry_reduced", "check_boundary"):
+        assert name not in mvop.__all__ and not hasattr(mvop.verify, name)
+        with pytest.raises(AttributeError, match=f"'mvop' has no attribute '{name}'"):
+            getattr(mvop, name)
+    assert mvop.check_symmetry is mvop.verify.check_symmetry
+    assert not hasattr(mvop.Family, "gram") and hasattr(mvop.Family, "gram_num")
+
+
 def test_package_rejects_unknown_names():
     assert not hasattr(mvop, "no_such_name")
     with pytest.raises(AttributeError, match="'mvop' has no attribute 'no_such_name'"):

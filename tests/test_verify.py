@@ -28,11 +28,10 @@ from mvop.verify import (
     CheckResult,
     VerificationReport,
     check_bilinear_symmetry,
-    check_boundary,
     check_commute,
     check_eigen,
     check_ideal,
-    check_symmetry_reduced,
+    check_symmetry,
     decompose_in_basis,
     gram_block,
     run_suite,
@@ -162,10 +161,10 @@ class TestMomentTable:
         p = GRID[1]
         fam = Family(p)
         polys = [fam.poly(w) for w in range(6)]
-        fam.gram(0, 0)
+        fam.gram_num(0, 0)
         expected = {(w, wp): literal_double_sum(polys[w], polys[wp], fam.weight) for w in range(6) for wp in range(6)}
         assert len(fam.weight._ratios) == 2 * p.ell + 1  # ratio(0..2 ell), for the block (0, 0)
-        assert {(w, wp): fam.gram(w, wp) for w in range(6) for wp in range(6)} == expected
+        assert {(w, wp): as_fractions(*fam.gram_num(w, wp)) for w in range(6) for wp in range(6)} == expected
         assert len(fam.weight._ratios) == 2 * 5 + 2 * p.ell + 1
 
 
@@ -316,7 +315,7 @@ class TestGram:
             return MatPoly(p.size, coeffs)
 
         pp, qq = rand_poly(), rand_poly()
-        assert fam.gram(2, 2) == literal_double_sum(fam.poly(2), fam.poly(2), fam.weight)
+        assert as_fractions(*fam.gram_num(2, 2)) == literal_double_sum(fam.poly(2), fam.poly(2), fam.weight)
         assert inner_product(pp, qq, fam.weight) == literal_double_sum(pp, qq, fam.weight)
 
     @staticmethod
@@ -344,7 +343,7 @@ class TestGram:
         expected = [gram_block(BASE, w, 3).entries for w in (1, 0, 5, 4)]
         calls = self._count_rows(monkeypatch)
         fam = Family(BASE)
-        assert [fam.gram(w, 3) for w in (1, 0, 5, 4)] == expected
+        assert [as_fractions(*fam.gram_num(w, 3)) for w in (1, 0, 5, 4)] == expected
         assert calls == [(3, 4), (5, 6), (4, 5)]
 
     @pytest.mark.parametrize("p", [BASE, GRID[3]], ids=str)
@@ -357,10 +356,10 @@ class TestGram:
         want = {(w, wp): oracle.gram(ref, w, wp) for w, wp in square}
         calls = self._count_rows(monkeypatch)
         forward, backward = Family(p), Family(p)
-        got_forward = {(w, wp): forward.gram(w, wp) for w, wp in square}
+        got_forward = {(w, wp): as_fractions(*forward.gram_num(w, wp)) for w, wp in square}
         assert sorted(calls) == [(wp, wp + 1) for wp in range(6)]
         calls.clear()
-        got_backward = {(w, wp): backward.gram(w, wp) for w, wp in reversed(square)}
+        got_backward = {(w, wp): as_fractions(*backward.gram_num(w, wp)) for w, wp in reversed(square)}
         assert sorted(calls) == [(wp, wp + 1) for wp in range(6)]
         assert got_forward == got_backward == want
         assert forward._moment_rows == backward._moment_rows
@@ -380,15 +379,15 @@ class TestGram:
             fam._polys[w] = MatPoly(p.size, [entries() for _ in range(w + 1)])
         for w in range(4):
             for wp in range(w):
-                block = fam.gram(w, wp)
-                assert block == oracle.gram(fam, w, wp) == linalg.transpose(fam.gram(wp, w))
+                block = as_fractions(*fam.gram_num(w, wp))
+                assert block == oracle.gram(fam, w, wp) == linalg.transpose(as_fractions(*fam.gram_num(wp, w)))
                 assert block != linalg.transpose(block)
 
     @pytest.mark.parametrize("w, wp", [("x", 1), (1, True), (True, 0), (0, "1")])
     def test_indices_are_checked_before_they_are_compared(self, w, wp):
         # a str or bool index raises ValueError, not the TypeError of w > w'
         with pytest.raises(ValueError, match="w must be an integer"):
-            Family(BASE).gram(w, wp)
+            Family(BASE).gram_num(w, wp)
 
 
 class TestSymmetryReduced:
@@ -396,34 +395,45 @@ class TestSymmetryReduced:
         for p in GRID:
             ws = WeightSpec(p)
             for op in (hyper_operator(p), companion_operator(p)):
-                r1, r2, r3 = check_symmetry_reduced(ws, op)
+                r1, r2, r3 = check_symmetry(ws, op)[0]
                 assert r1.is_zero() and r2.is_zero() and r3.is_zero()
 
+    @staticmethod
+    def _bumped(op, order, bump):
+        coeffs = [op.coeff_of_order(j) for j in (2, 1, 0)]
+        coeffs[2 - order] += MatPoly.constant(bump)
+        return DiffOp(2, tuple(coeffs))
+
     def test_zero_order_perturbation_hits_only_third_residual(self):
-        ws = WeightSpec(BASE)
-        op = hyper_operator(BASE)
-        bump = MatPoly.constant([[0, 1], [0, 0]])
-        perturbed = DiffOp(
-            2, (op.coeff_of_order(2), op.coeff_of_order(1), op.coeff_of_order(0) + bump)
-        )
-        r1, r2, r3 = check_symmetry_reduced(ws, perturbed)
+        perturbed = self._bumped(hyper_operator(BASE), 0, [[0, 1], [0, 0]])
+        (r1, r2, r3), report = check_symmetry(WeightSpec(BASE), perturbed)
         assert r1.is_zero() and r2.is_zero()
         assert not r3.is_zero()
+        assert report.passed
 
     def test_first_order_perturbation_hits_second_residual(self):
-        ws = WeightSpec(BASE)
-        op = hyper_operator(BASE)
-        bump = MatPoly.constant([[0, 1], [0, 0]])
-        perturbed = DiffOp(
-            2, (op.coeff_of_order(2), op.coeff_of_order(1) + bump, op.coeff_of_order(0))
-        )
-        r1, r2, _ = check_symmetry_reduced(ws, perturbed)
+        perturbed = self._bumped(hyper_operator(BASE), 1, [[0, 1], [0, 0]])
+        r1, r2, _ = check_symmetry(WeightSpec(BASE), perturbed)[0]
+        assert r1.is_zero()
+        assert not r2.is_zero()
+
+    def test_zero_order_bump_of_the_companion_hits_only_third_residual(self):
+        # the E controls: a zero-order bump below the diagonal, then a first-order bump
+        perturbed = self._bumped(companion_operator(BASE), 0, [[0, 0], [1, 0]])
+        (r1, r2, r3), report = check_symmetry(WeightSpec(BASE), perturbed)
+        assert r1.is_zero() and r2.is_zero()
+        assert not r3.is_zero()
+        assert report.passed
+
+    def test_first_order_bump_of_the_companion_hits_second_residual(self):
+        perturbed = self._bumped(companion_operator(BASE), 1, [[0, 1], [0, 0]])
+        r1, r2, _ = check_symmetry(WeightSpec(BASE), perturbed)[0]
         assert r1.is_zero()
         assert not r2.is_zero()
 
     def test_requires_order_two(self):
-        with pytest.raises(ValueError):
-            check_symmetry_reduced(WeightSpec(BASE), DiffOp(2, (MatPoly.from_scalar(2, (1,)),)))
+        with pytest.raises(ValueError, match="operator must have order 2"):
+            check_symmetry(WeightSpec(BASE), DiffOp(2, (MatPoly.from_scalar(2, (1,)),)))
 
     @pytest.mark.parametrize(
         "p",
@@ -476,12 +486,13 @@ class TestSymmetryReduced:
             e1 = times(oracle.sub(aw[0], za2), c0)
             e2 = oracle.sub(times(oracle.add(aw[1], za1), c0), oracle.scale(d1(za2), 2))
             e3 = oracle.sub(oracle.add(times(oracle.sub(aw[2], oracle.mul(z, a0)), c0), d1(za1)), d2(za2))
-            assert [r.coeffs for r in check_symmetry_reduced(ws, op)] == [e1, e2, e3]
+            assert [r.coeffs for r in check_symmetry(ws, op)[0]] == [e1, e2, e3]
 
     def test_each_core_product_is_formed_once(self, monkeypatch):
-        # Z = Z^T, so A_j^T Z is read as (Z A_j)^T: each check forms Z A2, Z A1
-        # and Z A0 once, with the core on the left, and the scalar
-        # factors c_n are built from their coefficients, not as products
+        # Z = Z^T, so A_j^T Z is read as (Z A_j)^T: check_symmetry forms Z A2,
+        # Z A1 and Z A0 once for the residuals and the report together, with
+        # the core on the left, and the scalar factors c_n are built from their
+        # coefficients, not as products
         real, products = MatPoly.__mul__, []
 
         def counted(x, y):
@@ -493,18 +504,17 @@ class TestSymmetryReduced:
         for p in GRID:
             ws = WeightSpec(p)
             for op in (hyper_operator(p), companion_operator(p)):
-                for check, with_core, most in ((check_symmetry_reduced, 3, 9), (check_boundary, 3, 3)):
-                    products.clear()
-                    check(ws, op)
-                    assert sum(x is ws.core for x, _ in products) == with_core
-                    assert not any(y is ws.core for _, y in products)
-                    assert len(products) <= most
+                products.clear()
+                check_symmetry(ws, op)
+                assert sum(x is ws.core for x, _ in products) == 3
+                assert not any(y is ws.core for _, y in products)
+                assert len(products) <= 9
 
     @pytest.mark.usefixtures("fresh_family")
     @pytest.mark.parametrize("p", GRID, ids=str)
     def test_suite_forms_each_core_product_once_per_operator(self, monkeypatch, p):
-        # symmetry_reduced_* and boundary_* read one Z A2, Z A1 and Z A0 per
-        # operator: 3 core products each, not the 3 + 3 of the public checks
+        # symmetry_reduced_* and boundary_* read one check_symmetry per
+        # operator: 3 core products each, not 3 per check
         real, products = MatPoly.__mul__, []
 
         def counted(x, y):
@@ -518,19 +528,29 @@ class TestSymmetryReduced:
 
     @pytest.mark.usefixtures("fresh_family")
     def test_suite_witnesses_are_the_public_checks(self):
-        # the suite's shared products give the verdicts and witnesses of
-        # check_symmetry_reduced and check_boundary on a skew first-order term
+        # the suite's one check_symmetry per operator gives its verdicts and
+        # witnesses on a skew first-order term of D
+        self._assert_skew_term_fails_only("hyper", "companion")
+
+    @pytest.mark.usefixtures("fresh_family")
+    def test_suite_witnesses_on_the_companion_are_the_public_checks(self):
+        # the same skew first-order term on E instead: the E checks fail, the D checks pass
+        self._assert_skew_term_fails_only("companion", "hyper")
+
+    @staticmethod
+    def _assert_skew_term_fails_only(name, other):
         fam = mvop.hyper.family(BASE)
-        d = fam.hyper
-        fam.hyper = DiffOp(2, (d.coeff_of_order(2), MatPoly.constant([[0, 1], [0, 0]]), d.coeff_of_order(0)))
-        residuals, report = check_symmetry_reduced(fam.weight, fam.hyper), check_boundary(fam.weight, fam.hyper)
+        op = getattr(fam, name)
+        op = DiffOp(2, (op.coeff_of_order(2), MatPoly.constant([[0, 1], [0, 0]]), op.coeff_of_order(0)))
+        setattr(fam, name, op)
+        residuals, report = check_symmetry(fam.weight, op)
         bad = [i + 1 for i, r in enumerate(residuals) if not r.is_zero()]
         failing = [f"{x.block}[{x.row}][{x.col}]" for x in report.entries if not x.ok]
         assert bad and failing
         checks = {c.name: c for c in run_suite(BASE, max_w=1).checks}
-        assert checks["symmetry_reduced_hyper"] == ("symmetry_reduced_hyper", "fail", f"nonzero residuals: {bad}")
-        assert checks["boundary_hyper"] == ("boundary_hyper", "fail", f"failing entries: {failing}")
-        assert checks["symmetry_reduced_companion"].status == checks["boundary_companion"].status == "pass"
+        assert checks[f"symmetry_reduced_{name}"] == (f"symmetry_reduced_{name}", "fail", f"nonzero residuals: {bad}")
+        assert checks[f"boundary_{name}"] == (f"boundary_{name}", "fail", f"failing entries: {failing}")
+        assert checks[f"symmetry_reduced_{other}"].status == checks[f"boundary_{other}"].status == "pass"
 
 
 class TestBoundary:
@@ -538,13 +558,13 @@ class TestBoundary:
         for p in GRID:
             ws = WeightSpec(p)
             for op in (hyper_operator(p), companion_operator(p)):
-                report = check_boundary(ws, op)
+                report = check_symmetry(ws, op)[1]
                 assert report.passed
                 assert all(e.ok for e in report.entries)
 
     def test_entry_bookkeeping(self):
         ws = WeightSpec(BASE)
-        report = check_boundary(ws, hyper_operator(BASE))
+        report = check_symmetry(ws, hyper_operator(BASE))[1]
         blocks = {e.block for e in report.entries}
         assert blocks == {"second_order", "first_order_skew"}
         assert len(report.entries) == 8
@@ -565,13 +585,9 @@ class TestBoundary:
                 op.coeff_of_order(0),
             ),
         )
-        report = check_boundary(ws, perturbed)
+        report = check_symmetry(ws, perturbed)[1]
         assert not report.passed
         assert any(not e.ok for e in report.entries)
-
-    def test_requires_order_two(self):
-        with pytest.raises(ValueError):
-            check_boundary(WeightSpec(BASE), DiffOp(2, (MatPoly.from_scalar(2, (1,)),)))
 
 
 class TestBilinearSymmetry:
@@ -630,9 +646,9 @@ class TestBilinearSymmetry:
         bump = MatPoly(2, [[[x, 0], [0, 0]] for x in g])
         perturbed = DiffOp(2, (op.coeff_of_order(2), op.coeff_of_order(1), op.coeff_of_order(0) + bump))
         assert not perturbed.is_degree_bounded()
-        r1, r2, r3 = check_symmetry_reduced(ws, perturbed)
+        (r1, r2, r3), report = check_symmetry(ws, perturbed)
         assert r1.is_zero() and r2.is_zero() and not r3.is_zero()
-        assert check_boundary(ws, perturbed).passed
+        assert report.passed
         # the Fraction form without the guard: the sample passes up to max_power 4
         assert [oracle.bilinear_symmetry(ws, perturbed, m) for m in (3, 4, 5)] == [True, True, False]
         for max_power in (3, 4, 5):
@@ -1105,13 +1121,13 @@ class TestFractionOracle:
     def test_integer_forms_are_the_fraction_forms(self, p):
         fam = Family(p)
         for op in (fam.hyper, fam.companion):
-            assert tuple(check_boundary(fam.weight, op)) == oracle.boundary(fam.weight, op)
+            assert tuple(check_symmetry(fam.weight, op)[1]) == oracle.boundary(fam.weight, op)
             for n in (0, 1, 5):
                 assert [list(row) for row in model.monic_matrix(op, n).coeff(0)] == oracle.monic_eigenvalue(op, n)
         for w in range(4):
             want = [oracle.kernel_vector(p, w, j) for j in range(p.size)]
             assert list(mvop.hyper.kernel_matrix(p, w).coeff(0)) == want
-            assert [fam.gram(w, wp) for wp in range(4)] == [oracle.gram(fam, w, wp) for wp in range(4)]
+            assert [as_fractions(*fam.gram_num(w, wp)) for wp in range(4)] == [oracle.gram(fam, w, wp) for wp in range(4)]
         d = model._cleared(p)[0]
         assert slot_table(p, 6) == [(w, j, lam * d, mu * d * d) for w, j, lam, mu in oracle.eigen_table(p, 6)]
 
@@ -1143,7 +1159,7 @@ class TestFractionFree:
         fam = mvop.hyper.family(p)
         for w in range(9):
             for wp in range(w, 9):
-                fam.gram(w, wp)
+                fam.gram_num(w, wp)
         counts, running = {}, []
 
         def counting(real):
