@@ -12,7 +12,7 @@ import importlib
 
 # each public name, by the module it is imported from on first use
 _EXPORTS = {
-    "exact": "format_rational gen_binom parse_rational poch",
+    "exact": "format_rational parse_rational",
     "matpoly": "DiffOp MatPoly",
     "model": "Params WeightSpec companion_eigenvalue companion_operator hyper_eigenvalue hyper_operator"
     " monic_matrix slot_table weight_core",

@@ -1,5 +1,5 @@
-"""Exact rational scalars: rising factorials, generalized binomials, strict
-p/q parsing and lowest-terms formatting.
+"""Exact rational scalars: the int-or-Fraction guard, strict p/q parsing and
+lowest-terms formatting.
 
 The rationals here are Fractions, and only format_rational and
 _format_ratio turn one into a str; no floating point enters at any stage:
@@ -15,8 +15,6 @@ from fractions import Fraction
 
 __all__ = [
     "exact_scalar",
-    "poch",
-    "gen_binom",
     "parse_rational",
     "format_rational",
 ]
@@ -40,26 +38,6 @@ def _check_bound(name: str, value: int) -> None:
         raise ValueError(f"{name} must be an integer, not {type(value).__name__}")
     if value < 0:
         raise ValueError(f"{name} must be >= 0")
-
-
-def poch(z: RationalLike, r: int) -> Fraction:
-    """Rising factorial z(z+1)...(z+r-1); the empty product is 1."""
-    _check_bound("r", r)
-    z = exact_scalar(z)
-    out = Fraction(1)
-    for i in range(r):
-        out *= z + i
-    return out
-
-
-def gen_binom(z: RationalLike, r: int) -> Fraction:
-    """Binomial coefficient with arbitrary rational upper argument.
-
-    Equals poch(z - r + 1, r) / r!, so it vanishes exactly when z is an
-    integer with 0 <= z < r.
-    """
-    _check_bound("r", r)
-    return poch(exact_scalar(z) - r + 1, r) / math.factorial(r)
 
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$", re.ASCII)

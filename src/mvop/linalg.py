@@ -1,4 +1,5 @@
-"""Exact matrices over Fraction entries: constructors and one product kernel.
+"""Exact matrices: freezing, the zero matrix, transposition and one integer
+product kernel.
 
 Matrices are tuples of row tuples, immutable and hashable, so results can be
 cached and compared structurally.  Entries are int or Fraction only
@@ -27,27 +28,6 @@ def freeze_matrix(rows) -> Matrix:
 
 def zeros(n: int, m: int | None = None) -> Matrix:
     return ((Fraction(0),) * (n if m is None else m),) * n
-
-
-def identity(n: int) -> Matrix:
-    return diagonal((Fraction(1),) * n)
-
-
-def diagonal(entries) -> Matrix:
-    """Square matrix with the given diagonal: only those entries are checked,
-    and every off-diagonal entry is one shared Fraction(0)."""
-    entries = [exact_scalar(x) for x in entries]
-    zero = (Fraction(0),) * len(entries)
-    return tuple(zero[:i] + (x,) + zero[i + 1 :] for i, x in enumerate(entries))
-
-
-def add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb, strict=True)) for ra, rb in zip(a, b, strict=True))
-
-
-def scale(a: Matrix, q) -> Matrix:
-    q = exact_scalar(q)
-    return tuple(tuple(q * x for x in row) for row in a)
 
 
 def int_matmul(a, b) -> Matrix:

@@ -7,9 +7,10 @@ zeros trimmed, over one denominator den > 0 reduced against all of them by
 one gcd (the zero polynomial is num = (), den = 1).  That form is unique, so
 structural equality is exact polynomial equality.  All arithmetic runs on
 the integers; Fractions are built only where a caller reads entries (coeffs,
-coeff, leading, entry, evaluate, to_json_dict).  A DiffOp holds the same
-form for all of its coefficients at once, over the lcm of their denominators,
-which apply, compose, model.monic_matrix and the descent of hyper all read.
+coeff), and to_json_dict writes its strings from num and den.  A DiffOp
+holds the same form for all of its coefficients at once, over the lcm of
+their denominators, which apply, compose, model.monic_matrix and the descent
+of hyper all read.
 The degree of the zero polynomial is -1.  All values are immutable: a
 Frozen class compares, hashes and prints by its fields.
 """
@@ -135,15 +136,6 @@ class MatPoly(Frozen):
         return out
 
     @classmethod
-    def zero(cls, dim: int, cols: int | None = None) -> MatPoly:
-        return cls(dim, (), cols)
-
-    @classmethod
-    def constant(cls, mat) -> MatPoly:
-        mat = linalg.freeze_matrix(mat)
-        return cls.monomial(len(mat), mat, 0)
-
-    @classmethod
     def from_scalar(cls, dim: int, scalar_coeffs) -> MatPoly:
         """Scalar polynomial times the identity matrix, over the lcm of the coefficients' denominators."""
         _check_bound("dim", dim)
@@ -151,15 +143,6 @@ class MatPoly(Frozen):
         den = math.lcm(*(c.denominator for c in cs))
         xs = (c.numerator * (den // c.denominator) for c in cs)
         return cls._reduced(dim, dim, [tuple(zero[:i] + (x,) + zero[i + 1 :] for i in range(dim)) for x in xs], den)
-
-    @classmethod
-    def monomial(cls, dim: int, mat, power: int) -> MatPoly:
-        _check_bound("power", power)
-        mat = linalg.freeze_matrix(mat)
-        if not mat:
-            raise ValueError("a coefficient matrix needs at least one row")
-        cols = len(mat[0])
-        return cls(dim, (linalg.zeros(dim, cols),) * power + (mat,), cols)
 
     @property
     def degree(self) -> int:
@@ -178,19 +161,6 @@ class MatPoly(Frozen):
         if m < len(self.num):
             return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.num[m])
         return linalg.zeros(self.dim, self.cols)
-
-    def leading(self):
-        if not self.num:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeff(len(self.num) - 1)
-
-    def entry(self, i: int, j: int) -> tuple:
-        """Scalar coefficient sequence of one entry, ascending, trimmed."""
-        _check_bound("i", i)
-        _check_bound("j", j)
-        if i >= self.dim or j >= self.cols:
-            raise ValueError(f"entry ({i}, {j}) is outside a {self.dim} x {self.cols} matrix")
-        return _trimmed([Fraction(c[i][j], self.den) for c in self.num], lambda x: x == 0)
 
     def _combined(self, other: MatPoly, sign: int) -> MatPoly:
         """self + sign * other over the lcm of the two denominators."""
@@ -234,13 +204,6 @@ class MatPoly(Frozen):
     def derivative(self) -> MatPoly:
         return MatPoly._reduced(self.dim, self.cols, _derived(self.num), self.den)
 
-    def evaluate(self, u0):
-        u0 = exact_scalar(u0)
-        total = linalg.zeros(self.dim, self.cols)
-        for c in reversed(self.coeffs):
-            total = linalg.add(linalg.scale(total, u0), c)
-        return total
-
     def to_json_dict(self) -> dict:
         """Entries as lowest-terms 'p' or 'p/q' strings, as format_rational
         writes them, one gcd each; each coefficient matrix flattened by rows."""
@@ -272,10 +235,6 @@ class DiffOp(Frozen):
                 raise ValueError("coefficients must be dim x dim MatPoly")
         den = math.lcm(*(c.den for c in cs))
         self.__dict__.update(dim=dim, num=tuple(_scaled(c.num, den // c.den) for c in reversed(cs)), den=den)
-
-    @classmethod
-    def from_ascending(cls, dim: int, coeffs_ascending) -> DiffOp:
-        return cls(dim, tuple(reversed(tuple(coeffs_ascending))))
 
     @property
     def order(self) -> int:
@@ -330,19 +289,3 @@ class DiffOp(Frozen):
         out = object.__new__(DiffOp)
         out.__dict__.update(dim=self.dim, num=tuple(_scaled(a, 1, g) for a in num), den=den // g)
         return out
-
-    def __add__(self, other: DiffOp) -> DiffOp:
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        top = max(self.order, other.order)
-        return DiffOp.from_ascending(
-            self.dim, [self.coeff_of_order(j) + other.coeff_of_order(j) for j in range(top + 1)]
-        )
-
-    def __sub__(self, other: DiffOp) -> DiffOp:
-        return self + (-other) if isinstance(other, DiffOp) else NotImplemented
-
-    def __neg__(self) -> DiffOp:
-        return DiffOp(self.dim, tuple(-c for c in self.coeffs))

@@ -18,12 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mvop import linalg
-from mvop.exact import _check_bound, exact_scalar, poch
+from mvop.exact import _check_bound, exact_scalar
 from mvop.linalg import Matrix, int_matmul
 from mvop.matpoly import MatPoly
 from mvop.model import Params, WeightSpec, _check_j, moment_rows, pair_rows
 
-from fraction_oracle import drift_matrix, potential_matrix, recursion_matrix
+from fraction_oracle import diagonal, drift_matrix, identity, mat_add, mat_scale, poch
+from fraction_oracle import potential_matrix, recursion_matrix
 
 Vector = tuple
 
@@ -174,12 +175,12 @@ def bracket_seq(p: Params, lam, m: int) -> BracketSeq:
         raise ValueError("m must be a non-negative integer")
     lam = exact_scalar(lam)
     c, u, v = recursion_matrix(p), drift_matrix(p), potential_matrix(p)
-    eye = linalg.identity(p.size)
-    shift = linalg.add(v, linalg.scale(eye, lam))
+    eye = identity(p.size)
+    shift = mat_add(v, mat_scale(eye, lam))
     out = [eye]
     for i in range(m):
-        numerator = linalg.add(linalg.scale(linalg.add(u, linalg.scale(eye, i - 1)), i), shift)
-        denominator = linalg.add(c, linalg.scale(eye, i))
+        numerator = mat_add(mat_scale(mat_add(u, mat_scale(eye, i - 1)), i), shift)
+        denominator = mat_add(c, mat_scale(eye, i))
         out.append(solve_matrix(denominator, matmul(numerator, out[-1])))
     return BracketSeq(p, lam, tuple(out))
 
@@ -230,8 +231,8 @@ def moment_matrix(ws: WeightSpec, m: int) -> Matrix:
     """H_m = sum_c ratio(m + c) Z_c from the weight's core and the closed-form
     ratios alone, never its integrals: ratio(m + c) I times Z_c, summed through
     one dense product of Fraction matrices."""
-    core, eye = ws.core, linalg.identity(ws.core.dim)
-    ratios = [linalg.scale(eye, moment_ratio(ws.params, m + c)) for c in range(len(core.num))]
+    core = ws.core
+    ratios = [diagonal([moment_ratio(ws.params, m + c)] * core.dim) for c in range(len(core.num))]
     return matmul_sum(ratios, core.num, right_den=core.den)
 
 

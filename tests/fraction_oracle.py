@@ -5,7 +5,9 @@ coefficients before they moved to integer numerators over one denominator;
 the property tests hold the integer layer to them.  A polynomial is a tuple
 of coefficient matrices (tuples of row tuples) by ascending power, trailing
 zero matrices trimmed; an operator is a list of polynomials by ascending
-derivative order.
+derivative order.  The Fraction matrix helpers, the rising factorial, the
+generalized binomial and evaluation at a point left the library once only
+these references used them.
 
 The weight core, both operators and their closed-form matrices, the slot
 eigenvalues and find_collisions are the library's Fraction versions from
@@ -19,10 +21,51 @@ import math
 from fractions import Fraction
 
 from mvop import linalg
-from mvop.exact import _check_bound, exact_scalar, gen_binom, poch
+from mvop.exact import _check_bound, exact_scalar
 from mvop.hyper import CollisionClass
 from mvop.matpoly import MatPoly
 from mvop.model import Params, _check_j, moment_rows
+
+
+def poch(z, r: int) -> Fraction:
+    """Rising factorial z(z+1)...(z+r-1); the empty product is 1."""
+    _check_bound("r", r)
+    z = exact_scalar(z)
+    return math.prod((z + i for i in range(r)), start=Fraction(1))
+
+
+def gen_binom(z, r: int) -> Fraction:
+    """Binomial coefficient with a rational upper argument: poch(z - r + 1, r) / r!."""
+    _check_bound("r", r)
+    return poch(exact_scalar(z) - r + 1, r) / math.factorial(r)
+
+
+def diagonal(entries) -> tuple:
+    """Square Fraction matrix with the given diagonal."""
+    entries = [Fraction(x) for x in entries]
+    zero = (Fraction(0),) * len(entries)
+    return tuple(zero[:i] + (x,) + zero[i + 1 :] for i, x in enumerate(entries))
+
+
+def identity(n: int) -> tuple:
+    return diagonal([1] * n)
+
+
+def mat_add(a, b) -> tuple:
+    return tuple(tuple(x + y for x, y in zip(ra, rb, strict=True)) for ra, rb in zip(a, b, strict=True))
+
+
+def mat_scale(a, q) -> tuple:
+    return tuple(tuple(q * x for x in row) for row in a)
+
+
+def evaluate(f: MatPoly, u0) -> tuple:
+    """The Fraction matrix f(u0), by Horner's rule."""
+    u0 = exact_scalar(u0)
+    total = linalg.zeros(f.dim, f.cols)
+    for c in reversed(f.coeffs):
+        total = mat_add(mat_scale(total, u0), c)
+    return total
 
 
 def trim(cs) -> tuple:
@@ -127,7 +170,7 @@ def recursion_matrix(p: Params):
 
 def drift_matrix(p: Params):
     """U: diagonal, entries alpha + beta + ell + i + 2."""
-    return linalg.diagonal(p.alpha + p.beta + p.ell + i + 2 for i in range(p.size))
+    return diagonal(p.alpha + p.beta + p.ell + i + 2 for i in range(p.size))
 
 
 def potential_matrix(p: Params):
@@ -174,17 +217,17 @@ def weight_core(p: Params) -> MatPoly:
 
 def hyper_coeffs(p: Params) -> tuple:
     """(A2, A1, A0) of u(1-u) d^2/du^2 + (C - u U) d/du - V."""
-    a2 = MatPoly(p.size, tuple(linalg.scale(linalg.identity(p.size), c) for c in (0, 1, -1)))
-    a1 = MatPoly(p.size, (recursion_matrix(p), linalg.scale(drift_matrix(p), -1)))
-    return a2, a1, MatPoly(p.size, (linalg.scale(potential_matrix(p), -1),))
+    a2 = MatPoly(p.size, tuple(diagonal([c] * p.size) for c in (0, 1, -1)))
+    a1 = MatPoly(p.size, (recursion_matrix(p), mat_scale(drift_matrix(p), -1)))
+    return a2, a1, MatPoly(p.size, (mat_scale(potential_matrix(p), -1),))
 
 
 def companion_coeffs(p: Params) -> tuple:
     """(A2, A1, A0) of (1-u)(Q0 + u Q1) d^2/du^2 + (R0 + u R1) d/du - (alpha + 2 ell + 3k) V."""
     q0, q1, r0, r1 = companion_blocks(p)
-    a2 = MatPoly(p.size, (q0, linalg.add(q1, linalg.scale(q0, -1)), linalg.scale(q1, -1)))
+    a2 = MatPoly(p.size, (q0, mat_add(q1, mat_scale(q0, -1)), mat_scale(q1, -1)))
     scalar = p.alpha + 2 * p.ell + 3 * p.k
-    a0 = MatPoly(p.size, (linalg.scale(potential_matrix(p), -scalar),))
+    a0 = MatPoly(p.size, (mat_scale(potential_matrix(p), -scalar),))
     return a2, MatPoly(p.size, (r0, r1)), a0
 
 
@@ -302,19 +345,20 @@ def kernel_vector(p: Params, w: int, j: int) -> tuple:
 
 
 def leading(fam, w: int) -> bool:
-    return fam.poly(w).leading() == tuple(kernel_vector(fam.params, w, r) for r in range(fam.params.size))
+    f = fam.poly(w)
+    return f.coeff(f.degree) == tuple(kernel_vector(fam.params, w, r) for r in range(fam.params.size))
 
 
 def boundary(ws, op) -> tuple:
-    """check_symmetry's boundary report as (passed, entries), with the orders read from entry()'s Fractions."""
+    """check_symmetry's boundary report as (passed, entries), with the orders read from each entry's Fractions."""
     z, a2, a1 = ws.core, op.coeff_of_order(2), op.coeff_of_order(1)
     alpha, beta = ws.params.alpha, ws.params.beta
     entries = []
     for name, mp in (("second_order", z * a2), ("first_order_skew", z * a1 - a1.transpose() * z)):
         for i in range(mp.dim):
             for j in range(mp.dim):
-                q = mp.entry(i, j)
-                if not q:
+                q = [c[i][j] for c in mp.coeffs]
+                if not any(q):
                     entries.append((name, i, j, None, None, True))
                     continue
                 ord0 = next(m for m, c in enumerate(q) if c != 0)
@@ -344,7 +388,7 @@ def bilinear_symmetry(ws, op, max_power: int = 4) -> bool:
     monomials and each block in Fractions."""
     dim = ws.core.dim
     powers = range(max_power + 1)
-    monomials = [MatPoly.monomial(dim, linalg.identity(dim), a) for a in powers]
+    monomials = [MatPoly.from_scalar(dim, (0,) * a + (1,)) for a in powers]
     images = [op.apply(m).transpose() for m in monomials]
     rows = [moment_rows(m, ws, max(len(x.num) for x in images)) for m in monomials]
     s = [[pair_rows(x, *rows[b], dim) for b in powers] for x in images]

@@ -7,10 +7,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from mvop.exact import _format_ratio, format_rational, gen_binom, parse_rational, poch
+from mvop.exact import _format_ratio, format_rational, parse_rational
 from mvop.model import Params, WeightSpec
 
+from fraction_oracle import gen_binom, poch
+
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
+
+
+# poch and gen_binom are the references the closed-form oracles are built on
 
 
 def test_poch_frozen_values():
@@ -134,4 +139,3 @@ def test_poch_rejects_non_integer_counts(bad):
 def test_gen_binom_rejects_non_integer_counts(bad):
     with pytest.raises(ValueError, match="r must be an integer"):
         gen_binom(3, bad)
-

@@ -72,7 +72,7 @@ def bracket_column(p, w, j):
     brackets = bracket_seq(p, hyper_eigenvalue(p, w, j), w).coeffs
     f0 = dense.solve_matrix(brackets[w], column(kernel_matrix(p, w).coeff(0)[j]))
     coeffs = [
-        linalg.scale(dense.matmul(brackets[i], f0), Fraction(math.factorial(w), math.factorial(i)))
+        oracle.mat_scale(dense.matmul(brackets[i], f0), Fraction(math.factorial(w), math.factorial(i)))
         for i in range(w + 1)
     ]
     return MatPoly(p.size, coeffs, 1)
@@ -118,7 +118,7 @@ def orthogonalized_column(p, w, j):
     reduced = []
     for f0 in basis:
         series = [
-            linalg.scale(dense.matmul(brackets[i], column(f0)), Fraction(1, math.factorial(i)))
+            oracle.mat_scale(dense.matmul(brackets[i], column(f0)), Fraction(1, math.factorial(i)))
             for i in range(w + 1)
         ]
         cand = MatPoly(p.size, series, 1)
@@ -128,17 +128,16 @@ def orthogonalized_column(p, w, j):
     pick = next(v for v in reduced if not v.is_zero())
     assert pick.degree == w
     lead = pick.coeff(w)[j][0]
-    assert pick.coeff(w) == linalg.scale(column(kernel_matrix(p, w).coeff(0)[j]), lead)
+    assert pick.coeff(w) == oracle.mat_scale(column(kernel_matrix(p, w).coeff(0)[j]), lead)
     return pick * (1 / lead)
 
 
 def shifted_termination(p, w, j):
     """Second route: w (drift + w - 1) + potential + lambda."""
-    eye = linalg.identity(p.size)
     lam = hyper_eigenvalue(p, w, j)
-    return linalg.add(
-        linalg.scale(linalg.add(drift_matrix(p), linalg.scale(eye, w - 1)), w),
-        linalg.add(potential_matrix(p), linalg.scale(eye, lam)),
+    return oracle.mat_add(
+        oracle.mat_scale(oracle.mat_add(drift_matrix(p), oracle.diagonal([w - 1] * p.size)), w),
+        oracle.mat_add(potential_matrix(p), oracle.diagonal([lam] * p.size)),
     )
 
 
@@ -183,7 +182,7 @@ def lowest_row(entries) -> tuple:
 class TestBracketSeq:
     def test_starts_at_identity(self):
         seq = bracket_seq(BASE, -2, 3)
-        assert seq.coeffs[0] == linalg.identity(2)
+        assert seq.coeffs[0] == oracle.identity(2)
         assert len(seq.coeffs) == 4
 
     def test_first_coefficient_frozen(self):
@@ -197,14 +196,11 @@ class TestBracketSeq:
         for p in GRID:
             lam = Fraction(-7, 3)
             seq = bracket_seq(p, lam, 5).coeffs
-            eye = linalg.identity(p.size)
             for i in range(5):
-                lhs = dense.matmul(
-                    linalg.add(recursion_matrix(p), linalg.scale(eye, i)), seq[i + 1]
-                )
-                numerator = linalg.add(
-                    linalg.scale(linalg.add(drift_matrix(p), linalg.scale(eye, i - 1)), i),
-                    linalg.add(potential_matrix(p), linalg.scale(eye, lam)),
+                lhs = dense.matmul(oracle.mat_add(recursion_matrix(p), oracle.diagonal([i] * p.size)), seq[i + 1])
+                numerator = oracle.mat_add(
+                    oracle.mat_scale(oracle.mat_add(drift_matrix(p), oracle.diagonal([i - 1] * p.size)), i),
+                    oracle.mat_add(potential_matrix(p), oracle.diagonal([lam] * p.size)),
                 )
                 assert lhs == dense.matmul(numerator, seq[i])
 

@@ -130,6 +130,28 @@ def test_symmetry_has_one_check_and_a_gram_block_one_form():
     assert not hasattr(mvop.Family, "gram") and hasattr(mvop.Family, "gram_num")
 
 
+# no command, check or benchmark task read these: MatPoly(dim, (), cols) is
+# the zero polynomial and MatPoly(dim, (m,), cols) a constant, DiffOp takes
+# its coefficients leading order first, and the Fraction matrices, poch,
+# gen_binom and evaluation at a point are references in the tests
+FRACTION_ONLY_VIEWS = {
+    "linalg": ("identity", "diagonal", "add", "scale"),
+    "MatPoly": ("zero", "constant", "monomial", "entry", "evaluate", "leading"),
+    "DiffOp": ("from_ascending", "__add__", "__sub__", "__neg__"),
+    "exact": ("poch", "gen_binom"),
+}
+
+
+@pytest.mark.parametrize(
+    "owner, name", [(owner, name) for owner, names in FRACTION_ONLY_VIEWS.items() for name in names]
+)
+def test_fraction_only_views_are_gone(owner, name):
+    home = getattr(mvop, owner) if owner[0].isupper() else importlib.import_module(f"mvop.{owner}")
+    modules = [mvop] + [importlib.import_module(f"mvop.{info.name}") for info in pkgutil.iter_modules(mvop.__path__)]
+    assert all(name not in getattr(m, "__all__", ()) for m in modules)
+    assert not hasattr(home, name)
+
+
 def test_package_rejects_unknown_names():
     assert not hasattr(mvop, "no_such_name")
     with pytest.raises(AttributeError, match="'mvop' has no attribute 'no_such_name'"):
