@@ -16,7 +16,7 @@ _EXPORTS = {
     "matpoly": "DiffOp MatPoly",
     "model": "Params WeightSpec companion_eigenvalue companion_operator hyper_eigenvalue hyper_operator"
     " monic_matrix slot_table weight_core",
-    "hyper": "CollisionClass Family GramBlock build_column family find_collisions gram_block kernel_matrix"
+    "hyper": "CollisionClass Family GramBlock family find_collisions gram_block kernel_matrix"
     " orthogonal_polynomial",
     "verify": "BoundaryReport VerificationReport check_bilinear_symmetry check_commute check_eigen check_ideal"
     " check_symmetry decompose_in_basis run_suite",

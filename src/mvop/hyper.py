@@ -20,12 +20,12 @@ orthogonal to the earlier ones without a pairing.
 A column leaves the descent in one format, its per-degree rows: degree i's
 integer numerators over its own denominator, jointly in lowest terms.
 Family.column_strings writes mvop polys' entries straight from them, and
-Family.column and Family.poly assemble their MatPoly from them with one lcm
-and one scaling per entry, P_w from its n columns' rows directly.
+Family.poly assembles P_w, whose row j is column (w, j), from its n columns'
+rows with one lcm and one scaling per entry.
 
 One Family holds all that a parameter set fixes, P_w but not a lone column,
-which is built again if asked for again; family(p) keeps the latest.
-The Params-keyed build_column, orthogonal_polynomial and gram_block read it;
+which column_strings solves again if asked for again; family(p) keeps the
+latest.  The Params-keyed orthogonal_polynomial and gram_block read it;
 gram_block lives here, not in verify, so that mvop gram and the library
 sweep run without loading the checks.  A GramBlock holds gram_num's one
 form and writes it without building a Fraction.
@@ -50,7 +50,6 @@ __all__ = [
     "find_collisions",
     "Family",
     "family",
-    "build_column",
     "orthogonal_polynomial",
     "GramBlock",
     "gram_block",
@@ -127,7 +126,7 @@ class Family:
     each part built on first use: the weight (a WeightSpec), the operators D
     and E (each held as integer numerators over one denominator), each
     P_w, and the moment rows of each P_w', computed once per degree.
-    A column is not kept: column builds it on every call."""
+    A lone column is not kept: column_strings solves it on every call."""
 
     weight = cached_property(lambda self: WeightSpec(self.params))
     hyper = cached_property(lambda self: hyper_operator(self.params))
@@ -200,13 +199,13 @@ class Family:
         rows.reverse()
         return rows, zero_pivots
 
-    def _rows(self, w: int, j: int) -> tuple:
+    def _rows(self, w: int, j: int) -> list:
         """The rows of column (w, j) (see _descend), certified where the
         descent met earlier members of the class of lam: the column is checked
         exactly to be the eigenfunction of the companion operator E for
         mu(w, j), with mu apart from theirs (else ArithmeticError).  Returns
-        the rows and the column MatPoly that certification assembled, or None
-        where there was none to certify.
+        the rows alone: the dim x 1 column the certification assembles to
+        apply E is not kept.
 
         E commutes with D, keeps degree and is symmetric for the weight, so
         among the degree-<= w solutions of D F = lam F, whose E-eigenvalues are
@@ -231,30 +230,19 @@ class Family:
             for slot in earlier:
                 if companion_eigenvalue(p, *slot) == mu:
                     raise ArithmeticError(f"slots {slot} and ({w}, {j}) share both eigenvalues")
-            column = _assembled([rows])
+            column = _assembled([rows]).transpose()
             if self.companion.apply(column) != column * mu:
                 raise ArithmeticError(f"column ({w}, {j}) is not an eigenfunction of the companion operator")
-            return rows, column
-        return rows, None
-
-    def column(self, w: int, j: int) -> MatPoly:
-        """Degree-w column eigenfunction for slot (w, j), a dim x 1 MatPoly
-        solved downward from zero above degree w afresh on each call (P_w
-        keeps its columns as rows).  It is assembled once from its certified
-        rows (see _rows) over their lcm, one scaling per entry and no gcd,
-        which rows in lowest terms leave at 1 (see _assembled): a later class
-        member returns the column its certification assembled.  Its leading
-        coefficient, 1 in slot j and 0 in every slot after it, is the kernel
-        vector, which run_suite checks against the closed form, row j of
-        kernel_matrix(p, w).
-        """
-        rows, column = self._rows(w, j)
-        return _assembled([rows]) if column is None else column
+        return rows
 
     def column_strings(self, w: int, j: int) -> list:
-        """Column (w, j) as column(w, j).to_json_dict()["coeffs"] writes it,
-        each entry read straight from its row (f_i, den_i), one gcd each."""
-        return [[_format_ratio(x, den) for x in f] for f, den in self._rows(w, j)[0]]
+        """Column (w, j), row j of poly(w), as to_json_dict writes its
+        entries, degree by degree, each read straight from its row
+        (f_i, den_i), one gcd each.  It is solved afresh on each call; its
+        leading coefficient, 1 in slot j and 0 in every slot after it, is the
+        kernel vector, which run_suite checks against the closed form, row j
+        of kernel_matrix(p, w)."""
+        return [[_format_ratio(x, den) for x in f] for f, den in self._rows(w, j)]
 
     def poly(self, w: int) -> MatPoly:
         """Degree-w matrix polynomial P_w whose row j is the column (w, j),
@@ -268,7 +256,7 @@ class Family:
         """
         _check_bound("w", w)
         if w not in self._polys:
-            self._polys[w] = _assembled([self._rows(w, j)[0] for j in range(self.params.size)])
+            self._polys[w] = _assembled([self._rows(w, j) for j in range(self.params.size)])
         return self._polys[w]
 
     def gram_num(self, w: int, w_prime: int) -> tuple:
@@ -286,30 +274,23 @@ class Family:
 
 
 def _assembled(columns: list) -> MatPoly:
-    """The MatPoly of the given columns, each as its rows (f_m, den_m) in
-    lowest terms (see Family._descend): one column gives that dim x 1 column,
-    n columns give P_w, whose row c is column c.  Every entry is scaled once
+    """The len(columns) x dim MatPoly whose row c is column c, each column
+    as its rows (f_m, den_m) in lowest terms (see Family._descend): the n
+    columns of degree w give P_w.  Every entry is scaled once
     to the one lcm L of all den_m, and no gcd is taken, as it is 1: a prime
     power p^e dividing L exactly divides some den_m, whose scale L / den_m is
     then prime to p, so p dividing every scaled entry would divide den_m and
     all of f_m.  Each column's top row holds the slot's 1, so no coefficient
     is trimmed."""
-    den, dim = math.lcm(*(d for rows in columns for _, d in rows)), len(columns[0][0][0])
+    den = math.lcm(*(d for rows in columns for _, d in rows))
     num = tuple(tuple(tuple(x * (den // d) for x in f) for f, d in degree) for degree in zip(*columns))
-    if len(columns) == 1:
-        return MatPoly._lowest(dim, 1, tuple(tuple(zip(*c)) for c in num), den)
-    return MatPoly._lowest(dim, dim, num, den)
+    return MatPoly._lowest(len(columns), len(columns[0][0][0]), num, den)
 
 
 @lru_cache(maxsize=1)
 def family(p: Params) -> Family:
     """The latest parameter set's Family, which the Params-keyed functions share."""
     return Family(p)
-
-
-def build_column(p: Params, w: int, j: int) -> MatPoly:
-    """Degree-w column eigenfunction for slot (w, j): Family.column."""
-    return family(p).column(w, j)
 
 
 def orthogonal_polynomial(p: Params, w: int) -> MatPoly:

@@ -218,7 +218,7 @@ class DiffOp(Frozen):
     for j = 0 .. order, over one denominator den, the lcm of the coefficients'
     own denominators: a reduced, unique form, so == is operator equality.
     DiffOp(dim, coeffs) clears MatPoly coefficients given leading order first;
-    coeffs and coeff_of_order read them back.  The operator multiplies a dim x n
+    coeff_of_order reads A_j back.  The operator multiplies a dim x n
     matrix polynomial from the left, so it acts column by column.  Order is
     structural (a zero A_j is () in num), so a commutator keeps its shape.
     """
@@ -240,16 +240,9 @@ class DiffOp(Frozen):
     def order(self) -> int:
         return len(self.num) - 1
 
-    @property
-    def coeffs(self) -> tuple:  # leading order first
-        return tuple(map(self.coeff_of_order, range(self.order, -1, -1)))
-
     def coeff_of_order(self, j: int) -> MatPoly:
         _check_bound("order", j)
         return MatPoly._reduced(self.dim, self.dim, self.num[j] if j <= self.order else (), self.den)
-
-    def is_zero(self) -> bool:
-        return not any(self.num)
 
     def is_degree_bounded(self) -> bool:
         """True when deg A_j <= j for every order j, the class closed under composition."""

@@ -11,7 +11,6 @@ import time
 from fractions import Fraction
 
 from mvop.hyper import (
-    build_column,
     find_collisions,
     kernel_matrix,
     orthogonal_polynomial,
@@ -48,9 +47,14 @@ GRID = [
 COLLIDING = Params(0, 1, Fraction(3, 2), 2)
 
 
-def column_pairing(pv, qv, ws):
-    """Scalar pairing of two dim x 1 columns through the matrix pairing."""
-    return inner_product(pv.transpose(), qv.transpose(), ws)[0][0]
+def row_of(p, w, j):
+    """Column (w, j) as a 1 x dim MatPoly: row j of P_w."""
+    return MatPoly(1, [(c[j],) for c in orthogonal_polynomial(p, w).coeffs], p.size)
+
+
+def row_pairing(pv, qv, ws):
+    """Scalar pairing of two 1 x dim rows through the matrix pairing."""
+    return inner_product(pv, qv, ws)[0][0]
 
 
 def report(number: int, name: str, ok: bool) -> None:
@@ -150,12 +154,12 @@ def test_07_collision_construction():
     ok = lam == -5 and hyper_eigenvalue(COLLIDING, 1, 0) == -5
     ok = ok and find_collisions(COLLIDING, lam).members == ((0, 2), (1, 0))
     ok = ok and len(poly_solution_space(COLLIDING, lam, 1)) == 2
-    first = build_column(COLLIDING, 0, 2)
-    second = build_column(COLLIDING, 1, 0)
+    first = row_of(COLLIDING, 0, 2)
+    second = row_of(COLLIDING, 1, 0)
     ws = WeightSpec(COLLIDING)
-    ok = ok and column_pairing(first, second, ws) == 0
-    ok = ok and column_pairing(first, first, ws) > 0
-    ok = ok and column_pairing(second, second, ws) > 0
+    ok = ok and row_pairing(first, second, ws) == 0
+    ok = ok and row_pairing(first, first, ws) > 0
+    ok = ok and row_pairing(second, second, ws) > 0
     report(7, "shared eigenvalue resolved into orthogonal eigenfunctions", ok)
     assert ok
 

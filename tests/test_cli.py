@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 import mvop
 from mvop.cli import _record_text, build_parser, cmd_polys, main
 from mvop.exact import _format_ratio, format_rational, parse_rational
-from mvop.hyper import Family, build_column, family, find_collisions, gram_block
+from mvop.hyper import Family, family, find_collisions, gram_block, orthogonal_polynomial
 from mvop.matpoly import MatPoly
 from mvop.model import Params, companion_eigenvalue, hyper_eigenvalue, slot_table
 
@@ -155,9 +155,12 @@ def full_list(command, p, max_w):
     if command == "table":
         return slot_records(p, max_w)
     if command == "polys":
-        return [
-            {**r, "coeffs": build_column(p, r["w"], r["j"]).to_json_dict()["coeffs"]} for r in slot_records(p, max_w)
-        ]
+        # column (w, j) is row j of P_w: entries j n .. (j + 1) n of each flattened coefficient
+        records, n = [], p.size
+        for r in slot_records(p, max_w):
+            coeffs = orthogonal_polynomial(p, r["w"]).to_json_dict()["coeffs"]
+            records.append({**r, "coeffs": [c[r["j"] * n : (r["j"] + 1) * n] for c in coeffs]})
+        return records
     if command == "gram":
         return [gram_block(p, w, wp).as_dict() for w in range(max_w + 1) for wp in range(w, max_w + 1)]
     classes = {}
@@ -176,9 +179,9 @@ def full_rows(command, p, max_w):
         return ("w", "j", "lambda", "mu"), slots
     if command == "polys":
         rows = [
-            (*slot, m, *(format_rational(x) for (x,) in c))
+            (*slot, m, *map(format_rational, c[slot[1]]))
             for slot in slots
-            for m, c in enumerate(build_column(p, slot[0], slot[1]).coeffs)
+            for m, c in enumerate(orthogonal_polynomial(p, slot[0]).coeffs)
         ]
         return ("w", "j", "lambda", "mu", "power") + tuple(f"x{i}" for i in range(p.size)), rows
     if command == "gram":

@@ -14,7 +14,6 @@ import mvop.model
 from mvop import linalg
 from mvop.hyper import (
     Family,
-    build_column,
     family,
     find_collisions,
     kernel_matrix,
@@ -50,6 +49,11 @@ def column_pairing(pv, qv, ws):
 def column(vec):
     """A vector as the dim x 1 coefficient matrix of a column eigenfunction."""
     return tuple((x,) for x in vec)
+
+
+def poly_column(p, w, j):
+    """Column (w, j) as a dim x 1 MatPoly: row j of P_w."""
+    return MatPoly(p.size, [column(c[j]) for c in orthogonal_polynomial(p, w).coeffs], 1)
 
 
 def scan_collisions(p, lam):
@@ -383,11 +387,11 @@ class TestSolutionSpace:
             poly_solution_space(BASE, -4, -1)
 
 
-class TestBuildColumn:
+class TestColumns:
     def test_degree_zero_is_kernel_vector(self):
         for p in GRID:
             for j in range(p.size):
-                col = build_column(p, 0, j)
+                col = poly_column(p, 0, j)
                 assert col.degree == 0
                 assert col.coeff(0) == column(kernel_matrix(p, 0).coeff(0)[j])
 
@@ -396,22 +400,22 @@ class TestBuildColumn:
             op = hyper_operator(p)
             for w in range(4):
                 for j in range(p.size):
-                    col = build_column(p, w, j)
+                    col = poly_column(p, w, j)
                     assert op.apply(col) == col * hyper_eigenvalue(p, w, j)
 
     def test_degree_and_leading(self):
         for p in GRID:
             for w in range(4):
                 for j in range(p.size):
-                    col = build_column(p, w, j)
+                    col = poly_column(p, w, j)
                     assert col.degree == w
                     assert col.coeff(w) == column(kernel_matrix(p, w).coeff(0)[j])
 
     def test_collision_columns_frozen(self):
-        first = build_column(COLLIDING, 0, 2)
+        first = poly_column(COLLIDING, 0, 2)
         assert first.degree == 0
         assert first.coeff(0) == ((Fraction(3, 35),), (Fraction(-3, 7),), (Fraction(1),))
-        second = build_column(COLLIDING, 1, 0)
+        second = poly_column(COLLIDING, 1, 0)
         assert second.degree == 1
         assert second.coeff(1) == ((Fraction(1),), (Fraction(0),), (Fraction(0),))
         assert second.coeff(0) == ((Fraction(-12, 35),), (Fraction(-2, 7),), (Fraction(0),))
@@ -426,7 +430,7 @@ class TestBuildColumn:
         ):
             assert find_collisions(p, hyper_eigenvalue(p, *slots[0])).members == slots
             ws = WeightSpec(p)
-            cols = [build_column(p, w, j) for w, j in slots]
+            cols = [poly_column(p, w, j) for w, j in slots]
             for x, cx in enumerate(cols):
                 assert column_pairing(cx, cx, ws) > 0
                 for cy in cols[:x]:
@@ -437,12 +441,12 @@ class TestBuildColumn:
             for w in range(9):
                 for j in range(p.size):
                     if find_collisions(p, hyper_eigenvalue(p, w, j)).members[0] == (w, j):
-                        assert build_column(p, w, j) == bracket_column(p, w, j)
+                        assert poly_column(p, w, j) == bracket_column(p, w, j)
         for p, max_w in ((COLLIDING, 8), (Params(0, 3, 1, 5), 8)):
             leaders = class_leaders(p, max_w)
             assert leaders
             for w, j in leaders:
-                assert build_column(p, w, j) == bracket_column(p, w, j)
+                assert poly_column(p, w, j) == bracket_column(p, w, j)
 
     def test_later_columns_match_orthogonalization_oracle(self):
         family = Params(Fraction(-1, 2), Fraction(8, 3), Fraction(13, 12), 4)
@@ -450,7 +454,7 @@ class TestBuildColumn:
             later = later_slots(p, max_w)
             assert later
             for w, j in later:
-                assert build_column(p, w, j) == orthogonalized_column(p, w, j)
+                assert poly_column(p, w, j) == orthogonalized_column(p, w, j)
         # the later members of the three-member class (4, 5), (6, 2), (7, 0)
         # and of the four-member class (1, 8), (3, 5), (4, 3), (5, 0)
         for p, later in (
@@ -458,7 +462,7 @@ class TestBuildColumn:
             (Params(Fraction(-2, 3), Fraction(11, 3), 4, 8), ((3, 5), (4, 3), (5, 0))),
         ):
             for w, j in later:
-                assert build_column(p, w, j) == orthogonalized_column(p, w, j)
+                assert poly_column(p, w, j) == orthogonalized_column(p, w, j)
 
     @pytest.mark.usefixtures("fresh_family")
     def test_later_slot_off_its_companion_eigenvalue_raises(self, monkeypatch):
@@ -469,7 +473,7 @@ class TestBuildColumn:
             (COLLIDING, 1, 0): [(0, 2)],
             (big, 7, 0): [(4, 5), (6, 2)],
         }
-        shifts = {(p, w, j): [build_column(p, *slot) for slot in slots] for (p, w, j), slots in lower.items()}
+        shifts = {(p, w, j): [poly_column(p, *slot) for slot in slots] for (p, w, j), slots in lower.items()}
         real = Family._descend
 
         def shifted(fam, w, j, lam):
@@ -484,7 +488,7 @@ class TestBuildColumn:
         mvop.hyper.family.cache_clear()
         for p, w, j in lower:
             with pytest.raises(ArithmeticError, match=re.escape(f"column ({w}, {j}) is not an eigenfunction")):
-                build_column(p, w, j)
+                family(p).column_strings(w, j)
 
     @pytest.mark.usefixtures("fresh_family")
     def test_class_sharing_a_companion_eigenvalue_raises(self, monkeypatch):
@@ -495,7 +499,7 @@ class TestBuildColumn:
 
         monkeypatch.setattr(mvop.hyper, "companion_eigenvalue", merged)
         with pytest.raises(ArithmeticError, match=re.escape("slots (0, 2) and (1, 0) share both eigenvalues")):
-            build_column(COLLIDING, 1, 0)
+            family(COLLIDING).column_strings(1, 0)
 
     def test_descent_rejects_an_inconsistent_pivot(self):
         # in D's numerators, A_0's entry at (2, 2) moved to lam(1, 1) L makes the degree-0 pivot of row 2 vanish in the descent
@@ -509,7 +513,7 @@ class TestBuildColumn:
         a0 = tuple(tuple(lam.numerator if r == c == 2 else x for c, x in enumerate(row)) for r, row in enumerate(a0))
         fam.hyper.__dict__["num"] = (a0,), *rest
         with pytest.raises(ArithmeticError, match="degree 0, row 2"):
-            fam.column(1, 1)
+            fam.column_strings(1, 1)
 
     @pytest.mark.usefixtures("fresh_family")
     def test_principal_columns_skip_the_bracket_matrices(self, monkeypatch):
@@ -553,22 +557,24 @@ class TestBuildColumn:
         slots = [(COLLIDING, w, j) for w in range(4) for j in range(COLLIDING.size)]
         slots += [(big, w, j) for w, j in ((4, 5), (6, 2), (7, 0))]
         for p, w, j in slots:
-            col = build_column(p, w, j)
+            col = poly_column(p, w, j)
             assert col.degree == w
             assert col.coeff(w) == column(oracle.kernel_vector(p, w, j))
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
-            build_column(BASE, -1, 0)
+            Family(BASE).column_strings(-1, 0)
         with pytest.raises(ValueError):
-            build_column(BASE, 0, 9)
+            Family(BASE).column_strings(0, 9)
 
     @pytest.mark.parametrize("w, j", INEXACT)
     def test_rejects_inexact_slots_after_the_integer_slot_is_cached(self, w, j):
-        # True and 2.0 hash like 1 and 2, so a lookup before the check would answer them
-        build_column(BASE, int(w), int(j))
+        # True and 2.0 hash like 1 and 2, so a lookup before the check would
+        # answer them from the P_w cached at the integer degree
+        fam = Family(BASE)
+        fam.poly(int(w))
         with pytest.raises(ValueError, match="integer"):
-            build_column(BASE, w, j)
+            fam.column_strings(w, j)
 
     def test_integer_descent_matches_the_fraction_oracle(self):
         family = Params(Fraction(-1, 2), Fraction(8, 3), Fraction(13, 12), 4)
@@ -611,8 +617,7 @@ class TestFamily:
     @pytest.mark.usefixtures("fresh_family")
     def test_previous_family_is_released(self):
         first = family(COLLIDING)
-        build_column(COLLIDING, 1, 0)
-        assert family(COLLIDING) is first and first.column(1, 0) == build_column(COLLIDING, 1, 0)
+        assert orthogonal_polynomial(COLLIDING, 1) is first.poly(1) and family(COLLIDING) is first
         gone = weakref.ref(first)
         del first
         second = family(BASE)
@@ -624,31 +629,11 @@ class TestFamily:
     def test_columns_are_kept_by_their_callers_alone(self):
         # (1, 0) is a later class member, certified against E on each call;
         # P_w is the family's one construction cache
-        col = build_column(COLLIDING, 1, 0)
-        gone = weakref.ref(col)
-        assert build_column(COLLIDING, 1, 0) == col
-        del col
-        gc.collect()
-        assert gone() is None
+        fam = family(COLLIDING)
+        strings = fam.column_strings(1, 0)
+        assert fam.column_strings(1, 0) == strings and fam._polys == {}
         assert orthogonal_polynomial(COLLIDING, 1) is orthogonal_polynomial(COLLIDING, 1)
-
-    @pytest.mark.usefixtures("fresh_family")
-    def test_column_is_assembled_once(self, monkeypatch):
-        # (1, 0) is a later member of the class of (0, 2): the column that its
-        # certification against E assembles is the column returned
-        assert find_collisions(COLLIDING, hyper_eigenvalue(COLLIDING, 1, 0)).members == ((0, 2), (1, 0))
-        real, calls = mvop.hyper._assembled, []
-
-        def counted(columns):
-            calls.append(len(columns))
-            return real(columns)
-
-        monkeypatch.setattr(mvop.hyper, "_assembled", counted)
-        want = {slot: orthogonalized_column(COLLIDING, *slot) for slot in ((0, 0), (1, 0))}
-        for slot in want:
-            calls.clear()
-            assert build_column(COLLIDING, *slot) == want[slot]
-            assert calls == [1]
+        assert list(fam._polys) == [1]
 
     def test_lam_off_the_operator_scale_raises(self):
         # every eigenvalue is an integer over the scale of the operator
@@ -675,18 +660,19 @@ ROUTE_POINTS = [
 
 @pytest.mark.usefixtures("fresh_family")
 @pytest.mark.parametrize("p, max_w", ROUTE_POINTS)
-def test_rows_route_matches_the_column_route(p, max_w):
-    # polys writes each slot's strings from its rows, and P_w is assembled from
-    # the n columns' rows; both must equal the route through each column
-    # MatPoly, in the form its Fraction constructor reduces by a gcd
+def test_rows_route_matches_the_poly_route(p, max_w):
+    # polys writes each slot's strings from its rows, one gcd per entry, and
+    # P_w is assembled from the n columns' rows over one lcm and no gcd: row j
+    # of P_w's JSON, entries j n .. (j + 1) n of each flattened coefficient,
+    # must be column (w, j)'s strings, and P_w the form its Fraction
+    # constructor reduces by a gcd
     fam, n = family(p), p.size
     for w in range(max_w + 1):
-        cols = [fam.column(w, j) for j in range(n)]
-        for j, col in enumerate(cols):
-            assert col == MatPoly(n, col.coeffs, 1)
-            assert fam.column_strings(w, j) == build_column(p, w, j).to_json_dict()["coeffs"]
-        stacked = MatPoly(n, [[[x for (x,) in col.coeff(m)] for col in cols] for m in range(w + 1)])
-        assert fam.poly(w) == stacked
+        poly = fam.poly(w)
+        assert poly == MatPoly(n, poly.coeffs)
+        coeffs = poly.to_json_dict()["coeffs"]
+        for j in range(n):
+            assert fam.column_strings(w, j) == [c[j * n : (j + 1) * n] for c in coeffs]
 
 
 def test_route_points_reach_a_class_of_four_at_ell_12():
@@ -700,7 +686,7 @@ class TestMatrixFamily:
             for w in range(3):
                 poly = orthogonal_polynomial(p, w)
                 for j in range(p.size):
-                    col = build_column(p, w, j)
+                    col, _ = fraction_descent(p, w, j, hyper_eigenvalue(p, w, j))
                     for m in range(w + 1):
                         assert column(poly.coeff(m)[j]) == col.coeff(m)
 

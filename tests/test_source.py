@@ -1,5 +1,7 @@
 import ast
 import importlib
+import json
+import os
 import pkgutil
 import re
 import subprocess
@@ -132,13 +134,17 @@ def test_symmetry_has_one_check_and_a_gram_block_one_form():
 
 # no command, check or benchmark task read these: MatPoly(dim, (), cols) is
 # the zero polynomial and MatPoly(dim, (m,), cols) a constant, DiffOp takes
-# its coefficients leading order first, and the Fraction matrices, poch,
-# gen_binom and evaluation at a point are references in the tests
+# its coefficients leading order first and coeff_of_order reads each back,
+# the Fraction matrices, poch, gen_binom and evaluation at a point are
+# references in the tests, and a column is read as row j of Family.poly(w)
+# or as Family.column_strings
 FRACTION_ONLY_VIEWS = {
     "linalg": ("identity", "diagonal", "add", "scale"),
     "MatPoly": ("zero", "constant", "monomial", "entry", "evaluate", "leading"),
-    "DiffOp": ("from_ascending", "__add__", "__sub__", "__neg__"),
+    "DiffOp": ("from_ascending", "__add__", "__sub__", "__neg__", "coeffs", "is_zero"),
     "exact": ("poch", "gen_binom"),
+    "hyper": ("build_column",),
+    "Family": ("column",),
 }
 
 
@@ -224,3 +230,28 @@ def test_each_path_loads_only_the_modules_it_runs(code, loaded):
     )
     out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True)
     assert ast.literal_eval(out.stdout.splitlines()[-1]) == sorted(loaded)
+
+
+CHILD = Path(mvop.__file__).parents[2] / "perfbench" / "child.py"
+SWEEP_POINTS = [
+    {"alpha": "0", "beta": "1", "k": "3/2", "ell": 2, "max_w": 3},  # resonant: a class of two
+    {"alpha": "1/2", "beta": "3/2", "k": "1", "ell": 2, "max_w": 3},
+]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="the benchmark child reads its peak RSS there")
+@pytest.mark.parametrize("mode", ["setup", "sweep"])
+def test_benchmark_child_runs_on_the_library(mode, tmp_path):
+    # the benchmark's set-up launch and its library sweep call mvop by name,
+    # so a removal that one of them still calls fails here
+    if mode == "setup":
+        args = ["setup", "0", "1", "3/2", "2"]
+    else:
+        points = tmp_path / "points.json"
+        points.write_text(json.dumps(SWEEP_POINTS))
+        args = ["sweep", str(points)]
+    out = subprocess.run([sys.executable, str(CHILD), *args], capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout)
+    if mode == "sweep":
+        assert [r["params"]["k"] for r in result] == ["3/2", "1"] and len(result[0]["polys"]) == 4
